@@ -9,6 +9,20 @@ The bar and W-constructions also come in closed form: a basis indexed
 by trees with decorations, with the coend identifications carried out
 symbolically. The closed forms are cross-checked against the engine.
 
+The mirrored constructions share one skeleton per step:
+  _closed_form       the closed-form bar and W terms and their actions
+  _Engine            the slots and relations common to Coend and End
+  _end_map           ends mapped slot by slot, then factored (cobar_map,
+                     theta, the co-W covers; _into_end for any source)
+  _end_relabel       the symmetric action on cobar and co-W
+  _end_graft         the composition of cobar and co-W
+  _coend_map         the covers and relabelings of bbar
+  _evaluate          cobar elements read on family cells (the adjunction
+                     transpose and theta_star)
+  _composite         fragment composites, cached on the pre-cooperad
+The cube-level maps they use (relabelings, the unit-extended grafting
+split, family transports) live in the cubes layer.
+
 Sign conventions all reduce to Koszul reshuffles against the fixed
 global orders declared in the cube and chain layers. Where a map is
 classically defined through interval reversals, the reversal is folded
@@ -20,23 +34,25 @@ from __future__ import annotations
 import itertools
 
 from .chain import (
-    ChainComplex, ChainMap, cokernel_complex, direct_sum, hom_complex,
-    hom_postcompose, hom_precompose, hom_tensor_interchange, is_quasi_iso,
-    kernel_complex, k_complex, koszul_sign, permute_factors_map, shift,
-    tensor_many, tensor_map_many, zero_complex,
+    ChainComplex, ChainMap, _graded_basis, _place, cokernel_complex,
+    direct_sum, hom_complex, hom_postcompose, hom_precompose,
+    hom_tensor_interchange, kernel_complex, shift, tensor_many,
+    tensor_map_many, zero_complex,
 )
 from .cubes import (
-    STAR, delta_cube, face_inclusion, family_inclusion, graft_decompose,
-    rel_delta, theta_cells, wbar, wbar_family, _expand_cluster, _rel_tokens,
-    _wbar_tokens,
+    STAR, _chunks, _fam_ids, _move_cell, _move_family_cells, _rel_tokens,
+    _relabel_slots, _star_sign, _wbar_tokens, delta_cube, face_inclusion,
+    family_cover, family_inclusion, family_relabel, graft_decompose,
+    nu_general, rel_delta, rel_delta_relabel, rel_split, theta_cells, wbar,
+    wbar_family, wbar_relabel,
 )
-from .linalg import Matrix
 from .operads import (
-    Cooperad, Operad, PreCooperad, extend_cooperad, trivial_operad,
+    Cooperad, Operad, PreCooperad, _adjacent_family, _along_covers,
+    _trivial_circ, extend_cooperad, trivial_operad,
 )
 from .trees import (
-    ROOT, Tree, adjacent_transposition, cluster_key, corolla, enumerate_trees,
-    fragments, graft, grafted_edge, split_at_block,
+    Tree, _graft_place, _split_graft, _token_image, _vertex_arities,
+    cluster_key, corolla, enumerate_trees, fragments, graft, split_at_block,
 )
 
 
@@ -44,71 +60,25 @@ def _point():
     return Tree(1, [])
 
 
-def _sgn(field, s):
-    return field.one if s > 0 else field.neg(field.one)
+def _sgn(field, e):
+    """(-1)^e in the field."""
+    return field.one if e % 2 == 0 else field.neg(field.one)
 
 
-def _token_relabel(c, sigma):
-    if c == ROOT:
-        return ROOT
-    return frozenset(sigma[l] for l in c)
+def _interleave_sign(field, xs, cs):
+    """(-1)^(sum over j < k of xs[j] * cs[k]): the Koszul sign of moving
+    each element x_j past the cells c_k to its right."""
+    return _sgn(field, sum(x * sum(cs[j + 1:]) for j, x in enumerate(xs)))
 
 
-def _star_perm_sign(field, src_tokens, cell, sigma, tgt_tokens):
-    """Koszul sign for relabeling a cube cell: the starred coordinates
-    are permuted from source token order into target token order."""
-    stars = [tok for tok, v in zip(src_tokens, cell) if v == STAR]
-    images = [_token_relabel(tok, sigma) for tok in stars]
-    tgt_stars = [tok for tok in tgt_tokens if tok in set(images)]
-    pos = [tgt_stars.index(im) for im in images]
-    return koszul_sign(field, [1] * len(pos), pos)
-
-
-def _cube_relabel(field, src, tgt, src_tokens, tgt_tokens, sigma):
-    tpos = {tok: i for i, tok in enumerate(tgt_tokens)}
-
-    def rule(d, cell):
-        out = [None] * len(tgt_tokens)
-        for tok, v in zip(src_tokens, cell):
-            out[tpos[_token_relabel(tok, sigma)]] = v
-        s = _star_perm_sign(field, src_tokens, cell, sigma, tgt_tokens)
-        return [(tuple(out), s)]
-
-    return ChainMap.from_rule(src, tgt, rule)
-
-
-def wbar_relabel(field, t: Tree, sigma) -> ChainMap:
-    t2 = t.relabel(sigma)
-    if t.n == 1:
-        return ChainMap.identity(wbar(field, t))
-    return _cube_relabel(field, wbar(field, t), wbar(field, t2),
-                         _wbar_tokens(t), _wbar_tokens(t2), sigma)
-
-
-def delta_relabel(field, t: Tree, sigma) -> ChainMap:
-    t2 = t.relabel(sigma)
-    return _cube_relabel(field, delta_cube(field, t), delta_cube(field, t2),
-                         t.edges(), t2.edges(), sigma)
-
-
-def rel_delta_relabel(field, u: Tree, t: Tree, sigma) -> ChainMap:
-    u2, t2 = u.relabel(sigma), t.relabel(sigma)
-    return _cube_relabel(field, rel_delta(field, u, t),
-                         rel_delta(field, u2, t2),
-                         _rel_tokens(u, t), _rel_tokens(u2, t2), sigma)
-
-
-def nu_general(field, t: Tree, i: int, u: Tree) -> ChainMap:
-    """wbar(graft(t,i,u)) -> wbar(t) (x) wbar(u), extended to arity-1
-    factors by the unit isomorphisms."""
-    if t.n >= 2 and u.n >= 2:
-        return graft_decompose(field, t, i, u)[0]
-    v = graft(t, i, u)
-    wv = wbar(field, v)
-    tgt = tensor_many(field, [wbar(field, t), wbar(field, u)])
-    if u.n == 1:
-        return ChainMap.from_rule(wv, tgt, lambda d, c: [((c, ()), 1)])
-    return ChainMap.from_rule(wv, tgt, lambda d, c: [(((), c), 1)])
+def _tensor_vecs(field, a, b):
+    """The tensor of two vectors keyed by label tuples."""
+    out = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            out[x + y] = field.add(out.get(x + y, field.zero),
+                                   field.mul(cx, cy))
+    return {l: c for l, c in out.items() if c != field.zero}
 
 
 # -- tree-indexed diagrams and their coends/ends --------------------------
@@ -151,19 +121,9 @@ class TreeDiagram:
         """Composite along any cover chain from t up to u (t <= u)."""
         if not t.leq(u):
             raise ValueError("map needs t <= u")
-        key = (t, u)
-        f = self._map_cache.get(key)
-        if f is None:
-            if t == u:
-                f = ChainMap.identity(self.term(t))
-            else:
-                e = sorted(u.clusters - t.clusters, key=cluster_key)[0]
-                u1 = u.contract(e)
-                a = self.map(t, u1)
-                b = self.cover_map(u1, u)
-                f = a.then(b) if self.flavor == "covariant" else b.then(a)
-            self._map_cache[key] = f
-        return f
+        return _along_covers(self._map_cache, t, u, self.term,
+                             lambda a, b, e: self.cover_map(a, b),
+                             self.flavor == "covariant")
 
     def _validate(self):
         for u in self.trees:
@@ -174,12 +134,9 @@ class TreeDiagram:
                 comps = []
                 for first in sorted(new, key=cluster_key):
                     mid = u.contract(first)
-                    if self.flavor == "covariant":
-                        comps.append(self.cover_map(t, mid).then(
-                            self.cover_map(mid, u)))
-                    else:
-                        comps.append(self.cover_map(mid, u).then(
-                            self.cover_map(t, mid)))
+                    a, b = self.cover_map(t, mid), self.cover_map(mid, u)
+                    comps.append(a.then(b) if self.flavor == "covariant"
+                                 else b.then(a))
                 if comps[0] != comps[1]:
                     raise ValueError(
                         f"diagram not functorial between {t!r} and {u!r}")
@@ -213,14 +170,30 @@ def precooperad_diagram(q: PreCooperad, n, validate=False) -> TreeDiagram:
                        validate=validate)
 
 
-def _relation_pairs(trees, mode):
-    if mode == "covers":
-        return None
-    return [(t, u) for t in trees for u in trees
-            if t != u and t.leq(u)]
+class _Engine:
+    """What Coend and End share: one complex per tree of the arity (the
+    slots), their direct sum, and the relations t < u of the preorder
+    with the two diagram maps along each."""
+
+    def __init__(self, weights: TreeDiagram, coeffs: TreeDiagram, slots):
+        self.field = weights.field
+        self.weights = weights
+        self.coeffs = coeffs
+        self.trees = weights.trees
+        self.total, self.incs, self.projs = direct_sum(
+            self.field, [(t, slots[t]) for t in self.trees])
+
+    def _relations(self, relations):
+        """(t, u, weight map, coefficient map) getters per relation: the
+        covers, or every pair t < u as a test oracle."""
+        w, c = self.weights, self.coeffs
+        if relations == "covers":
+            return [(t, u, w.cover_map, c.cover_map) for t, u in w.covers]
+        return [(t, u, w.map, c.map) for t in self.trees for u in self.trees
+                if t != u and t.leq(u)]
 
 
-class Coend:
+class Coend(_Engine):
     """Coend of weights (covariant) against coeffs (contravariant):
     cokernel of the difference map out of the cover (or all-relation)
     slots. Exposes the total sum, projection, and a degreewise section
@@ -229,23 +202,16 @@ class Coend:
     def __init__(self, weights: TreeDiagram, coeffs: TreeDiagram,
                  relations="covers"):
         field = weights.field
-        self.field = field
-        self.weights = weights
-        self.coeffs = coeffs
-        self.trees = weights.trees
         self.slots = {t: tensor_many(field, [weights.term(t), coeffs.term(t)])
-                      for t in self.trees}
-        self.total, self.incs, self.projs = direct_sum(
-            field, [(t, self.slots[t]) for t in self.trees])
-        pairs = _relation_pairs(self.trees, relations) or weights.covers
+                      for t in weights.trees}
+        super().__init__(weights, coeffs, self.slots)
         summands = []
         legs = {}
-        for (t, u) in pairs:
+        for t, u, wmap, cmap in self._relations(relations):
             src = tensor_many(field, [weights.term(t), coeffs.term(u)])
             if src.total_dim() == 0:
                 continue
-            fwd = weights.map(t, u) if relations == "all" else weights.cover_map(t, u)
-            bwd = coeffs.map(t, u) if relations == "all" else coeffs.cover_map(t, u)
+            fwd, bwd = wmap(t, u), cmap(t, u)
             leg1 = tensor_map_many(
                 field, [fwd, ChainMap.identity(coeffs.term(u))],
                 source=src, target=self.slots[u]).then(self.incs[u])
@@ -256,13 +222,10 @@ class Coend:
             legs[(t, u)] = leg1 - leg2
         if summands:
             relsrc, _, _ = direct_sum(field, summands)
-
-            def rule(d, lab):
-                tag, l = lab
-                img = legs[tag].apply(d, {l: self.field.one})
-                return list(img.items())
-
-            self.rel = ChainMap.from_rule(relsrc, self.total, rule)
+            self.rel = ChainMap.from_rule(
+                relsrc, self.total,
+                lambda d, lab: list(legs[lab[0]].apply(
+                    d, {lab[1]: field.one}).items()))
         else:
             self.rel = ChainMap.zero(zero_complex(field), self.total)
         self.complex, self.proj, self.sect = cokernel_complex(self.rel)
@@ -281,7 +244,7 @@ class Coend:
                         check=True)
 
 
-class End:
+class End(_Engine):
     """End of Hom(weights(T), coeffs(T)) over trees of one arity, both
     diagrams covariant: kernel of the difference map into the cover (or
     all-relation) slots."""
@@ -289,43 +252,27 @@ class End:
     def __init__(self, weights: TreeDiagram, coeffs: TreeDiagram,
                  relations="covers"):
         field = weights.field
-        self.field = field
-        self.weights = weights
-        self.coeffs = coeffs
-        self.trees = weights.trees
         self.homs = {t: hom_complex(weights.term(t), coeffs.term(t))
-                     for t in self.trees}
-        self.total, self.incs, self.projs = direct_sum(
-            field, [(t, self.homs[t]) for t in self.trees])
-        pairs = _relation_pairs(self.trees, relations) or weights.covers
+                     for t in weights.trees}
+        super().__init__(weights, coeffs, self.homs)
         summands = []
-        legs_post = {}
-        legs_pre = {}
-        for (t, u) in pairs:
+        legs = {}   # slot tree -> [(relation, map out of its hom, negate)]
+        for t, u, wmap, cmap in self._relations(relations):
             tgt = hom_complex(weights.term(t), coeffs.term(u))
             if tgt.total_dim() == 0:
                 continue
-            fwd = weights.map(t, u) if relations == "all" else weights.cover_map(t, u)
-            qfwd = coeffs.map(t, u) if relations == "all" else coeffs.cover_map(t, u)
             summands.append(((t, u), tgt))
-            legs_post[(t, u)] = hom_postcompose(self.homs[t], qfwd, tgt)
-            legs_pre[(t, u)] = hom_precompose(self.homs[u], fwd, tgt)
+            legs.setdefault(t, []).append(
+                ((t, u), hom_postcompose(self.homs[t], cmap(t, u), tgt), False))
+            legs.setdefault(u, []).append(
+                ((t, u), hom_precompose(self.homs[u], wmap(t, u), tgt), True))
         if summands:
             reltgt, _, _ = direct_sum(field, summands)
 
             def rule(d, lab):
-                tag, l = lab
-                out = []
-                for (t, u) in legs_post:
-                    if t == tag:
-                        for l2, c in legs_post[(t, u)].apply(
-                                d, {l: field.one}).items():
-                            out.append((((t, u), l2), c))
-                    if u == tag:
-                        for l2, c in legs_pre[(t, u)].apply(
-                                d, {l: field.one}).items():
-                            out.append((((t, u), l2), field.neg(c)))
-                return out
+                return [((key, l2), field.neg(c) if negate else c)
+                        for key, f, negate in legs.get(lab[0], ())
+                        for l2, c in f.apply(d, {lab[1]: field.one}).items()]
 
             self.diff_map = ChainMap.from_rule(self.total, reltgt, rule)
         else:
@@ -344,6 +291,99 @@ class End:
             mats[k] = self.incl.matrix(k + G.degree).solve(G.matrix(k))
         return ChainMap(G.source, self.complex, mats, degree=G.degree,
                         check=True)
+
+
+# -- the End-side skeleton shared by cobar and co-W -----------------------
+
+def _into_end(end: End, src, routes, pre=None) -> ChainMap:
+    """Factor through `end` the map src -> end.total sending a label to
+    the sum of (U, f(x)) over routes(label) = [(U, f, x)], each f a map
+    into end.homs[U]; pre, if given, is applied first."""
+    one = end.field.one
+
+    def rule(d, lab):
+        return [((U, h), c) for U, f, x in routes(lab)
+                for h, c in f.apply(d, {x: one}).items()]
+
+    G = ChainMap.from_rule(src, end.total, rule)
+    return end.factor(G if pre is None else pre.then(G))
+
+
+def _end_map(e1: End, e2: End, comp) -> ChainMap:
+    """The map of ends e1 -> e2 given slot by slot: comp[T] = (T2, f)
+    with f: e1.homs[T] -> e2.homs[T2]; slots missing from comp go to 0."""
+    def routes(lab):
+        T2, f = comp.get(lab[0], (None, None))
+        return [] if f is None else [(T2, f, lab[1])]
+
+    return _into_end(e2, e1.total, routes, pre=e1.incl)
+
+
+def _end_relabel(q: PreCooperad, e1: End, e2: End, sigma,
+                 weight_relabel) -> ChainMap:
+    """The action of sigma between ends, slot T going to T2 = sigma_* T:
+    relabel q forward and the weights back, weight_relabel(T2, sigma^-1)
+    being the weight map of T2 into the weight of T."""
+    inv = {v: k for k, v in sigma.items()}
+    comp = {}
+    for T in e1.trees:
+        if e1.homs[T].total_dim() == 0:
+            continue
+        T2 = T.relabel(sigma)
+        mid = hom_complex(e1.weights.term(T), q.term(T2))
+        fwd = hom_postcompose(e1.homs[T], q.relabel_map(T, sigma), mid)
+        back = hom_precompose(mid, weight_relabel(T2, inv), e2.homs[T2])
+        comp[T] = (T2, fwd.then(back))
+    return _end_map(e1, e2, comp)
+
+
+def _end_graft(q: PreCooperad, i, e1: End, e2: End, ev: End, split,
+               weight_split) -> ChainMap:
+    """The composition e1 (x) e2 -> ev at input i. A slot V of ev splits
+    as split(V) = (T, U) with graft(T, i, U) = V, or None; a pair of end
+    elements interchanges into Hom(weight(T) (x) weight(U), q(T) (x) q(U)),
+    precomposes weight_split(V, T, U): weight(V) -> weight(T) (x)
+    weight(U) and postcomposes the grafting multiplication of q."""
+    field = q.field
+    comp = {}
+    for V in ev.trees:
+        if ev.homs[V].total_dim() == 0:
+            continue
+        TU = split(V)
+        if TU is None:
+            continue
+        T, U = TU
+        homT, homU = e1.homs[T], e2.homs[U]
+        if homT.total_dim() == 0 or homU.total_dim() == 0:
+            continue
+        wT, wU = e1.weights.term(T), e2.weights.term(U)
+        QT, QU = q.term(T), q.term(U)
+        QTU = tensor_many(field, [QT, QU])
+        mid = hom_complex(tensor_many(field, [wT, wU]), QTU)
+        J = hom_tensor_interchange(homT, homU, wT, QT, wU, QU, target=mid)
+        P1 = hom_precompose(mid, weight_split(V, T, U),
+                            hom_complex(ev.weights.term(V), QTU))
+        P2 = hom_postcompose(P1.target, q.m_map(T, i, U), ev.homs[V])
+        comp[(T, U)] = (V, J.then(P1).then(P2))
+
+    def rule(d, pair):
+        l1, l2 = pair
+        d1 = e1.complex.label_degree[l1]
+        d2 = e2.complex.label_degree[l2]
+        v2 = e2.incl.apply(d2, {l2: field.one})
+        out = []
+        for (T, h1), c1 in e1.incl.apply(d1, {l1: field.one}).items():
+            for (U, h2), c2 in v2.items():
+                V, f = comp.get((T, U), (None, None))
+                if f is None:
+                    continue
+                cc = field.mul(c1, c2)
+                out.extend(((V, h3), field.mul(cc, c3)) for h3, c3 in
+                           f.apply(d1 + d2, {(h1, h2): field.one}).items())
+        return out
+
+    src = tensor_many(field, [e1.complex, e2.complex])
+    return ev.factor(ChainMap.from_rule(src, ev.total, rule))
 
 
 # -- bar construction -----------------------------------------------------
@@ -368,13 +408,34 @@ def _contract_many(p: Operad, t: Tree, Z):
     return cur, f
 
 
-def _split_positions(v: Tree, t: Tree, i: int, u: Tree):
-    """For v = graft(t, i, u): position of each v-vertex in the list
-    (expanded t-vertices ++ shifted u-vertices)."""
-    exp = {_expand_cluster(w, i, u.n): k for k, w in enumerate(t.vertices())}
-    shf = {frozenset(l + i - 1 for l in w): k + t.num_vertices
-           for k, w in enumerate(u.vertices())}
-    return [exp[w] if w in exp else shf[w] for w in v.vertices()]
+def _closed_form(p: Operad, N, decorations, boundary, cube_move):
+    """The skeleton of the closed-form bar and W-constructions. In arity
+    n the basis is (t, *deco, x) in degree |x| + k, for the trees t, each
+    (deco, k) in decorations(t) and the labels x of p(t); the boundary
+    rule gives the differential; sigma acts on the tree tensor through p
+    and on the decoration by cube_move(t, t2, sigma, deco) -> (the new
+    decoration, its sign). Returns (terms, adjacent actions)."""
+    field = p.field
+    terms = {}
+    for n in range(1, N + 1):
+        basis = _graded_basis(
+            ((t,) + deco + (x,), dx + k) for t in enumerate_trees(n)
+            for deco, k in decorations(t)
+            for x, dx in p.tree_complex(t).label_degree.items())
+        terms[n] = ChainComplex.from_rule(field, basis, boundary)
+
+    def act(n, sigma):
+        def rule(d, lab):
+            t, x = lab[0], lab[-1]
+            t2 = t.relabel(sigma)
+            deco, ws = cube_move(t, t2, sigma, lab[1:-1])
+            img = p.tree_relabel(t, sigma).apply(
+                p.tree_complex(t).label_degree[x], {x: field.one})
+            return [((t2,) + deco + (x2,), field.mul(ws, c))
+                    for x2, c in img.items()]
+        return ChainMap.from_rule(terms[n], terms[n], rule)
+
+    return terms, _adjacent_family(terms, N, act)
 
 
 def bar(p: Operad, N) -> Cooperad:
@@ -384,57 +445,29 @@ def bar(p: Operad, N) -> Cooperad:
     internal differential; the cooperad structure splits trees at a
     grafting edge."""
     field = p.field
-    terms = {}
-    for n in range(1, N + 1):
-        trees = enumerate_trees(n)
-        comps = {t: p.tree_complex(t) for t in trees}
-        basis = {}
-        for t in trees:
-            for l, d in comps[t].label_degree.items():
-                basis.setdefault(d + t.num_vertices, []).append((t, l))
-        for d in basis:
-            basis[d].sort(key=repr)
 
-        def rule(d, lab, comps=comps):
-            t, x = lab
-            dx = comps[t].label_degree[x]
-            out = []
-            for k, e in enumerate(t.edges()):
-                img = p.contract_map(t, e).apply(dx, {x: field.one})
-                s = _sgn(field, (-1) ** k)
-                t2 = t.contract(e)
-                out.extend(((t2, x2), field.mul(s, c)) for x2, c in img.items())
-            s = _sgn(field, (-1) ** t.num_vertices)
-            out.extend(((t, x2), field.mul(s, c))
-                       for x2, c in comps[t].boundary_of(x).items())
-            return out
+    def boundary(d, lab):
+        t, x = lab
+        dx = p.tree_complex(t).label_degree[x]
+        out = []
+        for k, e in enumerate(t.edges()):
+            img = p.contract_map(t, e).apply(dx, {x: field.one})
+            s = _sgn(field, k)
+            t2 = t.contract(e)
+            out.extend(((t2, x2), field.mul(s, c)) for x2, c in img.items())
+        s = _sgn(field, t.num_vertices)
+        out.extend(((t, x2), field.mul(s, c))
+                   for x2, c in p.tree_complex(t).boundary_of(x).items())
+        return out
 
-        terms[n] = ChainComplex.from_rule(field, basis, rule)
+    def top_cell_move(t, t2, sigma, deco):
+        return (), _star_sign(field, _relabel_slots(
+            _wbar_tokens(t), _wbar_tokens(t2), sigma))
 
-    def relabel_rule(n, sigma):
-        def rule(d, lab):
-            t, x = lab
-            t2 = t.relabel(sigma)
-            top = _wbar_top(t)
-            ws = _star_perm_sign(field, _wbar_tokens(t), top, sigma,
-                                 _wbar_tokens(t2)) if t.n >= 2 else field.one
-            img = p.tree_relabel(t, sigma).apply(
-                p.tree_complex(t).label_degree[x], {x: field.one})
-            return [((t2, x2), field.mul(ws, c)) for x2, c in img.items()]
-        return rule
-
-    adjacents = {}
-    for n in range(2, N + 1):
-        if terms[n].total_dim() == 0:
-            continue
-        for i in range(1, n):
-            adjacents[(n, i)] = ChainMap.from_rule(
-                terms[n], terms[n],
-                relabel_rule(n, adjacent_transposition(n, i)))
+    terms, adjacents = _closed_form(
+        p, N, lambda t: [((), t.num_vertices)], boundary, top_cell_move)
 
     def cocirc_builder(q, m, i, n):
-        src = q.term(m + n - 1)
-        tgt = tensor_many(field, [q.term(m), q.term(n)])
         unit = q.unit_label
 
         def rule(d, lab):
@@ -447,48 +480,19 @@ def bar(p: Operad, N) -> Cooperad:
             if sp is None:
                 return []
             t, u = sp
-            nu = nu_general(field, t, i, u)
-            img = nu.apply(v.num_vertices, {_wbar_top(v): field.one})
-            cnu = img.get((_wbar_top(t), _wbar_top(u)))
-            assert cnu is not None
-            degs = [p.term(len(v.children(w))).label_degree[l]
-                    for w, l in zip(v.vertices(), x)]
-            pos = _split_positions(v, t, i, u)
-            s1 = koszul_sign(field, degs, pos)
-            xs = [None] * len(pos)
-            for l, pp in zip(x, pos):
-                xs[pp] = l
-            xt = tuple(xs[:t.num_vertices])
-            xu = tuple(xs[t.num_vertices:])
-            dxt = sum(degs[k] for k, pp in enumerate(pos)
-                      if pp < t.num_vertices)
-            s2 = _sgn(field, (-1) ** ((u.num_vertices * dxt) % 2))
-            c = field.mul(field.mul(cnu, s1), s2)
-            return [(((t, xt), (u, xu)), c)]
+            img = nu_general(field, t, i, u).apply(
+                v.num_vertices, {_wbar_top(v): field.one})
+            cnu = img[(_wbar_top(t), _wbar_top(u))]
+            (xt, xu), s1 = p._ungraft_label(t, i, u, x)
+            s2 = _sgn(field, u.num_vertices * sum(p._degrees(t, xt)))
+            return [(((t, xt), (u, xu)), field.mul(field.mul(cnu, s1), s2))]
 
-        return ChainMap.from_rule(src, tgt, rule)
+        return ChainMap.from_rule(q.term(m + n - 1),
+                                  tensor_many(field, [q.term(m), q.term(n)]),
+                                  rule)
 
     return Cooperad(field, N, terms, adjacents, cocirc_builder,
                     name=f"bar({p.name})" if p.name else "bar")
-
-
-def bar_slot_map(p: Operad, barq: Cooperad, U: Tree) -> ChainMap:
-    """The universal cocone wbar(U) (x) p(U) -> bar(p)(n) in closed form:
-    zero coordinates contract their edges through the operad."""
-    field = p.field
-    n = U.n
-    src = tensor_many(field, [wbar(field, U), p.tree_complex(U)])
-    tgt = barq.term(n)
-    toks = _wbar_tokens(U) if U.n >= 2 else ()
-
-    def rule(d, lab):
-        c, y = lab
-        Z = [tok for tok, v in zip(toks, c) if v == 0]
-        cur, f = _contract_many(p, U, Z)
-        img = f.apply(p.tree_complex(U).label_degree[y], {y: field.one})
-        return [((cur, y2), v) for y2, v in img.items()]
-
-    return ChainMap.from_rule(src, tgt, rule)
 
 
 def bar_engine(p: Operad, n, relations="covers") -> Coend:
@@ -496,17 +500,18 @@ def bar_engine(p: Operad, n, relations="covers") -> Coend:
                  relations=relations)
 
 
+def _closed_to_engine(eng: Coend, term, cell_of) -> ChainMap:
+    """Send a closed-form label (t, ..., x) to the class in the engine of
+    cell_of(label) (x) x in the slot at t."""
+    return ChainMap.from_rule(term, eng.complex, lambda d, lab: list(
+        eng.class_of(lab[0], d, {(cell_of(lab), lab[-1]): 1}).items()))
+
+
 def closed_bar_to_engine(p: Operad, barq: Cooperad, eng: Coend) -> ChainMap:
     """The comparison iso from the closed-form bar term to the engine
     coend: send (t, x) to the class of (top cell of t) (x) x."""
-    n = eng.weights.n
-
-    def rule(d, lab):
-        t, x = lab
-        vec = eng.class_of(t, d, {(_wbar_top(t), x): 1})
-        return list(vec.items())
-
-    return ChainMap.from_rule(barq.term(n), eng.complex, rule)
+    return _closed_to_engine(eng, barq.term(eng.weights.n),
+                             lambda lab: _wbar_top(lab[0]))
 
 
 def bar_map(p: Operad, p2: Operad, fam: dict, bp: Cooperad,
@@ -517,8 +522,8 @@ def bar_map(p: Operad, p2: Operad, fam: dict, bp: Cooperad,
     for n in range(1, N + 1):
         def rule(d, lab):
             t, x = lab
-            pieces = [fam[len(t.children(w))] for w in t.vertices()]
-            f = tensor_map_many(field, pieces, source=p.tree_complex(t),
+            f = tensor_map_many(field, [fam[a] for a in _vertex_arities(t)],
+                                source=p.tree_complex(t),
                                 target=p2.tree_complex(t))
             img = f.apply(p.tree_complex(t).label_degree[x], {x: field.one})
             return [((t, x2), c) for x2, c in img.items()]
@@ -535,65 +540,37 @@ def w_construction(p: Operad, N) -> Operad:
     edges can be unmarked (value 1 face) or contracted (value 0 face,
     identified through the operad composition)."""
     field = p.field
-    terms = {}
-    for n in range(1, N + 1):
-        trees = enumerate_trees(n)
-        comps = {t: p.tree_complex(t) for t in trees}
-        basis = {}
-        for t in trees:
-            for r in range(t.num_edges + 1):
-                for S in itertools.combinations(t.edges(), r):
-                    for l, d in comps[t].label_degree.items():
-                        basis.setdefault(d + r, []).append((t, S, l))
-        for d in basis:
-            basis[d].sort(key=repr)
 
-        def rule(d, lab, comps=comps):
-            t, S, x = lab
-            dx = comps[t].label_degree[x]
-            out = []
-            for k, e in enumerate(S):
-                s = _sgn(field, (-1) ** k)
-                S2 = S[:k] + S[k + 1:]
-                out.append(((t, S2, x), s))
-                t2 = t.contract(e)
-                S2b = tuple(c for c in S2)
-                img = p.contract_map(t, e).apply(dx, {x: field.one})
-                out.extend(((t2, S2b, x2), field.mul(field.neg(s), c))
-                           for x2, c in img.items())
-            s = _sgn(field, (-1) ** len(S))
-            out.extend(((t, S, x2), field.mul(s, c))
-                       for x2, c in comps[t].boundary_of(x).items())
-            return out
+    def decorations(t):
+        return [((S,), r) for r in range(t.num_edges + 1)
+                for S in itertools.combinations(t.edges(), r)]
 
-        terms[n] = ChainComplex.from_rule(field, basis, rule)
+    def boundary(d, lab):
+        t, S, x = lab
+        dx = p.tree_complex(t).label_degree[x]
+        out = []
+        for k, e in enumerate(S):
+            s = _sgn(field, k)
+            S2 = S[:k] + S[k + 1:]
+            out.append(((t, S2, x), s))
+            t2 = t.contract(e)
+            img = p.contract_map(t, e).apply(dx, {x: field.one})
+            out.extend(((t2, S2, x2), field.mul(field.neg(s), c))
+                       for x2, c in img.items())
+        s = _sgn(field, len(S))
+        out.extend(((t, S, x2), field.mul(s, c))
+                   for x2, c in p.tree_complex(t).boundary_of(x).items())
+        return out
 
-    def relabel_rule(n, sigma):
-        def rule(d, lab):
-            t, S, x = lab
-            t2 = t.relabel(sigma)
-            cell = _w_cell(t, set(S))
-            ws = _star_perm_sign(field, t.edges(), cell, sigma, t2.edges())
-            S2 = tuple(sorted((_token_relabel(e, sigma) for e in S),
-                              key=cluster_key))
-            img = p.tree_relabel(t, sigma).apply(
-                p.tree_complex(t).label_degree[x], {x: field.one})
-            return [((t2, S2, x2), field.mul(ws, c)) for x2, c in img.items()]
-        return rule
+    def marked_move(t, t2, sigma, deco):
+        (S,) = deco
+        S2 = tuple(sorted((_token_image(e, sigma) for e in S),
+                          key=cluster_key))
+        return (S2,), _star_sign(field, _relabel_slots(S, t2.edges(), sigma))
 
-    adjacents = {}
-    for n in range(2, N + 1):
-        if terms[n].total_dim() == 0:
-            continue
-        for i in range(1, n):
-            adjacents[(n, i)] = ChainMap.from_rule(
-                terms[n], terms[n],
-                relabel_rule(n, adjacent_transposition(n, i)))
+    terms, adjacents = _closed_form(p, N, decorations, boundary, marked_move)
 
     def circ_builder(q, m, i, n):
-        src = tensor_many(field, [q.term(m), q.term(n)])
-        tgt = q.term(m + n - 1)
-
         def rule(d, pair):
             (t, S, x), (u, S2, y) = pair
             if n == 1:
@@ -602,30 +579,17 @@ def w_construction(p: Operad, N) -> Operad:
                 return [((u, S2, y), 1)]
             v = graft(t, i, u)
             _, mu = graft_decompose(field, t, i, u)
-            ct, cu = _w_cell(t, set(S)), _w_cell(u, set(S2))
-            img = mu.apply(len(S) + len(S2), {(ct, cu): field.one})
+            img = mu.apply(len(S) + len(S2),
+                           {(_w_cell(t, S), _w_cell(u, S2)): field.one})
             ((cv, cmu),) = img.items()
             Sv = tuple(e for e, val in zip(v.edges(), cv) if val == STAR)
-            degs = [p.term(len(t.children(w))).label_degree[l]
-                    for w, l in zip(t.vertices(), x)] + \
-                   [p.term(len(u.children(w))).label_degree[l]
-                    for w, l in zip(u.vertices(), y)]
-            vs = v.vertices()
-            exp = {w: _expand_cluster(w, i, u.n) for w in t.vertices()}
-            shf = {w: frozenset(l + i - 1 for l in w) for w in u.vertices()}
-            slots = [vs.index(exp[w]) for w in t.vertices()] + \
-                    [vs.index(shf[w]) for w in u.vertices()]
-            s1 = koszul_sign(field, degs, slots)
-            dx = sum(p.term(len(t.children(w))).label_degree[l]
-                     for w, l in zip(t.vertices(), x))
-            s2 = _sgn(field, (-1) ** ((dx * len(S2)) % 2))
-            zs = [None] * len(vs)
-            for l, pp in zip(list(x) + list(y), slots):
-                zs[pp] = l
-            c = field.mul(field.mul(cmu, s1), s2)
-            return [((v, Sv, tuple(zs)), c)]
+            z, s1 = p._graft_label(t, i, u, x, y)
+            s2 = _sgn(field, sum(p._degrees(t, x)) * len(S2))
+            return [((v, Sv, z), field.mul(field.mul(cmu, s1), s2))]
 
-        return ChainMap.from_rule(src, tgt, rule)
+        return ChainMap.from_rule(
+            tensor_many(field, [q.term(m), q.term(n)]), q.term(m + n - 1),
+            rule)
 
     return Operad(field, N, terms, adjacents, circ_builder,
                   name=f"w({p.name})" if p.name else "w")
@@ -637,14 +601,8 @@ def w_engine(p: Operad, n, relations="covers") -> Coend:
 
 
 def closed_w_to_engine(p: Operad, wp: Operad, eng: Coend) -> ChainMap:
-    n = eng.weights.n
-
-    def rule(d, lab):
-        t, S, x = lab
-        vec = eng.class_of(t, d, {(_w_cell(t, set(S)), x): 1})
-        return list(vec.items())
-
-    return ChainMap.from_rule(wp.term(n), eng.complex, rule)
+    return _closed_to_engine(eng, wp.term(eng.weights.n),
+                             lambda lab: _w_cell(lab[0], lab[1]))
 
 
 def w_resolution(p: Operad, N, wp: Operad = None):
@@ -699,89 +657,14 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
     ends = {n: End(wbar_diagram(field, n), precooperad_diagram(q, n))
             for n in range(1, N + 1)}
     terms = {n: ends[n].complex for n in range(1, N + 1)}
-
-    def conjugate(n, sigma):
-        end = ends[n]
-        conj = {}
-        for T in end.trees:
-            homT = end.homs[T]
-            if homT.total_dim() == 0:
-                continue
-            t2 = T.relabel(sigma)
-            mid = hom_complex(wbar(field, T), q.term(t2))
-            st1 = hom_postcompose(homT, q.relabel_map(T, sigma), mid)
-            # adjacent transpositions are involutions
-            st2 = hom_precompose(mid, wbar_relabel(field, t2, sigma),
-                                 end.homs[t2])
-            conj[T] = (t2, st1.then(st2))
-
-        def rule(d, lab):
-            T, h = lab
-            t2, f = conj[T]
-            return [((t2, h2), c) for h2, c in f.apply(d, {h: field.one}).items()]
-
-        F = ChainMap.from_rule(end.total, end.total, rule)
-        return end.factor(end.incl.then(F))
-
-    adjacents = {}
-    for n in range(2, N + 1):
-        if terms[n].total_dim() == 0:
-            continue
-        for i in range(1, n - 1 + 1):
-            adjacents[(n, i)] = conjugate(n, adjacent_transposition(n, i))
+    adjacents = _adjacent_family(terms, N, lambda n, sigma: _end_relabel(
+        q, ends[n], ends[n], sigma,
+        lambda T2, inv: wbar_relabel(field, T2, inv)))
 
     def circ_builder(op, m, i, n):
-        em, en, ev = ends[m], ends[n], ends[m + n - 1]
-        src = tensor_many(field, [em.complex, en.complex])
-        pt = _point()
-        comp = {}
-        slot_of = {}
-        for V in ev.trees:
-            if n == 1:
-                TU = (V, pt)
-            elif m == 1:
-                TU = (pt, V)
-            else:
-                TU = split_at_block(V, i, n)
-            if TU is None:
-                continue
-            T, U = TU
-            homT, homU = em.homs[T], en.homs[U]
-            if homT.total_dim() == 0 or homU.total_dim() == 0:
-                continue
-            wT, wU = wbar(field, T), wbar(field, U)
-            QT, QU = q.term(T), q.term(U)
-            mid = hom_complex(tensor_many(field, [wT, wU]),
-                              tensor_many(field, [QT, QU]))
-            J = hom_tensor_interchange(homT, homU, wT, QT, wU, QU, target=mid)
-            nu = nu_general(field, T, i, U)
-            pre_t = hom_complex(wbar(field, V), tensor_many(field, [QT, QU]))
-            P1 = hom_precompose(mid, nu, pre_t)
-            P2 = hom_postcompose(pre_t, q.m_map(T, i, U), ev.homs[V])
-            comp[(T, U)] = J.then(P1).then(P2)
-            slot_of[(T, U)] = V
-
-        def rule(d, pair):
-            l1, l2 = pair
-            d1 = em.complex.label_degree[l1]
-            d2 = en.complex.label_degree[l2]
-            v1 = em.incl.apply(d1, {l1: field.one})
-            v2 = en.incl.apply(d2, {l2: field.one})
-            out = []
-            for (T, h1), c1 in v1.items():
-                for (U, h2), c2 in v2.items():
-                    f = comp.get((T, U))
-                    if f is None:
-                        continue
-                    V = slot_of[(T, U)]
-                    img = f.apply(d1 + d2, {(h1, h2): field.one})
-                    cc = field.mul(c1, c2)
-                    out.extend(((V, h3), field.mul(cc, c3))
-                               for h3, c3 in img.items())
-            return out
-
-        G = ChainMap.from_rule(src, ev.total, rule)
-        return ev.factor(G)
+        return _end_graft(q, i, ends[m], ends[n], ends[m + n - 1],
+                          lambda V: _split_graft(V, i, m, n),
+                          lambda V, T, U: nu_general(field, T, i, U))
 
     return CobarOperad(q, ends, field, N, terms, adjacents, circ_builder,
                        name=f"cobar({q.name})" if q.name else "cobar")
@@ -790,133 +673,85 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
 def cobar_map(c1: CobarOperad, c2: CobarOperad, fam: dict, N) -> dict:
     """Functoriality of cobar on a per-tree family fam[T]: Q1(T) -> Q2(T)
     commuting with the structure of the two pre-cooperads."""
-    field = c1.field
     out = {}
     for n in range(1, N + 1):
         e1, e2 = c1.ends[n], c2.ends[n]
-        post = {}
-        for T in e1.trees:
-            if e1.homs[T].total_dim() == 0:
-                continue
-            post[T] = hom_postcompose(e1.homs[T], fam[T], e2.homs[T])
-
-        def rule(d, lab):
-            T, h = lab
-            f = post.get(T)
-            if f is None:
-                return []
-            return [((T, h2), c) for h2, c in f.apply(d, {h: field.one}).items()]
-
-        F = ChainMap.from_rule(e1.total, e2.total, rule)
-        out[n] = e2.factor(e1.incl.then(F))
+        comp = {T: (T, hom_postcompose(e1.homs[T], fam[T], e2.homs[T]))
+                for T in e1.trees if e1.homs[T].total_dim()}
+        out[n] = _end_map(e1, e2, comp)
     return out
 
 
 # -- the comparison W -> cobar(bar) ---------------------------------------
+
+def _theta_rule(p: Operad, U: Tree):
+    """The slot-U component of theta on a label (T, S, x) of W(p): the
+    cell of (T, S) against each cube cell of U through theta_cells, the
+    factors of x regrouped fragment by fragment and each fragment reduced
+    to a bar class by contracting its zero coordinates."""
+    field = p.field
+    one = field.one
+    wU = wbar(field, U)
+    uvs = U.vertices()
+
+    def rule(d, lab):
+        T, S, x = lab
+        if T.n == 1:
+            return [(("h", (), ()), 1)]
+        if not U.leq(T):
+            return []
+        th = theta_cells(field, T, U)
+        frs = fragments(T, U)
+        fts = [frs[v].tree for v in uvs]
+        order = [frs[v].to_global[w] for v, ft in zip(uvs, fts)
+                 for w in ft.vertices()]
+        at = {w: k for k, w in enumerate(order)}
+        degs = p._degrees(T, x)
+        xr, s1 = _place(field, x, degs, [at[w] for w in T.vertices()])
+        chunks = _chunks(xr, [ft.num_vertices for ft in fts])
+        dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+        cellTS = _w_cell(T, S)
+        out = []
+        for dU in wU.degrees():
+            s2 = _sgn(field, sum(degs) * dU)
+            for cU in wU.basis[dU]:
+                img = th.apply(len(S) + dU, {(cellTS, cU): one})
+                for famcell, cth in img.items():
+                    dcs = [wbar(field, ft).label_degree[c]
+                           for ft, c in zip(fts, famcell)]
+                    vals = {(): field.mul(field.mul(cth, s1), field.mul(
+                        s2, _interleave_sign(field, dxs, dcs)))}
+                    for ft, c, chunk, dx in zip(fts, famcell, chunks, dxs):
+                        Z = [tok for tok, val in zip(_wbar_tokens(ft), c)
+                             if val == 0]
+                        cur, fmap = _contract_many(p, ft, Z)
+                        img2 = fmap.apply(dx, {chunk: one})
+                        vals = _tensor_vecs(field, vals, {
+                            ((cur, l2),): c2 for l2, c2 in img2.items()})
+                    out.extend((("h", cU, acc), cc)
+                               for acc, cc in vals.items())
+        return out
+
+    return rule
+
 
 def theta(p: Operad, N, wp: Operad = None, cb: CobarOperad = None):
     """The comparison map from the W-construction to the cobar of the
     bar: evaluate a marked tree against each cube of a coarser tree via
     the cell-level pairing, then reduce the leftover fragments to bar
     classes. Returns (wp, cb, per-arity maps)."""
-    field = p.field
     if wp is None:
         wp = w_construction(p, N)
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
-    bp = cb.q.q
     out = {}
     for n in range(1, N + 1):
         end = cb.ends[n]
-        if n == 1:
-            G1 = ChainMap.from_rule(
-                wp.term(1), end.total,
-                lambda d, l: [((_point(), ("h", (), ())), 1)])
-            out[1] = end.factor(G1)
-            continue
-        comp = {}
-        for U in end.trees:
-            homU = end.homs[U]
-            if homU.total_dim() == 0:
-                continue
-            wU = wbar(field, U)
-            uvs = U.vertices()
-
-            def rule_U(d, lab, U=U, wU=wU, uvs=uvs):
-                T, S, x = lab
-                if not U.leq(T):
-                    return []
-                th = theta_cells(field, T, U)
-                cellTS = _w_cell(T, set(S))
-                frs = fragments(T, U)
-                tlist = []
-                for v in uvs:
-                    ft = frs[v].tree
-                    tlist.extend(frs[v].to_global[lc] for lc in ft.vertices())
-                Tvs = T.vertices()
-                pos = [tlist.index(w) for w in Tvs]
-                degs_x = [p.term(len(T.children(w))).label_degree[l]
-                          for w, l in zip(Tvs, x)]
-                s1 = koszul_sign(field, degs_x, pos)
-                xr = [None] * len(Tvs)
-                for l, pp in zip(x, pos):
-                    xr[pp] = l
-                degs_r = [None] * len(Tvs)
-                for dg, pp in zip(degs_x, pos):
-                    degs_r[pp] = dg
-                chunks, dx_chunks = [], []
-                k0 = 0
-                for v in uvs:
-                    klen = frs[v].tree.num_vertices
-                    chunks.append(tuple(xr[k0:k0 + klen]))
-                    dx_chunks.append(sum(degs_r[k0:k0 + klen]))
-                    k0 += klen
-                dx_total = sum(degs_x)
-                out_terms = []
-                for dU in wU.degrees():
-                    for cU in wU.basis[dU]:
-                        img = th.apply(len(S) + dU, {(cellTS, cU): field.one})
-                        if not img:
-                            continue
-                        s2 = _sgn(field, (-1) ** ((dx_total * dU) % 2))
-                        for famcell, cth in img.items():
-                            dcs = [wbar(field, frs[v].tree).label_degree[famcell[j]]
-                                   for j, v in enumerate(uvs)]
-                            exp = sum(dx_chunks[j] * sum(dcs[j + 1:]) % 2
-                                      for j in range(len(uvs)))
-                            s3 = _sgn(field, (-1) ** (exp % 2))
-                            coeff = field.mul(field.mul(cth, s1),
-                                              field.mul(s2, s3))
-                            partial = [((), coeff)]
-                            for j, v in enumerate(uvs):
-                                ft = frs[v].tree
-                                toks = _wbar_tokens(ft)
-                                Z = [tok for tok, val in zip(toks, famcell[j])
-                                     if val == 0]
-                                cur, fmap = _contract_many(p, ft, Z)
-                                img2 = fmap.apply(dx_chunks[j],
-                                                  {chunks[j]: field.one})
-                                new = []
-                                for acc, cc in partial:
-                                    for l2, c2 in img2.items():
-                                        new.append((acc + ((cur, l2),),
-                                                    field.mul(cc, c2)))
-                                partial = new
-                            out_terms.extend((("h", cU, acc), cc)
-                                             for acc, cc in partial)
-                return out_terms
-
-            comp[U] = ChainMap.from_rule(wp.term(n), homU, rule_U, check=True)
-
-        def dispatch(d, lab):
-            outv = []
-            for U, f in comp.items():
-                outv.extend(((U, h), c)
-                            for h, c in f.apply(d, {lab: field.one}).items())
-            return outv
-
-        G = ChainMap.from_rule(wp.term(n), end.total, dispatch)
-        out[n] = end.factor(G)
+        comp = {U: ChainMap.from_rule(wp.term(n), end.homs[U],
+                                      _theta_rule(p, U), check=True)
+                for U in end.trees if end.homs[U].total_dim()}
+        out[n] = _into_end(end, wp.term(n),
+                           lambda lab: [(U, f, lab) for U, f in comp.items()])
     return wp, cb, out
 
 
@@ -942,17 +777,7 @@ def omega_sigma(a, N) -> Operad:
                           {k + 1: f.matrix(k) for k in a.term(n).degrees()})
             adjacents[(n, i)] = hom_postcompose(terms[n], sf, terms[n])
 
-    def circ_builder(op, m, i, n):
-        src = tensor_many(field, [op.term(m), op.term(n)])
-        if n == 1:
-            return ChainMap.from_rule(src, op.term(m),
-                                      lambda d, tup: [(tup[0], 1)])
-        if m == 1:
-            return ChainMap.from_rule(src, op.term(n),
-                                      lambda d, tup: [(tup[1], 1)])
-        return ChainMap.zero(src, op.term(m + n - 1))
-
-    return Operad(field, N, terms, adjacents, circ_builder,
+    return Operad(field, N, terms, adjacents, _trivial_circ,
                   name=f"omega_sigma({a.name})" if a.name else "omega_sigma")
 
 
@@ -1017,10 +842,9 @@ def compose_fragments(q: PreCooperad, T: Tree, U: Tree) -> ChainMap:
     the fragment values with the grafting maps of q; U <= T."""
     field = q.field
     if U.n == 1:
-        src = tensor_many(field, [])
-        tgt = q.term(T)
-        ul = tgt.basis[0][0]
-        return ChainMap.from_rule(src, tgt, lambda d, l: [(ul, 1)])
+        ul = q.term(T).basis[0][0]
+        return ChainMap.from_rule(tensor_many(field, []), q.term(T),
+                                  lambda d, l: [(ul, 1)])
     frs = fragments(T, U)
     uvs = U.vertices()
     factors = [q.term(frs[v].tree) for v in uvs]
@@ -1030,60 +854,44 @@ def compose_fragments(q: PreCooperad, T: Tree, U: Tree) -> ChainMap:
     r = U.root_cluster
     rch = U.children(r)
     cls = [c for c in rch if not isinstance(c, int)]
-    F_r = frs[r].tree
-    grouped = [r]
+    groups = [[w for w in uvs if w <= c] for c in cls]
     subs = []
     for c in cls:
-        grouped.extend(w for w in uvs if w <= c)
         T_c = _local_subtree(T, c)
-        U_c = _local_subtree(U, c)
-        subs.append((c, T_c, compose_fragments(q, T_c, U_c)))
-    perm = [grouped.index(w) for w in uvs]
-    pfm = permute_factors_map(field, factors, perm, source=src)
+        subs.append((T_c, _composite(q, T_c, _local_subtree(U, c))))
     # regroup the flat tensor into (root factor) x (one block per subtree)
-    blocks = [1] + [len([w for w in uvs if w <= c]) for c in cls]
-    nested = tensor_many(field, [q.term(F_r)] + [s[2].source for s in subs])
+    grouped = [r] + [w for g in groups for w in g]
+    perm = [grouped.index(w) for w in uvs]
+    fdeg = [c.label_degree for c in factors]
+    nested = tensor_many(field, [q.term(frs[r].tree)] +
+                         [cf.source for _, cf in subs])
 
     def regroup_rule(d, tup):
-        out = []
-        k0 = 0
-        for b in blocks:
-            out.append(tup[k0] if b == 1 and k0 == 0 else tuple(tup[k0:k0 + b]))
-            k0 += b
-        return [(tuple(out), 1)]
+        flat, sgn = _place(field, tup, [fdeg[k][l] for k, l in enumerate(tup)],
+                           perm)
+        return [((flat[0],) + _chunks(flat[1:], map(len, groups)), sgn)]
 
-    rg = ChainMap.from_rule(pfm.target, nested, regroup_rule)
-    tm = tensor_map_many(
-        field, [ChainMap.identity(q.term(F_r))] + [s[2] for s in subs],
-        source=nested)
+    f = ChainMap.from_rule(src, nested, regroup_rule).then(tensor_map_many(
+        field, [ChainMap.identity(q.term(frs[r].tree))] +
+        [cf for _, cf in subs], source=nested))
     # graft the composed subtrees into the root fragment, left to right
-    f = pfm.then(rg).then(tm)
-    W = F_r
+    W = frs[r].tree
     offset = 0
-    rest = [s[1] for s in subs]
     for k, c in enumerate(cls):
         j = rch.index(c) + 1 + offset
-        T_c = subs[k][1]
+        T_c = subs[k][0]
         m = q.m_map(W, j, T_c)
-        cur_src = f.target
-        tail = rest[k + 1:]
-        nxt = tensor_many(field, [q.term(graft(W, j, T_c))] +
-                          [q.term(x) for x in tail]) if tail else None
+        W = graft(W, j, T_c)
+        tail = [q.term(x) for x, _ in subs[k + 1:]]
+        nxt = tensor_many(field, [q.term(W)] + tail) if tail else q.term(W)
 
-        def step_rule(d, tup, m=m):
+        def step_rule(d, tup, m=m, tail=bool(tail)):
             img = m.apply(
                 m.source.label_degree[(tup[0], tup[1])], {(tup[0], tup[1]): 1})
-            return [((l2,) + tuple(tup[2:]), cc) for l2, cc in img.items()]
+            return [((l2,) + tuple(tup[2:]) if tail else l2, cc)
+                    for l2, cc in img.items()]
 
-        if tail:
-            f = f.then(ChainMap.from_rule(cur_src, nxt, step_rule))
-        else:
-            f = f.then(ChainMap.from_rule(
-                cur_src, q.term(graft(W, j, T_c)),
-                lambda d, tup, m=m: list(m.apply(
-                    m.source.label_degree[(tup[0], tup[1])],
-                    {(tup[0], tup[1]): 1}).items())))
-        W = graft(W, j, T_c)
+        f = f.then(ChainMap.from_rule(f.target, nxt, step_rule))
         offset += len(c) - 1
     # grafting fills the child blocks contiguously; a tree whose clusters
     # are not intervals is reached by relabeling at the end
@@ -1097,90 +905,36 @@ def compose_fragments(q: PreCooperad, T: Tree, U: Tree) -> ChainMap:
     return f
 
 
+def _composite(q: PreCooperad, T: Tree, U: Tree) -> ChainMap:
+    """compose_fragments(q, T, U), memoized on q."""
+    f = q._fragment_cache.get((T, U))
+    if f is None:
+        f = compose_fragments(q, T, U)
+        q._fragment_cache[(T, U)] = f
+    return f
+
+
+def _evaluate(cq: CobarOperad, fts, cells, elem, dxs, coeff) -> dict:
+    """Read cobar elements on family cells: factor j is the element
+    elem(j) of cq in arity fts[j].n and degree dxs[j], evaluated on the
+    wbar cell cells[j] of the tree fts[j]. Returns the tensor of the
+    q-values (label tuple -> coefficient), scaled by coeff and by the
+    Koszul signs of moving the cells past the elements."""
+    field = cq.field
+    dcs = [wbar(field, ft).label_degree[c] for ft, c in zip(fts, cells)]
+    acc = {(): field.mul(coeff, _interleave_sign(field, dxs, dcs))}
+    for j, ft in enumerate(fts):
+        sw = _sgn(field, dcs[j] * dxs[j])
+        hv = cq.ends[ft.n].incl.apply(dxs[j], elem(j))
+        acc = _tensor_vecs(field, acc, {
+            (hl[2],): field.mul(ch, sw) for (lt, hl), ch in hv.items()
+            if lt == ft and hl[1] == cells[j]})
+        if not acc:
+            break
+    return acc
+
+
 # -- the left adjoint of the cobar construction ---------------------------
-
-def _fam_ids(T: Tree, U: Tree):
-    """Per U-vertex: identities of the wbar tokens of the fragment of T
-    (root marker, then the global clusters of the internal edges)."""
-    frs = fragments(T, U)
-    out = []
-    for w in U.vertices():
-        ft = frs[w].tree
-        out.append([("r", w)] + [frs[w].to_global[lc] for lc in ft.edges()])
-    return out
-
-
-def _move_family_cells(field, s_ids, cells, t_ids, conv):
-    """Transport a block of wbar cells along a token bijection; returns
-    (target cells, sign) or None when the image is not a valid cell."""
-    tpos = {}
-    offs = []
-    off = 0
-    for fi, toks in enumerate(t_ids):
-        offs.append(off)
-        for ti, gid in enumerate(toks):
-            tpos[gid] = (fi, ti)
-        off += len(toks)
-    out = [[None] * len(toks) for toks in t_ids]
-    star_flat = []
-    for toks, cell in zip(s_ids, cells):
-        for gid, val in zip(toks, cell):
-            fj, tj = tpos[conv(gid)]
-            out[fj][tj] = val
-            if val == STAR:
-                star_flat.append(offs[fj] + tj)
-    for row in out:
-        if row and row[0] != STAR:
-            return None
-    order = sorted(range(len(star_flat)), key=lambda k: star_flat[k])
-    rank = [None] * len(star_flat)
-    for pos, k in enumerate(order):
-        rank[k] = pos
-    sign = koszul_sign(field, [1] * len(rank), rank)
-    return tuple(tuple(row) for row in out), sign
-
-
-def family_cover(field, T: Tree, U: Tree, U2: Tree, enew) -> ChainMap:
-    """w̄(T;U) -> w̄(T;U2) for the cover U < U2 (one new cluster enew):
-    split the fragment at the new cluster, whose coordinate becomes the
-    root of the new factor."""
-    src = wbar_family(field, T, U)
-    tgt = wbar_family(field, T, U2)
-    if src.total_dim() == 0 or tgt.total_dim() == 0:
-        return ChainMap.zero(src, tgt)
-    s_ids = _fam_ids(T, U)
-    t_ids = _fam_ids(T, U2)
-
-    def conv(gid):
-        return ("r", enew) if gid == enew else gid
-
-    def rule(d, cells):
-        res = _move_family_cells(field, s_ids, cells, t_ids, conv)
-        return [] if res is None else [res]
-
-    return ChainMap.from_rule(src, tgt, rule)
-
-
-def family_relabel(field, T: Tree, U: Tree, sigma) -> ChainMap:
-    T2, U2 = T.relabel(sigma), U.relabel(sigma)
-    src = wbar_family(field, T, U)
-    tgt = wbar_family(field, T2, U2)
-    if src.total_dim() == 0:
-        return ChainMap.zero(src, tgt)
-    s_ids = _fam_ids(T, U)
-    t_ids = _fam_ids(T2, U2)
-
-    def conv(gid):
-        if isinstance(gid, tuple) and gid[0] == "r":
-            return ("r", _token_relabel(gid[1], sigma))
-        return _token_relabel(gid, sigma)
-
-    def rule(d, cells):
-        res = _move_family_cells(field, s_ids, cells, t_ids, conv)
-        return [] if res is None else [res]
-
-    return ChainMap.from_rule(src, tgt, rule)
-
 
 class BbarPreCooperad(PreCooperad):
     """Left adjoint of cobar on an operad p: per tree, the coend of the
@@ -1208,48 +962,48 @@ class BbarPreCooperad(PreCooperad):
     def _term(self, t):
         return self.coend_at(t).complex
 
-    def _cover_map(self, t, u, e):
+    def _coend_map(self, t, t2, move) -> ChainMap:
+        """coend_at(t) -> coend_at(t2) induced slot by slot: the slot
+        element (cells, y) at U goes to the sum of the classes of the
+        terms move(U, cells, y, d) = [(U2, (cells2, y2), coefficient)]."""
         field = self.field
-        cet, ceu = self.coend_at(t), self.coend_at(u)
+        ce, ce2 = self.coend_at(t), self.coend_at(t2)
 
         def rule(d, lab):
             U, (cells, y) = lab
-            fi = family_inclusion(field, t, u, U)
-            dc = cet.weights.term(U).label_degree[cells]
-            img = fi.apply(dc, {cells: field.one})
             out = {}
-            for c2, cc in img.items():
-                vec = ceu.class_of(U, d, {(c2, y): cc})
-                for l2, c3 in vec.items():
+            for U2, key, c in move(U, cells, y, d):
+                for l2, c3 in ce2.class_of(U2, d, {key: c}).items():
                     out[l2] = field.add(out.get(l2, field.zero), c3)
             return [(l, c) for l, c in out.items() if c != field.zero]
 
-        G = ChainMap.from_rule(cet.total, ceu.complex, rule)
-        return cet.map_out(G)
+        return ce.map_out(ChainMap.from_rule(ce.total, ce2.complex, rule))
+
+    def _cover_map(self, t, u, e):
+        field = self.field
+        weights = self.coend_at(t).weights
+
+        def move(U, cells, y, d):
+            img = family_inclusion(field, t, u, U).apply(
+                weights.term(U).label_degree[cells], {cells: field.one})
+            return [(U, (c2, y), cc) for c2, cc in img.items()]
+
+        return self._coend_map(t, u, move)
 
     def _relabel_map(self, t, sigma):
         field = self.field
-        t2 = t.relabel(sigma)
-        cet, ce2 = self.coend_at(t), self.coend_at(t2)
+        weights = self.coend_at(t).weights
 
-        def rule(d, lab):
-            U, (cells, y) = lab
+        def move(U, cells, y, d):
+            dc = weights.term(U).label_degree[cells]
+            imgc = family_relabel(field, t, U, sigma).apply(
+                dc, {cells: field.one})
+            imgy = self.p.tree_relabel(U, sigma).apply(d - dc, {y: field.one})
             U2 = U.relabel(sigma)
-            fr = family_relabel(field, t, U, sigma)
-            dc = cet.weights.term(U).label_degree[cells]
-            dy = d - dc
-            imgc = fr.apply(dc, {cells: field.one})
-            imgy = self.p.tree_relabel(U, sigma).apply(dy, {y: field.one})
-            out = {}
-            for c2, cc in imgc.items():
-                for y2, cy in imgy.items():
-                    vec = ce2.class_of(U2, d, {(c2, y2): field.mul(cc, cy)})
-                    for l2, c3 in vec.items():
-                        out[l2] = field.add(out.get(l2, field.zero), c3)
-            return [(l, c) for l, c in out.items() if c != field.zero]
+            return [(U2, (c2, y2), field.mul(cc, cy))
+                    for c2, cc in imgc.items() for y2, cy in imgy.items()]
 
-        G = ChainMap.from_rule(cet.total, ce2.complex, rule)
-        return cet.map_out(G)
+        return self._coend_map(t, t.relabel(sigma), move)
 
     def _m_map(self, t, i, u):
         field = self.field
@@ -1257,53 +1011,28 @@ class BbarPreCooperad(PreCooperad):
         v = graft(t, i, u)
         cet, ceu, cev = self.coend_at(t), self.coend_at(u), self.coend_at(v)
         src = tensor_many(field, [cet.complex, ceu.complex])
+        # the fragment tokens of both blocks, as clusters of v
+        t_img, u_img = _graft_place(t, i, u)
+
+        def lift(ids, img):
+            return [[("r", img[g[1]]) if isinstance(g, tuple) else img[g]
+                     for g in toks] for toks in ids]
 
         def rule(d, pair):
-            l1, l2 = pair
-            U1, (c1, y1) = l1[2]
-            U2, (c2, y2) = l2[2]
+            U1, (c1, y1) = pair[0][2]
+            U2, (c2, y2) = pair[1][2]
             V = graft(U1, i, U2)
-            dc1 = cet.weights.term(U1).label_degree[c1]
             dy1 = p.tree_complex(U1).label_degree[y1]
             dc2 = ceu.weights.term(U2).label_degree[c2]
-            dy2 = p.tree_complex(U2).label_degree[y2]
-            s_inter = _sgn(field, (-1) ** ((dy1 * dc2) % 2))
-
-            # express both blocks of tokens in the clusters of v up front
-            def expand(g):
-                if isinstance(g, tuple) and g[0] == "r":
-                    return ("r", _expand_cluster(g[1], i, u.n))
-                return _expand_cluster(g, i, u.n)
-
-            def shift_tok(g):
-                if isinstance(g, tuple) and g[0] == "r":
-                    return ("r", frozenset(l + i - 1 for l in g[1]))
-                return frozenset(l + i - 1 for l in g)
-
-            s_ids = [[expand(g) for g in toks] for toks in _fam_ids(t, U1)] \
-                + [[shift_tok(g) for g in toks] for toks in _fam_ids(u, U2)]
-            t_ids = _fam_ids(v, V)
+            s_ids = lift(_fam_ids(t, U1), t_img) + lift(_fam_ids(u, U2), u_img)
             res = _move_family_cells(field, s_ids, tuple(c1) + tuple(c2),
-                                     t_ids, lambda g: g)
+                                     _fam_ids(v, V), lambda g: g)
             if res is None:
                 return []
             cellsV, s_cells = res
-            # merge the operad labels with the usual interleave
-            exp = {w: _expand_cluster(w, i, u.n) for w in U1.vertices()}
-            shf = {w: frozenset(l + i - 1 for l in w) for w in U2.vertices()}
-            vvs = V.vertices()
-            slots = [vvs.index(exp[w]) for w in U1.vertices()] + \
-                    [vvs.index(shf[w]) for w in U2.vertices()]
-            labels = list(y1) + list(y2)
-            degs = [p.term(len(V.children(vvs[s]))).label_degree[l]
-                    for s, l in zip(slots, labels)]
-            s_y = koszul_sign(field, degs, slots)
-            yv = [None] * len(vvs)
-            for l, s in zip(labels, slots):
-                yv[s] = l
-            coeff = field.mul(field.mul(s_inter, s_cells), s_y)
-            vec = cev.class_of(V, d, {(cellsV, tuple(yv)): coeff})
-            return list(vec.items())
+            yv, s_y = p._graft_label(U1, i, U2, y1, y2)
+            coeff = field.mul(field.mul(_sgn(field, dy1 * dc2), s_cells), s_y)
+            return list(cev.class_of(V, d, {(cellsV, yv): coeff}).items())
 
         return ChainMap.from_rule(src, cev.complex, rule)
 
@@ -1320,7 +1049,6 @@ def transpose_to_precooperad(phi, bp: BbarPreCooperad, cq: CobarOperad):
     field = bp.field
     p, q = bp.p, cq.q
     out = {}
-    cf_cache = {}
     for n in range(1, bp.N + 1):
         for T in enumerate_trees(n):
             ce = bp.coend_at(T)
@@ -1328,44 +1056,15 @@ def transpose_to_precooperad(phi, bp: BbarPreCooperad, cq: CobarOperad):
             def rule(d, lab, T=T):
                 U, (cells, y) = lab
                 frs = fragments(T, U)
-                uvs = U.vertices()
-                fts = [frs[v].tree for v in uvs]
-                dcs = [wbar(field, ft).label_degree[c]
-                       for ft, c in zip(fts, cells)]
-                dys = [p.term(ft.n).label_degree[l]
-                       for ft, l in zip(fts, y)]
-                s = field.one
-                for j in range(len(uvs)):
-                    s = field.mul(s, _sgn(
-                        field, (-1) ** ((dys[j] * sum(dcs[j + 1:])) % 2)))
-                acc = {(): s}
-                for j, ft in enumerate(fts):
-                    ends = cq.ends[ft.n]
-                    hv = phi[ft.n].apply(dys[j], {y[j]: field.one})
-                    hv = ends.incl.apply(dys[j], hv)
-                    sw = _sgn(field, (-1) ** ((dcs[j] * dys[j]) % 2))
-                    acc2 = {}
-                    for (lt, hl), ch in hv.items():
-                        if lt != ft or hl[1] != cells[j]:
-                            continue
-                        for pre, cp in acc.items():
-                            l2 = pre + (hl[2],)
-                            c2 = field.mul(cp, field.mul(ch, sw))
-                            acc2[l2] = field.add(
-                                acc2.get(l2, field.zero), c2)
-                    acc = {l: c for l, c in acc2.items() if c != field.zero}
-                if not acc:
+                fts = [frs[v].tree for v in U.vertices()]
+                dys = [p.term(ft.n).label_degree[l] for ft, l in zip(fts, y)]
+                vals = _evaluate(
+                    cq, fts, cells,
+                    lambda j: phi[fts[j].n].apply(dys[j], {y[j]: field.one}),
+                    dys, field.one)
+                if not vals:
                     return []
-                key = (T, U)
-                cf = cf_cache.get(key)
-                if cf is None:
-                    cf = compose_fragments(q, T, U)
-                    cf_cache[key] = cf
-                res = {}
-                for l, c in acc.items():
-                    for l2, c2 in cf.apply(d, {l: c}).items():
-                        res[l2] = field.add(res.get(l2, field.zero), c2)
-                return [(l, c) for l, c in res.items() if c != field.zero]
+                return list(_composite(q, T, U).apply(d, vals).items())
 
             G = ChainMap.from_rule(ce.total, q.term(T), rule)
             out[T] = ce.map_out(G)
@@ -1392,7 +1091,7 @@ def transpose_to_operad(psi, bp: BbarPreCooperad, cq: CobarOperad):
                         key = ((c,), (x,)) if n >= 2 else ((), ())
                         vec = ce.class_of(tau, dc + d, {key: field.one})
                         img = psi[V].apply(dc + d, vec)
-                        sw = _sgn(field, (-1) ** ((dc * d) % 2))
+                        sw = _sgn(field, dc * d)
                         for z, cz in img.items():
                             res.append(((V, ("h", c, z)),
                                         field.mul(cz, sw)))
@@ -1404,53 +1103,6 @@ def transpose_to_operad(psi, bp: BbarPreCooperad, cq: CobarOperad):
 
 
 # -- the co-W-construction ------------------------------------------------
-
-def rel_split(field, V: Tree, v: Tree, i: int, t: Tree, u: Tree) -> ChainMap:
-    """Relative cube iso rel(V;v) -> rel(T2;t) (x) rel(U2;u) where V
-    splits at the block of u's leaves into (T2, U2); clusters inside the
-    block shift down, the others collapse the block to the leaf i."""
-    src = rel_delta(field, V, v)
-    if u.n == 1:
-        T2, U2 = V, _point()
-    elif t.n == 1:
-        T2, U2 = _point(), V
-    else:
-        T2, U2 = split_at_block(V, i, u.n)
-    tgt = tensor_many(field, [rel_delta(field, T2, t), rel_delta(field, U2, u)])
-    toks = _rel_tokens(V, v)
-    t_toks = _rel_tokens(T2, t)
-    u_toks = _rel_tokens(U2, u)
-    block = frozenset(range(i, i + u.n))
-
-    def collapse(c):
-        return frozenset(i if l in block else (l if l < i else l - u.n + 1)
-                         for l in c)
-
-    place = []
-    for c in toks:
-        if u.n >= 2 and c <= block:
-            loc = frozenset(l - i + 1 for l in c)
-            place.append((1, u_toks.index(loc)))
-        else:
-            place.append((0, t_toks.index(collapse(c))))
-
-    def rule(d, cell):
-        out = [[None] * len(t_toks), [None] * len(u_toks)]
-        stars = []
-        for (fj, tj), val in zip(place, cell):
-            out[fj][tj] = val
-            if val == STAR:
-                stars.append(fj * len(t_toks) + tj if fj == 0
-                             else len(t_toks) + tj)
-        order = sorted(range(len(stars)), key=lambda k: stars[k])
-        rank = [None] * len(stars)
-        for pos, k in enumerate(order):
-            rank[k] = pos
-        s = koszul_sign(field, [1] * len(rank), rank)
-        return [(((tuple(out[0]), tuple(out[1]))), s)]
-
-    return ChainMap.from_rule(src, tgt, rule)
-
 
 class CoWPreCooperad(PreCooperad):
     """Co-W-construction on a pre-cooperad q: per tree, the end of the
@@ -1486,103 +1138,31 @@ class CoWPreCooperad(PreCooperad):
     def _cover_map(self, t, u, e):
         field = self.field
         et, eu = self.end_at(t), self.end_at(u)
-        comp = {}
-        for U in enumerate_trees(t.n):
-            if u.leq(U):
-                j = face_inclusion(field, "j", (U, u), (U, t))
-                comp[U] = hom_precompose(et.homs[U], j, eu.homs[U])
-
-        def rule(d, lab):
-            U, hl = lab
-            f = comp.get(U)
-            if f is None:
-                return []
-            return [((U, l2), c) for l2, c in
-                    f.apply(d, {hl: field.one}).items()]
-
-        F = ChainMap.from_rule(et.total, eu.total, rule)
-        return eu.factor(et.incl.then(F))
+        comp = {U: (U, hom_precompose(
+                    et.homs[U], face_inclusion(field, "j", (U, u), (U, t)),
+                    eu.homs[U]))
+                for U in et.trees if u.leq(U)}
+        return _end_map(et, eu, comp)
 
     def _relabel_map(self, t, sigma):
         field = self.field
         t2 = t.relabel(sigma)
-        et, e2 = self.end_at(t), self.end_at(t2)
-        inv = {v: k for k, v in sigma.items()}
-        comp = {}
-        for U in enumerate_trees(t.n):
-            if not t.leq(U):
-                continue
-            U2 = U.relabel(sigma)
-            h1 = hom_postcompose(et.homs[U], self.q.relabel_map(U, sigma),
-                                 hom_complex(et.weights.term(U),
-                                             self.q.term(U2)))
-            h2 = hom_precompose(h1.target,
-                                rel_delta_relabel(field, U2, t2, inv),
-                                e2.homs[U2])
-            comp[U] = (h1.then(h2), U2)
-
-        def rule(d, lab):
-            U, hl = lab
-            if U not in comp:
-                return []
-            f, U2 = comp[U]
-            return [((U2, l2), c) for l2, c in
-                    f.apply(d, {hl: field.one}).items()]
-
-        F = ChainMap.from_rule(et.total, e2.total, rule)
-        return e2.factor(et.incl.then(F))
+        return _end_relabel(
+            self.q, self.end_at(t), self.end_at(t2), sigma,
+            lambda U2, inv: rel_delta_relabel(field, U2, t2, inv))
 
     def _m_map(self, t, i, u):
         field = self.field
-        q = self.q
         v = graft(t, i, u)
-        et, eu, ev = self.end_at(t), self.end_at(u), self.end_at(v)
-        src = tensor_many(field, [et.complex, eu.complex])
-        comp = {}
-        for V in enumerate_trees(v.n):
-            if not v.leq(V):
-                continue
-            if u.n == 1:
-                T2, U2 = V, _point()
-            elif t.n == 1:
-                T2, U2 = _point(), V
-            else:
-                T2, U2 = split_at_block(V, i, u.n)
+
+        def split(V):
+            T2, U2 = _split_graft(V, i, t.n, u.n)
             assert t.leq(T2) and u.leq(U2)
-            a, b = et.weights.term(T2), q.term(T2)
-            c, dd = eu.weights.term(U2), q.term(U2)
-            mid = hom_complex(tensor_many(field, [a, c]),
-                              tensor_many(field, [b, dd]))
-            inter = hom_tensor_interchange(et.homs[T2], eu.homs[U2],
-                                           a, b, c, dd, mid)
-            g1 = hom_precompose(mid, rel_split(field, V, v, i, t, u),
-                                hom_complex(ev.weights.term(V),
-                                            tensor_many(field, [b, dd])))
-            g2 = hom_postcompose(g1.target, q.m_map(T2, i, U2), ev.homs[V])
-            comp[V] = (T2, U2, inter.then(g1).then(g2))
+            return T2, U2
 
-        def rule(d, pair):
-            l1, l2 = pair
-            d1 = et.complex.label_degree[l1]
-            d2 = eu.complex.label_degree[l2]
-            v1 = et.incl.apply(d1, {l1: field.one})
-            v2 = eu.incl.apply(d2, {l2: field.one})
-            out = {}
-            for V, (T2, U2, f) in comp.items():
-                for (Ta, h1), c1 in v1.items():
-                    if Ta != T2:
-                        continue
-                    for (Ub, h2), c2 in v2.items():
-                        if Ub != U2:
-                            continue
-                        img = f.apply(d1 + d2, {(h1, h2): field.mul(c1, c2)})
-                        for l3, c3 in img.items():
-                            key = (V, l3)
-                            out[key] = field.add(out.get(key, field.zero), c3)
-            return [(k, c) for k, c in out.items() if c != field.zero]
-
-        G = ChainMap.from_rule(src, ev.total, rule)
-        return ev.factor(G)
+        return _end_graft(self.q, i, self.end_at(t), self.end_at(u),
+                          self.end_at(v), split,
+                          lambda V, T, U: rel_split(field, V, v, i, t, u))
 
 
 def co_w(q: PreCooperad, N) -> CoWPreCooperad:
@@ -1628,13 +1208,100 @@ def co_w_resolution(q: PreCooperad, N, cw: CoWPreCooperad | None = None):
 
 # -- comparison of the bar-cobar composite with the co-W-construction -----
 
+def _theta_star_vertex(cq: CobarOperad, Vt: Tree, Ut: Tree, xt, rt, drt):
+    """One vertex of theta_star: the relative cell rt of the fragment Vt
+    traded by theta_cells for family cells over the bar tree Ut, and the
+    cobar labels xt evaluated on them."""
+    field = cq.field
+    fam = theta_cells(field, Vt, Ut).apply(
+        drt + Ut.num_vertices, {(rt, _wbar_top(Ut)): field.one})
+    frs = fragments(Vt, Ut)
+    wts = [frs[w].tree for w in Ut.vertices()]
+    dxs = cq._degrees(Ut, xt)
+    step = {}
+    for fc, cf in fam.items():
+        vals = _evaluate(cq, wts, fc, lambda j: {xt[j]: field.one}, dxs, cf)
+        for l, c in vals.items():
+            step[l] = field.add(step.get(l, field.zero), c)
+    return step
+
+
+def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End):
+    """theta_star at the tree T, on a label of extend(bar(cq))(T): one bar
+    label (Ut, xt) per vertex t of T."""
+    field = q.field
+    if T.n == 1:
+        ul = q.term(T).basis[0][0]
+        return lambda d, lab: [((T, ("h", (), ul)), 1)]
+    tvs = T.vertices()
+    chs = {t: T.children(t) for t in tvs}
+
+    def glob(t, lc):
+        """The local cluster lc at the vertex t, in the leaves of T."""
+        toks = (chs[t][j - 1] for j in lc)
+        return frozenset().union(*({m} if isinstance(m, int) else m
+                                   for m in toks))
+
+    def rule(d, lab):
+        # glue the local decorations into a global tree U above T
+        U = Tree(T.n, list(T.clusters) + [glob(t, lc) for t, (Ut, _) in
+                                          zip(tvs, lab) for lc in Ut.clusters])
+        bdegs = [Ut.num_vertices + sum(cq._degrees(Ut, xt)) for Ut, xt in lab]
+        upos = {g: k for k, g in enumerate(U.vertices())}
+        res = {}
+        for V in enumerate_trees(T.n):
+            if not (T.leq(V) and U.leq(V)):
+                continue
+            frs = fragments(V, T)
+            fts = [frs[t].tree for t in tvs]
+            ids = [frs[t].to_global[e] for t, ft in zip(tvs, fts)
+                   for e in ft.edges()]
+            at = {g: k for k, g in enumerate(ids)}
+            slots = [at[g] for g in _rel_tokens(V, T)]
+            widths = [ft.num_edges for ft in fts]
+            rel = en.weights.term(V)
+            for dr in rel.degrees():
+                for r in rel.basis[dr]:
+                    # cut the cell into the vertex cubes
+                    coords, s_cut = _move_cell(field, r, slots, len(ids))
+                    rts = _chunks(coords, widths)
+                    drts = [rt.count(STAR) for rt in rts]
+                    terms = {(): field.mul(
+                        field.mul(_sgn(field, dr * d), s_cut),
+                        _interleave_sign(field, bdegs, drts))}
+                    for (Ut, xt), Vt, rt, drt in zip(lab, fts, rts, drts):
+                        terms = _tensor_vecs(field, terms, _theta_star_vertex(
+                            cq, Vt, Ut, xt, rt, drt))
+                        if not terms:
+                            break
+                    if not terms:
+                        continue
+                    # reorder the factors into the vertex order of U, then
+                    # compose down to Q(V)
+                    frsU = fragments(V, U)
+                    gverts = [glob(t, w) for t, (Ut, _) in zip(tvs, lab)
+                              for w in Ut.vertices()]
+                    perm = [upos[g] for g in gverts]
+                    cf = _composite(q, V, U)
+                    for l3, c3 in terms.items():
+                        zd = [q.term(frsU[g].tree).label_degree[z]
+                              for g, z in zip(gverts, l3)]
+                        z2, s = _place(field, l3, zd, perm)
+                        for zv, cz in cf.apply(
+                                sum(zd), {z2: field.mul(c3, s)}).items():
+                            k2 = (V, ("h", r, zv))
+                            res[k2] = field.add(res.get(k2, field.zero), cz)
+        return [(k, c) for k, c in res.items() if c != field.zero]
+
+    return rule
+
+
 def theta_star(q: PreCooperad, N, cq: CobarOperad | None = None,
                bcq=None, cw: CoWPreCooperad | None = None):
     """Family of maps, one per tree, from the extension of bar(cobar(q))
     to co_w(q): the relative cube is cut into the vertex cubes, each cut
     piece is traded for a family cell, and the cobar factors are
     evaluated on those cells and composed back into q."""
-    field = q.field
     if cq is None:
         cq = cobar(q, N)
     if bcq is None:
@@ -1642,170 +1309,10 @@ def theta_star(q: PreCooperad, N, cq: CobarOperad | None = None,
     if cw is None:
         cw = co_w(q, N)
     out = {}
-    cf_cache = {}
     for n in range(1, N + 1):
         for T in enumerate_trees(n):
             en = cw.end_at(T)
-            if n == 1:
-                ul = q.term(T).basis[0][0]
-                G = ChainMap.from_rule(
-                    bcq.term(T), en.total,
-                    lambda d, lab, T=T, ul=ul: [((T, ("h", (), ul)), 1)])
-                out[T] = en.factor(G)
-                continue
-            tvs = T.vertices()
-            chs = {t: T.children(t) for t in tvs}
-
-            def rule(d, lab, T=T, tvs=tvs, chs=chs):
-                # glue the local decorations into a global tree below V
-                def glob(t, lc):
-                    acc = set()
-                    for j in lc:
-                        m = chs[t][j - 1]
-                        acc.update(m if not isinstance(m, int) else {m})
-                    return frozenset(acc)
-
-                Ucl = [c for c in T.clusters]
-                for t, (Ut, xt) in zip(tvs, lab):
-                    for lc in Ut.clusters:
-                        Ucl.append(glob(t, lc))
-                U = Tree(T.n, Ucl)
-                degs_B = []
-                for t, (Ut, xt) in zip(tvs, lab):
-                    dx = sum(cq.term(len(Ut.children(w))).label_degree[l]
-                             for w, l in zip(Ut.vertices(), xt))
-                    degs_B.append((Ut.num_vertices, dx))
-                res = {}
-                for V in enumerate_trees(T.n):
-                    if not (T.leq(V) and U.leq(V)):
-                        continue
-                    frs = fragments(V, T)
-                    toks = _rel_tokens(V, T)
-                    # global ids of the per-vertex local edges, in order
-                    tgt_ids = []
-                    spans = []
-                    for t in tvs:
-                        Vt = frs[t].tree
-                        ids = [frs[t].to_global[le] for le in Vt.edges()]
-                        spans.append((len(tgt_ids), len(ids)))
-                        tgt_ids.extend(ids)
-                    pos = {g: k for k, g in enumerate(tgt_ids)}
-                    rel = en.weights.term(V)
-                    for dr in rel.degrees():
-                        for r in rel.basis[dr]:
-                            co = _sgn(field, (-1) ** ((dr * d) % 2))
-                            # cut the cell into the vertex cubes
-                            vals = [None] * len(tgt_ids)
-                            stars = []
-                            for g, val in zip(toks, r):
-                                vals[pos[g]] = val
-                                if val == STAR:
-                                    stars.append(pos[g])
-                            order = sorted(range(len(stars)),
-                                           key=lambda k: stars[k])
-                            rank = [None] * len(stars)
-                            for p2, k in enumerate(order):
-                                rank[k] = p2
-                            co = field.mul(co, koszul_sign(
-                                field, [1] * len(rank), rank))
-                            rts = [tuple(vals[a:a + ln]) for a, ln in spans]
-                            drts = [sum(1 for v in rt if v == STAR)
-                                    for rt in rts]
-                            for j in range(len(tvs)):
-                                s = sum(b[0] + b[1]
-                                        for b in degs_B[:j])
-                                co = field.mul(co, _sgn(
-                                    field, (-1) ** ((drts[j] * s) % 2)))
-                            # per vertex: theta, then evaluate the cobar
-                            # factors on the family cells
-                            terms = {(): co}
-                            gverts = []
-                            ok = True
-                            for j, t in enumerate(tvs):
-                                Ut, xt = lab[j]
-                                Vt = frs[t].tree
-                                th = theta_cells(field, Vt, Ut)
-                                wu = wbar(field, Ut)
-                                (top,) = wu.basis[Ut.num_vertices]
-                                fam = th.apply(
-                                    drts[j] + Ut.num_vertices,
-                                    {(rts[j], top): field.one})
-                                frs2 = fragments(Vt, Ut)
-                                uvs = Ut.vertices()
-                                wts = [frs2[w].tree for w in uvs]
-                                dxs = [cq.term(w2.n).label_degree[l]
-                                       for w2, l in zip(wts, xt)]
-                                step = {}
-                                for fc, cf in fam.items():
-                                    dcs = [wbar(field, w2).label_degree[cu]
-                                           for w2, cu in zip(wts, fc)]
-                                    s = 1
-                                    for a2 in range(len(uvs)):
-                                        s *= (-1) ** ((dxs[a2] *
-                                                       sum(dcs[a2 + 1:])) % 2)
-                                    cur = {(): field.mul(cf, _sgn(field, s))}
-                                    for a2, w in enumerate(uvs):
-                                        sw = _sgn(field, (-1) ** (
-                                            (dcs[a2] * dxs[a2]) % 2))
-                                        hv = cq.ends[wts[a2].n].incl.apply(
-                                            dxs[a2], {xt[a2]: field.one})
-                                        nxt = {}
-                                        for (lt, hl), ch in hv.items():
-                                            if lt != wts[a2] or \
-                                                    hl[1] != fc[a2]:
-                                                continue
-                                            for pre, cp in cur.items():
-                                                l2 = pre + (hl[2],)
-                                                c2 = field.mul(
-                                                    cp, field.mul(ch, sw))
-                                                nxt[l2] = field.add(
-                                                    nxt.get(l2, field.zero),
-                                                    c2)
-                                        cur = {l3: c3 for l3, c3
-                                               in nxt.items()
-                                               if c3 != field.zero}
-                                    for l3, c3 in cur.items():
-                                        step[l3] = field.add(
-                                            step.get(l3, field.zero), c3)
-                                nterms = {}
-                                for pre, cp in terms.items():
-                                    for l3, c3 in step.items():
-                                        nterms[pre + l3] = field.add(
-                                            nterms.get(pre + l3, field.zero),
-                                            field.mul(cp, c3))
-                                terms = {l3: c3 for l3, c3 in nterms.items()
-                                         if c3 != field.zero}
-                                if not terms:
-                                    ok = False
-                                    break
-                                gverts.extend(glob(t, w) for w in uvs)
-                            if not ok:
-                                continue
-                            # reorder the factors into the vertex order of
-                            # the glued tree, then compose down to Q(V)
-                            uvs_g = U.vertices()
-                            perm = [uvs_g.index(g) for g in gverts]
-                            key = (V, U)
-                            cf2 = cf_cache.get(key)
-                            if cf2 is None:
-                                cf2 = compose_fragments(q, V, U)
-                                cf_cache[key] = cf2
-                            for l3, c3 in terms.items():
-                                zd = [q.term(fragments(V, U)[g].tree)
-                                      .label_degree[z]
-                                      for g, z in zip(gverts, l3)]
-                                s = koszul_sign(field, zd, perm)
-                                z2 = [None] * len(l3)
-                                for z, p3 in zip(l3, perm):
-                                    z2[p3] = z
-                                img = cf2.apply(sum(zd) + 0,
-                                                {tuple(z2): field.mul(c3, s)})
-                                for zv, cz in img.items():
-                                    k2 = (V, ("h", r, zv))
-                                    res[k2] = field.add(
-                                        res.get(k2, field.zero), cz)
-                return [(k, c) for k, c in res.items() if c != field.zero]
-
-            G = ChainMap.from_rule(bcq.term(T), en.total, rule)
+            G = ChainMap.from_rule(bcq.term(T), en.total,
+                                   _theta_star_rule(q, cq, T, en))
             out[T] = en.factor(G)
     return out

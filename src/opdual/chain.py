@@ -276,6 +276,16 @@ def direct_sum(field, summands):
     return total, incs, projs
 
 
+def _graded_basis(labeled):
+    """degree -> labels sorted by repr, from (label, degree) pairs."""
+    basis = {}
+    for l, d in labeled:
+        basis.setdefault(d, []).append(l)
+    for d in basis:
+        basis[d].sort(key=repr)
+    return basis
+
+
 def koszul_sign(field, degrees, positions):
     """Sign for reordering graded symbols: degrees[i] is the degree of the
     i-th source symbol, positions[i] its target slot. Sign is the product of
@@ -302,11 +312,7 @@ def tensor_many(field, factors, label_prefix=None):
             for l, dl in f.label_degree.items():
                 new[tup + (l,)] = d + dl
         combos = new
-    basis = {}
-    for tup, d in combos.items():
-        basis.setdefault(d, []).append(tup)
-    for d in basis:
-        basis[d].sort(key=repr)
+    basis = _graded_basis(combos.items())
 
     fdeg = [f.label_degree for f in factors]
 
@@ -369,14 +375,19 @@ def permute_factors_map(field, factors, perm, source=None, target=None):
     fdeg = [f.label_degree for f in factors]
 
     def rule(d, tup):
-        degs = [fdeg[i][tup[i]] for i in range(k)]
-        sign = koszul_sign(field, degs, perm)
-        out = [None] * k
-        for i, p in enumerate(perm):
-            out[p] = tup[i]
-        return [(tuple(out), sign)]
+        return [_place(field, tup, [fdeg[i][l] for i, l in enumerate(tup)],
+                       perm)]
 
     return ChainMap.from_rule(source, target, rule)
+
+
+def _place(field, labels, degrees, slots):
+    """Put labels[i], of degree degrees[i], into slot slots[i]: the
+    reordered tuple and the Koszul sign of the reordering."""
+    out = [None] * len(slots)
+    for l, s in zip(labels, slots):
+        out[s] = l
+    return tuple(out), koszul_sign(field, degrees, slots)
 
 
 def shift(c: ChainComplex, s: int) -> ChainComplex:
@@ -457,22 +468,15 @@ def is_quasi_iso(f: ChainMap) -> bool:
     return not cone(f).homology_table()
 
 
-def is_acyclic(c: ChainComplex) -> bool:
-    return not c.homology_table()
-
-
 def hom_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Mapping complex: degree-s basis = pairs ("h", la, lb) with
     |lb| - |la| = s, representing la -> lb. Differential realizes
     (df)(x) = d(f(x)) - (-1)^{|f|} f(dx); cycles of degree s are exactly
     chain maps of degree s."""
     field = a.field
-    basis = {}
-    for la, da in a.label_degree.items():
-        for lb, db in b.label_degree.items():
-            basis.setdefault(db - da, []).append(("h", la, lb))
-    for d in basis:
-        basis[d].sort(key=repr)
+    basis = _graded_basis((("h", la, lb), db - da)
+                          for la, da in a.label_degree.items()
+                          for lb, db in b.label_degree.items())
 
     # transpose of a's boundary: for each la, which la' have la in d(la')
     up = {}

@@ -44,6 +44,18 @@ def _field_from_spec(blob, fallback: Field) -> Field:
     raise CliError(f"bad field entry {fs!r} in operad spec")
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; CliError otherwise."""
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise CliError(f"cannot read {what} {path}: {e}")
+    if not isinstance(blob, dict):
+        raise CliError(f"{what} {path} must hold a JSON object")
+    return blob
+
+
 def _sparse_to_images(triples, src_labels, tgt_labels, field):
     """Triples [row, col, val] -> per-source-label image dicts."""
     out = {l: {} for l in src_labels}
@@ -65,11 +77,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
     index is a*len(term(n))+b for the pair (a-th of term(m), b-th of
     term(n)). Arity 1 is the unit and may be omitted.
     """
-    try:
-        with open(path) as fh:
-            blob = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"cannot read operad spec {path}: {e}")
+    blob = _read_json_object(path, "operad spec")
     field = _field_from_spec(blob, field or Field(0))
     N = int(blob.get("max_arity", 0))
     if N < 1:
@@ -156,15 +164,14 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
 def load_symseq_spec(path: str, field: Field, N: int):
     """Generator file for the trivial/free selectors: degrees per arity,
     {"gens": {n: [degrees]}, "max_arity": N?}."""
-    try:
-        with open(path) as fh:
-            blob = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"cannot read generator spec {path}: {e}")
+    blob = _read_json_object(path, "generator spec")
     field = _field_from_spec(blob, field)
-    N = int(blob.get("max_arity", N))
-    gens = {int(k): [int(d) for d in v]
-            for k, v in blob.get("gens", {}).items()}
+    try:
+        N = int(blob.get("max_arity", N))
+        gens = {int(k): [int(d) for d in v]
+                for k, v in blob.get("gens", {}).items()}
+    except (AttributeError, TypeError, ValueError) as e:
+        raise CliError(f"bad generator spec {path}: {e}")
     if any(n < 2 for n in gens):
         raise CliError("generators must sit in arity >= 2")
     return symseq_from_degrees(field, N, gens)
@@ -253,6 +260,8 @@ def run(argv=None) -> int:
 
     p = select_operad(args.operad, field, N)
     if args.truncate:
+        if not 1 <= args.truncate <= p.N:
+            raise CliError(f"--truncate must lie in 1..{p.N}")
         p = truncate(p, args.truncate, "<=")
 
     def fill_tables(term_of):
@@ -271,12 +280,7 @@ def run(argv=None) -> int:
     elif args.verb == "koszul":
         fill_tables(koszul_dual(p, N).term)
     elif args.verb == "kk":
-        rep = verify_kk(p, N)
-        blob = rep.to_dict()
-        report["tables"] = blob["dims"]["kk"]
-        for name, ok in sorted(blob["checks"].items()):
-            report["checks"].append({"name": name, "pass": ok,
-                                     "witness": blob["dims"]["p"]})
+        _kk_report(p, N, report)
     elif args.verb == "check":
         _run_check(args, p, N, report)
 
@@ -334,8 +338,12 @@ def _run_check(args, p: Operad, N: int, report: dict) -> None:
                 {"name": f"equivariance sample arity {n}", "pass": ok,
                  "witness": f"permutation {vals}"})
         return
-    rep = verify_kk(p, N)
-    blob = rep.to_dict()
+    _kk_report(p, N, report)
+
+
+def _kk_report(p: Operad, N: int, report: dict) -> None:
+    """The double-dual tables and checks, for both `kk` and `check kk`."""
+    blob = verify_kk(p, N).to_dict()
     report["tables"] = blob["dims"]["kk"]
     for name, ok in sorted(blob["checks"].items()):
         report["checks"].append({"name": name, "pass": ok,

@@ -15,7 +15,10 @@ Four families of complexes:
                      vertices of u (zero complex unless u <= t)
 
 plus the structure maps between them: face inclusions, the grafting
-maps nu and mu, the interval maps h and r, and the assembly map theta.
+maps nu and mu (extended to unit trees, and the relative split), the
+leaf relabelings, the transports of family cells along covers and
+relabelings, the interval maps h and r, and the assembly map theta.
+Every sign moving starred coordinates goes through _star_sign.
 """
 from __future__ import annotations
 
@@ -25,7 +28,10 @@ from functools import lru_cache
 from .chain import (
     ChainComplex, ChainMap, interval, koszul_sign, tensor_many, zero_complex,
 )
-from .trees import ROOT, Tree, fragments, graft, grafted_edge
+from .trees import (
+    ROOT, Tree, _graft_place, _split_graft, _token_image, fragments, graft,
+    grafted_edge,
+)
 
 STAR = "*"
 
@@ -157,17 +163,32 @@ def face_inclusion(field, kind: str, src, tgt) -> ChainMap:
     raise ValueError(f"unknown face inclusion kind {kind!r}")
 
 
-def _expand_cluster(c, i, m):
-    """Image of a cluster of t inside graft(t, i, u) with |u| = m."""
-    out = set()
-    for l in c:
-        if l == i:
-            out.update(range(i, i + m))
-        elif l > i:
-            out.add(l + m - 1)
-        else:
-            out.add(l)
-    return frozenset(out)
+def _star_sign(field, slots):
+    """Sign of moving the starred (degree-1) coordinates of a cell into
+    target order: slots lists, in source order, the target position of
+    each starred coordinate (any order-preserving key will do)."""
+    return koszul_sign(field, [1] * len(slots), slots)
+
+
+def _move_cell(field, cell, slots, size):
+    """Move coordinate k of a cell to position slots[k] of a cell of the
+    given size: the new coordinates (a list, None where nothing moved)
+    and the sign of the star reshuffle."""
+    out = [None] * size
+    for s, val in zip(slots, cell):
+        out[s] = val
+    return out, _star_sign(field, [s for s, val in zip(slots, cell)
+                                   if val == STAR])
+
+
+def _chunks(flat, widths):
+    """Cut a flat sequence into consecutive tuples of the given widths,
+    such as a cell into the cells of its tensor factors."""
+    out, k = [], 0
+    for w in widths:
+        out.append(tuple(flat[k:k + w]))
+        k += w
+    return tuple(out)
 
 
 def graft_decompose(field, t: Tree, i: int, u: Tree):
@@ -182,60 +203,39 @@ def graft_decompose(field, t: Tree, i: int, u: Tree):
         raise ValueError("graft_decompose needs both trees of arity >= 2")
     v = graft(t, i, u)
     g = grafted_edge(t, i, u)
-    m = u.n
+    t_img, u_img = _graft_place(t, i, u)
 
-    exp = {c: _expand_cluster(c, i, m) for c in t.edges()}
-    shf = {c: frozenset(l + i - 1 for l in c) for c in u.edges()}
-
-    # -- nu ---------------------------------------------------------------
-    wv = wbar(field, v)
-    wt = wbar(field, t)
-    wu = wbar(field, u)
-    target = tensor_many(field, [wt, wu])
-    v_toks = _wbar_tokens(v)
-    t_toks = _wbar_tokens(t)
-    u_toks = _wbar_tokens(u)
-    # each target coordinate, as the source token it reads
-    t_src = [ROOT] + [exp[c] for c in t.edges()]
-    u_src = [g] + [shf[c] for c in u.edges()]
+    # nu: each target coordinate reads the v-token listed here
+    reads = [ROOT] + [t_img[c] for c in t.edges()] + \
+        [g] + [u_img[c] for c in u.edges()]
+    where = {tok: k for k, tok in enumerate(reads)}
+    nu_slots = [where[tok] for tok in _wbar_tokens(v)]
+    g_at = _wbar_tokens(v).index(g)
+    widths = (t.num_edges + 1, u.num_edges + 1)
 
     def nu_rule(d, cell):
-        val = dict(zip(v_toks, cell))
-        if val[g] == 0:
+        if cell[g_at] == 0:
             return []
-        cell_t = tuple(val[s] for s in t_src)
-        cell_u = tuple(val[s] for s in u_src)
-        src_stars = [tok for tok in v_toks if val[tok] == STAR]
-        tgt_stars = [s for s in t_src if val[s] == STAR] + \
-                    [s for s in u_src if val[s] == STAR]
-        pos = [tgt_stars.index(tok) for tok in src_stars]
-        sgn = koszul_sign(field, [1] * len(pos), pos)
-        return [((cell_t, cell_u), sgn)]
+        out, sgn = _move_cell(field, cell, nu_slots, len(reads))
+        return [(_chunks(out, widths), sgn)]
 
-    nu = ChainMap.from_rule(wv, target, nu_rule)
+    nu = ChainMap.from_rule(
+        wbar(field, v), tensor_many(field, [wbar(field, t), wbar(field, u)]),
+        nu_rule)
 
-    # -- mu ---------------------------------------------------------------
-    dt = delta_cube(field, t)
-    du = delta_cube(field, u)
-    source = tensor_many(field, [dt, du])
-    dv = delta_cube(field, v)
-    v_edges = v.edges()
+    # mu: the edges of t and u land on v-edges, the grafted edge sits at 1
+    v_pos = {e: k for k, e in enumerate(v.edges())}
+    mu_slots = [v_pos[t_img[c]] for c in t.edges()] + \
+        [v_pos[u_img[c]] for c in u.edges()]
 
     def mu_rule(d, pair):
-        cell_t, cell_u = pair
-        val = {g: 1}
-        for c, x in zip(t.edges(), cell_t):
-            val[exp[c]] = x
-        for c, x in zip(u.edges(), cell_u):
-            val[shf[c]] = x
-        src_stars = [exp[c] for c, x in zip(t.edges(), cell_t) if x == STAR] + \
-                    [shf[c] for c, x in zip(u.edges(), cell_u) if x == STAR]
-        tgt_stars = [e for e in v_edges if val[e] == STAR]
-        pos = [tgt_stars.index(tok) for tok in src_stars]
-        sgn = koszul_sign(field, [1] * len(pos), pos)
-        return [(tuple(val[e] for e in v_edges), sgn)]
+        out, sgn = _move_cell(field, pair[0] + pair[1], mu_slots, len(v_pos))
+        out[v_pos[g]] = 1
+        return [(tuple(out), sgn)]
 
-    mu = ChainMap.from_rule(source, dv, mu_rule)
+    mu = ChainMap.from_rule(
+        tensor_many(field, [delta_cube(field, t), delta_cube(field, u)]),
+        delta_cube(field, v), mu_rule)
     return nu, mu
 
 
@@ -266,6 +266,131 @@ def family_inclusion(field, t: Tree, t2: Tree, u: Tree) -> ChainMap:
 
     return ChainMap.from_rule(wbar_family(field, t, u),
                               wbar_family(field, t2, u), rule)
+
+
+# -- relabelings, unit-extended splittings and family transports ---------
+
+def _relabel_slots(src_tokens, tgt_tokens, sigma):
+    """The position among tgt_tokens of the image of each source token."""
+    pos = {tok: k for k, tok in enumerate(tgt_tokens)}
+    return [pos[_token_image(tok, sigma)] for tok in src_tokens]
+
+
+def _cube_relabel(field, src, tgt, src_tokens, tgt_tokens, sigma):
+    slots = _relabel_slots(src_tokens, tgt_tokens, sigma)
+
+    def rule(d, cell):
+        out, sgn = _move_cell(field, cell, slots, len(slots))
+        return [(tuple(out), sgn)]
+
+    return ChainMap.from_rule(src, tgt, rule)
+
+
+def wbar_relabel(field, t: Tree, sigma) -> ChainMap:
+    t2 = t.relabel(sigma)
+    if t.n == 1:
+        return ChainMap.identity(wbar(field, t))
+    return _cube_relabel(field, wbar(field, t), wbar(field, t2),
+                         _wbar_tokens(t), _wbar_tokens(t2), sigma)
+
+
+def rel_delta_relabel(field, u: Tree, t: Tree, sigma) -> ChainMap:
+    u2, t2 = u.relabel(sigma), t.relabel(sigma)
+    return _cube_relabel(field, rel_delta(field, u, t),
+                         rel_delta(field, u2, t2),
+                         _rel_tokens(u, t), _rel_tokens(u2, t2), sigma)
+
+
+def nu_general(field, t: Tree, i: int, u: Tree) -> ChainMap:
+    """wbar(graft(t,i,u)) -> wbar(t) (x) wbar(u), extended to arity-1
+    factors by the unit isomorphisms."""
+    if t.n >= 2 and u.n >= 2:
+        return graft_decompose(field, t, i, u)[0]
+    v = graft(t, i, u)
+    wv = wbar(field, v)
+    tgt = tensor_many(field, [wbar(field, t), wbar(field, u)])
+    if u.n == 1:
+        return ChainMap.from_rule(wv, tgt, lambda d, c: [((c, ()), 1)])
+    return ChainMap.from_rule(wv, tgt, lambda d, c: [(((), c), 1)])
+
+
+def _fam_ids(T: Tree, U: Tree):
+    """Per U-vertex: identities of the wbar tokens of the fragment of T
+    (root marker, then the global clusters of the internal edges)."""
+    frs = fragments(T, U)
+    out = []
+    for w in U.vertices():
+        ft = frs[w].tree
+        out.append([("r", w)] + [frs[w].to_global[lc] for lc in ft.edges()])
+    return out
+
+
+def _move_family_cells(field, s_ids, cells, t_ids, conv):
+    """Transport a block of wbar cells along a token bijection; returns
+    (target cells, sign) or None when the image is not a valid cell."""
+    flat = {gid: k for k, gid in enumerate(g for toks in t_ids for g in toks)}
+    slots = [flat[conv(gid)] for toks in s_ids for gid in toks]
+    coords, sgn = _move_cell(field, [v for cell in cells for v in cell],
+                             slots, len(flat))
+    out = _chunks(coords, [len(toks) for toks in t_ids])
+    if any(row and row[0] != STAR for row in out):
+        return None
+    return out, sgn
+
+
+def _family_map(field, T, U, T2, U2, conv) -> ChainMap:
+    """wbar_family(T, U) -> wbar_family(T2, U2) moving each coordinate
+    along the token bijection conv."""
+    src = wbar_family(field, T, U)
+    tgt = wbar_family(field, T2, U2)
+    if src.total_dim() == 0 or tgt.total_dim() == 0:
+        return ChainMap.zero(src, tgt)
+    s_ids, t_ids = _fam_ids(T, U), _fam_ids(T2, U2)
+
+    def rule(d, cells):
+        res = _move_family_cells(field, s_ids, cells, t_ids, conv)
+        return [] if res is None else [res]
+
+    return ChainMap.from_rule(src, tgt, rule)
+
+
+def family_cover(field, T: Tree, U: Tree, U2: Tree, enew) -> ChainMap:
+    """w̄(T;U) -> w̄(T;U2) for the cover U < U2 (one new cluster enew):
+    split the fragment at the new cluster, whose coordinate becomes the
+    root of the new factor."""
+    return _family_map(field, T, U, T, U2,
+                       lambda gid: ("r", enew) if gid == enew else gid)
+
+
+def family_relabel(field, T: Tree, U: Tree, sigma) -> ChainMap:
+    def conv(gid):
+        if isinstance(gid, tuple) and gid[0] == "r":
+            return ("r", _token_image(gid[1], sigma))
+        return _token_image(gid, sigma)
+
+    return _family_map(field, T, U, T.relabel(sigma), U.relabel(sigma), conv)
+
+
+def rel_split(field, V: Tree, v: Tree, i: int, t: Tree, u: Tree) -> ChainMap:
+    """Relative cube iso rel(V;v) -> rel(T2;t) (x) rel(U2;u) where V
+    splits at the block of u's leaves into (T2, U2); clusters inside the
+    block shift down, the others collapse the block to the leaf i."""
+    T2, U2 = _split_graft(V, i, t.n, u.n)
+    t_toks, u_toks = _rel_tokens(T2, t), _rel_tokens(U2, u)
+    t_img, u_img = _graft_place(T2, i, U2)
+    where = {t_img[c]: k for k, c in enumerate(t_toks)}
+    where.update((u_img[c], len(t_toks) + k) for k, c in enumerate(u_toks))
+    slots = [where[c] for c in _rel_tokens(V, v)]
+    widths = (len(t_toks), len(u_toks))
+
+    def rule(d, cell):
+        out, sgn = _move_cell(field, cell, slots, len(slots))
+        return [(_chunks(out, widths), sgn)]
+
+    return ChainMap.from_rule(
+        rel_delta(field, V, v),
+        tensor_many(field, [rel_delta(field, T2, t), rel_delta(field, U2, u)]),
+        rule)
 
 
 def h_map(field) -> ChainMap:
@@ -352,8 +477,8 @@ def theta_cells(field, t: Tree, u: Tree) -> ChainMap:
         src_syms = [("d", e) for e in t_edges if dval[e] == STAR] + \
                    [("w", ROOT)] + \
                    [("w", e) for e in u.edges() if wval[e] == STAR]
-        pos = [consumed.index(s) for s in src_syms]
-        sgn2 = koszul_sign(field, [1] * len(pos), pos)
+        pos = {s: k for k, s in enumerate(consumed)}
+        sgn2 = _star_sign(field, [pos[s] for s in src_syms])
         coef = field.one if sgn > 0 else field.neg(field.one)
         return [(tuple(out_cells), field.mul(coef, sgn2))]
 

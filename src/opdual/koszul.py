@@ -5,10 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .chain import (
-    ChainMap, dual_map, koszul_sign, linear_dual, tensor_many,
-)
-from .cubes import _expand_cluster
+from .chain import ChainMap, dual_map, linear_dual, tensor_many
 from .trees import Tree, enumerate_trees, graft
 from .operads import (
     Cooperad, Operad, PreCooperad, dualize, extend_cooperad,
@@ -27,26 +24,9 @@ def koszul_dual(p: Operad, N) -> Operad:
 
 def _graft_split(p: Operad, t: Tree, i: int, u: Tree) -> ChainMap:
     """The reordering iso p(graft(t, i, u)) -> p(t) (x) p(u)."""
-    field = p.field
-    v = graft(t, i, u)
-    src = p.tree_complex(v)
-    tgt = tensor_many(field, [p.tree_complex(t), p.tree_complex(u)])
-    t_img = [_expand_cluster(w, i, u.n) for w in t.vertices()]
-    u_img = [frozenset(l + i - 1 for l in w) for w in u.vertices()]
-    vv = v.vertices()
-    # source factor feeding each target slot, and the inverse assignment
-    order = [vv.index(g) for g in t_img + u_img]
-    pos = [order.index(k) for k in range(len(order))]
-    nt = len(t_img)
-
-    def rule(d, lab):
-        degs = [p.term(len(v.children(w))).label_degree[x]
-                for w, x in zip(vv, lab)]
-        s = koszul_sign(field, degs, pos)
-        picked = [lab[k] for k in order]
-        return [((tuple(picked[:nt]), tuple(picked[nt:])), s)]
-
-    return ChainMap.from_rule(src, tgt, rule)
+    tgt = tensor_many(p.field, [p.tree_complex(t), p.tree_complex(u)])
+    return ChainMap.from_rule(p.tree_complex(graft(t, i, u)), tgt,
+                              lambda d, z: [p._ungraft_label(t, i, u, z)])
 
 
 class OperadDualPreCooperad(PreCooperad):
@@ -110,8 +90,7 @@ def kp_iso(p: Operad, N, kp: Operad | None = None,
                 if hl[1] != _wbar_top(T):
                     continue
                 x = hl[2][1]
-                dx = sum(p.term(len(T.children(w))).label_degree[xi]
-                         for w, xi in zip(T.vertices(), x))
+                dx = sum(p._degrees(T, x))
                 V = T.num_vertices
                 if (V * (V - 1) // 2 + V * dx) % 2:
                     c = field.neg(c)
@@ -145,9 +124,9 @@ def double_dual_map(q: Cooperad, N=None):
 def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
     """Cobar applied to the double-dual comparison of the bar cooperad,
     composed with the currying iso. Returns (cb, kkp, per-arity maps)."""
-    bq = bar(p, N)
     if cb is None:
-        cb = cobar(extend_cooperad(bq), N)
+        cb = cobar(extend_cooperad(bar(p, N)), N)
+    bq = cb.q.q
     _, ddq, fam = double_dual_map(bq, N)
     ckk = cobar(ddq, N)
     cm = cobar_map(cb, ckk, fam, N)
@@ -201,10 +180,9 @@ def verify_kk(p: Operad, N) -> DualityReport:
     rep = DualityReport(operad=p.name or "operad", max_arity=N)
     bq = bar(p, N)
     kp = dualize(bq, N)
-    kkq = bar(kp, N)
-    kkp = dualize(kkq, N)
-    wp, cb, th = theta(p, N)
-    _, _, dd = cb_to_kk(p, N, cb=cb)
+    cb = cobar(extend_cooperad(bq), N)
+    _, _, th = theta(p, N, cb=cb)
+    _, kkp, dd = cb_to_kk(p, N, cb=cb)
     rep.cb_to_kk_iso = all(dd[n].is_iso() for n in range(1, N + 1))
     comp = {n: th[n].then(dd[n]) for n in range(1, N + 1)}
     rep.composite_iso = all(comp[n].is_iso() for n in range(1, N + 1))

@@ -16,20 +16,15 @@ from __future__ import annotations
 import itertools
 
 from .chain import (
-    ChainComplex, ChainMap, dual_map, k_complex, linear_dual,
-    permute_factors_map, tensor_many, tensor_map_many, zero_complex,
-    is_quasi_iso, koszul_sign,
+    ChainComplex, ChainMap, _graded_basis, _place, dual_map, is_quasi_iso,
+    k_complex, linear_dual, permute_factors_map, tensor_many, tensor_map_many,
+    zero_complex,
 )
 from .trees import (
-    Tree, adjacent_transposition, enumerate_trees, fragments, graft,
+    Tree, _graft_slots, _vertex_arities, _vertex_relabel,
+    adjacent_transposition, cluster_key, enumerate_trees, fragments, graft,
     perm_to_adjacents,
 )
-
-
-def _token_image(tok, sigma):
-    if isinstance(tok, int):
-        return sigma[tok]
-    return frozenset(sigma[l] for l in tok)
 
 
 def graft_perm(sigma: dict, j: int, tau: dict) -> dict:
@@ -51,6 +46,32 @@ def graft_perm(sigma: dict, j: int, tau: dict) -> dict:
         else:
             rho[x] = embed(sigma[x - n + 1])
     return rho
+
+
+def _contraction(u: Tree, e, t: Tree):
+    """How contracting the edge e of u into t = u/e merges e into its
+    parent vertex v: (a, j, b, pi, order, k) with v of arity a, e its
+    j-th input and of arity b, pi the permutation sorting the spliced
+    inputs of the merged vertex, and order the vertices of t with the
+    merged vertex replaced by v, e (so that v sits at position k)."""
+    v = u.parent(e)
+    ch = u.children(v)
+    j = ch.index(e) + 1
+    merged = t.children(v)
+    spliced = ch[:j - 1] + u.children(e) + ch[j:]
+    pi = {pos: merged.index(tok) + 1 for pos, tok in enumerate(spliced, 1)}
+    order = []
+    for w in t.vertices():
+        order.extend([v, e] if w == v else [w])
+    return len(ch), j, u.arity_of(e), pi, order, order.index(v)
+
+
+def _adjacent_family(terms, N, build):
+    """build(n, s) for each adjacent transposition s of {1..n}, keyed by
+    (n, i), over the arities 2..N whose term is nonzero."""
+    return {(n, i): build(n, adjacent_transposition(n, i))
+            for n in range(2, N + 1) if terms[n].total_dim()
+            for i in range(1, n)}
 
 
 class SymSeq:
@@ -100,6 +121,25 @@ class SymSeq:
             self._act_cache[key] = f
         return f
 
+    def _degrees(self, t: Tree, labels):
+        """The degree of each factor of a label of tree_complex(t)."""
+        return [self.term(a).label_degree[l]
+                for a, l in zip(_vertex_arities(t), labels)]
+
+    def _graft_label(self, t: Tree, i: int, u: Tree, x, y):
+        """Labels x of tree_complex(t) and y of tree_complex(u) as one
+        label of tree_complex(graft(t, i, u)), with its Koszul sign."""
+        _, slots = _graft_slots(t, i, u)
+        return _place(self.field, x + y,
+                      self._degrees(t, x) + self._degrees(u, y), slots)
+
+    def _ungraft_label(self, t: Tree, i: int, u: Tree, z):
+        """Inverse of _graft_label: ((x, y), sign)."""
+        v, slots = _graft_slots(t, i, u)
+        back = sorted(range(len(slots)), key=slots.__getitem__)
+        xy, sgn = _place(self.field, z, self._degrees(v, z), back)
+        return (xy[:t.num_vertices], xy[t.num_vertices:]), sgn
+
     def tree_complex(self, t: Tree) -> ChainComplex:
         """(x)_{vertices of t} term(arity), factors in global vertex order,
         basis labels = tuples aligned with t.vertices()."""
@@ -115,24 +155,14 @@ class SymSeq:
         each factor through its local leaf permutation and reorder the
         factors with Koszul signs."""
         t2 = t.relabel(sigma)
-        vs = t.vertices()
-        ws = t2.vertices()
-        per_factor = []
-        perm = []
-        for v in vs:
-            v2 = frozenset(sigma[l] for l in v)
-            ch = t.children(v)
-            ch2 = t2.children(v2)
-            loc = {k: ch2.index(_token_image(tok, sigma)) + 1
-                   for k, tok in enumerate(ch, start=1)}
-            per_factor.append(self.act(len(ch), loc))
-            perm.append(ws.index(v2))
-        step1 = tensor_map_many(self.field, per_factor,
-                                source=self.tree_complex(t),
-                                target=self.tree_complex(t))
+        moves = _vertex_relabel(t, t2, sigma)
+        step1 = tensor_map_many(
+            self.field, [self.act(len(loc), loc) for loc, _ in moves],
+            source=self.tree_complex(t), target=self.tree_complex(t))
         step2 = permute_factors_map(
-            self.field, [self.term(t.arity_of(v)) for v in vs], perm,
-            source=self.tree_complex(t), target=self.tree_complex(t2))
+            self.field, [self.term(a) for a in _vertex_arities(t)],
+            [pos for _, pos in moves], source=self.tree_complex(t),
+            target=self.tree_complex(t2))
         return step1.then(step2)
 
 
@@ -175,24 +205,12 @@ class Operad(SymSeq):
         """tree_complex(t) -> tree_complex(t/e): compose the two factors
         meeting at e and resort the merged vertex's inputs."""
         t2 = t.contract(e)
-        v = t.parent(e)
-        ch = t.children(v)
-        j = ch.index(e) + 1
-        a, b = len(ch), t.arity_of(e)
-        merged = t2.children(v)
-        spliced = ch[:j - 1] + t.children(e) + ch[j:]
-        pi = {pos: merged.index(tok) + 1 for pos, tok in enumerate(spliced, 1)}
+        a, j, b, pi, order, k = _contraction(t, e, t2)
         pair = self.circ(a, j, b).then(self.act(a + b - 1, pi))
-
         vs = t.vertices()
-        order = []
-        for w in t2.vertices():
-            order.extend([v, e] if w == v else [w])
-        perm = [order.index(w) for w in vs]
-        factors = [self.term(t.arity_of(w)) for w in vs]
-        s1 = permute_factors_map(self.field, factors, perm,
-                                 source=self.tree_complex(t))
-        k = order.index(v)
+        s1 = permute_factors_map(
+            self.field, [self.term(t.arity_of(w)) for w in vs],
+            [order.index(w) for w in vs], source=self.tree_complex(t))
         tgt = self.tree_complex(t2)
         ta, tb = self.term(a), self.term(b)
         F = self.field
@@ -310,16 +328,18 @@ def trivial_operad(a: SymSeq) -> Operad:
                  for n in range(2, a.N + 1) for i in range(1, n)
                  if a.term(n).total_dim()}
 
-    def circ_builder(p, m, i, n):
-        src = tensor_many(p.field, [p.term(m), p.term(n)])
-        if n == 1:
-            return ChainMap.from_rule(src, p.term(m), lambda d, tup: [(tup[0], 1)])
-        if m == 1:
-            return ChainMap.from_rule(src, p.term(n), lambda d, tup: [(tup[1], 1)])
-        return ChainMap.zero(src, p.term(m + n - 1))
-
-    return Operad(a.field, a.N, terms, adjacents, circ_builder,
+    return Operad(a.field, a.N, terms, adjacents, _trivial_circ,
                   name=f"trivial({a.name})" if a.name else "trivial")
+
+
+def _trivial_circ(p, m, i, n) -> ChainMap:
+    """The composition with the unit, and zero between higher arities."""
+    src = tensor_many(p.field, [p.term(m), p.term(n)])
+    if n == 1:
+        return ChainMap.from_rule(src, p.term(m), lambda d, tup: [(tup[0], 1)])
+    if m == 1:
+        return ChainMap.from_rule(src, p.term(n), lambda d, tup: [(tup[1], 1)])
+    return ChainMap.zero(src, p.term(m + n - 1))
 
 
 def free_operad(a: SymSeq, N) -> Operad:
@@ -328,14 +348,9 @@ def free_operad(a: SymSeq, N) -> Operad:
     field = a.field
     terms = {}
     for n in range(1, N + 1):
-        basis = {}
-        diff_rule = {}
-        for t in enumerate_trees(n):
-            c = a.tree_complex(t)
-            for l, d in c.label_degree.items():
-                basis.setdefault(d, []).append((t, l))
-        for d in basis:
-            basis[d].sort(key=repr)
+        basis = _graded_basis(
+            ((t, l), d) for t in enumerate_trees(n)
+            for l, d in a.tree_complex(t).label_degree.items())
 
         def rule(d, lab):
             t, l = lab
@@ -353,14 +368,8 @@ def free_operad(a: SymSeq, N) -> Operad:
             return [((t2, l2), v) for l2, v in img.items()]
         return rule
 
-    adjacents = {}
-    for n in range(2, N + 1):
-        if terms[n].total_dim() == 0:
-            continue
-        for i in range(1, n):
-            s = adjacent_transposition(n, i)
-            adjacents[(n, i)] = ChainMap.from_rule(
-                terms[n], terms[n], relabel_rule(n, s))
+    adjacents = _adjacent_family(terms, N, lambda n, s: ChainMap.from_rule(
+        terms[n], terms[n], relabel_rule(n, s)))
 
     def circ_builder(p, m, i, n):
         src = tensor_many(field, [p.term(m), p.term(n)])
@@ -368,41 +377,17 @@ def free_operad(a: SymSeq, N) -> Operad:
 
         def rule(d, pair):
             (t, lx), (u, ly) = pair
-            v = graft(t, i, u)
             if u.n == 1:
                 return [((t, lx), 1)]
             if t.n == 1:
                 return [((u, ly), 1)]
-            exp = {w: _expand_vertex(w, i, u.n) for w in t.vertices()}
-            shf = {w: frozenset(l + i - 1 for l in w) for w in u.vertices()}
-            vs = v.vertices()
-            src_factors = [(exp[w], xl) for w, xl in zip(t.vertices(), lx)] + \
-                          [(shf[w], yl) for w, yl in zip(u.vertices(), ly)]
-            degs = [a.term(len(v.children(w))).label_degree[l]
-                    for w, l in src_factors]
-            pos = [vs.index(w) for w, _ in src_factors]
-            sgn = koszul_sign(field, degs, pos)
-            out = [None] * len(vs)
-            for (w, l), pp in zip(src_factors, pos):
-                out[pp] = l
-            return [((v, tuple(out)), sgn)]
+            lab, sgn = a._graft_label(t, i, u, lx, ly)
+            return [((graft(t, i, u), lab), sgn)]
 
         return ChainMap.from_rule(src, tgt, rule)
 
     return Operad(field, N, terms, adjacents, circ_builder,
                   name=f"free({a.name})" if a.name else "free")
-
-
-def _expand_vertex(c, i, m):
-    out = set()
-    for l in c:
-        if l == i:
-            out.update(range(i, i + m))
-        elif l > i:
-            out.add(l + m - 1)
-        else:
-            out.add(l)
-    return frozenset(out)
 
 
 def truncate(p: Operad, n: int, mode: str = "<=") -> Operad:
@@ -553,13 +538,8 @@ def dualize(x, N=None):
     N = N or x.N
     field = x.field
     terms = {n: linear_dual(x.term(n)) for n in range(1, N + 1)}
-    adjacents = {}
-    for n in range(2, N + 1):
-        if terms[n].total_dim() == 0:
-            continue
-        for i in range(1, n):
-            s = adjacent_transposition(n, i)
-            adjacents[(n, i)] = dual_map(x.act(n, _inverse_perm(s)))
+    adjacents = _adjacent_family(
+        terms, N, lambda n, s: dual_map(x.act(n, _inverse_perm(s))))
 
     if isinstance(x, Operad):
         def cocirc_builder(q, m, i, n):
@@ -601,6 +581,7 @@ class PreCooperad:
         self.name = name
         self._term_cache = {}
         self._exp_cache = {}
+        self._fragment_cache = {}
 
     def term(self, t: Tree) -> ChainComplex:
         c = self._term_cache.get(t)
@@ -622,18 +603,8 @@ class PreCooperad:
         chain of covers (functoriality makes the choice irrelevant)."""
         if not t.leq(u):
             raise ValueError("expansion_map needs t <= u")
-        key = (t, u)
-        f = self._exp_cache.get(key)
-        if f is None:
-            if t == u:
-                f = ChainMap.identity(self.term(t))
-            else:
-                e = sorted(u.clusters - t.clusters,
-                           key=lambda c: tuple(sorted(c)))[0]
-                u1 = u.contract(e)
-                f = self.expansion_map(t, u1).then(self.cover_map(u1, u, e))
-            self._exp_cache[key] = f
-        return f
+        return _along_covers(self._exp_cache, t, u, self.term,
+                             self.cover_map, covariant=True)
 
     def m_map(self, t: Tree, i: int, u: Tree) -> ChainMap:
         """Q(t) (x) Q(u) -> Q(graft(t, i, u))."""
@@ -660,20 +631,10 @@ class ExtendedCooperad(PreCooperad):
         operad-side edge contraction."""
         q = self.q
         F = self.field
-        v = u.parent(e)
-        ch = u.children(v)
-        j = ch.index(e) + 1
-        a, b = len(ch), u.arity_of(e)
-        merged = t.children(v)
-        spliced = ch[:j - 1] + u.children(e) + ch[j:]
-        pi = {pos: merged.index(tok) + 1 for pos, tok in enumerate(spliced, 1)}
+        a, j, b, pi, order, k = _contraction(u, e, t)
         pair = q.act(a + b - 1, _inverse_perm(pi)).then(q.cocirc(a, j, b))
-
-        order = []
-        for w in t.vertices():
-            order.extend([v, e] if w == v else [w])
-        k = order.index(v)
-        mid = tensor_many(F, [q.term(len(u.children(w))) for w in order])
+        factors = [q.term(u.arity_of(w)) for w in order]
+        mid = tensor_many(F, factors)
         tm = q.term(a + b - 1)
 
         def rule(d, tup):
@@ -681,39 +642,40 @@ class ExtendedCooperad(PreCooperad):
             return [(tup[:k] + pl + tup[k + 1:], c) for pl, c in img.items()]
 
         s1 = ChainMap.from_rule(self.term(t), mid, rule)
-        perm = [order.index(w) for w in u.vertices()]
-        s2 = permute_factors_map(
-            F, [q.term(len(u.children(w))) for w in order],
-            [perm.index(x) for x in range(len(order))],
-            source=mid, target=self.term(u))
+        vs = u.vertices()
+        s2 = permute_factors_map(F, factors, [vs.index(w) for w in order],
+                                 source=mid, target=self.term(u))
         return s1.then(s2)
 
     def _m_map(self, t, i, u):
-        F = self.field
-        v = graft(t, i, u)
-        src = tensor_many(F, [self.term(t), self.term(u)])
-        tgt = self.term(v)
+        src = tensor_many(self.field, [self.term(t), self.term(u)])
+        tgt = self.term(graft(t, i, u))
         if t.n == 1 or u.n == 1:
             keep = 1 if t.n == 1 else 0
             return ChainMap.from_rule(src, tgt, lambda d, pr: [(pr[keep], 1)])
-        exp = {w: _expand_vertex(w, i, u.n) for w in t.vertices()}
-        shf = {w: frozenset(l + i - 1 for l in w) for w in u.vertices()}
-        vs = v.vertices()
-        slots = [vs.index(exp[w]) for w in t.vertices()] + \
-                [vs.index(shf[w]) for w in u.vertices()]
-        degs_of = [self.q.term(len(v.children(vs[s]))).label_degree
-                   for s in slots]
+        return ChainMap.from_rule(
+            src, tgt,
+            lambda d, pr: [self.q._graft_label(t, i, u, pr[0], pr[1])])
 
-        def rule(d, pr):
-            labels = list(pr[0]) + list(pr[1])
-            degs = [degs_of[k][l] for k, l in enumerate(labels)]
-            sgn = koszul_sign(F, degs, slots)
-            out = [None] * len(vs)
-            for l, s in zip(labels, slots):
-                out[s] = l
-            return [(tuple(out), sgn)]
 
-        return ChainMap.from_rule(src, tgt, rule)
+def _along_covers(cache, t, u, term, cover, covariant):
+    """The composite from t up to u (t <= u) along the chain of covers
+    that adds the missing clusters of u smallest first, memoized in
+    cache. cover(t, u, e) is the map of the cover u/e = t: from term(t)
+    to term(u) when covariant, the other way round when not."""
+    key = (t, u)
+    f = cache.get(key)
+    if f is None:
+        if t == u:
+            f = ChainMap.identity(term(t))
+        else:
+            e = min(u.clusters - t.clusters, key=cluster_key)
+            u1 = u.contract(e)
+            a = _along_covers(cache, t, u1, term, cover, covariant)
+            b = cover(u1, u, e)
+            f = a.then(b) if covariant else b.then(a)
+        cache[key] = f
+    return f
 
 
 def extend_cooperad(q: Cooperad) -> PreCooperad:
@@ -747,12 +709,8 @@ class FreePreCooperad(PreCooperad):
     def _term(self, t):
         comps = {u: self._component(t, u) for u in enumerate_trees(t.n)
                  if u.leq(t)}
-        basis = {}
-        for u, c in comps.items():
-            for l, d in c.label_degree.items():
-                basis.setdefault(d, []).append((u, l))
-        for d in basis:
-            basis[d].sort(key=repr)
+        basis = _graded_basis(((u, l), d) for u, c in comps.items()
+                              for l, d in c.label_degree.items())
 
         def rule(d, lab):
             u, l = lab
@@ -787,33 +745,18 @@ class FreePreCooperad(PreCooperad):
             u, l = lab
             u2 = u.relabel(sigma)
             frs = fragments(t, u)
-            vs = u.vertices()
-            ws = u2.vertices()
-            degs = []
-            perm = []
-            factor_imgs = []
-            for k, v in enumerate(vs):
-                ch = u.children(v)
-                v2 = frozenset(sigma[x] for x in v)
-                ch2 = u2.children(v2)
-                loc = {kk: ch2.index(_token_image(tok, sigma)) + 1
-                       for kk, tok in enumerate(ch, start=1)}
-                val = self._value(frs[v].tree)
-                dk = val.label_degree[l[k]]
-                degs.append(dk)
-                factor_imgs.append(
-                    self.a.act(len(ch), loc).apply(dk, {l[k]: F.one}))
-                perm.append(ws.index(v2))
-            sgn = koszul_sign(F, degs, perm)
+            moves = _vertex_relabel(u, u2, sigma)
+            degs = [self._value(frs[v].tree).label_degree[x]
+                    for v, x in zip(u.vertices(), l)]
+            imgs = [self.a.act(len(loc), loc).apply(dk, {x: F.one}).items()
+                    for (loc, _), dk, x in zip(moves, degs, l)]
             res = []
-            for combo in itertools.product(
-                    *[list(img.items()) for img in factor_imgs]):
-                c = sgn
-                tup = [None] * len(vs)
-                for k, (l2, c2) in enumerate(combo):
+            for combo in itertools.product(*imgs):
+                tup, c = _place(F, [l2 for l2, _ in combo], degs,
+                                [pos for _, pos in moves])
+                for _, c2 in combo:
                     c = F.mul(c, c2)
-                    tup[perm[k]] = l2
-                res.append(((u2, tuple(tup)), c))
+                res.append(((u2, tup), c))
             return res
 
         return ChainMap.from_rule(self.term(t), self.term(t2), rule)
@@ -824,26 +767,17 @@ class FreePreCooperad(PreCooperad):
         src = tensor_many(F, [self.term(t), self.term(u)])
         tgt = self.term(v)
 
+        def degrees(t, ut, labels):
+            frs = fragments(t, ut)
+            return [self._value(frs[w].tree).label_degree[l]
+                    for w, l in zip(ut.vertices(), labels)]
+
         def rule(d, pr):
             (ut, lt), (uu, lu) = pr
-            uv = graft(ut, i, uu)
-            exp = {w: _expand_vertex(w, i, uu.n) for w in ut.vertices()}
-            shf = {w: frozenset(x + i - 1 for x in w) for w in uu.vertices()}
-            vs = uv.vertices()
-            slots = [vs.index(exp[w]) for w in ut.vertices()] + \
-                    [vs.index(shf[w]) for w in uu.vertices()]
-            labels = list(lt) + list(lu)
-            frs_t = fragments(t, ut)
-            frs_u = fragments(u, uu)
-            degs = [self._value(frs_t[w].tree).label_degree[l]
-                    for w, l in zip(ut.vertices(), lt)] + \
-                   [self._value(frs_u[w].tree).label_degree[l]
-                    for w, l in zip(uu.vertices(), lu)]
-            sgn = koszul_sign(F, degs, slots)
-            out = [None] * len(vs)
-            for l, s in zip(labels, slots):
-                out[s] = l
-            return [((uv, tuple(out)), sgn)]
+            uv, slots = _graft_slots(ut, i, uu)
+            lab, sgn = _place(F, lt + lu, degrees(t, ut, lt) +
+                              degrees(u, uu, lu), slots)
+            return [((uv, lab), sgn)]
 
         return ChainMap.from_rule(src, tgt, rule)
 
@@ -880,12 +814,8 @@ def dual_compose(a1: SymSeq, a0: SymSeq, n: int) -> ChainComplex:
         c = tensor_many(field, [a1.term(len(blocks))] +
                         [a0.term(len(b)) for b in blocks])
         comps[blocks] = c
-    basis = {}
-    for blocks, c in comps.items():
-        for l, d in c.label_degree.items():
-            basis.setdefault(d, []).append((blocks, l))
-    for d in basis:
-        basis[d].sort(key=repr)
+    basis = _graded_basis(((blocks, l), d) for blocks, c in comps.items()
+                          for l, d in c.label_degree.items())
 
     def rule(d, lab):
         blocks, l = lab

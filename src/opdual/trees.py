@@ -299,31 +299,75 @@ def enumerate_trees(n: int):
     return tuple(trees)
 
 
+def _graft_place(t: Tree, i: int, u: Tree):
+    """Where graft(t, i, u) puts the clusters (vertices and edges) of t
+    and of u: two dicts from those clusters to clusters of the result."""
+    m = u.n
+    block = range(i, i + m)
+
+    def t_image(c):
+        s = set()
+        for l in c:
+            if l == i:
+                s.update(block)
+            else:
+                s.add(l if l < i else l + m - 1)
+        return frozenset(s)
+
+    return ({c: t_image(c) for c in t.clusters},
+            {c: frozenset(l + i - 1 for l in c) for c in u.clusters})
+
+
+@lru_cache(maxsize=None)
+def _graft_slots(t: Tree, i: int, u: Tree):
+    """(v, slots) for v = graft(t, i, u): slots lists the position in
+    v.vertices() of each vertex of t, then of each vertex of u."""
+    v = graft(t, i, u)
+    t_img, u_img = _graft_place(t, i, u)
+    pos = {w: k for k, w in enumerate(v.vertices())}
+    return v, tuple([pos[t_img[w]] for w in t.vertices()] +
+                    [pos[u_img[w]] for w in u.vertices()])
+
+
+@lru_cache(maxsize=None)
+def _vertex_arities(t: Tree):
+    """The arity of each vertex of t, in vertex order."""
+    return tuple(t.arity_of(v) for v in t.vertices())
+
+
+def _token_image(tok, sigma):
+    """The image of a leaf, a cluster or ROOT under the leaf permutation
+    sigma."""
+    if isinstance(tok, int):
+        return sigma[tok]
+    if tok == ROOT:
+        return ROOT
+    return frozenset(sigma[l] for l in tok)
+
+
+def _vertex_relabel(t: Tree, t2: Tree, sigma):
+    """Per vertex of t, in order: how sigma permutes its inputs (a dict
+    on 1..arity) and the position of its image among the vertices of
+    t2 = t.relabel(sigma)."""
+    at = {w: k for k, w in enumerate(t2.vertices())}
+    out = []
+    for v in t.vertices():
+        v2 = frozenset(sigma[l] for l in v)
+        ch2 = {tok: k for k, tok in enumerate(t2.children(v2), start=1)}
+        out.append(({k: ch2[_token_image(tok, sigma)]
+                     for k, tok in enumerate(t.children(v), start=1)}, at[v2]))
+    return out
+
+
 def graft(t: Tree, i: int, u: Tree) -> Tree:
     """Graft u onto leaf i of t, leaves of u renumbered to the consecutive
     block {i, ..., i+|u|-1} and higher leaves of t shifted."""
     if i not in t.leaves:
         raise ValueError(f"{i} is not a leaf of {t!r}")
-    m = u.n
-    if m == 1:
+    if u.n == 1:
         return t
-
-    def t_leaf(l):
-        return l if l < i else l + m - 1
-
-    clusters = []
-    block = frozenset(range(i, i + m))
-    for c in t.clusters:
-        s = set()
-        for l in c:
-            if l == i:
-                s |= block
-            else:
-                s.add(t_leaf(l))
-        clusters.append(frozenset(s))
-    for c in u.clusters:
-        clusters.append(frozenset(l + i - 1 for l in c))
-    return Tree(t.n + m - 1, clusters)
+    t_img, u_img = _graft_place(t, i, u)
+    return Tree(t.n + u.n - 1, list(t_img.values()) + list(u_img.values()))
 
 
 def grafted_edge(t: Tree, i: int, u: Tree):
@@ -354,6 +398,16 @@ def split_at_block(v: Tree, i: int, m: int):
         t_clusters.append(frozenset(s))
     t = Tree(v.n - m + 1, t_clusters)
     return t, u
+
+
+def _split_graft(v: Tree, i: int, m: int, n: int):
+    """The pair (t, u) of arities m and n with graft(t, i, u) = v, the
+    unit tree included on either side; None when v does not split there."""
+    if n == 1:
+        return v, Tree(1, [])
+    if m == 1:
+        return Tree(1, []), v
+    return split_at_block(v, i, n)
 
 
 class Fragment:

@@ -137,10 +137,23 @@ def test_truncate_modifier(capsys):
     assert json.loads(cap.out)["tables"]["3"] == {"2": 12}
 
 
-def test_input_errors(capsys):
+def test_input_errors(capsys, tmp_path):
     assert run(capsys, "bar", "--operad", "bogus")[0] == 2
     assert run(capsys, "bar", "--operad", "file:/does/not/exist")[0] == 2
     assert run(capsys, "bar", "--field", "f9")[0] == 2
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([{"gens": {"2": [0]}}]))
+    badgen = tmp_path / "badgen.json"
+    badgen.write_text(json.dumps({"gens": {"2": [0, "x"]}}))
+    for argv in (("bar", "--operad", f"trivial:{listed}"),
+                 ("bar", "--operad", f"file:{listed}"),
+                 ("bar", "--operad", f"trivial:{badgen}"),
+                 ("bar", "--operad", "com", "--truncate", "-1"),
+                 ("bar", "--operad", "com", "--max-arity", "3",
+                  "--truncate", "9")):
+        code, cap = run(capsys, *argv)
+        assert code == 2, argv
+        assert cap.err.startswith("error: "), argv
 
 
 def test_fields_agree_on_homology(capsys):
