@@ -10,6 +10,8 @@ by trees with decorations, with the coend identifications carried out
 symbolically. The closed forms are cross-checked against the engine.
 
 The mirrored constructions share one skeleton per step:
+  _window            the structure maps of the trees of one map build,
+                     each built once (closed forms, bar_map, theta)
   _closed_form       the closed-form bar and W terms and their actions
   _Engine            the slots and relations common to Coend and End
   _end_map           ends mapped slot by slot, then factored (cobar_map,
@@ -31,6 +33,7 @@ twisted differential.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .chain import (
@@ -79,6 +82,23 @@ def _tensor_vecs(field, a, b):
             out[x + y] = field.add(out.get(x + y, field.zero),
                                    field.mul(cx, cy))
     return {l: c for l, c in out.items() if c != field.zero}
+
+
+def _window(build):
+    """The lookup key -> build(*key), each value built on its first
+    request. A map build opens one for the structure maps of its trees
+    (relabelings, contractions, theta_cells), so each of them is built
+    and verified once per build, not once per basis label, and is
+    dropped with the build."""
+    maps = {}
+
+    def get(*key):
+        f = maps.get(key)
+        if f is None:
+            f = maps[key] = build(*key)
+        return f
+
+    return get
 
 
 # -- tree-indexed diagrams and their coends/ends --------------------------
@@ -398,21 +418,12 @@ def _wbar_top(t: Tree) -> tuple:
     return (STAR,) * (1 + t.num_edges)
 
 
-def _contract_many(p: Operad, t: Tree, Z):
-    """Composite contraction of the edges Z of t (any fixed order)."""
-    cur = t
-    f = ChainMap.identity(p.tree_complex(t))
-    for e in sorted(Z, key=cluster_key):
-        f = f.then(p.contract_map(cur, e))
-        cur = cur.contract(e)
-    return cur, f
-
-
 def _closed_form(p: Operad, N, decorations, boundary, cube_move):
     """The skeleton of the closed-form bar and W-constructions. In arity
     n the basis is (t, *deco, x) in degree |x| + k, for the trees t, each
-    (deco, k) in decorations(t) and the labels x of p(t); the boundary
-    rule gives the differential; sigma acts on the tree tensor through p
+    (deco, k) in decorations(t) and the labels x of p(t); the rule
+    boundary(contract, d, label) gives the differential, contract(t, e)
+    being p.contract_map(t, e); sigma acts on the tree tensor through p
     and on the decoration by cube_move(t, t2, sigma, deco) -> (the new
     decoration, its sign). Returns (terms, adjacent actions)."""
     field = p.field
@@ -422,14 +433,17 @@ def _closed_form(p: Operad, N, decorations, boundary, cube_move):
             ((t,) + deco + (x,), dx + k) for t in enumerate_trees(n)
             for deco, k in decorations(t)
             for x, dx in p.tree_complex(t).label_degree.items())
-        terms[n] = ChainComplex.from_rule(field, basis, boundary)
+        terms[n] = ChainComplex.from_rule(
+            field, basis, functools.partial(boundary, _window(p.contract_map)))
 
     def act(n, sigma):
+        relabel = _window(lambda t: p.tree_relabel(t, sigma))
+
         def rule(d, lab):
             t, x = lab[0], lab[-1]
             t2 = t.relabel(sigma)
             deco, ws = cube_move(t, t2, sigma, lab[1:-1])
-            img = p.tree_relabel(t, sigma).apply(
+            img = relabel(t).apply(
                 p.tree_complex(t).label_degree[x], {x: field.one})
             return [((t2,) + deco + (x2,), field.mul(ws, c))
                     for x2, c in img.items()]
@@ -446,12 +460,12 @@ def bar(p: Operad, N) -> Cooperad:
     grafting edge."""
     field = p.field
 
-    def boundary(d, lab):
+    def boundary(contract, d, lab):
         t, x = lab
         dx = p.tree_complex(t).label_degree[x]
         out = []
         for k, e in enumerate(t.edges()):
-            img = p.contract_map(t, e).apply(dx, {x: field.one})
+            img = contract(t, e).apply(dx, {x: field.one})
             s = _sgn(field, k)
             t2 = t.contract(e)
             out.extend(((t2, x2), field.mul(s, c)) for x2, c in img.items())
@@ -518,14 +532,17 @@ def bar_map(p: Operad, p2: Operad, fam: dict, bp: Cooperad,
             bp2: Cooperad, N) -> dict:
     """Functoriality of bar on a per-arity family of operad maps."""
     field = p.field
+
+    def tree_map(t):
+        return tensor_map_many(field, [fam[a] for a in _vertex_arities(t)],
+                               source=p.tree_complex(t),
+                               target=p2.tree_complex(t))
+
     out = {}
     for n in range(1, N + 1):
-        def rule(d, lab):
+        def rule(d, lab, f=_window(tree_map)):
             t, x = lab
-            f = tensor_map_many(field, [fam[a] for a in _vertex_arities(t)],
-                                source=p.tree_complex(t),
-                                target=p2.tree_complex(t))
-            img = f.apply(p.tree_complex(t).label_degree[x], {x: field.one})
+            img = f(t).apply(p.tree_complex(t).label_degree[x], {x: field.one})
             return [((t, x2), c) for x2, c in img.items()]
 
         out[n] = ChainMap.from_rule(bp.term(n), bp2.term(n), rule)
@@ -545,7 +562,7 @@ def w_construction(p: Operad, N) -> Operad:
         return [((S,), r) for r in range(t.num_edges + 1)
                 for S in itertools.combinations(t.edges(), r)]
 
-    def boundary(d, lab):
+    def boundary(contract, d, lab):
         t, S, x = lab
         dx = p.tree_complex(t).label_degree[x]
         out = []
@@ -554,7 +571,7 @@ def w_construction(p: Operad, N) -> Operad:
             S2 = S[:k] + S[k + 1:]
             out.append(((t, S2, x), s))
             t2 = t.contract(e)
-            img = p.contract_map(t, e).apply(dx, {x: field.one})
+            img = contract(t, e).apply(dx, {x: field.one})
             out.extend(((t2, S2, x2), field.mul(field.neg(s), c))
                        for x2, c in img.items())
         s = _sgn(field, len(S))
@@ -686,13 +703,28 @@ def cobar_map(c1: CobarOperad, c2: CobarOperad, fam: dict, N) -> dict:
 
 def _theta_rule(p: Operad, U: Tree):
     """The slot-U component of theta on a label (T, S, x) of W(p): the
-    cell of (T, S) against each cube cell of U through theta_cells, the
-    factors of x regrouped fragment by fragment and each fragment reduced
-    to a bar class by contracting its zero coordinates."""
+    cell of (T, S) against each cube cell of U through theta_cells, and
+    the factors of x regrouped fragment by fragment into bar labels. The
+    cells of W take the values 1 and * only, and theta_cells kills a
+    fragment coordinate at 1, so no family cell has a zero coordinate
+    and no fragment needs contracting."""
     field = p.field
     one = field.one
     wU = wbar(field, U)
     uvs = U.vertices()
+
+    def cut(T):
+        """theta_cells(T, U), the fragment trees of T over the vertices of
+        U and the slot of each vertex of T in their concatenation."""
+        frs = fragments(T, U)
+        fts = [frs[v].tree for v in uvs]
+        order = [frs[v].to_global[w] for v, ft in zip(uvs, fts)
+                 for w in ft.vertices()]
+        at = {w: k for k, w in enumerate(order)}
+        return (theta_cells(field, T, U), fts,
+                [at[w] for w in T.vertices()])
+
+    cuts = _window(cut)
 
     def rule(d, lab):
         T, S, x = lab
@@ -700,36 +732,23 @@ def _theta_rule(p: Operad, U: Tree):
             return [(("h", (), ()), 1)]
         if not U.leq(T):
             return []
-        th = theta_cells(field, T, U)
-        frs = fragments(T, U)
-        fts = [frs[v].tree for v in uvs]
-        order = [frs[v].to_global[w] for v, ft in zip(uvs, fts)
-                 for w in ft.vertices()]
-        at = {w: k for k, w in enumerate(order)}
+        th, fts, slots = cuts(T)
         degs = p._degrees(T, x)
-        xr, s1 = _place(field, x, degs, [at[w] for w in T.vertices()])
+        xr, s1 = _place(field, x, degs, slots)
         chunks = _chunks(xr, [ft.num_vertices for ft in fts])
         dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+        classes = tuple(zip(fts, chunks))
         cellTS = _w_cell(T, S)
         out = []
         for dU in wU.degrees():
-            s2 = _sgn(field, sum(degs) * dU)
+            s2 = field.mul(s1, _sgn(field, sum(degs) * dU))
             for cU in wU.basis[dU]:
                 img = th.apply(len(S) + dU, {(cellTS, cU): one})
                 for famcell, cth in img.items():
                     dcs = [wbar(field, ft).label_degree[c]
                            for ft, c in zip(fts, famcell)]
-                    vals = {(): field.mul(field.mul(cth, s1), field.mul(
-                        s2, _interleave_sign(field, dxs, dcs)))}
-                    for ft, c, chunk, dx in zip(fts, famcell, chunks, dxs):
-                        Z = [tok for tok, val in zip(_wbar_tokens(ft), c)
-                             if val == 0]
-                        cur, fmap = _contract_many(p, ft, Z)
-                        img2 = fmap.apply(dx, {chunk: one})
-                        vals = _tensor_vecs(field, vals, {
-                            ((cur, l2),): c2 for l2, c2 in img2.items()})
-                    out.extend((("h", cU, acc), cc)
-                               for acc, cc in vals.items())
+                    out.append((("h", cU, classes), field.mul(
+                        field.mul(cth, s2), _interleave_sign(field, dxs, dcs))))
         return out
 
     return rule
@@ -738,8 +757,8 @@ def _theta_rule(p: Operad, U: Tree):
 def theta(p: Operad, N, wp: Operad = None, cb: CobarOperad = None):
     """The comparison map from the W-construction to the cobar of the
     bar: evaluate a marked tree against each cube of a coarser tree via
-    the cell-level pairing, then reduce the leftover fragments to bar
-    classes. Returns (wp, cb, per-arity maps)."""
+    the cell-level pairing, then read the leftover fragments as bar
+    labels. Returns (wp, cb, per-arity maps)."""
     if wp is None:
         wp = w_construction(p, N)
     if cb is None:

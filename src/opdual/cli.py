@@ -79,7 +79,10 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
     """
     blob = _read_json_object(path, "operad spec")
     field = _field_from_spec(blob, field or Field(0))
-    N = int(blob.get("max_arity", 0))
+    try:
+        N = int(blob.get("max_arity", 0))
+    except (TypeError, ValueError) as e:
+        raise CliError(f"operad spec {path}: bad max_arity: {e}")
     if N < 1:
         raise CliError("operad spec needs max_arity >= 1")
 
@@ -90,9 +93,13 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
         if n == 1:
             continue
         labels, degs = [], {}
-        for b in tdata["basis"]:
-            labels.append(b["name"])
-            degs[b["name"]] = int(b["degree"])
+        try:
+            for b in tdata["basis"]:
+                labels.append(b["name"])
+                degs[b["name"]] = int(b["degree"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CliError(f"term {n}: each basis entry needs a name and an "
+                           f"integer degree ({e!r})")
         imgs = _sparse_to_images(tdata.get("d", []), labels, labels, field)
 
         def rule(d, lab, imgs=imgs):
@@ -163,18 +170,22 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
 
 def load_symseq_spec(path: str, field: Field, N: int):
     """Generator file for the trivial/free selectors: degrees per arity,
-    {"gens": {n: [degrees]}, "max_arity": N?}."""
+    {"gens": {n: [degrees]}, "max_arity": M?}, M (N by default) at least
+    N."""
     blob = _read_json_object(path, "generator spec")
     field = _field_from_spec(blob, field)
     try:
-        N = int(blob.get("max_arity", N))
+        top = int(blob.get("max_arity", N))
         gens = {int(k): [int(d) for d in v]
                 for k, v in blob.get("gens", {}).items()}
     except (AttributeError, TypeError, ValueError) as e:
         raise CliError(f"bad generator spec {path}: {e}")
     if any(n < 2 for n in gens):
         raise CliError("generators must sit in arity >= 2")
-    return symseq_from_degrees(field, N, gens)
+    if top < N:
+        raise CliError(f"generator spec {path} has max_arity {top}, below "
+                       f"--max-arity {N}")
+    return symseq_from_degrees(field, top, gens)
 
 
 def select_operad(sel: str, field: Field, N: int) -> Operad:
@@ -185,7 +196,11 @@ def select_operad(sel: str, field: Field, N: int) -> Operad:
     if sel.startswith("free:"):
         return free_operad(load_symseq_spec(sel[5:], field, N), N)
     if sel.startswith("file:"):
-        return load_operad_spec(sel[5:], field)
+        p = load_operad_spec(sel[5:], field)
+        if p.N < N:
+            raise CliError(f"operad spec {sel[5:]} has max_arity {p.N}, "
+                           f"below --max-arity {N}")
+        return p
     raise CliError(f"unknown operad selector {sel!r}")
 
 

@@ -3,16 +3,25 @@ import random
 
 import pytest
 
+from opdual import barcobar
 from opdual.fields import QQ, F2
-from opdual.chain import ChainMap, is_quasi_iso, tensor_map_many
-from opdual.trees import Tree, canonical_form, corolla, enumerate_trees
-from opdual.cubes import STAR
+from opdual.chain import (
+    ChainComplex, ChainMap, _place, hom_complex, is_quasi_iso, tensor_map_many,
+)
+from opdual.trees import (
+    Tree, _token_image, adjacent_transposition, canonical_form, cluster_key,
+    corolla, enumerate_trees, fragments,
+)
+from opdual.cubes import (
+    STAR, _chunks, _relabel_slots, _star_sign, _wbar_tokens, theta_cells, wbar,
+)
 from opdual.operads import (
-    builtin_operad, check_operad_axioms, dualize, extend_cooperad,
-    free_operad, free_precooperad, is_quasi_cooperad, symseq_from_degrees,
-    trivial_operad, truncate,
+    Operad, SymSeq, builtin_operad, check_operad_axioms, dualize,
+    extend_cooperad, free_operad, free_precooperad, is_quasi_cooperad,
+    symseq_from_degrees, trivial_operad, truncate,
 )
 from opdual.barcobar import (
+    _interleave_sign, _sgn, _tensor_vecs, _theta_rule, _w_cell,
     Coend, End, bar, bar_engine, bar_map, bbar, closed_bar_to_engine,
     closed_w_to_engine, co_w, co_w_resolution, cobar, cobar_map,
     delta_diagram, epsilon_trivial, flip_sharp, operad_diagram,
@@ -476,3 +485,201 @@ def test_quasi_cooperad_fails_on_corrupted():
     a = symseq_from_degrees(QQ, 3, {2: [0], 3: [0]})
     ok, wit = is_quasi_cooperad(free_precooperad(a, 3, mode="constant"), 3)
     assert not ok and wit
+
+
+# -- each structure map built once per tree: fast path = slow path --------
+
+def _labelwise_action(p, term, sigma, cube_move):
+    """The action of sigma on a closed-form term, tree_relabel rebuilt for
+    every label."""
+    field = p.field
+
+    def rule(d, lab):
+        t, x = lab[0], lab[-1]
+        t2 = t.relabel(sigma)
+        deco, ws = cube_move(field, t, t2, sigma, lab[1:-1])
+        img = p.tree_relabel(t, sigma).apply(
+            p.tree_complex(t).label_degree[x], {x: field.one})
+        return [((t2,) + deco + (x2,), field.mul(ws, c))
+                for x2, c in img.items()]
+
+    return ChainMap.from_rule(term, term, rule)
+
+
+def _bar_move(field, t, t2, sigma, deco):
+    return (), _star_sign(field, _relabel_slots(
+        _wbar_tokens(t), _wbar_tokens(t2), sigma))
+
+
+def _w_move(field, t, t2, sigma, deco):
+    (S,) = deco
+    S2 = tuple(sorted((_token_image(e, sigma) for e in S), key=cluster_key))
+    return (S2,), _star_sign(field, _relabel_slots(S, t2.edges(), sigma))
+
+
+def _labelwise_bar_boundary(p):
+    field = p.field
+
+    def rule(d, lab):
+        t, x = lab
+        dx = p.tree_complex(t).label_degree[x]
+        out = []
+        for k, e in enumerate(t.edges()):
+            img = p.contract_map(t, e).apply(dx, {x: field.one})
+            out.extend(((t.contract(e), x2), field.mul(_sgn(field, k), c))
+                       for x2, c in img.items())
+        s = _sgn(field, t.num_vertices)
+        out.extend(((t, x2), field.mul(s, c))
+                   for x2, c in p.tree_complex(t).boundary_of(x).items())
+        return out
+
+    return rule
+
+
+def _labelwise_w_boundary(p):
+    field = p.field
+
+    def rule(d, lab):
+        t, S, x = lab
+        dx = p.tree_complex(t).label_degree[x]
+        out = []
+        for k, e in enumerate(S):
+            s = _sgn(field, k)
+            S2 = S[:k] + S[k + 1:]
+            out.append(((t, S2, x), s))
+            img = p.contract_map(t, e).apply(dx, {x: field.one})
+            out.extend(((t.contract(e), S2, x2), field.mul(field.neg(s), c))
+                       for x2, c in img.items())
+        s = _sgn(field, len(S))
+        out.extend(((t, S, x2), field.mul(s, c))
+                   for x2, c in p.tree_complex(t).boundary_of(x).items())
+        return out
+
+    return rule
+
+
+def _contract_many(p, t, Z):
+    """Composite contraction of the edges Z of t (any fixed order)."""
+    cur = t
+    f = ChainMap.identity(p.tree_complex(t))
+    for e in sorted(Z, key=cluster_key):
+        f = f.then(p.contract_map(cur, e))
+        cur = cur.contract(e)
+    return cur, f
+
+
+def _labelwise_theta(p, U):
+    """The slot-U component of theta, theta_cells, fragments and the
+    contraction of each fragment's zero coordinates rebuilt for every
+    label and family cell."""
+    field = p.field
+    one = field.one
+    wU = wbar(field, U)
+    uvs = U.vertices()
+
+    def rule(d, lab):
+        T, S, x = lab
+        if T.n == 1:
+            return [(("h", (), ()), 1)]
+        if not U.leq(T):
+            return []
+        th = theta_cells(field, T, U)
+        frs = fragments(T, U)
+        fts = [frs[v].tree for v in uvs]
+        order = [frs[v].to_global[w] for v, ft in zip(uvs, fts)
+                 for w in ft.vertices()]
+        at = {w: k for k, w in enumerate(order)}
+        degs = p._degrees(T, x)
+        xr, s1 = _place(field, x, degs, [at[w] for w in T.vertices()])
+        chunks = _chunks(xr, [ft.num_vertices for ft in fts])
+        dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+        out = []
+        for dU in wU.degrees():
+            s2 = _sgn(field, sum(degs) * dU)
+            for cU in wU.basis[dU]:
+                img = th.apply(len(S) + dU, {(_w_cell(T, S), cU): one})
+                for famcell, cth in img.items():
+                    dcs = [wbar(field, ft).label_degree[c]
+                           for ft, c in zip(fts, famcell)]
+                    vals = {(): field.mul(field.mul(cth, s1), field.mul(
+                        s2, _interleave_sign(field, dxs, dcs)))}
+                    for ft, c, chunk, dx in zip(fts, famcell, chunks, dxs):
+                        Z = [tok for tok, val in zip(_wbar_tokens(ft), c)
+                             if val == 0]
+                        cur, fmap = _contract_many(p, ft, Z)
+                        img2 = fmap.apply(dx, {chunk: one})
+                        vals = _tensor_vecs(field, vals, {
+                            ((cur, l2),): c2 for l2, c2 in img2.items()})
+                    out.extend((("h", cU, acc), cc)
+                               for acc, cc in vals.items())
+        return out
+
+    return rule
+
+
+WINDOW_OPERADS = [
+    pytest.param(lambda: ass(4, F2), id="ass-f2"),
+    pytest.param(lambda: trivial_operad(
+        symseq_from_degrees(QQ, 4, {2: [0, 1]})), id="trivial01-q"),
+]
+
+
+@pytest.mark.parametrize("make", WINDOW_OPERADS)
+def test_closed_forms_match_labelwise_reference(make):
+    p = make()
+    for construct, move, boundary in (
+            (bar, _bar_move, _labelwise_bar_boundary),
+            (w_construction, _w_move, _labelwise_w_boundary)):
+        q = construct(p, 4)
+        for n in range(1, 5):
+            term = q.term(n)
+            ref = ChainComplex.from_rule(p.field, term.basis, boundary(p))
+            assert ref.diff == term.diff, (construct.__name__, n)
+            for i in range(1, n):
+                sigma = adjacent_transposition(n, i)
+                assert q.sigma_adj(n, i) == _labelwise_action(
+                    p, term, sigma, move), (construct.__name__, n, i)
+
+
+@pytest.mark.parametrize("make", WINDOW_OPERADS)
+def test_theta_components_match_labelwise_reference(make):
+    p = make()
+    wp = w_construction(p, 4)
+    q = extend_cooperad(bar(p, 4))
+    for U in enumerate_trees(4):
+        hom = hom_complex(wbar(p.field, U), q.term(U))
+        if not hom.total_dim():
+            continue
+        fast = ChainMap.from_rule(wp.term(4), hom, _theta_rule(p, U))
+        assert fast == ChainMap.from_rule(wp.term(4), hom,
+                                          _labelwise_theta(p, U)), U
+
+
+def test_structure_maps_built_once_per_key(monkeypatch):
+    p = ass(4, F2)
+    keyers = ((SymSeq, "tree_relabel",
+               lambda t, sigma: (t, tuple(sorted(sigma.items())))),
+              (Operad, "contract_map", lambda t, e: (t, e)))
+    for construct in (bar, w_construction):
+        keys = {name: [] for _, name, _ in keyers}
+        with monkeypatch.context() as m:
+            for cls, name, key in keyers:
+                def counted(self, t, arg, orig=getattr(cls, name), name=name,
+                            key=key):
+                    keys[name].append(key(t, arg))
+                    return orig(self, t, arg)
+
+                m.setattr(cls, name, counted)
+            construct(p, 4)
+        for name, built in keys.items():
+            assert built, (construct.__name__, name)
+            assert len(built) == len(set(built)), (construct.__name__, name)
+    cells = []
+
+    def counted_cells(field, T, U, orig=barcobar.theta_cells):
+        cells.append((T, U))
+        return orig(field, T, U)
+
+    monkeypatch.setattr(barcobar, "theta_cells", counted_cells)
+    theta(ass(3, F2), 3)
+    assert cells and len(cells) == len(set(cells))

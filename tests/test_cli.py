@@ -145,9 +145,22 @@ def test_input_errors(capsys, tmp_path):
     listed.write_text(json.dumps([{"gens": {"2": [0]}}]))
     badgen = tmp_path / "badgen.json"
     badgen.write_text(json.dumps({"gens": {"2": [0, "x"]}}))
+    nodegree = tmp_path / "nodegree.json"
+    nodegree.write_text(json.dumps(
+        {"max_arity": 2, "terms": {"2": {"basis": [{"name": "x"}]}}}))
+    badarity = tmp_path / "badarity.json"
+    badarity.write_text(json.dumps({"max_arity": "two", "terms": {}}))
+    lowgen = tmp_path / "lowgen.json"
+    lowgen.write_text(json.dumps({"max_arity": 2, "gens": {"2": [0]}}))
+    lowfile = tmp_path / "lowfile.json"
+    lowfile.write_text(json.dumps({"max_arity": 2, "terms": {}}))
     for argv in (("bar", "--operad", f"trivial:{listed}"),
                  ("bar", "--operad", f"file:{listed}"),
                  ("bar", "--operad", f"trivial:{badgen}"),
+                 ("bar", "--operad", f"file:{nodegree}"),
+                 ("bar", "--operad", f"file:{badarity}"),
+                 ("bar", "--operad", f"trivial:{lowgen}", "--max-arity", "4"),
+                 ("bar", "--operad", f"file:{lowfile}", "--max-arity", "4"),
                  ("bar", "--operad", "com", "--truncate", "-1"),
                  ("bar", "--operad", "com", "--max-arity", "3",
                   "--truncate", "9")):
