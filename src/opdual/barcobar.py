@@ -89,7 +89,8 @@ def _window(build):
     request. A map build opens one for the structure maps of its trees
     (relabelings, contractions, theta_cells), so each of them is built
     and verified once per build, not once per basis label, and is
-    dropped with the build."""
+    dropped with the build; theta_star opens one for its whole family of
+    maps."""
     maps = {}
 
     def get(*key):
@@ -1227,15 +1228,22 @@ def co_w_resolution(q: PreCooperad, N, cw: CoWPreCooperad | None = None):
 
 # -- comparison of the bar-cobar composite with the co-W-construction -----
 
-def _theta_star_vertex(cq: CobarOperad, Vt: Tree, Ut: Tree, xt, rt, drt):
+def _theta_star_cut(field, Vt: Tree, Ut: Tree):
+    """theta_cells(Vt, Ut) and the fragment trees of Vt over the vertices
+    of Ut."""
+    frs = fragments(Vt, Ut)
+    return theta_cells(field, Vt, Ut), [frs[w].tree for w in Ut.vertices()]
+
+
+def _theta_star_vertex(cq: CobarOperad, cuts, Vt: Tree, Ut: Tree, xt, rt,
+                       drt):
     """One vertex of theta_star: the relative cell rt of the fragment Vt
     traded by theta_cells for family cells over the bar tree Ut, and the
-    cobar labels xt evaluated on them."""
+    cobar labels xt evaluated on them; cuts(Vt, Ut) is
+    _theta_star_cut(field, Vt, Ut)."""
     field = cq.field
-    fam = theta_cells(field, Vt, Ut).apply(
-        drt + Ut.num_vertices, {(rt, _wbar_top(Ut)): field.one})
-    frs = fragments(Vt, Ut)
-    wts = [frs[w].tree for w in Ut.vertices()]
+    th, wts = cuts(Vt, Ut)
+    fam = th.apply(drt + Ut.num_vertices, {(rt, _wbar_top(Ut)): field.one})
     dxs = cq._degrees(Ut, xt)
     step = {}
     for fc, cf in fam.items():
@@ -1245,9 +1253,11 @@ def _theta_star_vertex(cq: CobarOperad, Vt: Tree, Ut: Tree, xt, rt, drt):
     return step
 
 
-def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End):
+def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End,
+                     cuts):
     """theta_star at the tree T, on a label of extend(bar(cq))(T): one bar
-    label (Ut, xt) per vertex t of T."""
+    label (Ut, xt) per vertex t of T. cuts is the window of
+    _theta_star_cut."""
     field = q.field
     if T.n == 1:
         ul = q.term(T).basis[0][0]
@@ -1290,7 +1300,7 @@ def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End):
                         _interleave_sign(field, bdegs, drts))}
                     for (Ut, xt), Vt, rt, drt in zip(lab, fts, rts, drts):
                         terms = _tensor_vecs(field, terms, _theta_star_vertex(
-                            cq, Vt, Ut, xt, rt, drt))
+                            cq, cuts, Vt, Ut, xt, rt, drt))
                         if not terms:
                             break
                     if not terms:
@@ -1327,11 +1337,15 @@ def theta_star(q: PreCooperad, N, cq: CobarOperad | None = None,
         bcq = extend_cooperad(bar(cq, N))
     if cw is None:
         cw = co_w(q, N)
+    # one window for the whole family: the fragment pairs (Vt, Ut) recur
+    # across the trees T, and a window per T builds 187 theta_cells for
+    # 89 pairs on com at arity 4
+    cuts = _window(functools.partial(_theta_star_cut, q.field))
     out = {}
     for n in range(1, N + 1):
         for T in enumerate_trees(n):
             en = cw.end_at(T)
             G = ChainMap.from_rule(bcq.term(T), en.total,
-                                   _theta_star_rule(q, cq, T, en))
+                                   _theta_star_rule(q, cq, T, en, cuts))
             out[T] = en.factor(G)
     return out

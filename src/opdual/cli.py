@@ -59,11 +59,31 @@ def _read_json_object(path: str, what: str) -> dict:
 def _sparse_to_images(triples, src_labels, tgt_labels, field):
     """Triples [row, col, val] -> per-source-label image dicts."""
     out = {l: {} for l in src_labels}
-    for row, col, val in triples:
-        if not (0 <= col < len(src_labels) and 0 <= row < len(tgt_labels)):
-            raise CliError(f"matrix entry [{row},{col}] out of range")
-        out[src_labels[col]][tgt_labels[row]] = field.of(val)
+    try:
+        for row, col, val in triples:
+            if not (isinstance(row, int) and isinstance(col, int)
+                    and 0 <= col < len(src_labels)
+                    and 0 <= row < len(tgt_labels)):
+                raise CliError(f"matrix entry [{row},{col}] is not an integer "
+                               f"index pair in range")
+            out[src_labels[col]][tgt_labels[row]] = field.of(val)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise CliError(f"bad matrix: each entry is [row, col, "
+                       f"value] with a value in the field ({e!r})")
     return out
+
+
+def _by_arity(blob, key: str, path: str) -> list:
+    """The entries of the JSON object blob[key] as (arity, value) pairs;
+    CliError unless it is an object keyed by integers."""
+    sec = blob.get(key, {})
+    if not isinstance(sec, dict):
+        raise CliError(f"operad spec {path}: {key} must be a JSON object")
+    try:
+        return [(int(k), v) for k, v in sec.items()]
+    except ValueError as e:
+        raise CliError(f"operad spec {path}: {key} must be keyed by "
+                       f"integer arities ({e})")
 
 
 def load_operad_spec(path: str, field: Field | None = None) -> Operad:
@@ -88,8 +108,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
 
     terms = {1: ChainComplex(field, {0: ["u"]}, {})}
     names = {1: ["u"]}
-    for key, tdata in blob.get("terms", {}).items():
-        n = int(key)
+    for n, tdata in _by_arity(blob, "terms", path):
         if n == 1:
             continue
         labels, degs = [], {}
@@ -115,12 +134,17 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
         names[n] = labels
 
     adjacents = {}
-    for key, sdata in blob.get("sigma", {}).items():
-        n = int(key)
+    for n, sdata in _by_arity(blob, "sigma", path):
         if n not in terms:
             raise CliError(f"sigma given for missing arity {n}")
+        if not isinstance(sdata, dict):
+            raise CliError(f"sigma for arity {n} must be a JSON object")
         for ik, triples in sdata.items():
-            i = int(ik[2:]) if ik.startswith("s_") else int(ik)
+            try:
+                i = int(ik[2:]) if ik.startswith("s_") else int(ik)
+            except ValueError:
+                raise CliError(f"sigma index {ik!r} for arity {n} is not "
+                               f"an integer")
             if not 1 <= i < n:
                 raise CliError(f"sigma index {i} out of range for arity {n}")
             imgs = _sparse_to_images(triples, names[n], names[n], field)
@@ -132,13 +156,21 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
                 raise CliError(f"sigma ({n},{i}): {e}")
 
     circ_imgs = {}
-    for c in blob.get("circ", []):
-        m, n, i = int(c["m"]), int(c["n"]), int(c["i"])
+    circs = blob.get("circ", [])
+    if not isinstance(circs, list):
+        raise CliError(f"operad spec {path}: circ must be a JSON list")
+    for c in circs:
+        try:
+            m, n, i = int(c["m"]), int(c["n"]), int(c["i"])
+            triples = c["matrix"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise CliError(f"operad spec {path}: each circ entry needs "
+                           f"integer m, n, i and a matrix ({e!r})")
         if m not in terms or n not in terms or m + n - 1 not in terms:
             raise CliError(f"circ ({m},{n},{i}) references a missing arity")
         pairs = [(a, b) for a in names[m] for b in names[n]]
         circ_imgs[(m, i, n)] = _sparse_to_images(
-            c["matrix"], pairs, names[m + n - 1], field)
+            triples, pairs, names[m + n - 1], field)
 
     def circ_builder(p, m, i, n):
         src = tensor_many(field, [p.term(m), p.term(n)])

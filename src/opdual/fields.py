@@ -15,30 +15,35 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _integral(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
     """A field of characteristic 0 (rationals) or p (integers mod p).
 
-    Elements are plain Fraction / int values; this object just supplies
-    the arithmetic so matrix code stays generic.
+    Elements are plain Python numbers; this object just supplies the
+    arithmetic so matrix code stays generic. Over Q an element is an int
+    when it is integral and a Fraction otherwise, so the common +-1 and
+    small integer scalars take int arithmetic; add, sub, mul and neg
+    keep ints as ints, and inv turns an integral result back into an int.
+    Over F_p an element is an int in 0..p-1. Mixed int and Fraction values
+    compare and hash equal, so either form may reach a Matrix.
     """
 
     def __init__(self, characteristic: int = 0):
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         self.char = characteristic
-        if characteristic == 0:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-        else:
-            self.zero = 0
-            self.one = 1
+        self.zero = 0
+        self.one = 1
 
     def of(self, x):
         """Coerce an int, Fraction, or 'a/b' string into this field."""
         if isinstance(x, str):
             x = Fraction(x)
         if self.char == 0:
-            return Fraction(x)
+            return int(x) if isinstance(x, int) else _integral(Fraction(x))
         if isinstance(x, Fraction):
             if x.denominator % self.char == 0:
                 raise ZeroDivisionError("denominator not invertible mod p")
@@ -60,7 +65,11 @@ class Field:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a if self.char == 0 else pow(a, -1, self.char)
+        if self.char:
+            return pow(a, -1, self.char)
+        if a == 1 or a == -1:
+            return int(a)
+        return _integral(Fraction(1) / a)
 
     def is_unit_entry(self, a):
         # pivots with value +-1 keep rational elimination fraction-free

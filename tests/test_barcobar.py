@@ -683,3 +683,7 @@ def test_structure_maps_built_once_per_key(monkeypatch):
     monkeypatch.setattr(barcobar, "theta_cells", counted_cells)
     theta(ass(3, F2), 3)
     assert cells and len(cells) == len(set(cells))
+    q = extend_cooperad(bar(ass(3, F2), 3))
+    cells.clear()
+    theta_star(q, 3)
+    assert cells and len(cells) == len(set(cells))

@@ -154,6 +154,22 @@ def test_input_errors(capsys, tmp_path):
     lowgen.write_text(json.dumps({"max_arity": 2, "gens": {"2": [0]}}))
     lowfile = tmp_path / "lowfile.json"
     lowfile.write_text(json.dumps({"max_arity": 2, "terms": {}}))
+    x = {"basis": [{"name": "x", "degree": 0}]}
+    malformed = [
+        {"max_arity": 2, "terms": {"x": {"basis": []}}},
+        {"max_arity": 2, "terms": []},
+        {"max_arity": 2, "terms": {}, "circ": [{"n": 2, "i": 1, "matrix": []}]},
+        {"max_arity": 2, "terms": {}, "circ": {"c": 1}},
+        {"max_arity": 2, "terms": {"2": dict(x, d=[[0]])}},
+        {"max_arity": 2, "terms": {"2": dict(x, d=[[0, 0, "a"]])}},
+        {"max_arity": 2, "terms": {"2": x}, "sigma": {"2": {"s_x": []}}},
+        {"max_arity": 2, "terms": {"2": x}, "sigma": {"2": []}},
+    ]
+    specs = []
+    for k, blob in enumerate(malformed):
+        spec = tmp_path / f"malformed{k}.json"
+        spec.write_text(json.dumps(blob))
+        specs.append(("bar", "--operad", f"file:{spec}", "--max-arity", "2"))
     for argv in (("bar", "--operad", f"trivial:{listed}"),
                  ("bar", "--operad", f"file:{listed}"),
                  ("bar", "--operad", f"trivial:{badgen}"),
@@ -163,7 +179,7 @@ def test_input_errors(capsys, tmp_path):
                  ("bar", "--operad", f"file:{lowfile}", "--max-arity", "4"),
                  ("bar", "--operad", "com", "--truncate", "-1"),
                  ("bar", "--operad", "com", "--max-arity", "3",
-                  "--truncate", "9")):
+                  "--truncate", "9"), *specs):
         code, cap = run(capsys, *argv)
         assert code == 2, argv
         assert cap.err.startswith("error: "), argv

@@ -2,9 +2,34 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from opdual.barcobar import bar, cobar, theta
 from opdual.fields import Field, QQ, F2
+from opdual.koszul import cb_to_kk, verify_kk
 from opdual.linalg import Matrix, Eliminator
+from opdual.operads import builtin_operad, extend_cooperad
+
+
+class FractionQ(Field):
+    """Q with every element a Fraction, integral or not: the slow path
+    that the int-when-integral elements of QQ must agree with exactly."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
+
+    def of(self, x):
+        return Fraction(x)
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
+
+
+FQ = FractionQ()
 
 
 def test_field_basics():
@@ -112,3 +137,96 @@ def test_eliminator_reduce_residual():
     for i in range(6):
         res, comb = elim.reduce({i: Fraction(1)})
         assert not (set(res) & elim.pivot_row_set)
+
+
+@st.composite
+def sparse_entries(draw, field, nrows=None, ncols=None):
+    """(nrows, ncols, {(i, j): Fraction}) with small numerators and, over
+    F_p, denominators prime to p; over Q some entries are true fractions."""
+    m = nrows or draw(st.integers(1, 6))
+    n = ncols or draw(st.integers(1, 6))
+    dens = [d for d in (1, 1, 2, 3, 5) if field.char == 0 or d % field.char]
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+        st.builds(Fraction, st.integers(-4, 4), st.sampled_from(dens)),
+        max_size=m * n))
+    return m, n, entries
+
+
+def _matrix(field, shape):
+    m, n, entries = shape
+    return Matrix(field, m, n, {ij: field.of(v) for ij, v in entries.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, F2, Field(3)])
+@given(data=st.data())
+def test_rank_property_against_dense_oracle(field, data):
+    a = _matrix(field, data.draw(sparse_entries(field)))
+    assert a.rank() == _dense_rank(a)
+
+
+@given(data=st.data())
+def test_int_scalars_agree_with_fraction_scalars(data):
+    shape = data.draw(sparse_entries(QQ))
+    m, n, _ = shape
+    b_shape = data.draw(sparse_entries(QQ, nrows=n))
+    a, af = _matrix(QQ, shape), _matrix(FQ, shape)
+    b, bf = _matrix(QQ, b_shape), _matrix(FQ, b_shape)
+    assert all(isinstance(v, int) == (Fraction(v).denominator == 1)
+               for v in a.data.values())
+    assert a == af and b == bf
+    assert a.rank() == af.rank()
+    assert a.nullspace() == af.nullspace()
+    ab, abf = a @ b, af @ bf
+    assert ab == abf
+    x = a.solve(ab)
+    assert x == af.solve(abf)
+    assert a @ x == ab
+
+
+@given(st.fractions(max_denominator=12) | st.integers(-10**20, 10**20))
+def test_qq_scalars_are_int_exactly_when_integral(x):
+    integral = Fraction(x).denominator == 1
+    for v in (x, Fraction(x), str(x)):
+        y = QQ.of(v)
+        assert y == x and (type(y) is int) == integral
+    if x != 0:
+        y = QQ.inv(x)
+        assert y == 1 / Fraction(x)
+        assert (type(y) is int) == ((1 / Fraction(x)).denominator == 1)
+
+
+def test_int_scalar_pipeline_matches_fraction_pipeline():
+    """bar, cobar, theta, cb_to_kk and verify_kk of com at arity 3 give
+    the same matrices and verdicts over QQ and over FractionQ."""
+    N = 3
+    runs = []
+    for field in (QQ, FQ):
+        p = builtin_operad("com", field, N)
+        bq = bar(p, N)
+        cb = cobar(extend_cooperad(bq), N)
+        th = theta(p, N, cb=cb)[2]
+        _, kkp, dd = cb_to_kk(p, N, cb=cb)
+        maps = []
+        for n in range(1, N + 1):
+            maps += [bq.term(n), cb.term(n), kkp.term(n), th[n], dd[n]]
+            maps += [q.sigma_adj(n, i) for q in (bq, cb) for i in range(1, n)]
+            for m in range(1, n + 1):
+                for i in range(1, m + 1):
+                    maps += [bq.cocirc(m, i, n - m + 1),
+                             cb.circ(m, i, n - m + 1)]
+        runs.append((maps, verify_kk(p, N)))
+    (maps_q, rep_q), (maps_f, rep_f) = runs
+    assert len(maps_q) == len(maps_f)
+    for mq, mf in zip(maps_q, maps_f):
+        assert mq == mf
+    assert rep_q == rep_f and rep_q.passed()
+
+    def values(maps):
+        for c in maps:
+            mats = c.diff.values() if hasattr(c, "diff") else c.mats.values()
+            for mat in mats:
+                yield from mat.data.values()
+
+    assert all(type(v) is int for v in values(maps_q))
+    assert all(type(v) is Fraction for v in values(maps_f))
