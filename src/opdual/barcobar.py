@@ -13,7 +13,13 @@ The mirrored constructions share one skeleton per step:
   _window            the structure maps of the trees of one map build,
                      each built once (closed forms, bar_map, theta)
   _closed_form       the closed-form bar and W terms and their actions
-  _Engine            the slots and relations common to Coend and End
+  _Engine            the slots and relations common to Coend and End;
+                     the sum of the slots has labels (tree, label), so
+                     each slot is read and written by its tag, and no
+                     inclusion or projection maps are built
+  hom_map            (from chain) f -> post f pre on Hom slots: the End
+                     legs, the cobar and co-W actions, compositions and
+                     covers, cobar_map and omega_sigma
   _end_map           ends mapped slot by slot, then factored (cobar_map,
                      theta, the co-W covers; _into_end for any source)
   _end_relabel       the symmetric action on cobar and co-W
@@ -38,9 +44,8 @@ import itertools
 
 from .chain import (
     ChainComplex, ChainMap, _graded_basis, _place, cokernel_complex,
-    direct_sum, hom_complex, hom_postcompose, hom_precompose,
-    hom_tensor_interchange, kernel_complex, shift, tensor_many,
-    tensor_map_many, zero_complex,
+    direct_sum, hom_complex, hom_map, hom_tensor_interchange,
+    kernel_complex, shift, tensor_many, tensor_map_many, zero_complex,
 )
 from .cubes import (
     STAR, _chunks, _fam_ids, _move_cell, _move_family_cells, _rel_tokens,
@@ -193,16 +198,17 @@ def precooperad_diagram(q: PreCooperad, n, validate=False) -> TreeDiagram:
 
 class _Engine:
     """What Coend and End share: one complex per tree of the arity (the
-    slots), their direct sum, and the relations t < u of the preorder
-    with the two diagram maps along each."""
+    slots), their direct sum `total`, whose labels (t, label) address the
+    slot at t by its tag, and the relations t < u of the preorder with
+    the two diagram maps along each."""
 
     def __init__(self, weights: TreeDiagram, coeffs: TreeDiagram, slots):
         self.field = weights.field
         self.weights = weights
         self.coeffs = coeffs
         self.trees = weights.trees
-        self.total, self.incs, self.projs = direct_sum(
-            self.field, [(t, slots[t]) for t in self.trees])
+        self.total = direct_sum(self.field,
+                                [(t, slots[t]) for t in self.trees])
 
     def _relations(self, relations):
         """(t, u, weight map, coefficient map) getters per relation: the
@@ -227,33 +233,35 @@ class Coend(_Engine):
                       for t in weights.trees}
         super().__init__(weights, coeffs, self.slots)
         summands = []
-        legs = {}
+        legs = {}   # relation -> the maps fwd (x) id and id (x) bwd
         for t, u, wmap, cmap in self._relations(relations):
             src = tensor_many(field, [weights.term(t), coeffs.term(u)])
             if src.total_dim() == 0:
                 continue
-            fwd, bwd = wmap(t, u), cmap(t, u)
-            leg1 = tensor_map_many(
-                field, [fwd, ChainMap.identity(coeffs.term(u))],
-                source=src, target=self.slots[u]).then(self.incs[u])
-            leg2 = tensor_map_many(
-                field, [ChainMap.identity(weights.term(t)), bwd],
-                source=src, target=self.slots[t]).then(self.incs[t])
             summands.append(((t, u), src))
-            legs[(t, u)] = leg1 - leg2
-        if summands:
-            relsrc, _, _ = direct_sum(field, summands)
-            self.rel = ChainMap.from_rule(
-                relsrc, self.total,
-                lambda d, lab: list(legs[lab[0]].apply(
-                    d, {lab[1]: field.one}).items()))
-        else:
-            self.rel = ChainMap.zero(zero_complex(field), self.total)
+            legs[(t, u)] = (
+                tensor_map_many(
+                    field, [wmap(t, u), ChainMap.identity(coeffs.term(u))],
+                    source=src, target=self.slots[u]),
+                tensor_map_many(
+                    field, [ChainMap.identity(weights.term(t)), cmap(t, u)],
+                    source=src, target=self.slots[t]))
+
+        def rule(d, lab):
+            (t, u), l = lab
+            fwd, bwd = legs[(t, u)]
+            vec = {l: field.one}
+            return ([((u, l2), c) for l2, c in fwd.apply(d, vec).items()] +
+                    [((t, l2), field.neg(c))
+                     for l2, c in bwd.apply(d, vec).items()])
+
+        self.rel = ChainMap.from_rule(direct_sum(field, summands), self.total,
+                                      rule)
         self.complex, self.proj, self.sect = cokernel_complex(self.rel)
 
     def class_of(self, t, degree, vec):
         """Class in the coend of an element of the slot at t."""
-        return self.incs[t].then(self.proj).apply(degree, vec)
+        return self.proj.apply(degree, {(t, l): c for l, c in vec.items()})
 
     def map_out(self, G: ChainMap) -> ChainMap:
         """Induce a map coend -> Z from G: total -> Z killing the
@@ -284,24 +292,25 @@ class End(_Engine):
                 continue
             summands.append(((t, u), tgt))
             legs.setdefault(t, []).append(
-                ((t, u), hom_postcompose(self.homs[t], cmap(t, u), tgt), False))
+                ((t, u), hom_map(self.homs[t], tgt, post=cmap(t, u)), False))
             legs.setdefault(u, []).append(
-                ((t, u), hom_precompose(self.homs[u], wmap(t, u), tgt), True))
-        if summands:
-            reltgt, _, _ = direct_sum(field, summands)
+                ((t, u), hom_map(self.homs[u], tgt, pre=wmap(t, u)), True))
 
-            def rule(d, lab):
-                return [((key, l2), field.neg(c) if negate else c)
-                        for key, f, negate in legs.get(lab[0], ())
-                        for l2, c in f.apply(d, {lab[1]: field.one}).items()]
+        def rule(d, lab):
+            return [((key, l2), field.neg(c) if negate else c)
+                    for key, f, negate in legs.get(lab[0], ())
+                    for l2, c in f.apply(d, {lab[1]: field.one}).items()]
 
-            self.diff_map = ChainMap.from_rule(self.total, reltgt, rule)
-        else:
-            self.diff_map = ChainMap.zero(self.total, zero_complex(field))
+        self.diff_map = ChainMap.from_rule(
+            self.total, direct_sum(field, summands), rule)
         self.complex, self.incl = kernel_complex(self.diff_map)
 
     def component(self, t) -> ChainMap:
-        return self.incl.then(self.projs[t])
+        """The slot-t part of the kernel inclusion."""
+        one = self.field.one
+        return ChainMap.from_rule(self.complex, self.homs[t], lambda d, l: [
+            (h, c) for (T, h), c in self.incl.apply(d, {l: one}).items()
+            if T == t])
 
     def factor(self, G: ChainMap) -> ChainMap:
         """Factor G: X -> total through the kernel inclusion."""
@@ -351,10 +360,9 @@ def _end_relabel(q: PreCooperad, e1: End, e2: End, sigma,
         if e1.homs[T].total_dim() == 0:
             continue
         T2 = T.relabel(sigma)
-        mid = hom_complex(e1.weights.term(T), q.term(T2))
-        fwd = hom_postcompose(e1.homs[T], q.relabel_map(T, sigma), mid)
-        back = hom_precompose(mid, weight_relabel(T2, inv), e2.homs[T2])
-        comp[T] = (T2, fwd.then(back))
+        comp[T] = (T2, hom_map(e1.homs[T], e2.homs[T2],
+                               pre=weight_relabel(T2, inv),
+                               post=q.relabel_map(T, sigma)))
     return _end_map(e1, e2, comp)
 
 
@@ -377,15 +385,11 @@ def _end_graft(q: PreCooperad, i, e1: End, e2: End, ev: End, split,
         homT, homU = e1.homs[T], e2.homs[U]
         if homT.total_dim() == 0 or homU.total_dim() == 0:
             continue
-        wT, wU = e1.weights.term(T), e2.weights.term(U)
-        QT, QU = q.term(T), q.term(U)
-        QTU = tensor_many(field, [QT, QU])
-        mid = hom_complex(tensor_many(field, [wT, wU]), QTU)
-        J = hom_tensor_interchange(homT, homU, wT, QT, wU, QU, target=mid)
-        P1 = hom_precompose(mid, weight_split(V, T, U),
-                            hom_complex(ev.weights.term(V), QTU))
-        P2 = hom_postcompose(P1.target, q.m_map(T, i, U), ev.homs[V])
-        comp[(T, U)] = (V, J.then(P1).then(P2))
+        J = hom_tensor_interchange(homT, homU, e1.weights.term(T), q.term(T),
+                                   e2.weights.term(U), q.term(U))
+        comp[(T, U)] = (V, J.then(hom_map(
+            J.target, ev.homs[V], pre=weight_split(V, T, U),
+            post=q.m_map(T, i, U))))
 
     def rule(d, pair):
         l1, l2 = pair
@@ -694,7 +698,7 @@ def cobar_map(c1: CobarOperad, c2: CobarOperad, fam: dict, N) -> dict:
     out = {}
     for n in range(1, N + 1):
         e1, e2 = c1.ends[n], c2.ends[n]
-        comp = {T: (T, hom_postcompose(e1.homs[T], fam[T], e2.homs[T]))
+        comp = {T: (T, hom_map(e1.homs[T], e2.homs[T], post=fam[T]))
                 for T in e1.trees if e1.homs[T].total_dim()}
         out[n] = _end_map(e1, e2, comp)
     return out
@@ -795,7 +799,7 @@ def omega_sigma(a, N) -> Operad:
             f = a.sigma_adj(n, i)
             sf = ChainMap(sus[n], sus[n],
                           {k + 1: f.matrix(k) for k in a.term(n).degrees()})
-            adjacents[(n, i)] = hom_postcompose(terms[n], sf, terms[n])
+            adjacents[(n, i)] = hom_map(terms[n], terms[n], post=sf)
 
     return Operad(field, N, terms, adjacents, _trivial_circ,
                   name=f"omega_sigma({a.name})" if a.name else "omega_sigma")
@@ -1158,9 +1162,9 @@ class CoWPreCooperad(PreCooperad):
     def _cover_map(self, t, u, e):
         field = self.field
         et, eu = self.end_at(t), self.end_at(u)
-        comp = {U: (U, hom_precompose(
-                    et.homs[U], face_inclusion(field, "j", (U, u), (U, t)),
-                    eu.homs[U]))
+        comp = {U: (U, hom_map(
+                    et.homs[U], eu.homs[U],
+                    pre=face_inclusion(field, "j", (U, u), (U, t))))
                 for U in et.trees if u.leq(U)}
         return _end_map(et, eu, comp)
 

@@ -247,13 +247,9 @@ class ChainMap:
         return f"ChainMap(deg={self.degree}, {self.source!r} -> {self.target!r})"
 
 
-def compose(g: ChainMap, f: ChainMap) -> ChainMap:
-    return f.then(g)
-
-
-def direct_sum(field, summands):
-    """summands: list of (tag, ChainComplex). Returns (C, inclusions, projections)
-    with labels (tag, original label)."""
+def direct_sum(field, summands) -> ChainComplex:
+    """summands: list of (tag, ChainComplex). The sum, with labels
+    (tag, original label); no summands give the zero complex."""
     basis = {}
     for tag, c in summands:
         for d, labels in c.basis.items():
@@ -264,16 +260,7 @@ def direct_sum(field, summands):
         tag, l = lab
         return [((tag, l2), v) for l2, v in lookup[tag].boundary_of(l).items()]
 
-    total = ChainComplex.from_rule(field, basis, rule, check=False)
-    incs = {}
-    projs = {}
-    for tag, c in summands:
-        incs[tag] = ChainMap.from_rule(
-            c, total, lambda d, l, t=tag: [((t, l), 1)], check=False)
-        projs[tag] = ChainMap.from_rule(
-            total, c, lambda d, lab, t=tag: [(lab[1], 1)] if lab[0] == t else [],
-            check=False)
-    return total, incs, projs
+    return ChainComplex.from_rule(field, basis, rule, check=False)
 
 
 def _graded_basis(labeled):
@@ -523,48 +510,38 @@ def map_to_hom_elem(f: ChainMap) -> dict:
     return vec
 
 
-def hom_postcompose(homab: ChainComplex, psi: ChainMap,
-                    homab2: ChainComplex) -> ChainMap:
-    """hom(A,B) -> hom(A,B') given psi: B -> B' of degree 0."""
-    field = psi.source.field
+def hom_map(homab: ChainComplex, homcd: ChainComplex, pre: ChainMap = None,
+            post: ChainMap = None) -> ChainMap:
+    """hom(A,B) -> hom(C,D), f -> post f pre, given pre: C -> A and
+    post: B -> D of degree 0; a missing one is the identity."""
+    field = homab.field
+    one = field.one
+    # for each la in A, the C-elements pre sends onto it
+    back = {}
+    if pre is not None:
+        for k in pre.source.degrees():
+            src_labels = pre.source.basis[k]
+            tgt_labels = pre.target.basis.get(k, ())
+            for (i, j), v in pre.matrix(k).data.items():
+                back.setdefault(tgt_labels[i], []).append((src_labels[j], v))
 
     def rule(s, lab):
         _, la, lb = lab
-        k = psi.source.label_degree[lb]
-        return [(("h", la, lb2), v)
-                for lb2, v in psi.apply(k, {lb: field.one}).items()]
+        las = [(la, one)] if pre is None else back.get(la, ())
+        lbs = [(lb, one)] if post is None else post.apply(
+            post.source.label_degree[lb], {lb: one}).items()
+        return [(("h", la2, lb2), field.mul(ca, cb))
+                for la2, ca in las for lb2, cb in lbs]
 
-    return ChainMap.from_rule(homab, homab2, rule)
-
-
-def hom_precompose(homab: ChainComplex, phi: ChainMap,
-                   homa2b: ChainComplex) -> ChainMap:
-    """hom(A,B) -> hom(A',B) given phi: A' -> A of degree 0 (f -> f phi)."""
-    field = phi.source.field
-    # for each la in A, the A'-elements mapping onto it
-    pre = {}
-    for k in phi.source.degrees():
-        m = phi.matrix(k)
-        src_labels = phi.source.basis[k]
-        tgt_labels = phi.target.basis.get(k, ())
-        for (i, j), v in m.data.items():
-            pre.setdefault(tgt_labels[i], []).append((src_labels[j], v))
-
-    def rule(s, lab):
-        _, la, lb = lab
-        return [(("h", la2, lb), v) for la2, v in pre.get(la, ())]
-
-    return ChainMap.from_rule(homab, homa2b, rule)
+    return ChainMap.from_rule(homab, homcd, rule)
 
 
-def hom_tensor_interchange(homab, homcd, a, b, c, d, target=None) -> ChainMap:
+def hom_tensor_interchange(homab, homcd, a, b, c, d) -> ChainMap:
     """hom(A,B) (x) hom(C,D) -> hom(A(x)C, B(x)D), the map realizing
     (f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y)."""
     field = a.field
     src = tensor_many(field, [homab, homcd])
-    if target is None:
-        target = hom_complex(tensor_many(field, [a, c]),
-                             tensor_many(field, [b, d]))
+    target = hom_complex(tensor_many(field, [a, c]), tensor_many(field, [b, d]))
 
     def rule(s, tup):
         (_, la, lb), (_, lc, ld) = tup

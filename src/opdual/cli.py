@@ -40,7 +40,10 @@ def _field_from_spec(blob, fallback: Field) -> Field:
     if fs == "Q":
         return Field(0)
     if isinstance(fs, dict) and "p" in fs:
-        return Field(int(fs["p"]))
+        try:
+            return Field(int(fs["p"]))
+        except (TypeError, ValueError) as e:
+            raise CliError(f"bad field entry {fs!r} in operad spec: {e}")
     raise CliError(f"bad field entry {fs!r} in operad spec")
 
 
@@ -217,6 +220,9 @@ def load_symseq_spec(path: str, field: Field, N: int):
     if top < N:
         raise CliError(f"generator spec {path} has max_arity {top}, below "
                        f"--max-arity {N}")
+    if any(n > top for n in gens):
+        raise CliError(f"generator spec {path} has generators in arity "
+                       f"{max(gens)}, above its max_arity {top}")
     return symseq_from_degrees(field, top, gens)
 
 
@@ -403,6 +409,10 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (ValueError, AssertionError) as e:
+        # an invariant check (d^2 = 0, the chain-map law) failed
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

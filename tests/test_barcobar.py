@@ -4,9 +4,10 @@ import random
 import pytest
 
 from opdual import barcobar
-from opdual.fields import QQ, F2
+from opdual.fields import QQ, F2, Field
 from opdual.chain import (
-    ChainComplex, ChainMap, _place, hom_complex, is_quasi_iso, tensor_map_many,
+    ChainComplex, ChainMap, _place, hom_complex, hom_elem_to_map, hom_map,
+    is_quasi_iso, tensor_map_many,
 )
 from opdual.trees import (
     Tree, _token_image, adjacent_transposition, canonical_form, cluster_key,
@@ -29,6 +30,8 @@ from opdual.barcobar import (
     transpose_to_precooperad, w_construction, w_engine, w_resolution,
     wbar_diagram,
 )
+
+from test_chain import random_complex
 
 BIN3 = canonical_form([[1, 2], 3])
 BIN4 = canonical_form([[[1, 2], 3], 4])
@@ -687,3 +690,101 @@ def test_structure_maps_built_once_per_key(monkeypatch):
     cells.clear()
     theta_star(q, 3)
     assert cells and len(cells) == len(set(cells))
+
+
+# -- tag-addressed engine slots and hom_map: fast path = slow path --------
+
+def _inclusions_projections(eng, slots):
+    """Per slot tree t, the inclusion slots[t] -> eng.total and the
+    projection back, each built by a rule as a chain map."""
+    incs, projs = {}, {}
+    for t in eng.trees:
+        incs[t] = ChainMap.from_rule(
+            slots[t], eng.total, lambda d, l, t=t: [((t, l), 1)], check=False)
+        projs[t] = ChainMap.from_rule(
+            eng.total, slots[t],
+            lambda d, lab, t=t: [(lab[1], 1)] if lab[0] == t else [],
+            check=False)
+    return incs, projs
+
+
+def _postcompose(homab, psi, homab2):
+    """hom(A,B) -> hom(A,B'), f -> psi f."""
+    one = psi.source.field.one
+    return ChainMap.from_rule(homab, homab2, lambda s, lab: [
+        (("h", lab[1], lb2), v) for lb2, v in psi.apply(
+            psi.source.label_degree[lab[2]], {lab[2]: one}).items()])
+
+
+def _precompose(homab, phi, homa2b):
+    """hom(A,B) -> hom(A',B), f -> f phi."""
+    pre = {}
+    for k in phi.source.degrees():
+        src = phi.source.basis[k]
+        tgt = phi.target.basis.get(k, ())
+        for (i, j), v in phi.matrix(k).data.items():
+            pre.setdefault(tgt[i], []).append((src[j], v))
+    return ChainMap.from_rule(homab, homa2b, lambda s, lab: [
+        (("h", la2, lab[2]), v) for la2, v in pre.get(lab[1], ())])
+
+
+@pytest.mark.parametrize("name, field", [("ass", F2), ("com", QQ)],
+                         ids=["ass-f2", "com-q"])
+def test_class_of_matches_inclusion_then_projection(name, field):
+    p = builtin_operad(name, field, 3)
+    bp = bbar(p, 3)
+    coends = [bar_engine(p, 3), w_engine(p, 3)] + [
+        bp.coend_at(T) for T in enumerate_trees(3)]
+    for eng in coends:
+        incs, _ = _inclusions_projections(eng, eng.slots)
+        for t in eng.trees:
+            ref = incs[t].then(eng.proj)
+            for d, labels in eng.slots[t].basis.items():
+                for l in labels:
+                    assert eng.class_of(t, d, {l: field.one}) == \
+                        ref.apply(d, {l: field.one}), (t, l)
+                vec = {l: field.of(k + 1) for k, l in enumerate(labels)}
+                assert eng.class_of(t, d, vec) == ref.apply(d, vec), (t, d)
+
+
+def test_component_matches_inclusion_then_projection():
+    q = extend_cooperad(bar(com(3), 3))
+    cw = co_w(q, 3)
+    ends = [cobar(q, 3).ends[3]] + [cw.end_at(T) for T in enumerate_trees(3)]
+    for en in ends:
+        _, projs = _inclusions_projections(en, en.homs)
+        for t in en.trees:
+            comp = en.component(t)
+            assert comp.target is en.homs[t]
+            assert comp == en.incl.then(projs[t]), t
+
+
+def _random_chain_map(rng, field, a, b):
+    """A random degree-0 chain map a -> b: a random sum of a basis of the
+    cycles of hom(a, b) in degree 0."""
+    h = hom_complex(a, b)
+    labels = h.basis.get(0, ())
+    vec = {}
+    for z in h.d_matrix(0).nullspace():
+        c = field.of(rng.randint(-2, 2))
+        for i, v in z.items():
+            vec[labels[i]] = field.add(vec.get(labels[i], field.zero),
+                                       field.mul(c, v))
+    vec = {l: v for l, v in vec.items() if v != field.zero}
+    return hom_elem_to_map(h, vec, a, b, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3)], ids=["q", "f3"])
+def test_hom_map_matches_pre_and_post_composition(field):
+    rng = random.Random(13)
+    for _ in range(6):
+        a, b, c, d = (random_complex(rng, field, tag=x) for x in "abcd")
+        pre = _random_chain_map(rng, field, c, a)
+        post = _random_chain_map(rng, field, b, d)
+        homab, homcb = hom_complex(a, b), hom_complex(c, b)
+        homad, homcd = hom_complex(a, d), hom_complex(c, d)
+        assert hom_map(homab, homcb, pre=pre) == _precompose(homab, pre, homcb)
+        post_ref = _postcompose(homab, post, homad)
+        assert hom_map(homab, homad, post=post) == post_ref
+        assert hom_map(homab, homcd, pre=pre, post=post) == \
+            post_ref.then(_precompose(homad, pre, homcd))

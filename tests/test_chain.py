@@ -10,8 +10,8 @@ from opdual.chain import (
     ChainComplex, ChainMap, interval, k_complex, zero_complex, direct_sum,
     tensor_many, tensor_map_many, permute_factors_map, shift, linear_dual,
     dual_map, dual_pairing, double_dual_iso, cone, is_quasi_iso,
-    hom_complex, hom_elem_to_map, map_to_hom_elem, hom_postcompose,
-    hom_precompose, hom_tensor_interchange, kernel_complex,
+    hom_complex, hom_elem_to_map, map_to_hom_elem, hom_map,
+    hom_tensor_interchange, kernel_complex,
     cokernel_complex, kernel_cokernel, koszul_sign,
 )
 
@@ -29,8 +29,7 @@ def random_complex(rng, field, degs=(-1, 0, 1, 2), maxdim=3, tag="x"):
             pieces.append((f"{tag}i{i}", shift(interval(field), s)))
         else:
             pieces.append((f"{tag}k{i}", k_complex(field, s, f"{tag}g{i}")))
-    total, _, _ = direct_sum(field, pieces)
-    return total
+    return direct_sum(field, pieces)
 
 
 def test_interval():
@@ -53,10 +52,17 @@ def test_duplicate_labels_rejected():
 
 
 def test_direct_sum():
-    c, incs, projs = direct_sum(QQ, [("a", k_complex(QQ, 0)), ("b", k_complex(QQ, 1))])
-    assert c.dims() == {0: 1, 1: 1}
-    assert c.d_matrix(1).is_zero()
-    assert incs["a"].then(projs["a"]) == ChainMap.identity(k_complex(QQ, 0))
+    a, b = interval(QQ), shift(interval(QQ), 1)
+    c = direct_sum(QQ, [("a", a), ("b", b)])
+    assert c.basis == {0: (("a", "g0"), ("a", "g1")),
+                       1: (("a", "g"), ("b", "g0"), ("b", "g1")),
+                       2: (("b", "g"),)}
+    # block diagonal: each summand's boundary, inside its own tag
+    for tag, x in (("a", a), ("b", b)):
+        for l in x.label_degree:
+            assert c.boundary_of((tag, l)) == {
+                (tag, l2): v for l2, v in x.boundary_of(l).items()}
+    assert direct_sum(QQ, []) == zero_complex(QQ)
 
 
 def test_tensor():
@@ -196,10 +202,13 @@ def test_hom_pre_post_compose_are_chain_maps():
     col = ChainMap.from_rule(h, pt, lambda d, l: [("p", 1)] if d == 0 else [])
     inc = ChainMap.from_rule(pt, h, lambda d, l: [("g1", 1)])
     homhh = hom_complex(h, h)
-    homhp = hom_complex(h, pt)
-    homph = hom_complex(pt, h)
-    hom_postcompose(homhh, col, homhp)   # verifies chain-map law on build
-    hom_precompose(homhh, inc, homph)
+    # each build verifies the chain-map law
+    hom_map(homhh, hom_complex(h, pt), post=col)
+    hom_map(homhh, hom_complex(pt, h), pre=inc)
+    both = hom_map(homhh, hom_complex(pt, pt), pre=inc, post=col)
+    # f -> col f inc sends the identity of h to col inc, the identity of pt
+    assert both.apply(0, map_to_hom_elem(ChainMap.identity(h))) == {
+        ("h", "p", "p"): 1}
 
 
 def test_hom_tensor_interchange_chain_map():

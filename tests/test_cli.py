@@ -154,6 +154,18 @@ def test_input_errors(capsys, tmp_path):
     lowgen.write_text(json.dumps({"max_arity": 2, "gens": {"2": [0]}}))
     lowfile = tmp_path / "lowfile.json"
     lowfile.write_text(json.dumps({"max_arity": 2, "terms": {}}))
+    fieldx = tmp_path / "fieldx.json"
+    fieldx.write_text(json.dumps({"field": {"p": "x"}, "gens": {"2": [0]}}))
+    field4 = tmp_path / "field4.json"
+    field4.write_text(json.dumps({"field": {"p": 4}, "gens": {"2": [0]}}))
+    filefield4 = tmp_path / "filefield4.json"
+    filefield4.write_text(json.dumps(
+        {"field": {"p": 4}, "max_arity": 2, "terms": {}}))
+    highgen = tmp_path / "highgen.json"
+    highgen.write_text(json.dumps({"gens": {"2": [0], "5": [1]},
+                                   "max_arity": 4}))
+    highdefault = tmp_path / "highdefault.json"
+    highdefault.write_text(json.dumps({"gens": {"2": [0], "5": [1]}}))
     x = {"basis": [{"name": "x", "degree": 0}]}
     malformed = [
         {"max_arity": 2, "terms": {"x": {"basis": []}}},
@@ -177,12 +189,41 @@ def test_input_errors(capsys, tmp_path):
                  ("bar", "--operad", f"file:{badarity}"),
                  ("bar", "--operad", f"trivial:{lowgen}", "--max-arity", "4"),
                  ("bar", "--operad", f"file:{lowfile}", "--max-arity", "4"),
+                 ("bar", "--operad", f"trivial:{fieldx}", "--max-arity", "2"),
+                 ("bar", "--operad", f"trivial:{field4}", "--max-arity", "2"),
+                 ("bar", "--operad", f"file:{filefield4}",
+                  "--max-arity", "2"),
+                 ("bar", "--operad", f"trivial:{highgen}", "--max-arity", "3"),
+                 ("bar", "--operad", f"trivial:{highdefault}",
+                  "--max-arity", "3"),
                  ("bar", "--operad", "com", "--truncate", "-1"),
                  ("bar", "--operad", "com", "--max-arity", "3",
                   "--truncate", "9"), *specs):
         code, cap = run(capsys, *argv)
         assert code == 2, argv
         assert cap.err.startswith("error: "), argv
+
+
+def test_generator_above_max_arity_is_named(capsys, tmp_path):
+    f = tmp_path / "high.json"
+    f.write_text(json.dumps({"gens": {"2": [0], "5": [1]}}))
+    code, cap = run(capsys, "bar", "--operad", f"trivial:{f}",
+                    "--max-arity", "3")
+    assert code == 2
+    assert "arity 5" in cap.err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(p, N):
+        raise ValueError("chain-map law fails at degree 2")
+
+    monkeypatch.setattr("opdual.cli.bar", broken)
+    code, cap = run(capsys, "bar", "--operad", "com", "--max-arity", "2")
+    assert code == 3
+    assert "Traceback" not in cap.err
+    assert cap.err.startswith("internal error: ")
+    assert "degree 2" in cap.err
+    assert cap.out == ""
 
 
 def test_fields_agree_on_homology(capsys):
