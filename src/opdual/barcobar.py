@@ -5,25 +5,36 @@ over the cover relations (single-edge expansions), which generate the
 whole preorder; a brute-force mode using every relation is kept around
 as an oracle for the tests.
 
-The bar and W-constructions also come in closed form: a basis indexed
-by trees with decorations, with the coend identifications carried out
-symbolically. The closed forms are cross-checked against the engine.
+The bar, W and cobar constructions come in closed form: a basis indexed
+by trees with decorations, with the coend or end identifications
+carried out symbolically. Every pipeline runs on the closed forms; the
+engines (bar_engine, w_engine, cobar_engine) cross-check them.
 
 The mirrored constructions share one skeleton per step:
   _window            the structure maps of the trees of one map build,
                      each built once (closed forms, bar_map, theta)
-  _closed_form       the closed-form bar and W terms and their actions
+  _closed_form       the closed-form bar, W and cobar terms and their
+                     actions; _top_cell_move and _top_nu give the cube
+                     signs that bar and cobar share
   _Engine            the slots and relations common to Coend and End;
                      the sum of the slots has labels (tree, label), so
                      each slot is read and written by its tag, and no
                      inclusion or projection maps are built
   hom_map            (from chain) f -> post f pre on Hom slots: the End
-                     legs, the cobar and co-W actions, compositions and
-                     covers, cobar_map and omega_sigma
-  _end_map           ends mapped slot by slot, then factored (cobar_map,
-                     theta, the co-W covers; _into_end for any source)
-  _end_relabel       the symmetric action on cobar and co-W
-  _end_graft         the composition of cobar and co-W
+                     legs, the co-W actions, compositions and covers,
+                     and omega_sigma
+  cobar_engine       the end of Hom(wbar(T), Q(T)) per arity, with
+  closed_cobar_to_engine  the comparison iso from the closed cobar
+  _cobar_value       the evaluation rule: the closed cobar label (T, x)
+                     read on a cell of wbar(U) that is 0 on the edges E
+                     is expansion_map(T, U)(x) when U/E = T, else 0
+                     (closed_cobar_to_engine, _evaluate, epsilon_trivial)
+  _end_map           ends mapped slot by slot, then factored (the co-W
+                     covers; the cobar engine in the tests)
+  _end_relabel       the symmetric action on co-W (and on the cobar
+                     engine, in the tests)
+  _end_graft         the composition of co-W (and of the cobar engine,
+                     in the tests)
   _coend_map         the covers and relabelings of bbar
   _evaluate          cobar elements read on family cells (the adjunction
                      transpose and theta_star)
@@ -49,10 +60,10 @@ from .chain import (
 )
 from .cubes import (
     STAR, _chunks, _fam_ids, _move_cell, _move_family_cells, _rel_tokens,
-    _relabel_slots, _star_sign, _wbar_tokens, delta_cube, face_inclusion,
+    _relabel_slots, _star_sign, _theta_cell_rule, _wbar_tokens, delta_cube, face_inclusion,
     family_cover, family_inclusion, family_relabel, graft_decompose,
     nu_general, rel_delta, rel_delta_relabel, rel_split, theta_cells, wbar,
-    wbar_family, wbar_relabel,
+    wbar_family,
 )
 from .operads import (
     Cooperad, Operad, PreCooperad, _adjacent_family, _along_covers,
@@ -325,28 +336,19 @@ class End(_Engine):
 
 # -- the End-side skeleton shared by cobar and co-W -----------------------
 
-def _into_end(end: End, src, routes, pre=None) -> ChainMap:
-    """Factor through `end` the map src -> end.total sending a label to
-    the sum of (U, f(x)) over routes(label) = [(U, f, x)], each f a map
-    into end.homs[U]; pre, if given, is applied first."""
-    one = end.field.one
-
-    def rule(d, lab):
-        return [((U, h), c) for U, f, x in routes(lab)
-                for h, c in f.apply(d, {x: one}).items()]
-
-    G = ChainMap.from_rule(src, end.total, rule)
-    return end.factor(G if pre is None else pre.then(G))
-
-
 def _end_map(e1: End, e2: End, comp) -> ChainMap:
     """The map of ends e1 -> e2 given slot by slot: comp[T] = (T2, f)
     with f: e1.homs[T] -> e2.homs[T2]; slots missing from comp go to 0."""
-    def routes(lab):
-        T2, f = comp.get(lab[0], (None, None))
-        return [] if f is None else [(T2, f, lab[1])]
+    one = e1.field.one
 
-    return _into_end(e2, e1.total, routes, pre=e1.incl)
+    def rule(d, lab):
+        T2, f = comp.get(lab[0], (None, None))
+        if f is None:
+            return []
+        return [((T2, h), c) for h, c in f.apply(d, {lab[1]: one}).items()]
+
+    return e2.factor(e1.incl.then(ChainMap.from_rule(e1.total, e2.total,
+                                                      rule)))
 
 
 def _end_relabel(q: PreCooperad, e1: End, e2: End, sigma,
@@ -423,38 +425,55 @@ def _wbar_top(t: Tree) -> tuple:
     return (STAR,) * (1 + t.num_edges)
 
 
-def _closed_form(p: Operad, N, decorations, boundary, cube_move):
-    """The skeleton of the closed-form bar and W-constructions. In arity
-    n the basis is (t, *deco, x) in degree |x| + k, for the trees t, each
-    (deco, k) in decorations(t) and the labels x of p(t); the rule
-    boundary(contract, d, label) gives the differential, contract(t, e)
-    being p.contract_map(t, e); sigma acts on the tree tensor through p
-    and on the decoration by cube_move(t, t2, sigma, deco) -> (the new
+def _closed_form(field, N, term, relabel, structure, decorations, boundary,
+                 cube_move):
+    """The skeleton of the closed-form bar, W and cobar constructions. In
+    arity n the basis is (t, *deco, x) in degree |x| + k, for the trees
+    t, each (deco, k) in decorations(t) and the labels x of term(t); the
+    rule boundary(maps, d, label) gives the differential, maps being a
+    window over structure (p.contract_map, or the covers of a tree for
+    cobar); sigma acts on the tree term through relabel(t, sigma) and on
+    the decoration by cube_move(field, t, t2, sigma, deco) -> (the new
     decoration, its sign). Returns (terms, adjacent actions)."""
-    field = p.field
     terms = {}
     for n in range(1, N + 1):
         basis = _graded_basis(
             ((t,) + deco + (x,), dx + k) for t in enumerate_trees(n)
             for deco, k in decorations(t)
-            for x, dx in p.tree_complex(t).label_degree.items())
+            for x, dx in term(t).label_degree.items())
         terms[n] = ChainComplex.from_rule(
-            field, basis, functools.partial(boundary, _window(p.contract_map)))
+            field, basis, functools.partial(boundary, _window(structure)))
 
     def act(n, sigma):
-        relabel = _window(lambda t: p.tree_relabel(t, sigma))
+        moves = _window(lambda t: relabel(t, sigma))
 
         def rule(d, lab):
             t, x = lab[0], lab[-1]
             t2 = t.relabel(sigma)
-            deco, ws = cube_move(t, t2, sigma, lab[1:-1])
-            img = relabel(t).apply(
-                p.tree_complex(t).label_degree[x], {x: field.one})
+            deco, ws = cube_move(field, t, t2, sigma, lab[1:-1])
+            img = moves(t).apply(term(t).label_degree[x], {x: field.one})
             return [((t2,) + deco + (x2,), field.mul(ws, c))
                     for x2, c in img.items()]
         return ChainMap.from_rule(terms[n], terms[n], rule)
 
     return terms, _adjacent_family(terms, N, act)
+
+
+def _top_cell_move(field, t, t2, sigma, deco):
+    """The sign of sigma on the top cell of wbar(t): the action on the
+    decoration-free closed forms, bar and cobar."""
+    return (), _star_sign(field, _relabel_slots(
+        _wbar_tokens(t), _wbar_tokens(t2), sigma))
+
+
+def _top_nu(field, t, i, u):
+    """The coefficient of top(t) (x) top(u) in nu_general of the top cell
+    of graft(t, i, u): the cube sign of bar's decomposition and of
+    cobar's composition."""
+    v = graft(t, i, u)
+    img = nu_general(field, t, i, u).apply(v.num_vertices,
+                                           {_wbar_top(v): field.one})
+    return img[(_wbar_top(t), _wbar_top(u))]
 
 
 def bar(p: Operad, N) -> Cooperad:
@@ -479,15 +498,13 @@ def bar(p: Operad, N) -> Cooperad:
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
         return out
 
-    def top_cell_move(t, t2, sigma, deco):
-        return (), _star_sign(field, _relabel_slots(
-            _wbar_tokens(t), _wbar_tokens(t2), sigma))
-
     terms, adjacents = _closed_form(
-        p, N, lambda t: [((), t.num_vertices)], boundary, top_cell_move)
+        field, N, p.tree_complex, p.tree_relabel, p.contract_map,
+        lambda t: [((), t.num_vertices)], boundary, _top_cell_move)
 
     def cocirc_builder(q, m, i, n):
         unit = q.unit_label
+        top_nu = _window(functools.partial(_top_nu, field))
 
         def rule(d, lab):
             v, x = lab
@@ -499,9 +516,7 @@ def bar(p: Operad, N) -> Cooperad:
             if sp is None:
                 return []
             t, u = sp
-            img = nu_general(field, t, i, u).apply(
-                v.num_vertices, {_wbar_top(v): field.one})
-            cnu = img[(_wbar_top(t), _wbar_top(u))]
+            cnu = top_nu(t, i, u)
             (xt, xu), s1 = p._ungraft_label(t, i, u, x)
             s2 = _sgn(field, u.num_vertices * sum(p._degrees(t, xt)))
             return [(((t, xt), (u, xu)), field.mul(field.mul(cnu, s1), s2))]
@@ -584,13 +599,15 @@ def w_construction(p: Operad, N) -> Operad:
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
         return out
 
-    def marked_move(t, t2, sigma, deco):
+    def marked_move(field, t, t2, sigma, deco):
         (S,) = deco
         S2 = tuple(sorted((_token_image(e, sigma) for e in S),
                           key=cluster_key))
         return (S2,), _star_sign(field, _relabel_slots(S, t2.edges(), sigma))
 
-    terms, adjacents = _closed_form(p, N, decorations, boundary, marked_move)
+    terms, adjacents = _closed_form(
+        field, N, p.tree_complex, p.tree_relabel, p.contract_map,
+        decorations, boundary, marked_move)
 
     def circ_builder(q, m, i, n):
         def rule(d, pair):
@@ -662,98 +679,178 @@ def w_resolution(p: Operad, N, wp: Operad = None):
 # -- cobar construction ---------------------------------------------------
 
 class CobarOperad(Operad):
-    """Cobar of a pre-cooperad; keeps the per-arity end data around so
-    that comparison maps can be built against the ambient sums."""
+    """Cobar of a pre-cooperad q in closed form: per arity the basis is
+    (T, x), x a label of q(T), in degree |x| - #vertices(T). It keeps q,
+    against which its elements are read on the cells of wbar
+    (_cobar_value)."""
 
-    def __init__(self, q, ends, *args, **kwargs):
+    def __init__(self, q, *args, **kwargs):
         self.q = q
-        self.ends = ends
         super().__init__(*args, **kwargs)
 
 
 def cobar(q: PreCooperad, N) -> CobarOperad:
-    """Cobar construction: per arity the end of Hom(wbar(T), Q(T)); the
-    compositions pair a de-grafting of the cube against the grafting
-    multiplication of Q."""
+    """Cobar construction, the free operad on the desuspension of q: the
+    differential is the internal one plus, for each cover u of t (u
+    splits one vertex of t at the edge e), the term q.cover_map(t, u, e),
+    which is the top-cell value of the wbar face at 0; sigma acts through
+    q.relabel_map with the top-cell sign and the composition is the
+    grafting multiplication of q with the nu sign of the top cells."""
     field = q.field
-    ends = {n: End(wbar_diagram(field, n), precooperad_diagram(q, n))
-            for n in range(1, N + 1)}
-    terms = {n: ends[n].complex for n in range(1, N + 1)}
-    adjacents = _adjacent_family(terms, N, lambda n, sigma: _end_relabel(
-        q, ends[n], ends[n], sigma,
-        lambda T2, inv: wbar_relabel(field, T2, inv)))
+    one = field.one
+
+    def covers(t):
+        return [(u, _sgn(field, u.edges().index(e)), q.cover_map(t, u, e))
+                for u, e in t.expansions()]
+
+    def boundary(covers, d, lab):
+        t, x = lab
+        dx = q.term(t).label_degree[x]
+        out = [((t, x2), c) for x2, c in q.term(t).boundary_of(x).items()]
+        s = _sgn(field, d + 1)
+        for u, su, f in covers(t):
+            out.extend(((u, x2), field.mul(field.mul(s, su), c))
+                       for x2, c in f.apply(dx, {x: one}).items())
+        return out
+
+    terms, adjacents = _closed_form(
+        field, N, q.term, q.relabel_map, covers,
+        lambda t: [((), -t.num_vertices)], boundary, _top_cell_move)
 
     def circ_builder(op, m, i, n):
-        return _end_graft(q, i, ends[m], ends[n], ends[m + n - 1],
-                          lambda V: _split_graft(V, i, m, n),
-                          lambda V, T, U: nu_general(field, T, i, U))
+        top_nu = _window(functools.partial(_top_nu, field))
+        mult = _window(lambda t, u: q.m_map(t, i, u))
 
-    return CobarOperad(q, ends, field, N, terms, adjacents, circ_builder,
+        def rule(d, pair):
+            (t, x), (u, y) = pair
+            if n == 1:
+                return [((t, x), 1)]
+            if m == 1:
+                return [((u, y), 1)]
+            dy = q.term(u).label_degree[y]
+            s = field.mul(top_nu(t, i, u),
+                          _sgn(field, (dy - u.num_vertices) * t.num_vertices))
+            v = graft(t, i, u)
+            img = mult(t, u).apply(d + t.num_vertices + u.num_vertices,
+                                   {(x, y): one})
+            return [((v, z), field.mul(s, c)) for z, c in img.items()]
+
+        return ChainMap.from_rule(
+            tensor_many(field, [op.term(m), op.term(n)]), op.term(m + n - 1),
+            rule)
+
+    return CobarOperad(q, field, N, terms, adjacents, circ_builder,
                        name=f"cobar({q.name})" if q.name else "cobar")
+
+
+def cobar_engine(q: PreCooperad, n, relations="covers") -> End:
+    """The end of Hom(wbar(T), q(T)) over the trees T of arity n: the
+    engine the closed-form cobar is checked against."""
+    return End(wbar_diagram(q.field, n), precooperad_diagram(q, n),
+               relations=relations)
+
+
+def _face_cell(t: Tree, u: Tree) -> tuple:
+    """The cell of wbar(u) that is 0 on the edges of u missing from t
+    (t <= u): the face inclusion of the top cell of t."""
+    if u.n == 1:
+        return ()
+    return (STAR,) + tuple(STAR if e in t.clusters else 0 for e in u.edges())
+
+
+def _cobar_value(q: PreCooperad, t: Tree, x, u: Tree, cell) -> dict:
+    """The evaluation rule: the value in q(u) of the cobar label (t, x)
+    read on the cell of wbar(u). The cell is the face of the top cell of
+    u/E, E its edges at 0; the value is q.expansion_map(t, u)(x) when
+    u/E = t, and 0 otherwise."""
+    if not (t.leq(u) and cell == _face_cell(t, u)):
+        return {}
+    return q.expansion_map(t, u).apply(q.term(t).label_degree[x],
+                                       {x: q.field.one})
+
+
+def closed_cobar_to_engine(q: PreCooperad, cb: CobarOperad,
+                           eng: End) -> ChainMap:
+    """The comparison iso from the closed-form cobar term to the engine
+    end, inverse to reading the top cells: (t, x) goes to the end element
+    whose value on each cell is given by _cobar_value."""
+    def rule(d, lab):
+        t, x = lab
+        out = []
+        for u in eng.trees:
+            if t.leq(u):
+                cell = _face_cell(t, u)
+                out.extend(((u, ("h", cell, z)), c) for z, c in
+                           _cobar_value(q, t, x, u, cell).items())
+        return out
+
+    return eng.factor(ChainMap.from_rule(cb.term(eng.weights.n), eng.total,
+                                         rule))
 
 
 def cobar_map(c1: CobarOperad, c2: CobarOperad, fam: dict, N) -> dict:
     """Functoriality of cobar on a per-tree family fam[T]: Q1(T) -> Q2(T)
-    commuting with the structure of the two pre-cooperads."""
+    commuting with the structure of the two pre-cooperads, applied label
+    by label."""
+    one = c1.field.one
     out = {}
     for n in range(1, N + 1):
-        e1, e2 = c1.ends[n], c2.ends[n]
-        comp = {T: (T, hom_map(e1.homs[T], e2.homs[T], post=fam[T]))
-                for T in e1.trees if e1.homs[T].total_dim()}
-        out[n] = _end_map(e1, e2, comp)
+        def rule(d, lab):
+            t, x = lab
+            img = fam[t].apply(d + t.num_vertices, {x: one})
+            return [((t, x2), c) for x2, c in img.items()]
+
+        out[n] = ChainMap.from_rule(c1.term(n), c2.term(n), rule)
     return out
 
 
 # -- the comparison W -> cobar(bar) ---------------------------------------
 
-def _theta_rule(p: Operad, U: Tree):
-    """The slot-U component of theta on a label (T, S, x) of W(p): the
-    cell of (T, S) against each cube cell of U through theta_cells, and
-    the factors of x regrouped fragment by fragment into bar labels. The
-    cells of W take the values 1 and * only, and theta_cells kills a
-    fragment coordinate at 1, so no family cell has a zero coordinate
-    and no fragment needs contracting."""
+def _theta_rule(p: Operad):
+    """theta on a label (T, S, x) of W(p): for each tree U <= T, the cell
+    of (T, S) against the top cell of wbar(U) through the rule of
+    theta_cells, and the factors of x regrouped fragment by fragment into
+    bar labels, give the cobar labels (U, classes). The cells of W take
+    the values 1 and * only, and theta_cells kills a fragment coordinate
+    at 1, so no family cell has a zero coordinate and no fragment needs
+    contracting."""
     field = p.field
-    one = field.one
-    wU = wbar(field, U)
-    uvs = U.vertices()
 
-    def cut(T):
-        """theta_cells(T, U), the fragment trees of T over the vertices of
-        U and the slot of each vertex of T in their concatenation."""
+    def cut(T, U):
+        """The rule of theta_cells(T, U), the fragment trees of T over the
+        vertices of U and the slot of each vertex of T in their
+        concatenation."""
         frs = fragments(T, U)
-        fts = [frs[v].tree for v in uvs]
-        order = [frs[v].to_global[w] for v, ft in zip(uvs, fts)
+        fts = [frs[v].tree for v in U.vertices()]
+        order = [frs[v].to_global[w] for v, ft in zip(U.vertices(), fts)
                  for w in ft.vertices()]
         at = {w: k for k, w in enumerate(order)}
-        return (theta_cells(field, T, U), fts,
+        return (_theta_cell_rule(field, T, U), fts,
                 [at[w] for w in T.vertices()])
 
     cuts = _window(cut)
+    below = _window(lambda T: [U for U in enumerate_trees(T.n) if U.leq(T)])
 
     def rule(d, lab):
         T, S, x = lab
         if T.n == 1:
-            return [(("h", (), ()), 1)]
-        if not U.leq(T):
-            return []
-        th, fts, slots = cuts(T)
+            return [((T, ()), 1)]
         degs = p._degrees(T, x)
-        xr, s1 = _place(field, x, degs, slots)
-        chunks = _chunks(xr, [ft.num_vertices for ft in fts])
-        dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
-        classes = tuple(zip(fts, chunks))
         cellTS = _w_cell(T, S)
         out = []
-        for dU in wU.degrees():
+        for U in below(T):
+            th, fts, slots = cuts(T, U)
+            xr, s1 = _place(field, x, degs, slots)
+            chunks = _chunks(xr, [ft.num_vertices for ft in fts])
+            dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+            classes = tuple(zip(fts, chunks))
+            dU = U.num_vertices
             s2 = field.mul(s1, _sgn(field, sum(degs) * dU))
-            for cU in wU.basis[dU]:
-                img = th.apply(len(S) + dU, {(cellTS, cU): one})
-                for famcell, cth in img.items():
-                    dcs = [wbar(field, ft).label_degree[c]
-                           for ft, c in zip(fts, famcell)]
-                    out.append((("h", cU, classes), field.mul(
-                        field.mul(cth, s2), _interleave_sign(field, dxs, dcs))))
+            for famcell, cth in th(None, (cellTS, _wbar_top(U))):
+                dcs = [wbar(field, ft).label_degree[c]
+                       for ft, c in zip(fts, famcell)]
+                out.append(((U, classes), field.mul(
+                    field.mul(cth, s2), _interleave_sign(field, dxs, dcs))))
         return out
 
     return rule
@@ -761,21 +858,16 @@ def _theta_rule(p: Operad, U: Tree):
 
 def theta(p: Operad, N, wp: Operad = None, cb: CobarOperad = None):
     """The comparison map from the W-construction to the cobar of the
-    bar: evaluate a marked tree against each cube of a coarser tree via
-    the cell-level pairing, then read the leftover fragments as bar
-    labels. Returns (wp, cb, per-arity maps)."""
+    bar: evaluate a marked tree against the top cube cell of each
+    coarser tree via the cell-level pairing, then read the leftover
+    fragments as bar labels. Returns (wp, cb, per-arity maps)."""
     if wp is None:
         wp = w_construction(p, N)
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
-    out = {}
-    for n in range(1, N + 1):
-        end = cb.ends[n]
-        comp = {U: ChainMap.from_rule(wp.term(n), end.homs[U],
-                                      _theta_rule(p, U), check=True)
-                for U in end.trees if end.homs[U].total_dim()}
-        out[n] = _into_end(end, wp.term(n),
-                           lambda lab: [(U, f, lab) for U, f in comp.items()])
+    rule = _theta_rule(p)
+    out = {n: ChainMap.from_rule(wp.term(n), cb.term(n), rule)
+           for n in range(1, N + 1)}
     return wp, cb, out
 
 
@@ -821,35 +913,26 @@ def flip_sharp(a, N, om: Operad = None) -> dict:
 
 
 def epsilon_trivial(a, N, cb: CobarOperad = None, om: Operad = None):
-    """Project the cobar of the trivial operad on a onto its corolla
-    slot, then onto the corolla component of the bar classes. Returns
-    (cb, om, per-arity maps)."""
+    """Read the cobar of the trivial operad on a on the top cell of the
+    corolla, then project onto the corolla component of the bar classes.
+    Returns (cb, om, per-arity maps)."""
     p = trivial_operad(a)
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
     if om is None:
         om = omega_sigma(a, N)
-    eps = {}
-    for n in range(1, N + 1):
-        end = cb.ends[n]
-        if n == 1:
-            ul = a.term(1).basis[0][0]
-            eps[1] = end.component(_point()).then(ChainMap.from_rule(
-                end.homs[_point()], om.term(1),
-                lambda d, lab: [(("h", (), ul), 1)]))
-            continue
-        cor = corolla(n)
-        slot = end.component(cor)
+    q = cb.q
+    ul = a.term(1).basis[0][0]
+    eps = {1: ChainMap.from_rule(cb.term(1), om.term(1),
+                                 lambda d, lab: [(("h", (), ul), 1)])}
+    for n in range(2, N + 1):
+        def rule(d, lab, cor=corolla(n)):
+            cell = _wbar_top(cor)
+            return [(("h", cell, qlab[0][1][0]), c) for qlab, c in
+                    _cobar_value(q, lab[0], lab[1], cor, cell).items()
+                    if qlab[0][0].is_corolla()]
 
-        def pr_rule(d, lab):
-            _, cU, qlab = lab
-            (t, x) = qlab[0]
-            if not t.is_corolla():
-                return []
-            return [(("h", cU, x[0]), 1)]
-
-        pr = ChainMap.from_rule(end.homs[cor], om.term(n), pr_rule)
-        eps[n] = slot.then(pr)
+        eps[n] = ChainMap.from_rule(cb.term(n), om.term(n), rule)
     return cb, om, eps
 
 
@@ -949,10 +1032,12 @@ def _evaluate(cq: CobarOperad, fts, cells, elem, dxs, coeff) -> dict:
     acc = {(): field.mul(coeff, _interleave_sign(field, dxs, dcs))}
     for j, ft in enumerate(fts):
         sw = _sgn(field, dcs[j] * dxs[j])
-        hv = cq.ends[ft.n].incl.apply(dxs[j], elem(j))
-        acc = _tensor_vecs(field, acc, {
-            (hl[2],): field.mul(ch, sw) for (lt, hl), ch in hv.items()
-            if lt == ft and hl[1] == cells[j]})
+        val = {}
+        for (t, x), c in elem(j).items():
+            for z, cz in _cobar_value(cq.q, t, x, ft, cells[j]).items():
+                val[(z,)] = field.add(val.get((z,), field.zero),
+                                      field.mul(field.mul(c, cz), sw))
+        acc = _tensor_vecs(field, acc, val)
         if not acc:
             break
     return acc
@@ -1102,27 +1187,18 @@ def transpose_to_operad(psi, bp: BbarPreCooperad, cq: CobarOperad):
     p = bp.p
     out = {}
     for n in range(1, bp.N + 1):
-        ends = cq.ends[n]
-        tau = corolla(n)
-
-        def rule(d, x, n=n, tau=tau, ends=ends):
+        def rule(d, x, n=n, tau=corolla(n)):
             res = []
             for V in enumerate_trees(n):
-                wv = wbar(field, V)
-                ce = bp.coend_at(V)
-                for dc in wv.degrees():
-                    for c in wv.basis[dc]:
-                        key = ((c,), (x,)) if n >= 2 else ((), ())
-                        vec = ce.class_of(tau, dc + d, {key: field.one})
-                        img = psi[V].apply(dc + d, vec)
-                        sw = _sgn(field, dc * d)
-                        for z, cz in img.items():
-                            res.append(((V, ("h", c, z)),
-                                        field.mul(cz, sw)))
+                c, dc = _wbar_top(V), V.num_vertices
+                key = ((c,), (x,)) if n >= 2 else ((), ())
+                vec = bp.coend_at(V).class_of(tau, dc + d, {key: field.one})
+                sw = _sgn(field, dc * d)
+                res.extend(((V, z), field.mul(cz, sw))
+                           for z, cz in psi[V].apply(dc + d, vec).items())
             return res
 
-        G = ChainMap.from_rule(p.term(n), ends.total, rule)
-        out[n] = ends.factor(G)
+        out[n] = ChainMap.from_rule(p.term(n), cq.term(n), rule)
     return out
 
 

@@ -231,17 +231,10 @@ class ChainMap:
         return all(m.is_zero() for m in self.mats.values())
 
     def is_iso(self):
-        if self.degree != 0:
-            ds = {k: self.source.dim(k) for k in self.source.degrees()}
-            dt = {k - self.degree: self.target.dim(k) for k in self.target.degrees()}
-            if ds != dt:
-                return False
-        for k in self.source.degrees():
-            if self.source.dim(k) != self.target.dim(k + self.degree):
-                return False
-            if self.matrix(k).rank() != self.source.dim(k):
-                return False
-        return True
+        ds = self.source.dims()
+        if ds != {k - self.degree: v for k, v in self.target.dims().items()}:
+            return False
+        return all(self.matrix(k).rank() == dim for k, dim in ds.items())
 
     def __repr__(self):
         return f"ChainMap(deg={self.degree}, {self.source!r} -> {self.target!r})"

@@ -13,7 +13,7 @@ from .operads import (
     Operad, builtin_operad, check_operad_axioms, dualize, extend_cooperad,
     free_operad, symseq_from_degrees, trivial_operad, truncate,
 )
-from .barcobar import bar, cobar, w_construction, w_resolution, theta
+from .barcobar import bar, cobar_engine, w_construction, w_resolution, theta
 from .fields import Field
 from .koszul import koszul_dual, verify_kk
 
@@ -281,7 +281,7 @@ def run(argv=None) -> int:
             sp.add_argument("--operad", default="com",
                             help="com | ass | trivial:<file> | free:<file> "
                                  "| file:<path>")
-            sp.add_argument("--truncate", type=int, default=0, metavar="K",
+            sp.add_argument("--truncate", type=int, default=None, metavar="K",
                             help="replace the operad by its arity <= K part")
             sp.add_argument("--homology", action="store_true")
 
@@ -312,7 +312,7 @@ def run(argv=None) -> int:
         return 0
 
     p = select_operad(args.operad, field, N)
-    if args.truncate:
+    if args.truncate is not None:
         if not 1 <= args.truncate <= p.N:
             raise CliError(f"--truncate must lie in 1..{p.N}")
         p = truncate(p, args.truncate, "<=")
@@ -327,7 +327,8 @@ def run(argv=None) -> int:
     if args.verb == "bar":
         fill_tables(bar(p, N).term)
     elif args.verb == "cobar":
-        fill_tables(cobar(extend_cooperad(dualize(p, N)), N).term)
+        q = extend_cooperad(dualize(p, N))
+        fill_tables(lambda n: cobar_engine(q, n).complex)
     elif args.verb == "w":
         fill_tables(w_construction(p, N).term)
     elif args.verb == "koszul":
@@ -375,7 +376,8 @@ def _run_check(args, p: Operad, N: int, report: dict) -> None:
         for n in range(1, N + 1):
             ok = th[n].is_iso()
             wd = wp.term(n).dims()
-            cd = cb.term(n).dims()
+            # in ascending degree, as the engine-built cobar listed them
+            cd = dict(sorted(cb.term(n).dims().items()))
             report["tables"][str(n)] = _str_keys(cd)
             report["checks"].append(
                 {"name": f"comparison iso arity {n}", "pass": ok,
@@ -398,9 +400,12 @@ def _kk_report(p: Operad, N: int, report: dict) -> None:
     """The double-dual tables and checks, for both `kk` and `check kk`."""
     blob = verify_kk(p, N).to_dict()
     report["tables"] = blob["dims"]["kk"]
+    # a failing check's witness says where it fails
+    where = blob.get("witnesses", {})
     for name, ok in sorted(blob["checks"].items()):
-        report["checks"].append({"name": name, "pass": ok,
-                                 "witness": blob["dims"]["p"]})
+        report["checks"].append({
+            "name": name, "pass": ok,
+            "witness": where.get(name, blob["dims"]["p"])})
 
 
 def main(argv=None) -> int:

@@ -417,7 +417,19 @@ def r_map(field) -> ChainMap:
 
 
 def theta_cells(field, t: Tree, u: Tree) -> ChainMap:
-    """The assembly map delta(t) (x) wbar(u) -> wbar_family(t, u).
+    """The assembly map delta(t) (x) wbar(u) -> wbar_family(t, u), with
+    the rule _theta_cell_rule; the zero map (into the zero complex) when
+    u is not a contraction of t."""
+    source = tensor_many(field, [delta_cube(field, t), wbar(field, u)])
+    rule = _theta_cell_rule(field, t, u)
+    if rule is None:
+        return ChainMap.zero(source, zero_complex(field))
+    return ChainMap.from_rule(source, wbar_family(field, t, u), rule)
+
+
+def _theta_cell_rule(field, t: Tree, u: Tree):
+    """The rule of theta_cells on a pair (delta cell, wbar cell), or None
+    when u is not a contraction of t.
 
     Built one target coordinate at a time. For the fragment above a
     vertex of u: internal fragment edges read the delta coordinate of
@@ -427,14 +439,10 @@ def theta_cells(field, t: Tree, u: Tree) -> ChainMap:
     latter with a minus sign; the fragment root at the u-root applies r
     to the root coordinate, contributing a minus sign. The total sign
     also reshuffles the consumed degree-1 coordinates into target order.
-
-    The zero map (into the zero complex) when u is not a contraction
-    of t."""
-    source = tensor_many(field, [delta_cube(field, t), wbar(field, u)])
-    target = wbar_family(field, t, u)
+    """
     frs = fragments(t, u)
     if frs is None:
-        return ChainMap.zero(source, target)
+        return None
     u_vertices = u.vertices()
     u_root = u.root_cluster
     t_edges = t.edges()
@@ -482,4 +490,4 @@ def theta_cells(field, t: Tree, u: Tree) -> ChainMap:
         coef = field.one if sgn > 0 else field.neg(field.one)
         return [(tuple(out_cells), field.mul(coef, sgn2))]
 
-    return ChainMap.from_rule(source, target, rule)
+    return rule

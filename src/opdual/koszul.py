@@ -10,9 +10,7 @@ from .trees import Tree, enumerate_trees, graft
 from .operads import (
     Cooperad, Operad, PreCooperad, dualize, extend_cooperad,
 )
-from .barcobar import (
-    CobarOperad, _wbar_top, bar, cobar, cobar_map, theta,
-)
+from .barcobar import CobarOperad, _sgn, bar, cobar, cobar_map, theta
 
 
 def koszul_dual(p: Operad, N) -> Operad:
@@ -68,35 +66,24 @@ def dual_precooperad(p: Operad) -> OperadDualPreCooperad:
 def kp_iso(p: Operad, N, kp: Operad | None = None,
            cdp: CobarOperad | None = None):
     """The currying iso from the cobar of the dual pre-cooperad to the
-    dual of the bar: evaluate an end element on the top cell of each
-    tree. Returns (kp, cdp, per-arity isos)."""
+    dual of the bar: the signed relabel (T, ("dual", x)) -> ("dual", (T,
+    x)). Returns (kp, cdp, per-arity isos)."""
     field = p.field
     if kp is None:
         kp = koszul_dual(p, N)
     if cdp is None:
         cdp = cobar(dual_precooperad(p), N)
-    out = {}
-    for n in range(1, N + 1):
-        end = cdp.ends[n]
-        if n == 1:
-            ul = kp.term(1).basis[0][0]
-            out[1] = ChainMap.from_rule(cdp.term(1), kp.term(1),
-                                        lambda d, l: [(ul, 1)])
-            continue
+    ul = kp.term(1).basis[0][0]
+    out = {1: ChainMap.from_rule(cdp.term(1), kp.term(1),
+                                 lambda d, l: [(ul, 1)])}
 
-        def rule(d, klab, end=end):
-            res = []
-            for (T, hl), c in end.incl.apply(d, {klab: field.one}).items():
-                if hl[1] != _wbar_top(T):
-                    continue
-                x = hl[2][1]
-                dx = sum(p._degrees(T, x))
-                V = T.num_vertices
-                if (V * (V - 1) // 2 + V * dx) % 2:
-                    c = field.neg(c)
-                res.append((("dual", (T, x)), c))
-            return res
+    def rule(d, lab):
+        T, (_, x) = lab
+        V = T.num_vertices
+        s = V * (V - 1) // 2 + V * sum(p._degrees(T, x))
+        return [(("dual", (T, x)), _sgn(field, s))]
 
+    for n in range(2, N + 1):
         out[n] = ChainMap.from_rule(cdp.term(n), kp.term(n), rule)
     return kp, cdp, out
 
@@ -138,9 +125,24 @@ def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
 
 # -- the verification pipeline --------------------------------------------
 
+def _first_non_bijective(maps: dict, N) -> dict | None:
+    """The first arity, and in it the first degree, at which the per-arity
+    degree-0 map maps[n] has rank below its source or target dimension;
+    None when every map is bijective (is_iso holds in every arity)."""
+    for n in range(1, N + 1):
+        f = maps[n]
+        for k in sorted(set(f.source.degrees()) | set(f.target.degrees())):
+            dim = max(f.source.dim(k), f.target.dim(k))
+            rank = f.matrix(k).rank()
+            if rank < dim:
+                return {"arity": n, "degree": k, "rank": rank, "dim": dim}
+    return None
+
+
 @dataclass
 class DualityReport:
-    """Dimension tables and flags for the double-dual comparison."""
+    """Dimension tables and flags for the double-dual comparison, and for
+    each failing check a witness that locates the failure."""
     operad: str
     max_arity: int
     dims_p: dict = dc_field(default_factory=dict)
@@ -150,6 +152,7 @@ class DualityReport:
     cb_to_kk_iso: bool = False
     composite_iso: bool = False
     homology_match: bool = False
+    witnesses: dict = dc_field(default_factory=dict)
 
     def passed(self) -> bool:
         return self.cb_to_kk_iso and self.composite_iso and \
@@ -160,7 +163,7 @@ class DualityReport:
             return {str(n): {str(k): v for k, v in sorted(t.items())}
                     for n, t in sorted(d.items())}
 
-        return {
+        out = {
             "operad": self.operad,
             "max_arity": self.max_arity,
             "dims": {"p": tab(self.dims_p), "bar": tab(self.dims_bar),
@@ -169,6 +172,9 @@ class DualityReport:
                        "composite_iso": self.composite_iso,
                        "homology_match": self.homology_match},
         }
+        if self.witnesses:
+            out["witnesses"] = self.witnesses
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -176,23 +182,30 @@ class DualityReport:
 
 def verify_kk(p: Operad, N) -> DualityReport:
     """Check that the double dual of the bar construction recovers the
-    operad: the comparison maps are bijective and homology agrees."""
+    operad: the comparison maps are bijective and homology agrees. A
+    failing check records where it fails: the arity and degree of the
+    first rank deficit, or the first arity whose homology differs."""
     rep = DualityReport(operad=p.name or "operad", max_arity=N)
     bq = bar(p, N)
     kp = dualize(bq, N)
     cb = cobar(extend_cooperad(bq), N)
     _, _, th = theta(p, N, cb=cb)
     _, kkp, dd = cb_to_kk(p, N, cb=cb)
-    rep.cb_to_kk_iso = all(dd[n].is_iso() for n in range(1, N + 1))
     comp = {n: th[n].then(dd[n]) for n in range(1, N + 1)}
-    rep.composite_iso = all(comp[n].is_iso() for n in range(1, N + 1))
-    hom_ok = True
+    for name, maps in (("cb_to_kk_iso", dd), ("composite_iso", comp)):
+        where = _first_non_bijective(maps, N)
+        setattr(rep, name, where is None)
+        if where is not None:
+            rep.witnesses[name] = where
     for n in range(1, N + 1):
         rep.dims_p[n] = p.term(n).dims()
         rep.dims_bar[n] = bq.term(n).dims()
         rep.dims_k[n] = kp.term(n).dims()
         rep.dims_kk[n] = kkp.term(n).dims()
-        if kkp.term(n).homology_table() != p.term(n).homology_table():
-            hom_ok = False
-    rep.homology_match = hom_ok
+        hk, hp = kkp.term(n).homology_table(), p.term(n).homology_table()
+        if hk != hp and "homology_match" not in rep.witnesses:
+            rep.witnesses["homology_match"] = {
+                "arity": n, "kk": {str(k): v for k, v in sorted(hk.items())},
+                "p": {str(k): v for k, v in sorted(hp.items())}}
+    rep.homology_match = "homology_match" not in rep.witnesses
     return rep

@@ -10,13 +10,14 @@ from .fields import Field
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "data")
+    __slots__ = ("field", "nrows", "ncols", "data", "_cols")
 
     def __init__(self, field: Field, nrows: int, ncols: int, data=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.data = {}
+        self._cols = None
         if data:
             for (i, j), v in data.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
@@ -38,6 +39,7 @@ class Matrix:
         return m
 
     def add_entry(self, i, j, v):
+        self._cols = None
         F = self.field
         w = F.add(self.data.get((i, j), F.zero), v)
         if w == F.zero:
@@ -100,7 +102,15 @@ class Matrix:
         return m
 
     def column(self, j):
-        return {i: v for (i, jj), v in self.data.items() if jj == j}
+        """Column j as a read-only {row: value}. The columns are indexed
+        on the first call after a change, so reading every column of a
+        map one label at a time costs one pass over the entries, not one
+        per column."""
+        if self._cols is None:
+            self._cols = {}
+            for (i, jj), v in self.data.items():
+                self._cols.setdefault(jj, {})[i] = v
+        return self._cols.get(j) or {}
 
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
@@ -109,6 +119,7 @@ class Matrix:
         return cols
 
     def set_column(self, j, vec):
+        self._cols = None
         for i, v in list(vec.items()):
             if v != self.field.zero:
                 self.data[(i, j)] = v

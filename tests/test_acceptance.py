@@ -6,18 +6,23 @@ from math import factorial
 
 from opdual.fields import QQ, F2
 from opdual.chain import ChainMap, is_quasi_iso, tensor_map_many
-from opdual.trees import canonical_form, corolla, enumerate_trees
+from opdual.trees import (
+    _split_graft, adjacent_transposition, canonical_form, corolla,
+    enumerate_trees,
+)
+from opdual.cubes import nu_general, wbar_relabel
 from opdual.operads import (
     builtin_operad, dualize, extend_cooperad, free_operad, free_precooperad,
     is_quasi_cooperad, symseq_from_degrees, trivial_operad,
 )
 from opdual.barcobar import (
-    bar, bar_engine, bar_map, bbar, closed_bar_to_engine, closed_w_to_engine,
-    co_w, co_w_resolution, cobar, epsilon_trivial, flip_sharp, theta,
+    _end_graft, _end_relabel, bar, bar_engine, bar_map, bbar,
+    closed_bar_to_engine, closed_cobar_to_engine, closed_w_to_engine, co_w,
+    co_w_resolution, cobar, cobar_engine, epsilon_trivial, flip_sharp, theta,
     theta_star, transpose_to_operad, transpose_to_precooperad,
     w_construction, w_engine, w_resolution,
 )
-from opdual.koszul import koszul_dual, verify_kk
+from opdual.koszul import dual_precooperad, koszul_dual, verify_kk
 
 
 def _report(num, name, ok):
@@ -267,6 +272,58 @@ def test_criterion_11_engine_cross_validation():
                 ok = ok and a.complex.homology_table() == \
                     b.complex.homology_table()
     _report(11, "closed forms match the coend engine", ok)
+
+
+def _closed_cobar_matches_engine(q, N, relations="covers"):
+    """closed_cobar_to_engine is an iso in every arity (a chain map by
+    construction) and carries the closed-form actions and compositions to
+    the engine's, _end_relabel and _end_graft."""
+    field = q.field
+    cb = cobar(q, N)
+    ends = {n: cobar_engine(q, n, relations) for n in range(1, N + 1)}
+    phi = {n: closed_cobar_to_engine(q, cb, ends[n]) for n in ends}
+    ok = all(f.is_iso() for f in phi.values())
+    for n in range(2, N + 1):
+        for i in range(1, n):
+            act = _end_relabel(q, ends[n], ends[n],
+                               adjacent_transposition(n, i),
+                               lambda T2, inv: wbar_relabel(field, T2, inv))
+            ok = ok and cb.sigma_adj(n, i).then(phi[n]) == phi[n].then(act)
+    for m in range(1, N + 1):
+        for n in range(1, N + 2 - m):
+            for i in range(1, m + 1):
+                circ = cb.circ(m, i, n)
+                if circ.source.total_dim() == 0:
+                    continue
+                graft_ = _end_graft(
+                    q, i, ends[m], ends[n], ends[m + n - 1],
+                    lambda V: _split_graft(V, i, m, n),
+                    lambda V, T, U: nu_general(field, T, i, U))
+                rhs = tensor_map_many(field, [phi[m], phi[n]],
+                                      source=circ.source,
+                                      target=graft_.source).then(graft_)
+                ok = ok and circ.then(phi[m + n - 1]) == rhs
+    return ok
+
+
+def test_criterion_11b_closed_cobar_matches_end_engine():
+    a = symseq_from_degrees(QQ, 4, {2: [0]})
+
+    def bar_of(name, field, N):
+        return extend_cooperad(bar(builtin_operad(name, field, N), N))
+
+    ok = True
+    for q in (bar_of("com", QQ, 4), bar_of("ass", F2, 4),
+              extend_cooperad(bar(trivial_operad(a), 4)),
+              extend_cooperad(bar(free_operad(a, 4), 4)),
+              dual_precooperad(builtin_operad("ass", QQ, 4)),
+              co_w(bar_of("com", QQ, 4), 4)):
+        ok = ok and _closed_cobar_matches_engine(q, 4)
+    # co-W of bar(ass) costs 22 s at arity 4, so it runs at arity 3
+    ok = ok and _closed_cobar_matches_engine(co_w(bar_of("ass", F2, 3), 3), 3)
+    ok = ok and _closed_cobar_matches_engine(bar_of("com", QQ, 3), 3,
+                                             relations="all")
+    _report(11, "closed-form cobar matches the end engine", ok)
 
 
 def test_criterion_12_homotopy_invariance():

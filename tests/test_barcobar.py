@@ -17,18 +17,18 @@ from opdual.cubes import (
     STAR, _chunks, _relabel_slots, _star_sign, _wbar_tokens, theta_cells, wbar,
 )
 from opdual.operads import (
-    Operad, SymSeq, builtin_operad, check_operad_axioms, dualize,
+    Operad, PreCooperad, SymSeq, builtin_operad, check_operad_axioms, dualize,
     extend_cooperad, free_operad, free_precooperad, is_quasi_cooperad,
     symseq_from_degrees, trivial_operad, truncate,
 )
 from opdual.barcobar import (
-    _interleave_sign, _sgn, _tensor_vecs, _theta_rule, _w_cell,
-    Coend, End, bar, bar_engine, bar_map, bbar, closed_bar_to_engine,
-    closed_w_to_engine, co_w, co_w_resolution, cobar, cobar_map,
-    delta_diagram, epsilon_trivial, flip_sharp, operad_diagram,
-    precooperad_diagram, theta, theta_star, transpose_to_operad,
-    transpose_to_precooperad, w_construction, w_engine, w_resolution,
-    wbar_diagram,
+    _cobar_value, _end_map, _interleave_sign, _sgn, _tensor_vecs, _w_cell,
+    _wbar_top, Coend, End, bar, bar_engine, bar_map, bbar,
+    closed_bar_to_engine, closed_cobar_to_engine, closed_w_to_engine, co_w,
+    co_w_resolution, cobar, cobar_engine, cobar_map, delta_diagram,
+    epsilon_trivial, flip_sharp, operad_diagram, precooperad_diagram, theta,
+    theta_star, transpose_to_operad, transpose_to_precooperad,
+    w_construction, w_engine, w_resolution, wbar_diagram,
 )
 
 from test_chain import random_complex
@@ -465,17 +465,15 @@ def _collapse_map(q, cq, bcq, T):
         terms = {(): field.one}
         for (Ut, xt) in lab:
             k = Ut.n
+            (t, x) = xt[0]
             dx = cq.term(k).label_degree[xt[0]]
             sf = field.one if (1 + dx) % 2 == 0 else field.neg(field.one)
-            hv = cq.ends[k].incl.apply(dx, {xt[0]: field.one})
             nxt = {}
-            for (lt, hl), ch in hv.items():
-                if lt != corolla(k) or hl[1] != (STAR,):
-                    continue
+            for z, cz in _cobar_value(q, t, x, corolla(k), (STAR,)).items():
                 for pre, cp in terms.items():
-                    l2 = pre + hl[2]
+                    l2 = pre + z
                     nxt[l2] = field.add(nxt.get(l2, field.zero),
-                                        field.mul(cp, field.mul(ch, sf)))
+                                        field.mul(cp, field.mul(cz, sf)))
             terms = {l: c for l, c in nxt.items() if c != field.zero}
             if not terms:
                 return []
@@ -571,50 +569,48 @@ def _contract_many(p, t, Z):
     return cur, f
 
 
-def _labelwise_theta(p, U):
-    """The slot-U component of theta, theta_cells, fragments and the
-    contraction of each fragment's zero coordinates rebuilt for every
-    label and family cell."""
+def _labelwise_theta(p):
+    """theta on the top cell of each wbar(U), U <= T, with theta_cells,
+    fragments and the contraction of each fragment's zero coordinates
+    rebuilt for every label and family cell."""
     field = p.field
     one = field.one
-    wU = wbar(field, U)
-    uvs = U.vertices()
 
     def rule(d, lab):
         T, S, x = lab
         if T.n == 1:
-            return [(("h", (), ()), 1)]
-        if not U.leq(T):
-            return []
-        th = theta_cells(field, T, U)
-        frs = fragments(T, U)
-        fts = [frs[v].tree for v in uvs]
-        order = [frs[v].to_global[w] for v, ft in zip(uvs, fts)
-                 for w in ft.vertices()]
-        at = {w: k for k, w in enumerate(order)}
-        degs = p._degrees(T, x)
-        xr, s1 = _place(field, x, degs, [at[w] for w in T.vertices()])
-        chunks = _chunks(xr, [ft.num_vertices for ft in fts])
-        dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+            return [((T, ()), 1)]
         out = []
-        for dU in wU.degrees():
+        for U in enumerate_trees(T.n):
+            if not U.leq(T):
+                continue
+            uvs = U.vertices()
+            th = theta_cells(field, T, U)
+            frs = fragments(T, U)
+            fts = [frs[v].tree for v in uvs]
+            order = [frs[v].to_global[w] for v, ft in zip(uvs, fts)
+                     for w in ft.vertices()]
+            at = {w: k for k, w in enumerate(order)}
+            degs = p._degrees(T, x)
+            xr, s1 = _place(field, x, degs, [at[w] for w in T.vertices()])
+            chunks = _chunks(xr, [ft.num_vertices for ft in fts])
+            dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+            dU = U.num_vertices
             s2 = _sgn(field, sum(degs) * dU)
-            for cU in wU.basis[dU]:
-                img = th.apply(len(S) + dU, {(_w_cell(T, S), cU): one})
-                for famcell, cth in img.items():
-                    dcs = [wbar(field, ft).label_degree[c]
-                           for ft, c in zip(fts, famcell)]
-                    vals = {(): field.mul(field.mul(cth, s1), field.mul(
-                        s2, _interleave_sign(field, dxs, dcs)))}
-                    for ft, c, chunk, dx in zip(fts, famcell, chunks, dxs):
-                        Z = [tok for tok, val in zip(_wbar_tokens(ft), c)
-                             if val == 0]
-                        cur, fmap = _contract_many(p, ft, Z)
-                        img2 = fmap.apply(dx, {chunk: one})
-                        vals = _tensor_vecs(field, vals, {
-                            ((cur, l2),): c2 for l2, c2 in img2.items()})
-                    out.extend((("h", cU, acc), cc)
-                               for acc, cc in vals.items())
+            img = th.apply(len(S) + dU, {(_w_cell(T, S), _wbar_top(U)): one})
+            for famcell, cth in img.items():
+                dcs = [wbar(field, ft).label_degree[c]
+                       for ft, c in zip(fts, famcell)]
+                vals = {(): field.mul(field.mul(cth, s1), field.mul(
+                    s2, _interleave_sign(field, dxs, dcs)))}
+                for ft, c, chunk, dx in zip(fts, famcell, chunks, dxs):
+                    Z = [tok for tok, val in zip(_wbar_tokens(ft), c)
+                         if val == 0]
+                    cur, fmap = _contract_many(p, ft, Z)
+                    img2 = fmap.apply(dx, {chunk: one})
+                    vals = _tensor_vecs(field, vals, {
+                        ((cur, l2),): c2 for l2, c2 in img2.items()})
+                out.extend(((U, acc), cc) for acc, cc in vals.items())
         return out
 
     return rule
@@ -648,48 +644,58 @@ def test_closed_forms_match_labelwise_reference(make):
 def test_theta_components_match_labelwise_reference(make):
     p = make()
     wp = w_construction(p, 4)
-    q = extend_cooperad(bar(p, 4))
-    for U in enumerate_trees(4):
-        hom = hom_complex(wbar(p.field, U), q.term(U))
-        if not hom.total_dim():
-            continue
-        fast = ChainMap.from_rule(wp.term(4), hom, _theta_rule(p, U))
-        assert fast == ChainMap.from_rule(wp.term(4), hom,
-                                          _labelwise_theta(p, U)), U
+    cb = cobar(extend_cooperad(bar(p, 4)), 4)
+    _, _, th = theta(p, 4, wp=wp, cb=cb)
+    assert th[4] == ChainMap.from_rule(wp.term(4), cb.term(4),
+                                       _labelwise_theta(p))
+
+
+def _perm_key(sigma):
+    return tuple(sorted(sigma.items()))
 
 
 def test_structure_maps_built_once_per_key(monkeypatch):
     p = ass(4, F2)
-    keyers = ((SymSeq, "tree_relabel",
-               lambda t, sigma: (t, tuple(sorted(sigma.items())))),
-              (Operad, "contract_map", lambda t, e: (t, e)))
-    for construct in (bar, w_construction):
+    operad_keyers = ((SymSeq, "tree_relabel",
+                      lambda t, sigma: (t, _perm_key(sigma))),
+                     (Operad, "contract_map", lambda t, e: (t, e)))
+    precooperad_keyers = ((PreCooperad, "relabel_map",
+                           lambda t, sigma: (t, _perm_key(sigma))),
+                          (PreCooperad, "cover_map",
+                           lambda t, u, e: (t, u, e)))
+    q = extend_cooperad(bar(p, 4))
+    for construct, keyers in (
+            (lambda: bar(p, 4), operad_keyers),
+            (lambda: w_construction(p, 4), operad_keyers),
+            (lambda: cobar(q, 4), precooperad_keyers)):
         keys = {name: [] for _, name, _ in keyers}
         with monkeypatch.context() as m:
             for cls, name, key in keyers:
-                def counted(self, t, arg, orig=getattr(cls, name), name=name,
+                def counted(self, *args, orig=getattr(cls, name), name=name,
                             key=key):
-                    keys[name].append(key(t, arg))
-                    return orig(self, t, arg)
+                    keys[name].append(key(*args))
+                    return orig(self, *args)
 
                 m.setattr(cls, name, counted)
-            construct(p, 4)
+            construct()
         for name, built in keys.items():
-            assert built, (construct.__name__, name)
-            assert len(built) == len(set(built)), (construct.__name__, name)
-    cells = []
-
-    def counted_cells(field, T, U, orig=barcobar.theta_cells):
-        cells.append((T, U))
-        return orig(field, T, U)
-
-    monkeypatch.setattr(barcobar, "theta_cells", counted_cells)
-    theta(ass(3, F2), 3)
-    assert cells and len(cells) == len(set(cells))
+            assert built, name
+            assert len(built) == len(set(built)), name
+    # theta reads theta_cells on the top cells only, through its rule;
+    # theta_star builds the maps
     q = extend_cooperad(bar(ass(3, F2), 3))
-    cells.clear()
-    theta_star(q, 3)
-    assert cells and len(cells) == len(set(cells))
+    for name, run in (("_theta_cell_rule", lambda: theta(ass(3, F2), 3)),
+                      ("theta_cells", lambda: theta_star(q, 3))):
+        cells = []
+
+        def counted_cells(field, T, U, orig=getattr(barcobar, name)):
+            cells.append((T, U))
+            return orig(field, T, U)
+
+        with monkeypatch.context() as m:
+            m.setattr(barcobar, name, counted_cells)
+            run()
+        assert cells and len(cells) == len(set(cells)), name
 
 
 # -- tag-addressed engine slots and hom_map: fast path = slow path --------
@@ -750,13 +756,66 @@ def test_class_of_matches_inclusion_then_projection(name, field):
 def test_component_matches_inclusion_then_projection():
     q = extend_cooperad(bar(com(3), 3))
     cw = co_w(q, 3)
-    ends = [cobar(q, 3).ends[3]] + [cw.end_at(T) for T in enumerate_trees(3)]
+    ends = [cobar_engine(q, 3)] + [cw.end_at(T) for T in enumerate_trees(3)]
     for en in ends:
         _, projs = _inclusions_projections(en, en.homs)
         for t in en.trees:
             comp = en.component(t)
             assert comp.target is en.homs[t]
             assert comp == en.incl.then(projs[t]), t
+
+
+def _read_top_cells(eng, target):
+    """The engine end -> the closed-form term: read each end element on
+    the top cell of every slot."""
+    one = eng.field.one
+    return ChainMap.from_rule(eng.complex, target, lambda d, k: [
+        ((U, z), c) for (U, (_, cell, z)), c in
+        eng.incl.apply(d, {k: one}).items() if cell == _wbar_top(U)])
+
+
+@pytest.mark.parametrize("name, field", [("com", QQ), ("ass", F2)],
+                         ids=["com-q", "ass-f2"])
+def test_cobar_value_matches_engine_incl(name, field):
+    # an end element is its top-cell values spread by the evaluation rule
+    q = extend_cooperad(bar(builtin_operad(name, field, 3), 3))
+    cb = cobar(q, 3)
+    for n in (1, 2, 3):
+        eng = cobar_engine(q, n)
+        assert eng.complex.dims() == cb.term(n).dims()
+        for d, labels in eng.complex.basis.items():
+            for k in labels:
+                v = eng.incl.apply(d, {k: field.one})
+                rebuilt = {}
+                for (T, x), c in _read_top_cells(eng, cb.term(n)).apply(
+                        d, {k: field.one}).items():
+                    for U in eng.trees:
+                        for cells in wbar(field, U).basis.values():
+                            for cell in cells:
+                                for z, cz in _cobar_value(
+                                        q, T, x, U, cell).items():
+                                    key = (U, ("h", cell, z))
+                                    rebuilt[key] = field.add(
+                                        rebuilt.get(key, field.zero),
+                                        field.mul(c, cz))
+                assert {l: c for l, c in rebuilt.items()
+                        if c != field.zero} == v, (n, k)
+
+
+@pytest.mark.parametrize("name, field", [("com", QQ), ("ass", F2)],
+                         ids=["com-q", "ass-f2"])
+def test_cobar_map_matches_engine_reference(name, field):
+    from opdual.koszul import double_dual_map
+    eq, ddq, fam = double_dual_map(bar(builtin_operad(name, field, 3), 3), 3)
+    c1, c2 = cobar(eq, 3), cobar(ddq, 3)
+    cm = cobar_map(c1, c2, fam, 3)
+    for n in (1, 2, 3):
+        e1, e2 = cobar_engine(eq, n), cobar_engine(ddq, n)
+        slots = {T: (T, hom_map(e1.homs[T], e2.homs[T], post=fam[T]))
+                 for T in e1.trees if e1.homs[T].total_dim()}
+        ref = closed_cobar_to_engine(eq, c1, e1).then(
+            _end_map(e1, e2, slots)).then(_read_top_cells(e2, c2.term(n)))
+        assert cm[n] == ref, n
 
 
 def _random_chain_map(rng, field, a, b):

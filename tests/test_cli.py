@@ -197,6 +197,7 @@ def test_input_errors(capsys, tmp_path):
                  ("bar", "--operad", f"trivial:{highdefault}",
                   "--max-arity", "3"),
                  ("bar", "--operad", "com", "--truncate", "-1"),
+                 ("bar", "--operad", "com", "--truncate", "0"),
                  ("bar", "--operad", "com", "--max-arity", "3",
                   "--truncate", "9"), *specs):
         code, cap = run(capsys, *argv)

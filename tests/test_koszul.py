@@ -1,13 +1,17 @@
 import json
 
-from opdual.fields import QQ
+import pytest
+
+from opdual.fields import QQ, F2
 from opdual.chain import ChainMap, dual_map
 from opdual.trees import canonical_form, corolla, enumerate_trees
 from opdual.operads import (
     builtin_operad, check_operad_axioms, free_operad, symseq_from_degrees,
     trivial_operad, truncate,
 )
-from opdual.barcobar import bar, precooperad_diagram
+from opdual.barcobar import (
+    _wbar_top, bar, closed_cobar_to_engine, cobar_engine, precooperad_diagram,
+)
 from opdual.koszul import (
     cb_to_kk, double_dual_map, dual_precooperad, koszul_dual, kp_iso,
     verify_kk,
@@ -94,6 +98,40 @@ def test_kp_iso():
             assert cdp.term(n).dims() == kp.term(n).dims()
 
 
+def _engine_kp_iso(p, cdp, n, kp):
+    """kp_iso through the engine: the closed form sent into the end, each
+    end element read on the top cell of every tree with the currying
+    sign."""
+    field = p.field
+    eng = cobar_engine(cdp.q, n)
+
+    def rule(d, klab):
+        res = []
+        for (T, hl), c in eng.incl.apply(d, {klab: field.one}).items():
+            if hl[1] != _wbar_top(T):
+                continue
+            x = hl[2][1]
+            V = T.num_vertices
+            if (V * (V - 1) // 2 + V * sum(p._degrees(T, x))) % 2:
+                c = field.neg(c)
+            res.append((("dual", (T, x)), c))
+        return res
+
+    return closed_cobar_to_engine(cdp.q, cdp, eng).then(
+        ChainMap.from_rule(eng.complex, kp.term(n), rule))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: com(3), lambda: builtin_operad("ass", F2, 3),
+    lambda: free_operad(symseq_from_degrees(QQ, 3, {2: [0, 1]}), 3)],
+    ids=["com-q", "ass-f2", "free01-q"])
+def test_kp_iso_matches_engine_reference(make):
+    p = make()
+    kp, cdp, iso = kp_iso(p, 3)
+    for n in (2, 3):
+        assert iso[n] == _engine_kp_iso(p, cdp, n, kp), n
+
+
 def test_double_dual_map_iso():
     for p in (com(3), ass(3)):
         eq, ddq, fam = double_dual_map(bar(p, 3), 3)
@@ -148,3 +186,31 @@ def test_truncation_tower():
                  ((l, None) for d in b3.basis.values() for l in d)
                  if t.num_vertices == 1)
     assert b3.total_dim() == b2.total_dim() + killed
+
+
+def test_kk_witness_names_failing_arity_and_degree(monkeypatch, capsys):
+    from opdual import koszul
+    from opdual.cli import main
+
+    def broken(p, N, cb=None, orig=koszul.cb_to_kk):
+        # zero the arity-3 comparison in degree 1, where cobar(3) has dim 3
+        cb, kkp, out = orig(p, N, cb=cb)
+        f = out[3]
+        out[3] = ChainMap(f.source, f.target,
+                          {k: m for k, m in f.mats.items() if k != 1},
+                          check=False)
+        return cb, kkp, out
+
+    monkeypatch.setattr(koszul, "cb_to_kk", broken)
+    rep = verify_kk(com(3), 3)
+    assert not rep.cb_to_kk_iso and not rep.composite_iso
+    assert rep.homology_match
+    where = {"arity": 3, "degree": 1, "rank": 0, "dim": 3}
+    assert rep.witnesses == {"cb_to_kk_iso": where, "composite_iso": where}
+    assert main(["kk", "--operad", "com", "--max-arity", "3"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    assert checks["cb_to_kk_iso"]["witness"] == where
+    assert checks["composite_iso"]["witness"] == where
+    assert checks["homology_match"]["pass"]
+    assert checks["homology_match"]["witness"] == rep.to_dict()["dims"]["p"]

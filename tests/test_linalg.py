@@ -165,6 +165,31 @@ def test_rank_property_against_dense_oracle(field, data):
     assert a.rank() == _dense_rank(a)
 
 
+def _scanned_column(m, j):
+    """Column j read off the entries one by one: the slow path."""
+    return {i: v for (i, jj), v in m.data.items() if jj == j}
+
+
+@given(data=st.data())
+def test_indexed_columns_match_scanned_columns(data):
+    # the column index is rebuilt after every add_entry and set_column
+    field = Field(3)
+    m = _matrix(field, data.draw(sparse_entries(field)))
+
+    def agree():
+        return [m.column(j) for j in range(m.ncols)] == \
+            [_scanned_column(m, j) for j in range(m.ncols)] == m.columns()
+
+    assert agree()
+    for _ in range(3):
+        i = data.draw(st.integers(0, m.nrows - 1))
+        j = data.draw(st.integers(0, m.ncols - 1))
+        m.add_entry(i, j, data.draw(st.integers(1, 2)))
+        assert agree()
+        m.set_column(j, {i: 1})
+        assert agree()
+
+
 @given(data=st.data())
 def test_int_scalars_agree_with_fraction_scalars(data):
     shape = data.draw(sparse_entries(QQ))
