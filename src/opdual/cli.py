@@ -400,7 +400,6 @@ def _kk_report(p: Operad, N: int, report: dict) -> None:
     """The double-dual tables and checks, for both `kk` and `check kk`."""
     blob = verify_kk(p, N).to_dict()
     report["tables"] = blob["dims"]["kk"]
-    # a failing check's witness says where it fails
     where = blob.get("witnesses", {})
     for name, ok in sorted(blob["checks"].items()):
         report["checks"].append({
