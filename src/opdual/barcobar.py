@@ -11,11 +11,13 @@ carried out symbolically. Every pipeline runs on the closed forms; the
 engines (bar_engine, w_engine, cobar_engine) cross-check them.
 
 The mirrored constructions share one skeleton per step:
-  _window            the structure maps of the trees of one map build,
-                     each built once (closed forms, bar_map, theta)
-  _closed_form       the closed-form bar, W and cobar terms and their
-                     actions; _top_cell_move and _top_nu give the cube
-                     signs that bar and cobar share
+  _window            (from operads) the structure maps of the trees of
+                     one map build, each built once (closed forms,
+                     bar_map, theta)
+  _closed_form       the closed-form bar, W and cobar terms and the
+                     builder of their actions, each action built on its
+                     first sigma_adj request; _top_cell_move and _top_nu
+                     give the cube signs that bar and cobar share
   _Engine            the slots and relations common to Coend and End;
                      the sum of the slots has labels (tree, label), so
                      each slot is read and written by its tag, and no
@@ -67,7 +69,7 @@ from .cubes import (
 )
 from .operads import (
     Cooperad, Operad, PreCooperad, _adjacent_family, _along_covers,
-    _trivial_circ, extend_cooperad, trivial_operad,
+    _trivial_circ, _window, extend_cooperad, trivial_operad,
 )
 from .trees import (
     Tree, _graft_place, _split_graft, _token_image, _vertex_arities,
@@ -98,24 +100,6 @@ def _tensor_vecs(field, a, b):
             out[x + y] = field.add(out.get(x + y, field.zero),
                                    field.mul(cx, cy))
     return {l: c for l, c in out.items() if c != field.zero}
-
-
-def _window(build):
-    """The lookup key -> build(*key), each value built on its first
-    request. A map build opens one for the structure maps of its trees
-    (relabelings, contractions, theta_cells), so each of them is built
-    and verified once per build, not once per basis label, and is
-    dropped with the build; theta_star opens one for its whole family of
-    maps."""
-    maps = {}
-
-    def get(*key):
-        f = maps.get(key)
-        if f is None:
-            f = maps[key] = build(*key)
-        return f
-
-    return get
 
 
 # -- tree-indexed diagrams and their coends/ends --------------------------
@@ -434,7 +418,9 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
     window over structure (p.contract_map, or the covers of a tree for
     cobar); sigma acts on the tree term through relabel(t, sigma) and on
     the decoration by cube_move(field, t, t2, sigma, deco) -> (the new
-    decoration, its sign). Returns (terms, adjacent actions)."""
+    decoration, its sign). Returns (terms, the builder of the adjacent
+    actions): no action is built here, each one is built when sigma_adj
+    first asks for it."""
     terms = {}
     for n in range(1, N + 1):
         basis = _graded_basis(
@@ -456,7 +442,7 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
                     for x2, c in img.items()]
         return ChainMap.from_rule(terms[n], terms[n], rule)
 
-    return terms, _adjacent_family(terms, N, act)
+    return terms, _adjacent_family(act)
 
 
 def _top_cell_move(field, t, t2, sigma, deco):
@@ -498,7 +484,7 @@ def bar(p: Operad, N) -> Cooperad:
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
         return out
 
-    terms, adjacents = _closed_form(
+    terms, adjacent = _closed_form(
         field, N, p.tree_complex, p.tree_relabel, p.contract_map,
         lambda t: [((), t.num_vertices)], boundary, _top_cell_move)
 
@@ -525,7 +511,7 @@ def bar(p: Operad, N) -> Cooperad:
                                   tensor_many(field, [q.term(m), q.term(n)]),
                                   rule)
 
-    return Cooperad(field, N, terms, adjacents, cocirc_builder,
+    return Cooperad(field, N, terms, adjacent, cocirc_builder,
                     name=f"bar({p.name})" if p.name else "bar")
 
 
@@ -605,7 +591,7 @@ def w_construction(p: Operad, N) -> Operad:
                           key=cluster_key))
         return (S2,), _star_sign(field, _relabel_slots(S, t2.edges(), sigma))
 
-    terms, adjacents = _closed_form(
+    terms, adjacent = _closed_form(
         field, N, p.tree_complex, p.tree_relabel, p.contract_map,
         decorations, boundary, marked_move)
 
@@ -630,7 +616,7 @@ def w_construction(p: Operad, N) -> Operad:
             tensor_many(field, [q.term(m), q.term(n)]), q.term(m + n - 1),
             rule)
 
-    return Operad(field, N, terms, adjacents, circ_builder,
+    return Operad(field, N, terms, adjacent, circ_builder,
                   name=f"w({p.name})" if p.name else "w")
 
 
@@ -713,7 +699,7 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
                        for x2, c in f.apply(dx, {x: one}).items())
         return out
 
-    terms, adjacents = _closed_form(
+    terms, adjacent = _closed_form(
         field, N, q.term, q.relabel_map, covers,
         lambda t: [((), -t.num_vertices)], boundary, _top_cell_move)
 
@@ -739,7 +725,7 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
             tensor_many(field, [op.term(m), op.term(n)]), op.term(m + n - 1),
             rule)
 
-    return CobarOperad(q, field, N, terms, adjacents, circ_builder,
+    return CobarOperad(q, field, N, terms, adjacent, circ_builder,
                        name=f"cobar({q.name})" if q.name else "cobar")
 
 
@@ -883,17 +869,13 @@ def omega_sigma(a, N) -> Operad:
         sus[n] = shift(a.term(n), 1)
         terms[n] = hom_complex(wbar(field, corolla(n)), sus[n])
 
-    adjacents = {}
-    for n in range(2, N + 1):
-        if terms[n].total_dim() == 0:
-            continue
-        for i in range(1, n):
-            f = a.sigma_adj(n, i)
-            sf = ChainMap(sus[n], sus[n],
-                          {k + 1: f.matrix(k) for k in a.term(n).degrees()})
-            adjacents[(n, i)] = hom_map(terms[n], terms[n], post=sf)
+    def adjacent(n, i):
+        f = a.sigma_adj(n, i)
+        sf = ChainMap(sus[n], sus[n],
+                      {k + 1: f.matrix(k) for k in a.term(n).degrees()})
+        return hom_map(terms[n], terms[n], post=sf)
 
-    return Operad(field, N, terms, adjacents, _trivial_circ,
+    return Operad(field, N, terms, adjacent, _trivial_circ,
                   name=f"omega_sigma({a.name})" if a.name else "omega_sigma")
 
 

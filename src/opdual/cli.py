@@ -10,8 +10,9 @@ import sys
 from .chain import ChainComplex, ChainMap, is_quasi_iso, tensor_many
 from .trees import enumerate_trees
 from .operads import (
-    Operad, builtin_operad, check_operad_axioms, dualize, extend_cooperad,
-    free_operad, symseq_from_degrees, trivial_operad, truncate,
+    Operad, _prebuilt, builtin_operad, check_operad_axioms, dualize,
+    extend_cooperad, free_operad, symseq_from_degrees, trivial_operad,
+    truncate,
 )
 from .barcobar import bar, cobar_engine, w_construction, w_resolution, theta
 from .fields import Field
@@ -194,7 +195,8 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
             raise CliError(f"circ ({m},{n},{i}): {e}")
 
     try:
-        p = Operad(field, N, terms, adjacents, circ_builder, name=path)
+        p = Operad(field, N, terms, _prebuilt(adjacents), circ_builder,
+                   name=path)
         fails = check_operad_axioms(p)
     except (ValueError, CliError) as e:
         raise CliError(f"operad spec {path} rejected: {e}")

@@ -1,11 +1,12 @@
 """Symmetric sequences, operads, cooperads and pre-cooperads.
 
 Everything is reduced: the arity-1 term is the unit complex. Symmetric
-group actions are stored through their adjacent transpositions and
-composed on demand as left actions (act(s)act(t) = act(st)). Operads
-store the partial compositions circ(m, i, n): term(m) (x) term(n) ->
-term(m+n-1) in the consecutive-block convention matching trees.graft:
-the grafted inputs become the block {i..i+n-1}.
+group actions are given through their adjacent transpositions, each
+built on its first request, and composed on demand as left actions
+(act(s)act(t) = act(st)). Operads store the partial compositions
+circ(m, i, n): term(m) (x) term(n) -> term(m+n-1) in the
+consecutive-block convention matching trees.graft: the grafted inputs
+become the block {i..i+n-1}.
 
 Tree-shaped tensors p(T) = (x)_{vertices} term(arity) and their edge
 contractions are derived from circ and the actions; pre-cooperads store
@@ -66,26 +67,53 @@ def _contraction(u: Tree, e, t: Tree):
     return len(ch), j, u.arity_of(e), pi, order, order.index(v)
 
 
-def _adjacent_family(terms, N, build):
-    """build(n, s) for each adjacent transposition s of {1..n}, keyed by
-    (n, i), over the arities 2..N whose term is nonzero."""
-    return {(n, i): build(n, adjacent_transposition(n, i))
-            for n in range(2, N + 1) if terms[n].total_dim()
-            for i in range(1, n)}
+def _window(build):
+    """The lookup key -> build(*key), each value built on its first
+    request and kept for later ones. A symmetric sequence keeps one for
+    its adjacent actions (sigma_adj), so each action is built when it is
+    first asked for, and then shared. A map build opens one for the
+    structure maps of its trees (relabelings, contractions,
+    theta_cells), so each of them is built and verified once per build,
+    not once per basis label, and is dropped with the build; theta_star
+    opens one for its whole family of maps."""
+    maps = {}
+
+    def get(*key):
+        f = maps.get(key)
+        if f is None:
+            f = maps[key] = build(*key)
+        return f
+
+    return get
+
+
+def _adjacent_family(build):
+    """The action builder (n, i) -> build(n, s) of a construction, s the
+    adjacent transposition (i, i+1) of {1..n}. Nothing is built here:
+    SymSeq.sigma_adj calls it for an action on its first request."""
+    return lambda n, i: build(n, adjacent_transposition(n, i))
+
+
+def _prebuilt(adjacents):
+    """The action builder that reads a dict of prebuilt maps keyed
+    (n, i); None for an action the dict lacks."""
+    return lambda n, i: adjacents.get((n, i))
 
 
 class SymSeq:
     """Arity-indexed chain complexes with symmetric group actions,
-    truncated at a fixed maximum arity N."""
+    truncated at a fixed maximum arity N. adjacent(n, i) builds the
+    action of s_i on a nonzero term(n), or returns None when there is
+    none; sigma_adj calls it once per action, on its first request."""
 
-    def __init__(self, field, N, terms, adjacents, name=""):
+    def __init__(self, field, N, terms, adjacent, name=""):
         if N < 1:
             raise ValueError("max arity must be >= 1")
         self.field = field
         self.N = N
         self.name = name
         self._terms = dict(terms)
-        self._adjacents = dict(adjacents)
+        self._adjacent = _window(adjacent)
         one = self._terms.get(1)
         if one is None or one.dims() != {0: 1}:
             raise ValueError("reduced: the arity-1 term must be the unit")
@@ -103,11 +131,13 @@ class SymSeq:
         return c if c is not None else zero_complex(self.field)
 
     def sigma_adj(self, n, i) -> ChainMap:
-        f = self._adjacents.get((n, i))
+        """The action of s_i on term(n): the zero map on a zero term,
+        otherwise built on its first request and kept."""
+        t = self.term(n)
+        if t.total_dim() == 0:
+            return ChainMap.zero(t, t)
+        f = self._adjacent(n, i) if 1 <= i < n else None
         if f is None:
-            t = self.term(n)
-            if t.total_dim() == 0:
-                return ChainMap.zero(t, t)
             raise ValueError(f"missing action of s_{i} in arity {n}")
         return f
 
@@ -167,8 +197,8 @@ class SymSeq:
 
 
 class Operad(SymSeq):
-    def __init__(self, field, N, terms, adjacents, circ_builder, name=""):
-        super().__init__(field, N, terms, adjacents, name=name)
+    def __init__(self, field, N, terms, adjacent, circ_builder, name=""):
+        super().__init__(field, N, terms, adjacent, name=name)
         self._circ_builder = circ_builder
         self._circ_cache = {}
         self._compose_cache = {}
@@ -244,8 +274,8 @@ class Operad(SymSeq):
 
 
 class Cooperad(SymSeq):
-    def __init__(self, field, N, terms, adjacents, cocirc_builder, name=""):
-        super().__init__(field, N, terms, adjacents, name=name)
+    def __init__(self, field, N, terms, adjacent, cocirc_builder, name=""):
+        super().__init__(field, N, terms, adjacent, name=name)
         self._cocirc_builder = cocirc_builder
         self._cocirc_cache = {}
 
@@ -285,8 +315,9 @@ def builtin_operad(name, field, N) -> Operad:
                 tensor_many(field, [p.term(m), p.term(n)]), p.term(m + n - 1),
                 lambda d, tup: [("e", 1)])
 
-        return Operad(field, N, terms, _identity_adjacents(terms, N),
-                      circ_builder, name="com")
+        return Operad(field, N, terms,
+                      _prebuilt(_identity_adjacents(terms, N)), circ_builder,
+                      name="com")
     if name == "ass":
         terms = {n: ChainComplex(
             field, {0: sorted(itertools.permutations(range(1, n + 1)))}, {})
@@ -316,7 +347,8 @@ def builtin_operad(name, field, N) -> Operad:
                 tensor_many(field, [p.term(m), p.term(n)]), p.term(m + n - 1),
                 lambda d, tup: [(splice(tup), 1)])
 
-        return Operad(field, N, terms, adjacents, circ_builder, name="ass")
+        return Operad(field, N, terms, _prebuilt(adjacents), circ_builder,
+                      name="ass")
     raise ValueError(f"unknown built-in operad {name!r}")
 
 
@@ -324,11 +356,7 @@ def trivial_operad(a: SymSeq) -> Operad:
     """The operad on a symmetric sequence with zero compositions (apart
     from the forced unit identifications)."""
     terms = {n: a.term(n) for n in range(1, a.N + 1)}
-    adjacents = {(n, i): a.sigma_adj(n, i)
-                 for n in range(2, a.N + 1) for i in range(1, n)
-                 if a.term(n).total_dim()}
-
-    return Operad(a.field, a.N, terms, adjacents, _trivial_circ,
+    return Operad(a.field, a.N, terms, a.sigma_adj, _trivial_circ,
                   name=f"trivial({a.name})" if a.name else "trivial")
 
 
@@ -368,7 +396,7 @@ def free_operad(a: SymSeq, N) -> Operad:
             return [((t2, l2), v) for l2, v in img.items()]
         return rule
 
-    adjacents = _adjacent_family(terms, N, lambda n, s: ChainMap.from_rule(
+    adjacent = _adjacent_family(lambda n, s: ChainMap.from_rule(
         terms[n], terms[n], relabel_rule(n, s)))
 
     def circ_builder(p, m, i, n):
@@ -386,7 +414,7 @@ def free_operad(a: SymSeq, N) -> Operad:
 
         return ChainMap.from_rule(src, tgt, rule)
 
-    return Operad(field, N, terms, adjacents, circ_builder,
+    return Operad(field, N, terms, adjacent, circ_builder,
                   name=f"free({a.name})" if a.name else "free")
 
 
@@ -403,8 +431,6 @@ def truncate(p: Operad, n: int, mode: str = "<=") -> Operad:
         raise ValueError(f"unknown truncation mode {mode!r}")
     terms = {k: p.term(k) if k in keep else zero_complex(p.field)
              for k in range(1, p.N + 1)}
-    adjacents = {(k, i): p.sigma_adj(k, i)
-                 for k in keep if k >= 2 for i in range(1, k)}
 
     def circ_builder(q, m, i, k):
         src = tensor_many(q.field, [q.term(m), q.term(k)])
@@ -416,7 +442,7 @@ def truncate(p: Operad, n: int, mode: str = "<=") -> Operad:
             return ChainMap.zero(src, tgt)
         return ChainMap(src, tgt, p.circ(m, i, k).mats, check=False)
 
-    return Operad(p.field, p.N, terms, adjacents, circ_builder,
+    return Operad(p.field, p.N, terms, p.sigma_adj, circ_builder,
                   name=f"{p.name}|{mode}{n}")
 
 
@@ -538,8 +564,8 @@ def dualize(x, N=None):
     N = N or x.N
     field = x.field
     terms = {n: linear_dual(x.term(n)) for n in range(1, N + 1)}
-    adjacents = _adjacent_family(
-        terms, N, lambda n, s: dual_map(x.act(n, _inverse_perm(s))))
+    adjacent = _adjacent_family(
+        lambda n, s: dual_map(x.act(n, _inverse_perm(s))))
 
     if isinstance(x, Operad):
         def cocirc_builder(q, m, i, n):
@@ -551,7 +577,7 @@ def dualize(x, N=None):
                 lambda d, lab: [((("dual", lab[1][0]), ("dual", lab[1][1])), 1)])
             return f.then(unpair)
 
-        return Cooperad(field, N, terms, adjacents, cocirc_builder,
+        return Cooperad(field, N, terms, adjacent, cocirc_builder,
                         name=f"dual({x.name})" if x.name else "dual")
 
     if isinstance(x, Cooperad):
@@ -563,7 +589,7 @@ def dualize(x, N=None):
                 lambda d, lab: [(("dual", (lab[0][1], lab[1][1])), 1)])
             return pair.then(f)
 
-        return Operad(field, N, terms, adjacents, circ_builder,
+        return Operad(field, N, terms, adjacent, circ_builder,
                       name=f"dual({x.name})" if x.name else "dual")
     raise TypeError("dualize needs an operad or cooperad")
 
@@ -838,4 +864,4 @@ def symseq_from_degrees(field, N, gens, name="a") -> SymSeq:
             terms[n] = ChainComplex(field, basis, {})
     adjacents = {(n, i): ChainMap.identity(terms[n])
                  for n in terms if n >= 2 for i in range(1, n)}
-    return SymSeq(field, N, terms, adjacents, name=name)
+    return SymSeq(field, N, terms, _prebuilt(adjacents), name=name)

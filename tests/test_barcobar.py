@@ -664,10 +664,17 @@ def test_structure_maps_built_once_per_key(monkeypatch):
                           (PreCooperad, "cover_map",
                            lambda t, u, e: (t, u, e)))
     q = extend_cooperad(bar(p, 4))
+
+    def with_actions(c):
+        # the actions are built on request: ask for every one
+        for n in range(2, c.N + 1):
+            for i in range(1, n):
+                c.sigma_adj(n, i)
+
     for construct, keyers in (
-            (lambda: bar(p, 4), operad_keyers),
-            (lambda: w_construction(p, 4), operad_keyers),
-            (lambda: cobar(q, 4), precooperad_keyers)):
+            (lambda: with_actions(bar(p, 4)), operad_keyers),
+            (lambda: with_actions(w_construction(p, 4)), operad_keyers),
+            (lambda: with_actions(cobar(q, 4)), precooperad_keyers)):
         keys = {name: [] for _, name, _ in keyers}
         with monkeypatch.context() as m:
             for cls, name, key in keyers:
@@ -696,6 +703,63 @@ def test_structure_maps_built_once_per_key(monkeypatch):
             m.setattr(barcobar, name, counted_cells)
             run()
         assert cells and len(cells) == len(set(cells)), name
+
+
+def test_actions_built_on_first_request(monkeypatch):
+    p = ass(4, F2)
+    bq = bar(p, 4)
+    q = extend_cooperad(bq)
+    sparse = trivial_operad(symseq_from_degrees(F2, 4, {3: [0]}))
+    relabels = []
+    with monkeypatch.context() as m:
+        for cls, name in ((SymSeq, "tree_relabel"),
+                          (PreCooperad, "relabel_map")):
+            def counted(self, *args, orig=getattr(cls, name)):
+                relabels.append(args)
+                return orig(self, *args)
+
+            m.setattr(cls, name, counted)
+        built = [(bar(p, 4), p, _bar_move),
+                 (w_construction(p, 4), p, _w_move),
+                 (cobar(q, 4), bq, _bar_move)]
+        zero_in_2_and_4 = [bar(sparse, 4), w_construction(sparse, 4),
+                           cobar(extend_cooperad(bar(sparse, 4)), 4)]
+    assert not relabels
+
+    from_rule = ChainMap.from_rule.__func__
+    maps = []
+
+    def counted_from_rule(cls, source, target, *args, **kwargs):
+        maps.append((source, target))
+        return from_rule(cls, source, target, *args, **kwargs)
+
+    for c, ref, move in built:
+        for n in range(2, 5):
+            term = c.term(n)
+            for i in range(1, n):
+                with monkeypatch.context() as m:
+                    m.setattr(ChainMap, "from_rule",
+                              classmethod(counted_from_rule))
+                    maps.clear()
+                    f = c.sigma_adj(n, i)
+                    assert sum(s is term and t is term
+                               for s, t in maps) == 1, (c.name, n, i)
+                    maps.clear()
+                    assert c.sigma_adj(n, i) is f
+                    assert not maps
+                assert f == _labelwise_action(
+                    ref, term, adjacent_transposition(n, i), move), \
+                    (c.name, n, i)
+        with pytest.raises(ValueError):
+            c.sigma_adj(4, 4)
+    for c in zero_in_2_and_4:
+        for n in (2, 4):
+            term = c.term(n)
+            assert term.total_dim() == 0
+            assert c.sigma_adj(n, 1) == ChainMap.zero(term, term)
+        assert c.term(3).total_dim()
+        with pytest.raises(ValueError):
+            c.sigma_adj(3, 3)
 
 
 # -- tag-addressed engine slots and hom_map: fast path = slow path --------
