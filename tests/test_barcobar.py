@@ -747,9 +747,14 @@ def test_actions_built_on_first_request(monkeypatch):
                     maps.clear()
                     assert c.sigma_adj(n, i) is f
                     assert not maps
-                assert f == _labelwise_action(
-                    ref, term, adjacent_transposition(n, i), move), \
-                    (c.name, n, i)
+                # the label-by-label reference costs seconds at arity 4;
+                # there bar and W are compared with it by
+                # test_closed_forms_match_labelwise_reference, and cobar
+                # with the engine's action by criterion 11
+                if n <= 3:
+                    assert f == _labelwise_action(
+                        ref, term, adjacent_transposition(n, i), move), \
+                        (c.name, n, i)
         with pytest.raises(ValueError):
             c.sigma_adj(4, 4)
     for c in zero_in_2_and_4:
