@@ -11,9 +11,12 @@ carried out symbolically. Every pipeline runs on the closed forms; the
 engines (bar_engine, w_engine, cobar_engine) cross-check them.
 
 The mirrored constructions share one skeleton per step:
-  _window            (from operads) the structure maps of the trees of
-                     one map build, each built once (closed forms,
-                     bar_map, theta)
+  _window            (from operads) the one memo: per map build, the
+                     structure maps of its trees, each built once and
+                     dropped after the build (closed forms, bar_map,
+                     theta, theta_star); per object, the composites of a
+                     TreeDiagram, the coends of bbar and the ends of
+                     co-W, kept as long as the object
   _closed_form       the closed-form bar, W and cobar terms and the
                      builder of their actions, each action built on its
                      first sigma_adj request; _top_cell_move and _top_nu
@@ -39,8 +42,8 @@ The mirrored constructions share one skeleton per step:
                      in the tests)
   _coend_map         the covers and relabelings of bbar
   _evaluate          cobar elements read on family cells (the adjunction
-                     transpose and theta_star)
-  _composite         fragment composites, cached on the pre-cooperad
+                     transpose and theta_star), composed back into q by
+                     q.compose_fragments, a window kept on q
 The cube-level maps they use (relabelings, the unit-extended grafting
 split, family transports) live in the cubes layer.
 
@@ -128,7 +131,9 @@ class TreeDiagram:
                     raise ValueError("cover map endpoints mismatch")
                 self.covers.append((t, u))
                 self._cover_maps[(t, u)] = f
-        self._map_cache = {}
+        self._maps = _along_covers(self.term,
+                                   lambda a, b, e: self.cover_map(a, b),
+                                   flavor == "covariant")
         if validate:
             self._validate()
 
@@ -142,9 +147,7 @@ class TreeDiagram:
         """Composite along any cover chain from t up to u (t <= u)."""
         if not t.leq(u):
             raise ValueError("map needs t <= u")
-        return _along_covers(self._map_cache, t, u, self.term,
-                             lambda a, b, e: self.cover_map(a, b),
-                             self.flavor == "covariant")
+        return self._maps(t, u)
 
     def _validate(self):
         for u in self.trees:
@@ -918,91 +921,6 @@ def epsilon_trivial(a, N, cb: CobarOperad = None, om: Operad = None):
     return cb, om, eps
 
 
-# -- composing fragment values along a coarser tree -----------------------
-
-def _local_subtree(W: Tree, c) -> Tree:
-    lam = {l: k for k, l in enumerate(sorted(c), start=1)}
-    return Tree(len(c), [frozenset(lam[l] for l in w)
-                         for w in W.clusters if w <= c])
-
-
-def compose_fragments(q: PreCooperad, T: Tree, U: Tree) -> ChainMap:
-    """(x)_{u in U.vertices()} Q(fragment of T over u) -> Q(T), composing
-    the fragment values with the grafting maps of q; U <= T."""
-    field = q.field
-    if U.n == 1:
-        ul = q.term(T).basis[0][0]
-        return ChainMap.from_rule(tensor_many(field, []), q.term(T),
-                                  lambda d, l: [(ul, 1)])
-    frs = fragments(T, U)
-    uvs = U.vertices()
-    factors = [q.term(frs[v].tree) for v in uvs]
-    src = tensor_many(field, factors)
-    if U.num_vertices == 1:
-        return ChainMap.from_rule(src, q.term(T), lambda d, l: [(l[0], 1)])
-    r = U.root_cluster
-    rch = U.children(r)
-    cls = [c for c in rch if not isinstance(c, int)]
-    groups = [[w for w in uvs if w <= c] for c in cls]
-    subs = []
-    for c in cls:
-        T_c = _local_subtree(T, c)
-        subs.append((T_c, _composite(q, T_c, _local_subtree(U, c))))
-    # regroup the flat tensor into (root factor) x (one block per subtree)
-    grouped = [r] + [w for g in groups for w in g]
-    perm = [grouped.index(w) for w in uvs]
-    fdeg = [c.label_degree for c in factors]
-    nested = tensor_many(field, [q.term(frs[r].tree)] +
-                         [cf.source for _, cf in subs])
-
-    def regroup_rule(d, tup):
-        flat, sgn = _place(field, tup, [fdeg[k][l] for k, l in enumerate(tup)],
-                           perm)
-        return [((flat[0],) + _chunks(flat[1:], map(len, groups)), sgn)]
-
-    f = ChainMap.from_rule(src, nested, regroup_rule).then(tensor_map_many(
-        field, [ChainMap.identity(q.term(frs[r].tree))] +
-        [cf for _, cf in subs], source=nested))
-    # graft the composed subtrees into the root fragment, left to right
-    W = frs[r].tree
-    offset = 0
-    for k, c in enumerate(cls):
-        j = rch.index(c) + 1 + offset
-        T_c = subs[k][0]
-        m = q.m_map(W, j, T_c)
-        W = graft(W, j, T_c)
-        tail = [q.term(x) for x, _ in subs[k + 1:]]
-        nxt = tensor_many(field, [q.term(W)] + tail) if tail else q.term(W)
-
-        def step_rule(d, tup, m=m, tail=bool(tail)):
-            img = m.apply(
-                m.source.label_degree[(tup[0], tup[1])], {(tup[0], tup[1]): 1})
-            return [((l2,) + tuple(tup[2:]) if tail else l2, cc)
-                    for l2, cc in img.items()]
-
-        f = f.then(ChainMap.from_rule(f.target, nxt, step_rule))
-        offset += len(c) - 1
-    # grafting fills the child blocks contiguously; a tree whose clusters
-    # are not intervals is reached by relabeling at the end
-    leaves = []
-    for c in rch:
-        leaves.extend(sorted(c) if not isinstance(c, int) else [c])
-    lam = {k + 1: l for k, l in enumerate(leaves)}
-    assert W.relabel(lam) == T
-    if W != T:
-        f = f.then(q.relabel_map(W, lam))
-    return f
-
-
-def _composite(q: PreCooperad, T: Tree, U: Tree) -> ChainMap:
-    """compose_fragments(q, T, U), memoized on q."""
-    f = q._fragment_cache.get((T, U))
-    if f is None:
-        f = compose_fragments(q, T, U)
-        q._fragment_cache[(T, U)] = f
-    return f
-
-
 def _evaluate(cq: CobarOperad, fts, cells, elem, dxs, coeff) -> dict:
     """Read cobar elements on family cells: factor j is the element
     elem(j) of cq in arity fts[j].n and degree dxs[j], evaluated on the
@@ -1035,20 +953,18 @@ class BbarPreCooperad(PreCooperad):
         super().__init__(p.field, N,
                          name=f"bbar({p.name})" if p.name else "bbar")
         self.p = p
-        self._coends = {}
+        self._coend = _window(self._build_coend)
 
     def coend_at(self, t: Tree) -> Coend:
-        ce = self._coends.get(t)
-        if ce is None:
-            field = self.field
-            w = TreeDiagram(
-                field, t.n, "covariant",
-                lambda U: wbar_family(field, t, U),
-                lambda U, U2, e: family_cover(field, t, U, U2, e),
-                validate=False)
-            ce = Coend(w, operad_diagram(self.p, t.n))
-            self._coends[t] = ce
-        return ce
+        return self._coend(t)
+
+    def _build_coend(self, t):
+        field = self.field
+        w = TreeDiagram(field, t.n, "covariant",
+                        lambda U: wbar_family(field, t, U),
+                        lambda U, U2, e: family_cover(field, t, U, U2, e),
+                        validate=False)
+        return Coend(w, operad_diagram(self.p, t.n))
 
     def _term(self, t):
         return self.coend_at(t).complex
@@ -1155,7 +1071,7 @@ def transpose_to_precooperad(phi, bp: BbarPreCooperad, cq: CobarOperad):
                     dys, field.one)
                 if not vals:
                     return []
-                return list(_composite(q, T, U).apply(d, vals).items())
+                return list(q.compose_fragments(T, U).apply(d, vals).items())
 
             G = ChainMap.from_rule(ce.total, q.term(T), rule)
             out[T] = ce.map_out(G)
@@ -1194,25 +1110,24 @@ class CoWPreCooperad(PreCooperad):
         super().__init__(q.field, N,
                          name=f"co_w({q.name})" if q.name else "co_w")
         self.q = q
-        self._ends = {}
+        self._end = _window(self._build_end)
 
     def end_at(self, t: Tree) -> End:
-        en = self._ends.get(t)
-        if en is None:
-            field = self.field
-            w = TreeDiagram(
-                field, t.n, "covariant",
-                lambda U: (rel_delta(field, U, t) if t.leq(U)
-                           else zero_complex(field)),
-                lambda U, U2, e: (
-                    face_inclusion(field, "i", (U, t), (U2, t)) if t.leq(U)
-                    else ChainMap.zero(zero_complex(field),
-                                       rel_delta(field, U2, t)
-                                       if t.leq(U2) else zero_complex(field))),
-                validate=False)
-            en = End(w, precooperad_diagram(self.q, t.n))
-            self._ends[t] = en
-        return en
+        return self._end(t)
+
+    def _build_end(self, t):
+        field = self.field
+        w = TreeDiagram(
+            field, t.n, "covariant",
+            lambda U: (rel_delta(field, U, t) if t.leq(U)
+                       else zero_complex(field)),
+            lambda U, U2, e: (
+                face_inclusion(field, "i", (U, t), (U2, t)) if t.leq(U)
+                else ChainMap.zero(zero_complex(field),
+                                   rel_delta(field, U2, t)
+                                   if t.leq(U2) else zero_complex(field))),
+            validate=False)
+        return End(w, precooperad_diagram(self.q, t.n))
 
     def _term(self, t):
         return self.end_at(t).complex
@@ -1373,7 +1288,7 @@ def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End,
                     gverts = [glob(t, w) for t, (Ut, _) in zip(tvs, lab)
                               for w in Ut.vertices()]
                     perm = [upos[g] for g in gverts]
-                    cf = _composite(q, V, U)
+                    cf = q.compose_fragments(V, U)
                     for l3, c3 in terms.items():
                         zd = [q.term(frsU[g].tree).label_degree[z]
                               for g, z in zip(gverts, l3)]

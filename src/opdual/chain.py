@@ -13,7 +13,7 @@ Sign conventions (fixed once, verified by tests):
 from __future__ import annotations
 
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Eliminator, Matrix
 
 
 class ChainComplex:
@@ -580,13 +580,12 @@ def cokernel_complex(f: ChainMap):
     map in general). Cokernel labels are ("cok", k, target label)."""
     if f.degree != 0:
         raise ValueError("cokernel needs degree 0")
-    from .linalg import Eliminator
     field = f.source.field
     elims = {}
     kept = {}
     for k in f.target.degrees():
         elim = Eliminator(field, f.target.dim(k), track=False)
-        for col in f.matrix(k - 0).columns() if f.source.dim(k) else []:
+        for col in f.matrix(k).columns() if f.source.dim(k) else []:
             elim.add(col)
         elims[k] = elim
         kept[k] = [i for i in range(f.target.dim(k)) if i not in elim.pivot_row_set]
@@ -614,9 +613,3 @@ def cokernel_complex(f: ChainMap):
     cok = ChainComplex(field, basis, diff, check=True)
     proj = ChainMap(f.target, cok, proj_mats, check=True)
     return cok, proj, sect
-
-
-def kernel_cokernel(f: ChainMap):
-    ker, _ = kernel_complex(f)
-    cok, _, _ = cokernel_complex(f)
-    return ker, cok

@@ -77,6 +77,17 @@ def _sparse_to_images(triples, src_labels, tgt_labels, field):
     return out
 
 
+def _check_degrees(what, imgs, src_degree, tgt_degree, shift):
+    """CliError unless every entry of imgs sends a source label of degree
+    k to a target label of degree k + shift."""
+    for src, img in imgs.items():
+        for tgt in img:
+            k, k2 = src_degree(src), tgt_degree(tgt)
+            if k2 != k + shift:
+                raise CliError(f"{what}: entry {src!r} -> {tgt!r} goes from "
+                               f"degree {k} to degree {k2}, not {k + shift}")
+
+
 def _by_arity(blob, key: str, path: str) -> list:
     """The entries of the JSON object blob[key] as (arity, value) pairs;
     CliError unless it is an object keyed by integers."""
@@ -112,6 +123,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
 
     terms = {1: ChainComplex(field, {0: ["u"]}, {})}
     names = {1: ["u"]}
+    degree = {1: {"u": 0}}
     for n, tdata in _by_arity(blob, "terms", path):
         if n == 1:
             continue
@@ -124,6 +136,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
             raise CliError(f"term {n}: each basis entry needs a name and an "
                            f"integer degree ({e!r})")
         imgs = _sparse_to_images(tdata.get("d", []), labels, labels, field)
+        _check_degrees(f"term {n}: d", imgs, degs.get, degs.get, -1)
 
         def rule(d, lab, imgs=imgs):
             return list(imgs[lab].items())
@@ -136,6 +149,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
         except ValueError as e:
             raise CliError(f"term {n}: {e}")
         names[n] = labels
+        degree[n] = degs
 
     adjacents = {}
     for n, sdata in _by_arity(blob, "sigma", path):
@@ -152,6 +166,8 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
             if not 1 <= i < n:
                 raise CliError(f"sigma index {i} out of range for arity {n}")
             imgs = _sparse_to_images(triples, names[n], names[n], field)
+            _check_degrees(f"sigma ({n},{i})", imgs, degree[n].get,
+                           degree[n].get, 0)
             try:
                 adjacents[(n, i)] = ChainMap.from_rule(
                     terms[n], terms[n],
@@ -175,6 +191,9 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
         pairs = [(a, b) for a in names[m] for b in names[n]]
         circ_imgs[(m, i, n)] = _sparse_to_images(
             triples, pairs, names[m + n - 1], field)
+        _check_degrees(f"circ ({m},{n},{i})", circ_imgs[(m, i, n)],
+                       lambda ab: degree[m][ab[0]] + degree[n][ab[1]],
+                       degree[m + n - 1].get, 0)
 
     def circ_builder(p, m, i, n):
         src = tensor_many(field, [p.term(m), p.term(n)])

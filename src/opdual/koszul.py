@@ -110,17 +110,17 @@ def double_dual_map(q: Cooperad, N=None):
 
 def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
     """Cobar applied to the double-dual comparison of the bar cooperad,
-    composed with the currying iso. Returns (cb, kkp, per-arity maps)."""
+    composed with the currying iso. Returns (kp, kkp, per-arity maps),
+    kp = K(p) being the dual of the bar cooperad that the double dual is
+    built on."""
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
-    bq = cb.q.q
-    _, ddq, fam = double_dual_map(bq, N)
+    _, ddq, fam = double_dual_map(cb.q.q, N)
     ckk = cobar(ddq, N)
     cm = cobar_map(cb, ckk, fam, N)
-    kp = dualize(bq, N)
-    kkp, _, iso = kp_iso(kp, N, cdp=ckk)
+    kkp, _, iso = kp_iso(ddq.p, N, cdp=ckk)
     out = {n: cm[n].then(iso[n]) for n in range(1, N + 1)}
-    return cb, kkp, out
+    return ddq.p, kkp, out
 
 
 # -- the verification pipeline --------------------------------------------
@@ -187,10 +187,9 @@ def verify_kk(p: Operad, N) -> DualityReport:
     first rank deficit, or the first arity whose homology differs."""
     rep = DualityReport(operad=p.name or "operad", max_arity=N)
     bq = bar(p, N)
-    kp = dualize(bq, N)
     cb = cobar(extend_cooperad(bq), N)
     _, _, th = theta(p, N, cb=cb)
-    _, kkp, dd = cb_to_kk(p, N, cb=cb)
+    kp, kkp, dd = cb_to_kk(p, N, cb=cb)
     comp = {n: th[n].then(dd[n]) for n in range(1, N + 1)}
     for name, maps in (("cb_to_kk_iso", dd), ("composite_iso", comp)):
         where = _first_non_bijective(maps, N)

@@ -21,6 +21,7 @@ from .chain import (
     k_complex, linear_dual, permute_factors_map, tensor_many, tensor_map_many,
     zero_complex,
 )
+from .cubes import _chunks
 from .trees import (
     Tree, _graft_slots, _vertex_arities, _vertex_relabel,
     adjacent_transposition, cluster_key, enumerate_trees, fragments, graft,
@@ -69,13 +70,20 @@ def _contraction(u: Tree, e, t: Tree):
 
 def _window(build):
     """The lookup key -> build(*key), each value built on its first
-    request and kept for later ones. A symmetric sequence keeps one for
-    its adjacent actions (sigma_adj), so each action is built when it is
-    first asked for, and then shared. A map build opens one for the
-    structure maps of its trees (relabelings, contractions,
-    theta_cells), so each of them is built and verified once per build,
-    not once per basis label, and is dropped with the build; theta_star
-    opens one for its whole family of maps."""
+    request and kept for later ones. It is the only memo of the package
+    apart from the lru_caches of trees and cubes, and it serves two
+    lifetimes:
+      - every value built once and kept on an object (the actions, tree
+        complexes and structure maps of a symmetric sequence, the terms,
+        expansions and fragment composites of a pre-cooperad, the coends
+        of bbar, the ends of co-W, the composites of a tree diagram) is
+        a window made with the object, read through the public method
+        that returns it, and lives as long as the object;
+      - a map build opens one for the structure maps of its trees
+        (relabelings, contractions, theta_cells), so each of them is
+        built and verified once per build, not once per basis label,
+        and the window is dropped after its build; theta_star opens one
+        for its whole family of maps."""
     maps = {}
 
     def get(*key):
@@ -117,8 +125,9 @@ class SymSeq:
         one = self._terms.get(1)
         if one is None or one.dims() != {0: 1}:
             raise ValueError("reduced: the arity-1 term must be the unit")
-        self._act_cache = {}
-        self._tree_cache = {}
+        self._acts = _window(self._act)
+        self._tree_complexes = _window(lambda t: tensor_many(
+            field, [self.term(t.arity_of(v)) for v in t.vertices()]))
 
     @property
     def unit_label(self):
@@ -142,14 +151,38 @@ class SymSeq:
         return f
 
     def act(self, n, perm) -> ChainMap:
-        key = (n, tuple(perm[k] for k in range(1, n + 1)))
-        f = self._act_cache.get(key)
-        if f is None:
-            f = ChainMap.identity(self.term(n))
-            for j in perm_to_adjacents(perm):
-                f = f.then(self.sigma_adj(n, j))
-            self._act_cache[key] = f
+        """The action of the permutation perm of {1..n} on term(n)."""
+        return self._acts(n, tuple(perm[k] for k in range(1, n + 1)))
+
+    def _act(self, n, images):
+        f = ChainMap.identity(self.term(n))
+        for j in perm_to_adjacents(dict(enumerate(images, 1))):
+            f = f.then(self.sigma_adj(n, j))
         return f
+
+    def _structure(self, name, builder, into_top):
+        """The lookup (m, i, n) -> the structure map name(m, i, n) between
+        term(m) (x) term(n) and term(m+n-1), into term(m+n-1) when
+        into_top (circ) and out of it otherwise (cocirc): ValueError out
+        of range, the zero map when either side is zero, and otherwise
+        builder(self, m, i, n), built once."""
+        def build(m, i, n):
+            src = tensor_many(self.field, [self.term(m), self.term(n)])
+            tgt = self.term(m + n - 1)
+            if not into_top:
+                src, tgt = tgt, src
+            if src.total_dim() == 0 or tgt.total_dim() == 0:
+                return ChainMap.zero(src, tgt)
+            return builder(self, m, i, n)
+
+        maps = _window(build)
+
+        def get(m, i, n):
+            if not (1 <= i <= m and m + n - 1 <= self.N):
+                raise ValueError(f"{name}({m},{i},{n}) out of range")
+            return maps(m, i, n)
+
+        return get
 
     def _degrees(self, t: Tree, labels):
         """The degree of each factor of a label of tree_complex(t)."""
@@ -173,12 +206,7 @@ class SymSeq:
     def tree_complex(self, t: Tree) -> ChainComplex:
         """(x)_{vertices of t} term(arity), factors in global vertex order,
         basis labels = tuples aligned with t.vertices()."""
-        c = self._tree_cache.get(t)
-        if c is None:
-            c = tensor_many(self.field,
-                            [self.term(t.arity_of(v)) for v in t.vertices()])
-            self._tree_cache[t] = c
-        return c
+        return self._tree_complexes(t)
 
     def tree_relabel(self, t: Tree, sigma) -> ChainMap:
         """The action tree_complex(t) -> tree_complex(sigma_* t): relabel
@@ -199,25 +227,12 @@ class SymSeq:
 class Operad(SymSeq):
     def __init__(self, field, N, terms, adjacent, circ_builder, name=""):
         super().__init__(field, N, terms, adjacent, name=name)
-        self._circ_builder = circ_builder
-        self._circ_cache = {}
-        self._compose_cache = {}
+        self._circ = self._structure("circ", circ_builder, True)
+        self._along_trees = _window(self._compose_along_tree)
 
     def circ(self, m, i, n) -> ChainMap:
         """term(m) (x) term(n) -> term(m+n-1), grafting at input i."""
-        if not (1 <= i <= m and m + n - 1 <= self.N):
-            raise ValueError(f"circ({m},{i},{n}) out of range")
-        key = (m, i, n)
-        f = self._circ_cache.get(key)
-        if f is None:
-            src = tensor_many(self.field, [self.term(m), self.term(n)])
-            tgt = self.term(m + n - 1)
-            if src.total_dim() == 0 or tgt.total_dim() == 0:
-                f = ChainMap.zero(src, tgt)
-            else:
-                f = self._circ_builder(self, m, i, n)
-            self._circ_cache[key] = f
-        return f
+        return self._circ(m, i, n)
 
     def circ_el(self, m, i, n, xvec, yvec):
         """Apply circ to homogeneous label vectors x, y."""
@@ -257,9 +272,9 @@ class Operad(SymSeq):
     def compose_along_tree(self, t: Tree) -> ChainMap:
         """tree_complex(t) -> term(arity): contract every edge (order
         independent by associativity, which the tests certify)."""
-        f = self._compose_cache.get(t)
-        if f is not None:
-            return f
+        return self._along_trees(t)
+
+    def _compose_along_tree(self, t):
         cur = t
         g = ChainMap.identity(self.tree_complex(t))
         while cur.edges():
@@ -268,32 +283,17 @@ class Operad(SymSeq):
             cur = cur.contract(e)
         flat = ChainMap.from_rule(self.tree_complex(cur), self.term(t.n),
                                   lambda d, l: [(l[0], 1)])
-        f = g.then(flat)
-        self._compose_cache[t] = f
-        return f
+        return g.then(flat)
 
 
 class Cooperad(SymSeq):
     def __init__(self, field, N, terms, adjacent, cocirc_builder, name=""):
         super().__init__(field, N, terms, adjacent, name=name)
-        self._cocirc_builder = cocirc_builder
-        self._cocirc_cache = {}
+        self._cocirc = self._structure("cocirc", cocirc_builder, False)
 
     def cocirc(self, m, i, n) -> ChainMap:
         """term(m+n-1) -> term(m) (x) term(n), de-grafting at input i."""
-        if not (1 <= i <= m and m + n - 1 <= self.N):
-            raise ValueError(f"cocirc({m},{i},{n}) out of range")
-        key = (m, i, n)
-        f = self._cocirc_cache.get(key)
-        if f is None:
-            src = self.term(m + n - 1)
-            tgt = tensor_many(self.field, [self.term(m), self.term(n)])
-            if src.total_dim() == 0 or tgt.total_dim() == 0:
-                f = ChainMap.zero(src, tgt)
-            else:
-                f = self._cocirc_builder(self, m, i, n)
-            self._cocirc_cache[key] = f
-        return f
+        return self._cocirc(m, i, n)
 
 
 # -- built-in operads -----------------------------------------------------
@@ -605,16 +605,12 @@ class PreCooperad:
         self.field = field
         self.N = N
         self.name = name
-        self._term_cache = {}
-        self._exp_cache = {}
-        self._fragment_cache = {}
+        self._terms = _window(self._term)
+        self._expansions = _along_covers(self.term, self.cover_map, True)
+        self._composites = _window(self._compose_fragments)
 
     def term(self, t: Tree) -> ChainComplex:
-        c = self._term_cache.get(t)
-        if c is None:
-            c = self._term(t)
-            self._term_cache[t] = c
-        return c
+        return self._terms(t)
 
     def relabel_map(self, t: Tree, sigma) -> ChainMap:
         return self._relabel_map(t, sigma)
@@ -629,12 +625,90 @@ class PreCooperad:
         chain of covers (functoriality makes the choice irrelevant)."""
         if not t.leq(u):
             raise ValueError("expansion_map needs t <= u")
-        return _along_covers(self._exp_cache, t, u, self.term,
-                             self.cover_map, covariant=True)
+        return self._expansions(t, u)
 
     def m_map(self, t: Tree, i: int, u: Tree) -> ChainMap:
         """Q(t) (x) Q(u) -> Q(graft(t, i, u))."""
         return self._m_map(t, i, u)
+
+    def compose_fragments(self, T: Tree, U: Tree) -> ChainMap:
+        """(x)_{u in U.vertices()} Q(fragment of T over u) -> Q(T), composing
+        the fragment values with the grafting maps; U <= T."""
+        return self._composites(T, U)
+
+    def _compose_fragments(self, T, U):
+        field = self.field
+        if U.n == 1:
+            ul = self.term(T).basis[0][0]
+            return ChainMap.from_rule(tensor_many(field, []), self.term(T),
+                                      lambda d, l: [(ul, 1)])
+        frs = fragments(T, U)
+        uvs = U.vertices()
+        factors = [self.term(frs[v].tree) for v in uvs]
+        src = tensor_many(field, factors)
+        if U.num_vertices == 1:
+            return ChainMap.from_rule(src, self.term(T),
+                                      lambda d, l: [(l[0], 1)])
+        r = U.root_cluster
+        rch = U.children(r)
+        cls = [c for c in rch if not isinstance(c, int)]
+        groups = [[w for w in uvs if w <= c] for c in cls]
+        subs = []
+        for c in cls:
+            T_c = _local_subtree(T, c)
+            subs.append((T_c, self.compose_fragments(T_c,
+                                                     _local_subtree(U, c))))
+        # regroup the flat tensor into (root factor) x (one block per subtree)
+        grouped = [r] + [w for g in groups for w in g]
+        perm = [grouped.index(w) for w in uvs]
+        fdeg = [c.label_degree for c in factors]
+        nested = tensor_many(field, [self.term(frs[r].tree)] +
+                             [cf.source for _, cf in subs])
+
+        def regroup_rule(d, tup):
+            flat, sgn = _place(field, tup,
+                               [fdeg[k][l] for k, l in enumerate(tup)], perm)
+            return [((flat[0],) + _chunks(flat[1:], map(len, groups)), sgn)]
+
+        f = ChainMap.from_rule(src, nested, regroup_rule).then(tensor_map_many(
+            field, [ChainMap.identity(self.term(frs[r].tree))] +
+            [cf for _, cf in subs], source=nested))
+        # graft the composed subtrees into the root fragment, left to right
+        W = frs[r].tree
+        offset = 0
+        for k, c in enumerate(cls):
+            j = rch.index(c) + 1 + offset
+            T_c = subs[k][0]
+            m = self.m_map(W, j, T_c)
+            W = graft(W, j, T_c)
+            tail = [self.term(x) for x, _ in subs[k + 1:]]
+            nxt = (tensor_many(field, [self.term(W)] + tail) if tail
+                   else self.term(W))
+
+            def step_rule(d, tup, m=m, tail=bool(tail)):
+                img = m.apply(m.source.label_degree[(tup[0], tup[1])],
+                              {(tup[0], tup[1]): 1})
+                return [((l2,) + tuple(tup[2:]) if tail else l2, cc)
+                        for l2, cc in img.items()]
+
+            f = f.then(ChainMap.from_rule(f.target, nxt, step_rule))
+            offset += len(c) - 1
+        # grafting fills the child blocks contiguously; a tree whose
+        # clusters are not intervals is reached by relabeling at the end
+        leaves = []
+        for c in rch:
+            leaves.extend(sorted(c) if not isinstance(c, int) else [c])
+        lam = {k + 1: l for k, l in enumerate(leaves)}
+        assert W.relabel(lam) == T
+        if W != T:
+            f = f.then(self.relabel_map(W, lam))
+        return f
+
+
+def _local_subtree(W: Tree, c) -> Tree:
+    lam = {l: k for k, l in enumerate(sorted(c), start=1)}
+    return Tree(len(c), [frozenset(lam[l] for l in w)
+                         for w in W.clusters if w <= c])
 
 
 class ExtendedCooperad(PreCooperad):
@@ -684,24 +758,22 @@ class ExtendedCooperad(PreCooperad):
             lambda d, pr: [self.q._graft_label(t, i, u, pr[0], pr[1])])
 
 
-def _along_covers(cache, t, u, term, cover, covariant):
-    """The composite from t up to u (t <= u) along the chain of covers
-    that adds the missing clusters of u smallest first, memoized in
-    cache. cover(t, u, e) is the map of the cover u/e = t: from term(t)
-    to term(u) when covariant, the other way round when not."""
-    key = (t, u)
-    f = cache.get(key)
-    if f is None:
+def _along_covers(term, cover, covariant):
+    """The window (t, u) -> the composite from t up to u (t <= u) along
+    the chain of covers that adds the missing clusters of u smallest
+    first; each shorter composite is read from the window itself.
+    cover(t, u, e) is the map of the cover u/e = t: from term(t) to
+    term(u) when covariant, the other way round when not."""
+    def build(t, u):
         if t == u:
-            f = ChainMap.identity(term(t))
-        else:
-            e = min(u.clusters - t.clusters, key=cluster_key)
-            u1 = u.contract(e)
-            a = _along_covers(cache, t, u1, term, cover, covariant)
-            b = cover(u1, u, e)
-            f = a.then(b) if covariant else b.then(a)
-        cache[key] = f
-    return f
+            return ChainMap.identity(term(t))
+        e = min(u.clusters - t.clusters, key=cluster_key)
+        u1 = u.contract(e)
+        a, b = along(t, u1), cover(u1, u, e)
+        return a.then(b) if covariant else b.then(a)
+
+    along = _window(build)
+    return along
 
 
 def extend_cooperad(q: Cooperad) -> PreCooperad:
@@ -827,27 +899,6 @@ def is_quasi_cooperad(q: PreCooperad, N):
                         if not is_quasi_iso(f):
                             witnesses.append((t.encode(), i, u.encode()))
     return not witnesses, witnesses
-
-
-def dual_compose(a1: SymSeq, a0: SymSeq, n: int) -> ChainComplex:
-    """Direct sum over partitions of {1..n} of a1(#blocks) tensored with
-    the a0 terms of the block sizes (blocks in sorted order)."""
-    from .trees import _partitions
-    field = a1.field
-    comps = {}
-    for part in _partitions(list(range(1, n + 1))):
-        blocks = tuple(sorted((tuple(sorted(b)) for b in part)))
-        c = tensor_many(field, [a1.term(len(blocks))] +
-                        [a0.term(len(b)) for b in blocks])
-        comps[blocks] = c
-    basis = _graded_basis(((blocks, l), d) for blocks, c in comps.items()
-                          for l, d in c.label_degree.items())
-
-    def rule(d, lab):
-        blocks, l = lab
-        return [((blocks, l2), v) for l2, v in comps[blocks].boundary_of(l).items()]
-
-    return ChainComplex.from_rule(field, basis, rule)
 
 
 def symseq_from_degrees(field, N, gens, name="a") -> SymSeq:

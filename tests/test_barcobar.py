@@ -705,6 +705,47 @@ def test_structure_maps_built_once_per_key(monkeypatch):
         assert cells and len(cells) == len(set(cells)), name
 
 
+def test_build_once_lookups_return_the_same_map():
+    # every value kept on an object is built on its first request and
+    # returned as the same object after that
+    p = ass(4, F2)
+    bq = bar(p, 4)
+    q = extend_cooperad(bq)
+    bb, cw, wd = bbar(p, 3), co_w(q, 3), wbar_diagram(F2, 4)
+    top = canonical_form([[1, 2], [3, 4]])
+    mid = canonical_form([[1, 2], 3, 4])
+    lookups = {
+        "act": lambda: p.act(4, {1: 2, 2: 3, 3: 4, 4: 1}),
+        "tree_complex": lambda: p.tree_complex(top),
+        "circ": lambda: p.circ(2, 1, 3),
+        "cocirc": lambda: bq.cocirc(3, 2, 2),
+        "compose_along_tree": lambda: p.compose_along_tree(top),
+        "term": lambda: q.term(top),
+        "expansion_map": lambda: q.expansion_map(corolla(4), top),
+        "compose_fragments": lambda: q.compose_fragments(top, mid),
+        "coend_at": lambda: bb.coend_at(BIN3),
+        "end_at": lambda: cw.end_at(BIN3),
+        "TreeDiagram.map": lambda: wd.map(corolla(4), top),
+    }
+    for name, get in lookups.items():
+        assert get() is get(), name
+    # out of range: a ValueError naming the map
+    with pytest.raises(ValueError, match=r"^circ\(3,1,3\) out of range"):
+        p.circ(3, 1, 3)
+    with pytest.raises(ValueError, match=r"^cocirc\(2,3,2\) out of range"):
+        bq.cocirc(2, 3, 2)
+    # a zero side gives the zero map, also built once; the other side is
+    # the nonzero arity-3 term
+    sparse = trivial_operad(symseq_from_degrees(F2, 4, {3: [0]}))
+    bs = bar(sparse, 4)
+    f, g = sparse.circ(2, 1, 2), bs.cocirc(2, 1, 2)
+    assert f.is_zero() and f.source.total_dim() == 0
+    assert f.target is sparse.term(3) and sparse.term(3).total_dim() > 0
+    assert g.is_zero() and g.target.total_dim() == 0
+    assert g.source is bs.term(3) and bs.term(3).total_dim() > 0
+    assert sparse.circ(2, 1, 2) is f and bs.cocirc(2, 1, 2) is g
+
+
 def test_actions_built_on_first_request(monkeypatch):
     p = ass(4, F2)
     bq = bar(p, 4)

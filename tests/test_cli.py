@@ -182,6 +182,27 @@ def test_input_errors(capsys, tmp_path):
         spec = tmp_path / f"malformed{k}.json"
         spec.write_text(json.dumps(blob))
         specs.append(("bar", "--operad", f"file:{spec}", "--max-arity", "2"))
+    # entries joining labels of the wrong degrees: a KeyError from
+    # from_rule, or (the second d) an entry dropped without a word
+    a, b = ({"basis": [{"name": n, "degree": k}]} for n, k in (("a", 0),
+                                                              ("b", 1)))
+    ab = {"basis": a["basis"] + b["basis"]}
+    ident = {"1": [[0, 0, 1], [1, 1, 1]]}
+    wrong_degree = [
+        {"max_arity": 3, "terms": {"2": a, "3": b},
+         "sigma": {"2": {"1": [[0, 0, 1]]},
+                   "3": {"1": [[0, 0, 1]], "2": [[0, 0, 1]]}},
+         "circ": [{"m": 2, "n": 2, "i": 1, "matrix": [[0, 0, 1]]}]},
+        {"max_arity": 3, "terms": {"2": ab}, "sigma": {"2": {"1": [[1, 0, 1]]}}},
+        {"max_arity": 3, "terms": {"2": dict(ab, d=[[1, 1, 1]])},
+         "sigma": {"2": ident}},
+        {"max_arity": 3, "terms": {"2": dict(ab, d=[[1, 0, 1]])},
+         "sigma": {"2": ident}},
+    ]
+    for k, blob in enumerate(wrong_degree):
+        spec = tmp_path / f"wrongdegree{k}.json"
+        spec.write_text(json.dumps(blob))
+        specs.append(("bar", "--operad", f"file:{spec}", "--max-arity", "3"))
     for argv in (("bar", "--operad", f"trivial:{listed}"),
                  ("bar", "--operad", f"file:{listed}"),
                  ("bar", "--operad", f"trivial:{badgen}"),

@@ -141,14 +141,14 @@ def test_double_dual_map_iso():
 
 
 def test_cb_to_kk_com():
-    cb, kkp, out = cb_to_kk(com(3), 3)
+    kp, kkp, out = cb_to_kk(com(3), 3)
     assert kkp.term(3).dims() == {0: 4, 1: 3}
     assert all(out[n].is_iso() for n in (1, 2, 3))
     assert kkp.term(3).homology_table() == {0: 1}
 
 
 def test_cb_to_kk_ass():
-    cb, kkp, out = cb_to_kk(ass(3), 3)
+    kp, kkp, out = cb_to_kk(ass(3), 3)
     assert all(out[n].is_iso() for n in (1, 2, 3))
     assert kkp.term(2).homology_table() == {0: 2}
     assert kkp.term(3).homology_table() == {0: 6}
@@ -188,18 +188,31 @@ def test_truncation_tower():
     assert b3.total_dim() == b2.total_dim() + killed
 
 
+def test_verify_kk_dualizes_the_bar_cooperad_once(monkeypatch):
+    from opdual import koszul
+    dualized = []
+
+    def counted(x, N=None, orig=koszul.dualize):
+        dualized.append(x.name)
+        return orig(x, N)
+
+    monkeypatch.setattr(koszul, "dualize", counted)
+    assert verify_kk(com(3), 3).passed()
+    assert dualized.count("bar(com)") == 1
+
+
 def test_kk_witness_names_failing_arity_and_degree(monkeypatch, capsys):
     from opdual import koszul
     from opdual.cli import main
 
     def broken(p, N, cb=None, orig=koszul.cb_to_kk):
         # zero the arity-3 comparison in degree 1, where cobar(3) has dim 3
-        cb, kkp, out = orig(p, N, cb=cb)
+        kp, kkp, out = orig(p, N, cb=cb)
         f = out[3]
         out[3] = ChainMap(f.source, f.target,
                           {k: m for k, m in f.mats.items() if k != 1},
                           check=False)
-        return cb, kkp, out
+        return kp, kkp, out
 
     monkeypatch.setattr(koszul, "cb_to_kk", broken)
     rep = verify_kk(com(3), 3)

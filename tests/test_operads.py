@@ -9,7 +9,7 @@ from opdual.trees import (
     canonical_form, compose_perms, corolla, enumerate_trees, graft,
 )
 from opdual.operads import (
-    Cooperad, Operad, builtin_operad, check_operad_axioms, dual_compose,
+    Cooperad, Operad, builtin_operad, check_operad_axioms,
     dualize, extend_cooperad, free_operad, free_precooperad, graft_perm,
     is_quasi_cooperad, symseq_from_degrees, trivial_operad, truncate,
 )
@@ -261,13 +261,6 @@ def test_free_precooperad_relabel_and_covers():
             assert cov.is_zero()
         else:
             assert not cov.is_zero()
-
-
-def test_dual_compose_census():
-    c = symseq_from_degrees(QQ, 4, {2: [0], 3: [0], 4: [0]})
-    assert dual_compose(c, c, 3).total_dim() == 5
-    assert dual_compose(c, c, 2).total_dim() == 2
-    assert dual_compose(c, c, 4).total_dim() == 15
 
 
 def test_com_f2():
