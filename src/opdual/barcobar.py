@@ -21,6 +21,8 @@ The mirrored constructions share one skeleton per step:
                      builder of their actions, each action built on its
                      first sigma_adj request; _top_cell_move and _top_nu
                      give the cube signs that bar and cobar share
+  _labelwise         bar_map and cobar_map: each closed-form label (t, x)
+                     sent through a per-tree map
   _Engine            the slots and relations common to Coend and End;
                      the sum of the slots has labels (tree, label), so
                      each slot is read and written by its tag, and no
@@ -492,15 +494,10 @@ def bar(p: Operad, N) -> Cooperad:
         lambda t: [((), t.num_vertices)], boundary, _top_cell_move)
 
     def cocirc_builder(q, m, i, n):
-        unit = q.unit_label
         top_nu = _window(functools.partial(_top_nu, field))
 
         def rule(d, lab):
             v, x = lab
-            if n == 1:
-                return [(((v, x), unit), 1)]
-            if m == 1:
-                return [((unit, (v, x)), 1)]
             sp = split_at_block(v, i, n)
             if sp is None:
                 return []
@@ -537,25 +534,30 @@ def closed_bar_to_engine(p: Operad, barq: Cooperad, eng: Coend) -> ChainMap:
                              lambda lab: _wbar_top(lab[0]))
 
 
+def _labelwise(c1, c2, fam, N) -> dict:
+    """The per-arity maps c1.term(n) -> c2.term(n) between two closed
+    forms with labels (t, x): x goes through the per-tree map fam(t),
+    label by label (bar_map, cobar_map)."""
+    one = c1.field.one
+
+    def rule(d, lab):
+        t, x = lab
+        f = fam(t)
+        img = f.apply(f.source.label_degree[x], {x: one})
+        return [((t, x2), c) for x2, c in img.items()]
+
+    return {n: ChainMap.from_rule(c1.term(n), c2.term(n), rule)
+            for n in range(1, N + 1)}
+
+
 def bar_map(p: Operad, p2: Operad, fam: dict, bp: Cooperad,
             bp2: Cooperad, N) -> dict:
-    """Functoriality of bar on a per-arity family of operad maps."""
-    field = p.field
-
-    def tree_map(t):
-        return tensor_map_many(field, [fam[a] for a in _vertex_arities(t)],
-                               source=p.tree_complex(t),
-                               target=p2.tree_complex(t))
-
-    out = {}
-    for n in range(1, N + 1):
-        def rule(d, lab, f=_window(tree_map)):
-            t, x = lab
-            img = f(t).apply(p.tree_complex(t).label_degree[x], {x: field.one})
-            return [((t, x2), c) for x2, c in img.items()]
-
-        out[n] = ChainMap.from_rule(bp.term(n), bp2.term(n), rule)
-    return out
+    """Functoriality of bar on a per-arity family of operad maps: the
+    tensor of fam over the vertices of each tree, from a window opened
+    for this build."""
+    return _labelwise(bp, bp2, _window(lambda t: tensor_map_many(
+        p.field, [fam[a] for a in _vertex_arities(t)],
+        source=p.tree_complex(t), target=p2.tree_complex(t))), N)
 
 
 # -- W-construction -------------------------------------------------------
@@ -601,10 +603,6 @@ def w_construction(p: Operad, N) -> Operad:
     def circ_builder(q, m, i, n):
         def rule(d, pair):
             (t, S, x), (u, S2, y) = pair
-            if n == 1:
-                return [((t, S, x), 1)]
-            if m == 1:
-                return [((u, S2, y), 1)]
             v = graft(t, i, u)
             _, mu = graft_decompose(field, t, i, u)
             img = mu.apply(len(S) + len(S2),
@@ -712,10 +710,6 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
 
         def rule(d, pair):
             (t, x), (u, y) = pair
-            if n == 1:
-                return [((t, x), 1)]
-            if m == 1:
-                return [((u, y), 1)]
             dy = q.term(u).label_degree[y]
             s = field.mul(top_nu(t, i, u),
                           _sgn(field, (dy - u.num_vertices) * t.num_vertices))
@@ -781,16 +775,7 @@ def cobar_map(c1: CobarOperad, c2: CobarOperad, fam: dict, N) -> dict:
     """Functoriality of cobar on a per-tree family fam[T]: Q1(T) -> Q2(T)
     commuting with the structure of the two pre-cooperads, applied label
     by label."""
-    one = c1.field.one
-    out = {}
-    for n in range(1, N + 1):
-        def rule(d, lab):
-            t, x = lab
-            img = fam[t].apply(d + t.num_vertices, {x: one})
-            return [((t, x2), c) for x2, c in img.items()]
-
-        out[n] = ChainMap.from_rule(c1.term(n), c2.term(n), rule)
-    return out
+    return _labelwise(c1, c2, fam.__getitem__, N)
 
 
 # -- the comparison W -> cobar(bar) ---------------------------------------

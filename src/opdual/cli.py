@@ -110,7 +110,10 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
              "circ": [{"m","n","i","matrix": [[r,c,v]]}]}.
     Matrix triples index the basis lists in file order; a circ source
     index is a*len(term(n))+b for the pair (a-th of term(m), b-th of
-    term(n)). Arity 1 is the unit and may be omitted.
+    term(n)). Every term lies in arity 1..N; arity 1 is the unit, one
+    basis element in degree 0, and may be omitted. A circ entry with m or
+    n equal to 1 is fixed by the unit law and, if given, must be the
+    identity.
     """
     blob = _read_json_object(path, "operad spec")
     field = _field_from_spec(blob, field or Field(0))
@@ -125,8 +128,8 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
     names = {1: ["u"]}
     degree = {1: {"u": 0}}
     for n, tdata in _by_arity(blob, "terms", path):
-        if n == 1:
-            continue
+        if not 1 <= n <= N:
+            raise CliError(f"term {n} lies outside the arities 1..{N}")
         labels, degs = [], {}
         try:
             for b in tdata["basis"]:
@@ -150,6 +153,9 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
             raise CliError(f"term {n}: {e}")
         names[n] = labels
         degree[n] = degs
+    if terms[1].dims() != {0: 1}:
+        raise CliError("term 1 must be the unit: one basis element in "
+                       "degree 0")
 
     adjacents = {}
     for n, sdata in _by_arity(blob, "sigma", path):
@@ -188,21 +194,23 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
                            f"integer m, n, i and a matrix ({e!r})")
         if m not in terms or n not in terms or m + n - 1 not in terms:
             raise CliError(f"circ ({m},{n},{i}) references a missing arity")
+        if not 1 <= i <= m:
+            raise CliError(f"circ ({m},{n},{i}): i lies outside 1..{m}")
         pairs = [(a, b) for a in names[m] for b in names[n]]
-        circ_imgs[(m, i, n)] = _sparse_to_images(
-            triples, pairs, names[m + n - 1], field)
-        _check_degrees(f"circ ({m},{n},{i})", circ_imgs[(m, i, n)],
+        imgs = _sparse_to_images(triples, pairs, names[m + n - 1], field)
+        _check_degrees(f"circ ({m},{n},{i})", imgs,
                        lambda ab: degree[m][ab[0]] + degree[n][ab[1]],
                        degree[m + n - 1].get, 0)
+        if 1 in (m, n):
+            keep = 0 if n == 1 else 1
+            if any({l: v for l, v in img.items() if v != field.zero}
+                   != {ab[keep]: field.one} for ab, img in imgs.items()):
+                raise CliError(f"circ ({m},{n},{i}): a composition with the "
+                               f"unit must be the identity")
+        circ_imgs[(m, i, n)] = imgs
 
     def circ_builder(p, m, i, n):
         src = tensor_many(field, [p.term(m), p.term(n)])
-        if n == 1:
-            return ChainMap.from_rule(src, p.term(m),
-                                      lambda d, t: [(t[0], 1)])
-        if m == 1:
-            return ChainMap.from_rule(src, p.term(n),
-                                      lambda d, t: [(t[1], 1)])
         imgs = circ_imgs.get((m, i, n))
         if imgs is None:
             return ChainMap.zero(src, p.term(m + n - 1))
@@ -232,8 +240,12 @@ def load_symseq_spec(path: str, field: Field, N: int):
     field = _field_from_spec(blob, field)
     try:
         top = int(blob.get("max_arity", N))
-        gens = {int(k): [int(d) for d in v]
-                for k, v in blob.get("gens", {}).items()}
+        gens = {}
+        for k, v in blob.get("gens", {}).items():
+            if not isinstance(v, list):
+                raise CliError(f"bad generator spec {path}: the degrees of "
+                               f"arity {k} must be a JSON list")
+            gens[int(k)] = [int(d) for d in v]
     except (AttributeError, TypeError, ValueError) as e:
         raise CliError(f"bad generator spec {path}: {e}")
     if any(n < 2 for n in gens):
@@ -336,7 +348,7 @@ def run(argv=None) -> int:
     if args.truncate is not None:
         if not 1 <= args.truncate <= p.N:
             raise CliError(f"--truncate must lie in 1..{p.N}")
-        p = truncate(p, args.truncate, "<=")
+        p = truncate(p, args.truncate)
 
     def fill_tables(term_of):
         for n in range(1, N + 1):

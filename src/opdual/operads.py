@@ -1,12 +1,17 @@
 """Symmetric sequences, operads, cooperads and pre-cooperads.
 
-Everything is reduced: the arity-1 term is the unit complex. Symmetric
-group actions are given through their adjacent transpositions, each
-built on its first request, and composed on demand as left actions
-(act(s)act(t) = act(st)). Operads store the partial compositions
-circ(m, i, n): term(m) (x) term(n) -> term(m+n-1) in the
-consecutive-block convention matching trees.graft: the grafted inputs
-become the block {i..i+n-1}.
+Everything is reduced: the arity-1 term is the unit complex, and every
+structure map with an arity-1 side is the unit law. The two lookups
+build those maps themselves, SymSeq._structure for circ and cocirc and
+PreCooperad.m_map for the grafting multiplications, so the builders of
+the constructions only see arities >= 2.
+
+Symmetric group actions are given through their adjacent
+transpositions, each built on its first request, and composed on
+demand as left actions (act(s)act(t) = act(st)). Operads store the
+partial compositions circ(m, i, n): term(m) (x) term(n) -> term(m+n-1)
+in the consecutive-block convention matching trees.graft: the grafted
+inputs become the block {i..i+n-1}.
 
 Tree-shaped tensors p(T) = (x)_{vertices} term(arity) and their edge
 contractions are derived from circ and the actions; pre-cooperads store
@@ -164,8 +169,11 @@ class SymSeq:
         """The lookup (m, i, n) -> the structure map name(m, i, n) between
         term(m) (x) term(n) and term(m+n-1), into term(m+n-1) when
         into_top (circ) and out of it otherwise (cocirc): ValueError out
-        of range, the zero map when either side is zero, and otherwise
-        builder(self, m, i, n), built once."""
+        of range, the zero map when either side is zero, the unit law
+        when m or n is 1 (x (x) u -> x and u (x) y -> y for circ, x ->
+        x (x) u and y -> u (x) y for cocirc, u the unit label), and
+        otherwise builder(self, m, i, n), built once. So a builder is
+        only called with m, n >= 2."""
         def build(m, i, n):
             src = tensor_many(self.field, [self.term(m), self.term(n)])
             tgt = self.term(m + n - 1)
@@ -173,6 +181,15 @@ class SymSeq:
                 src, tgt = tgt, src
             if src.total_dim() == 0 or tgt.total_dim() == 0:
                 return ChainMap.zero(src, tgt)
+            if n == 1 or m == 1:
+                u, keep = self.unit_label, 0 if n == 1 else 1
+
+                def unit(d, lab):
+                    if into_top:
+                        return [(lab[keep], 1)]
+                    return [((lab, u) if n == 1 else (u, lab), 1)]
+
+                return ChainMap.from_rule(src, tgt, unit)
             return builder(self, m, i, n)
 
         maps = _window(build)
@@ -354,20 +371,16 @@ def builtin_operad(name, field, N) -> Operad:
 
 def trivial_operad(a: SymSeq) -> Operad:
     """The operad on a symmetric sequence with zero compositions (apart
-    from the forced unit identifications)."""
+    from the unit law)."""
     terms = {n: a.term(n) for n in range(1, a.N + 1)}
     return Operad(a.field, a.N, terms, a.sigma_adj, _trivial_circ,
                   name=f"trivial({a.name})" if a.name else "trivial")
 
 
 def _trivial_circ(p, m, i, n) -> ChainMap:
-    """The composition with the unit, and zero between higher arities."""
-    src = tensor_many(p.field, [p.term(m), p.term(n)])
-    if n == 1:
-        return ChainMap.from_rule(src, p.term(m), lambda d, tup: [(tup[0], 1)])
-    if m == 1:
-        return ChainMap.from_rule(src, p.term(n), lambda d, tup: [(tup[1], 1)])
-    return ChainMap.zero(src, p.term(m + n - 1))
+    """The zero composition between arities >= 2."""
+    return ChainMap.zero(tensor_many(p.field, [p.term(m), p.term(n)]),
+                         p.term(m + n - 1))
 
 
 def free_operad(a: SymSeq, N) -> Operad:
@@ -405,10 +418,6 @@ def free_operad(a: SymSeq, N) -> Operad:
 
         def rule(d, pair):
             (t, lx), (u, ly) = pair
-            if u.n == 1:
-                return [((t, lx), 1)]
-            if t.n == 1:
-                return [((u, ly), 1)]
             lab, sgn = a._graft_label(t, i, u, lx, ly)
             return [((graft(t, i, u), lab), sgn)]
 
@@ -418,32 +427,14 @@ def free_operad(a: SymSeq, N) -> Operad:
                   name=f"free({a.name})" if a.name else "free")
 
 
-def truncate(p: Operad, n: int, mode: str = "<=") -> Operad:
-    """Arity truncation: mode "<=" zeroes the terms above n, mode "="
-    keeps only arity n (plus the unit) with trivial structure."""
+def truncate(p: Operad, n: int) -> Operad:
+    """Arity truncation: the terms above n are zeroed."""
     if not 1 <= n <= p.N:
         raise ValueError("truncation arity out of range")
-    if mode == "<=":
-        keep = set(range(1, n + 1))
-    elif mode == "=":
-        keep = {1, n}
-    else:
-        raise ValueError(f"unknown truncation mode {mode!r}")
-    terms = {k: p.term(k) if k in keep else zero_complex(p.field)
+    terms = {k: p.term(k) if k <= n else zero_complex(p.field)
              for k in range(1, p.N + 1)}
-
-    def circ_builder(q, m, i, k):
-        src = tensor_many(q.field, [q.term(m), q.term(k)])
-        tgt = q.term(m + k - 1)
-        alive = m in keep and k in keep and (m + k - 1) in keep
-        if mode == "=" and m >= 2 and k >= 2:
-            alive = False
-        if not alive:
-            return ChainMap.zero(src, tgt)
-        return ChainMap(src, tgt, p.circ(m, i, k).mats, check=False)
-
-    return Operad(p.field, p.N, terms, p.sigma_adj, circ_builder,
-                  name=f"{p.name}|{mode}{n}")
+    return Operad(p.field, p.N, terms, p.sigma_adj,
+                  lambda q, m, i, k: p.circ(m, i, k), name=f"{p.name}|<={n}")
 
 
 # -- axiom checking -------------------------------------------------------
@@ -599,7 +590,8 @@ def dualize(x, N=None):
 class PreCooperad:
     """Tree-indexed complexes with relabeling maps, expansion maps along
     covers, and grafting multiplications. Subclasses override _term,
-    _relabel_map, _cover_map and _m_map."""
+    _relabel_map, _cover_map and _m_map; m_map builds the unit law
+    itself, so _m_map sees only trees with at least 2 leaves."""
 
     def __init__(self, field, N, name=""):
         self.field = field
@@ -628,7 +620,14 @@ class PreCooperad:
         return self._expansions(t, u)
 
     def m_map(self, t: Tree, i: int, u: Tree) -> ChainMap:
-        """Q(t) (x) Q(u) -> Q(graft(t, i, u))."""
+        """Q(t) (x) Q(u) -> Q(graft(t, i, u)): the unit law x (x) u -> x
+        or u (x) y -> y when u or t is the 1-leaf tree, and _m_map
+        otherwise."""
+        if t.n == 1 or u.n == 1:
+            keep = 1 if t.n == 1 else 0
+            src = tensor_many(self.field, [self.term(t), self.term(u)])
+            return ChainMap.from_rule(src, self.term(graft(t, i, u)),
+                                      lambda d, xy: [(xy[keep], 1)])
         return self._m_map(t, i, u)
 
     def compose_fragments(self, T: Tree, U: Tree) -> ChainMap:
@@ -750,9 +749,6 @@ class ExtendedCooperad(PreCooperad):
     def _m_map(self, t, i, u):
         src = tensor_many(self.field, [self.term(t), self.term(u)])
         tgt = self.term(graft(t, i, u))
-        if t.n == 1 or u.n == 1:
-            keep = 1 if t.n == 1 else 0
-            return ChainMap.from_rule(src, tgt, lambda d, pr: [(pr[keep], 1)])
         return ChainMap.from_rule(
             src, tgt,
             lambda d, pr: [self.q._graft_label(t, i, u, pr[0], pr[1])])

@@ -218,7 +218,7 @@ def test_theta_equivariant():
 def test_truncation_compatibility():
     # the arity-3 terms ignore everything above arity 3
     p4 = com(4)
-    p3 = truncate(p4, 3, "<=")
+    p3 = truncate(p4, 3)
     w_full = w_construction(p4, 4)
     w_trunc = w_construction(p3, 3)
     f = ChainMap.from_rule(w_trunc.term(3), w_full.term(3),
@@ -295,7 +295,7 @@ def test_bbar_census_com_and_free():
 
 
 def test_bbar_arity2_truncation():
-    bp = bbar(truncate(com(3), 2, "<="), 2)
+    bp = bbar(truncate(com(3), 2), 2)
     assert bp.term(corolla(2)).dims() == {1: 1}
 
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +205,29 @@ def test_input_errors(capsys, tmp_path):
         spec = tmp_path / f"wrongdegree{k}.json"
         spec.write_text(json.dumps(blob))
         specs.append(("bar", "--operad", f"file:{spec}", "--max-arity", "3"))
+    # a unit composition other than the identity (x o_1 unit = -x), a
+    # term 1 that is not the unit, terms outside the arities 1..3 and a
+    # circ at an input i outside 1..m: each was read and then dropped
+    # without a word
+    one = {"1": [[0, 0, 1]]}
+    dropped = [
+        dict(COM3, circ=COM3["circ"] + [{"m": 2, "n": 2, "i": 3,
+                                         "matrix": [[0, 0, 5]]}]),
+        {"max_arity": 3, "terms": {"2": a}, "sigma": {"2": one},
+         "circ": [{"m": 2, "n": 1, "i": 1, "matrix": [[0, 0, -1]]}]},
+        {"max_arity": 3, "terms": {"1": {"basis": [{"name": "u", "degree": 0},
+                                                   {"name": "v", "degree": 3}]},
+                                   "2": a}, "sigma": {"2": one}},
+        {"max_arity": 3, "terms": {"2": a, "5": a},
+         "sigma": {"2": one, "5": one}},
+        {"max_arity": 3, "terms": {"2": a, "-2": a}, "sigma": {"2": one}},
+    ]
+    for k, blob in enumerate(dropped):
+        spec = tmp_path / f"dropped{k}.json"
+        spec.write_text(json.dumps(blob))
+        specs.append(("bar", "--operad", f"file:{spec}", "--max-arity", "3"))
+    strgen = tmp_path / "strgen.json"
+    strgen.write_text(json.dumps({"gens": {"2": "12"}}))
     for argv in (("bar", "--operad", f"trivial:{listed}"),
                  ("bar", "--operad", f"file:{listed}"),
                  ("bar", "--operad", f"trivial:{badgen}"),
@@ -217,6 +242,7 @@ def test_input_errors(capsys, tmp_path):
                  ("bar", "--operad", f"trivial:{highgen}", "--max-arity", "3"),
                  ("bar", "--operad", f"trivial:{highdefault}",
                   "--max-arity", "3"),
+                 ("bar", "--operad", f"trivial:{strgen}", "--max-arity", "3"),
                  ("bar", "--operad", "com", "--truncate", "-1"),
                  ("bar", "--operad", "com", "--truncate", "0"),
                  ("bar", "--operad", "com", "--max-arity", "3",
@@ -224,6 +250,39 @@ def test_input_errors(capsys, tmp_path):
         code, cap = run(capsys, *argv)
         assert code == 2, argv
         assert cap.err.startswith("error: "), argv
+
+
+def test_identity_unit_entries_load(capsys, tmp_path):
+    # the unit compositions are fixed by the unit law; given, they must
+    # be the identity, and then they load like any other entry
+    blob = json.loads(json.dumps(COM3))
+    blob["circ"] += [{"m": 2, "n": 1, "i": k, "matrix": [[0, 0, 1]]}
+                     for k in (1, 2)]
+    blob["circ"].append({"m": 1, "n": 3, "i": 1, "matrix": [[0, 0, 1]]})
+    f = tmp_path / "unit.json"
+    f.write_text(json.dumps(blob))
+    code, cap = run(capsys, "bar", "--operad", f"file:{f}", "--max-arity", "3")
+    assert code == 0, cap.err
+    com = run(capsys, "bar", "--operad", "com", "--max-arity", "3")[1]
+    assert json.loads(cap.out)["tables"] == json.loads(com.out)["tables"]
+
+
+def test_readme_examples_load(capsys, tmp_path):
+    # every json block of the README section on description files loads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Operad description files")[1]
+    blocks = re.findall(r"```json\n(.*?)```", section.split("\n## ")[0],
+                        re.DOTALL)
+    assert len(blocks) == 2
+    for k, text in enumerate(blocks):
+        f = tmp_path / f"readme{k}.json"
+        f.write_text(text)
+        kinds = ("file",) if "terms" in json.loads(text) else ("trivial",
+                                                                "free")
+        for kind in kinds:
+            code, cap = run(capsys, "bar", "--operad", f"{kind}:{f}",
+                            "--max-arity", "3")
+            assert code == 0, (kind, cap.err)
 
 
 def test_generator_above_max_arity_is_named(capsys, tmp_path):

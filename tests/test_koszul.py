@@ -6,11 +6,13 @@ from opdual.fields import QQ, F2
 from opdual.chain import ChainMap, dual_map
 from opdual.trees import canonical_form, corolla, enumerate_trees
 from opdual.operads import (
-    builtin_operad, check_operad_axioms, free_operad, symseq_from_degrees,
-    trivial_operad, truncate,
+    Cooperad, PreCooperad, SymSeq, builtin_operad, check_operad_axioms,
+    dualize, extend_cooperad, free_operad, free_precooperad,
+    symseq_from_degrees, trivial_operad, truncate,
 )
 from opdual.barcobar import (
-    _wbar_top, bar, closed_cobar_to_engine, cobar_engine, precooperad_diagram,
+    _wbar_top, bar, bbar, closed_cobar_to_engine, co_w, cobar, cobar_engine,
+    omega_sigma, precooperad_diagram, w_construction,
 )
 from opdual.koszul import (
     cb_to_kk, double_dual_map, dual_precooperad, koszul_dual, kp_iso,
@@ -168,7 +170,7 @@ def test_truncation_tower():
     # killing the arity-3 generator is a quotient of bar complexes, so
     # its dual includes one Koszul dual into the other, degreewise split
     p = com(3)
-    p2 = truncate(p, 2, "<=")
+    p2 = truncate(p, 2)
     b3 = bar(p, 3).term(3)
     b2 = bar(p2, 3).term(3)
 
@@ -227,3 +229,77 @@ def test_kk_witness_names_failing_arity_and_degree(monkeypatch, capsys):
     assert checks["composite_iso"]["witness"] == where
     assert checks["homology_match"]["pass"]
     assert checks["homology_match"]["witness"] == rep.to_dict()["dims"]["p"]
+
+
+def _unit_law_failures(x, N):
+    """The structure maps of x with an arity-1 side (a circ or cocirc
+    with m or n equal to 1, an m_map with a 1-leaf tree) that are not the
+    unit law x (x) u <-> x, u (x) y <-> y, as (map, arity, input)."""
+    one, bad = x.field.one, []
+    if isinstance(x, PreCooperad):
+        pt = corolla(1)
+        ul = x.term(pt).basis[0][0]
+        for t in (t for n in range(1, N + 1) for t in enumerate_trees(n)):
+            for i in range(1, t.n + 1):
+                for f, pair in ((x.m_map(t, i, pt), lambda l: (l, ul)),
+                                (x.m_map(pt, 1, t), lambda l: (ul, l))):
+                    for l, d in x.term(t).label_degree.items():
+                        if f.apply(d, {pair(l): one}) != {l: one}:
+                            bad.append(("m_map", t, i))
+        return bad
+    u = x.unit_label
+    for m in range(1, N + 1):
+        for l, d in x.term(m).label_degree.items():
+            # l o_i u = l at every input i, and u o_1 l = l
+            sides = [(m, i, 1, (l, u)) for i in range(1, m + 1)]
+            for a, i, b, pair in sides + [(1, 1, m, (u, l))]:
+                if isinstance(x, Cooperad):
+                    ok = x.cocirc(a, i, b).apply(d, {l: one}) == {pair: one}
+                else:
+                    ok = x.circ(a, i, b).apply(d, {pair: one}) == {l: one}
+                if not ok:
+                    bad.append(("structure", a, i, b))
+    return bad
+
+
+def test_unit_maps_follow_one_rule(monkeypatch):
+    # every structure map with an arity-1 side is the unit law, and no
+    # construction's builder (circ_builder, cocirc_builder, _m_map) is
+    # asked for one: the lookups SymSeq._structure and PreCooperad.m_map
+    # build it themselves
+    calls = []
+
+    def recording(self, name, builder, into_top, orig=SymSeq._structure):
+        def rec(p, m, i, n):
+            calls.append((name, m, n))
+            return builder(p, m, i, n)
+        return orig(self, name, rec, into_top)
+
+    monkeypatch.setattr(SymSeq, "_structure", recording)
+    a = symseq_from_degrees(QQ, 3, {2: [0, 1], 3: [1]})
+    c3, a3 = com(3), builtin_operad("ass", F2, 3)
+    bc = bar(c3, 3)
+    operads = [c3, a3, trivial_operad(a), free_operad(a, 3), truncate(a3, 2),
+               w_construction(c3, 3), w_construction(a3, 3),
+               cobar(extend_cooperad(bc), 3), omega_sigma(a, 3),
+               koszul_dual(c3, 3)]
+    cooperads = [bc, bar(ass(3), 3), dualize(c3), dualize(ass(3))]
+    pres = [extend_cooperad(bc), dual_precooperad(ass(3)),
+            free_precooperad(a, 3, "zero"), free_precooperad(a, 3, "constant"),
+            bbar(c3, 3), co_w(extend_cooperad(bc), 3)]
+    for cls in {type(q) for q in pres}:
+        def rec(q, t, i, u, orig=cls._m_map):
+            calls.append(("m_map", t.n, u.n))
+            return orig(q, t, i, u)
+        monkeypatch.setattr(cls, "_m_map", rec)
+    for x in operads + cooperads + pres:
+        assert _unit_law_failures(x, 3) == [], x.name
+    # the recorders see the builds with both sides of arity >= 2
+    for x in operads:
+        x.circ(2, 1, 2)
+    for x in cooperads:
+        x.cocirc(2, 1, 2)
+    for q in pres:
+        q.m_map(corolla(2), 1, corolla(2))
+    assert {c[0] for c in calls} == {"circ", "cocirc", "m_map"}
+    assert [c for c in calls if 1 in c[1:]] == []
