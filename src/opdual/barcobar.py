@@ -65,6 +65,7 @@ from .chain import (
     direct_sum, hom_complex, hom_map, hom_tensor_interchange,
     kernel_complex, shift, tensor_many, tensor_map_many, zero_complex,
 )
+# theta_cells is not called here: perfbench's tracer test reads the alias
 from .cubes import (
     STAR, _chunks, _fam_ids, _move_cell, _move_family_cells, _rel_tokens,
     _relabel_slots, _star_sign, _theta_cell_rule, _wbar_tokens, delta_cube, face_inclusion,
@@ -780,6 +781,20 @@ def cobar_map(c1: CobarOperad, c2: CobarOperad, fam: dict, N) -> dict:
 
 # -- the comparison W -> cobar(bar) ---------------------------------------
 
+def _theta_cut(field, T: Tree, U: Tree):
+    """The rule of theta_cells(T, U), the fragment trees of T over the
+    vertices of U and the slot of each vertex of T in their
+    concatenation; U <= T. theta and theta_star each open one window of
+    it."""
+    frs = fragments(T, U)
+    fts = [frs[v].tree for v in U.vertices()]
+    order = [frs[v].to_global[w] for v, ft in zip(U.vertices(), fts)
+             for w in ft.vertices()]
+    at = {w: k for k, w in enumerate(order)}
+    return (_theta_cell_rule(field, T, U), fts,
+            [at[w] for w in T.vertices()])
+
+
 def _theta_rule(p: Operad):
     """theta on a label (T, S, x) of W(p): for each tree U <= T, the cell
     of (T, S) against the top cell of wbar(U) through the rule of
@@ -789,20 +804,7 @@ def _theta_rule(p: Operad):
     at 1, so no family cell has a zero coordinate and no fragment needs
     contracting."""
     field = p.field
-
-    def cut(T, U):
-        """The rule of theta_cells(T, U), the fragment trees of T over the
-        vertices of U and the slot of each vertex of T in their
-        concatenation."""
-        frs = fragments(T, U)
-        fts = [frs[v].tree for v in U.vertices()]
-        order = [frs[v].to_global[w] for v, ft in zip(U.vertices(), fts)
-                 for w in ft.vertices()]
-        at = {w: k for k, w in enumerate(order)}
-        return (_theta_cell_rule(field, T, U), fts,
-                [at[w] for w in T.vertices()])
-
-    cuts = _window(cut)
+    cuts = _window(functools.partial(_theta_cut, field))
     below = _window(lambda T: [U for U in enumerate_trees(T.n) if U.leq(T)])
 
     def rule(d, lab):
@@ -1190,25 +1192,17 @@ def co_w_resolution(q: PreCooperad, N, cw: CoWPreCooperad | None = None):
 
 # -- comparison of the bar-cobar composite with the co-W-construction -----
 
-def _theta_star_cut(field, Vt: Tree, Ut: Tree):
-    """theta_cells(Vt, Ut) and the fragment trees of Vt over the vertices
-    of Ut."""
-    frs = fragments(Vt, Ut)
-    return theta_cells(field, Vt, Ut), [frs[w].tree for w in Ut.vertices()]
-
-
 def _theta_star_vertex(cq: CobarOperad, cuts, Vt: Tree, Ut: Tree, xt, rt,
                        drt):
     """One vertex of theta_star: the relative cell rt of the fragment Vt
-    traded by theta_cells for family cells over the bar tree Ut, and the
-    cobar labels xt evaluated on them; cuts(Vt, Ut) is
-    _theta_star_cut(field, Vt, Ut)."""
+    traded by the rule of theta_cells for a family cell over the bar tree
+    Ut, and the cobar labels xt evaluated on it; cuts(Vt, Ut) is
+    _theta_cut(field, Vt, Ut)."""
     field = cq.field
-    th, wts = cuts(Vt, Ut)
-    fam = th.apply(drt + Ut.num_vertices, {(rt, _wbar_top(Ut)): field.one})
+    th, wts, _ = cuts(Vt, Ut)
     dxs = cq._degrees(Ut, xt)
     step = {}
-    for fc, cf in fam.items():
+    for fc, cf in th(None, (rt, _wbar_top(Ut))):
         vals = _evaluate(cq, wts, fc, lambda j: {xt[j]: field.one}, dxs, cf)
         for l, c in vals.items():
             step[l] = field.add(step.get(l, field.zero), c)
@@ -1219,7 +1213,7 @@ def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End,
                      cuts):
     """theta_star at the tree T, on a label of extend(bar(cq))(T): one bar
     label (Ut, xt) per vertex t of T. cuts is the window of
-    _theta_star_cut."""
+    _theta_cut."""
     field = q.field
     if T.n == 1:
         ul = q.term(T).basis[0][0]
@@ -1300,9 +1294,9 @@ def theta_star(q: PreCooperad, N, cq: CobarOperad | None = None,
     if cw is None:
         cw = co_w(q, N)
     # one window for the whole family: the fragment pairs (Vt, Ut) recur
-    # across the trees T, and a window per T builds 187 theta_cells for
-    # 89 pairs on com at arity 4
-    cuts = _window(functools.partial(_theta_star_cut, q.field))
+    # across the trees T, and a window per T cuts 89 pairs 187 times on
+    # com at arity 4
+    cuts = _window(functools.partial(_theta_cut, q.field))
     out = {}
     for n in range(1, N + 1):
         for T in enumerate_trees(n):

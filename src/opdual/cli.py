@@ -10,13 +10,12 @@ import sys
 from .chain import ChainComplex, ChainMap, is_quasi_iso, tensor_many
 from .trees import enumerate_trees
 from .operads import (
-    Operad, _prebuilt, builtin_operad, check_operad_axioms, dualize,
-    extend_cooperad, free_operad, symseq_from_degrees, trivial_operad,
-    truncate,
+    Operad, _prebuilt, builtin_operad, check_operad_axioms, free_operad,
+    symseq_from_degrees, trivial_operad, truncate,
 )
 from .barcobar import bar, cobar_engine, w_construction, w_resolution, theta
 from .fields import Field
-from .koszul import koszul_dual, verify_kk
+from .koszul import dual_precooperad, koszul_dual, verify_kk
 
 
 class CliError(Exception):
@@ -26,7 +25,8 @@ class CliError(Exception):
 def parse_field(s: str) -> Field:
     if s == "q":
         return Field(0)
-    if s.startswith("f") and s[1:].isdigit():
+    # f0 is no field: Field(0) would be the rationals
+    if s.startswith("f") and s[1:].isdigit() and int(s[1:]):
         try:
             return Field(int(s[1:]))
         except ValueError as e:
@@ -42,18 +42,28 @@ def _field_from_spec(blob, fallback: Field) -> Field:
         return Field(0)
     if isinstance(fs, dict) and "p" in fs:
         try:
+            if int(fs["p"]) == 0:
+                raise ValueError("p must be a prime, not 0")
             return Field(int(fs["p"]))
         except (TypeError, ValueError) as e:
             raise CliError(f"bad field entry {fs!r} in operad spec: {e}")
     raise CliError(f"bad field entry {fs!r} in operad spec")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ValueError when a key
+    is given twice, where json would keep only the last value."""
+    if len({k for k, _ in pairs}) < len(pairs):
+        raise ValueError(f"a key is given twice in {[k for k, _ in pairs]}")
+    return dict(pairs)
+
+
 def _read_json_object(path: str, what: str) -> dict:
     """The JSON object in the file at path; CliError otherwise."""
     try:
         with open(path) as fh:
-            blob = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            blob = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as e:
         raise CliError(f"cannot read {what} {path}: {e}")
     if not isinstance(blob, dict):
         raise CliError(f"{what} {path} must hold a JSON object")
@@ -90,15 +100,18 @@ def _check_degrees(what, imgs, src_degree, tgt_degree, shift):
 
 def _by_arity(blob, key: str, path: str) -> list:
     """The entries of the JSON object blob[key] as (arity, value) pairs;
-    CliError unless it is an object keyed by integers."""
+    CliError unless it is an object keyed by distinct integers."""
     sec = blob.get(key, {})
     if not isinstance(sec, dict):
         raise CliError(f"operad spec {path}: {key} must be a JSON object")
     try:
-        return [(int(k), v) for k, v in sec.items()]
+        pairs = [(int(k), v) for k, v in sec.items()]
     except ValueError as e:
         raise CliError(f"operad spec {path}: {key} must be keyed by "
                        f"integer arities ({e})")
+    if len({n for n, _ in pairs}) < len(pairs):
+        raise CliError(f"operad spec {path}: {key} gives an arity twice")
+    return pairs
 
 
 def load_operad_spec(path: str, field: Field | None = None) -> Operad:
@@ -113,7 +126,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
     term(n)). Every term lies in arity 1..N; arity 1 is the unit, one
     basis element in degree 0, and may be omitted. A circ entry with m or
     n equal to 1 is fixed by the unit law and, if given, must be the
-    identity.
+    identity. No term, sigma index or circ entry may be given twice.
     """
     blob = _read_json_object(path, "operad spec")
     field = _field_from_spec(blob, field or Field(0))
@@ -171,6 +184,8 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
                                f"an integer")
             if not 1 <= i < n:
                 raise CliError(f"sigma index {i} out of range for arity {n}")
+            if (n, i) in adjacents:
+                raise CliError(f"sigma ({n},{i}) is given twice")
             imgs = _sparse_to_images(triples, names[n], names[n], field)
             _check_degrees(f"sigma ({n},{i})", imgs, degree[n].get,
                            degree[n].get, 0)
@@ -196,6 +211,8 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
             raise CliError(f"circ ({m},{n},{i}) references a missing arity")
         if not 1 <= i <= m:
             raise CliError(f"circ ({m},{n},{i}): i lies outside 1..{m}")
+        if (m, i, n) in circ_imgs:
+            raise CliError(f"circ ({m},{n},{i}) is given twice")
         pairs = [(a, b) for a in names[m] for b in names[n]]
         imgs = _sparse_to_images(triples, pairs, names[m + n - 1], field)
         _check_degrees(f"circ ({m},{n},{i})", imgs,
@@ -360,7 +377,7 @@ def run(argv=None) -> int:
     if args.verb == "bar":
         fill_tables(bar(p, N).term)
     elif args.verb == "cobar":
-        q = extend_cooperad(dualize(p, N))
+        q = dual_precooperad(p)
         fill_tables(lambda n: cobar_engine(q, n).complex)
     elif args.verb == "w":
         fill_tables(w_construction(p, N).term)

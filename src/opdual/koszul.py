@@ -1,12 +1,15 @@
 """Linear-dual Koszul duality: K = dual of the bar construction, the
-double-dual comparison, and the full verification pipeline."""
+dual of an operad as a pre-cooperad (the extension of its dual
+cooperad, labelled (("dual", x_1), ..., ("dual", x_k)) on a tree with k
+vertices), the double-dual comparison, and the full verification
+pipeline."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .chain import ChainMap, dual_map, linear_dual, tensor_many
-from .trees import Tree, enumerate_trees, graft
+from .chain import ChainMap
+from .trees import enumerate_trees
 from .operads import (
     Cooperad, Operad, PreCooperad, dualize, extend_cooperad,
 )
@@ -18,93 +21,53 @@ def koszul_dual(p: Operad, N) -> Operad:
     return dualize(bar(p, N))
 
 
-# -- the dual of an operad, as a pre-cooperad -----------------------------
-
-def _graft_split(p: Operad, t: Tree, i: int, u: Tree) -> ChainMap:
-    """The reordering iso p(graft(t, i, u)) -> p(t) (x) p(u)."""
-    tgt = tensor_many(p.field, [p.tree_complex(t), p.tree_complex(u)])
-    return ChainMap.from_rule(p.tree_complex(graft(t, i, u)), tgt,
-                              lambda d, z: [p._ungraft_label(t, i, u, z)])
-
-
-class OperadDualPreCooperad(PreCooperad):
-    """Termwise linear dual of an operad; covers dualize contractions
-    and the grafting multiplications dualize the reordering isos."""
-
-    def __init__(self, p: Operad):
-        super().__init__(p.field, p.N,
-                         name=f"dual({p.name})" if p.name else "dual")
-        self.p = p
-
-    def _term(self, t):
-        return linear_dual(self.p.tree_complex(t))
-
-    def _cover_map(self, t, u, e):
-        return dual_map(self.p.contract_map(u, e))
-
-    def _relabel_map(self, t, sigma):
-        inv = {v: k for k, v in sigma.items()}
-        t2 = t.relabel(sigma)
-        return dual_map(self.p.tree_relabel(t2, inv))
-
-    def _m_map(self, t, i, u):
-        field = self.field
-        f = dual_map(_graft_split(self.p, t, i, u))
-        src = tensor_many(field, [self.term(t), self.term(u)])
-        pair = ChainMap.from_rule(
-            src, f.source,
-            lambda d, lab: [(("dual", (lab[0][1], lab[1][1])), 1)])
-        return pair.then(f)
-
-
-def dual_precooperad(p: Operad) -> OperadDualPreCooperad:
-    return OperadDualPreCooperad(p)
-
-
 # -- KP = C(dual P) -------------------------------------------------------
+
+def dual_precooperad(p: Operad) -> PreCooperad:
+    """The dual of an operad, as a pre-cooperad: the extension of its
+    dual cooperad, labels (("dual", x_1), ..., ("dual", x_k)) on a tree
+    with k vertices."""
+    return extend_cooperad(dualize(p))
+
 
 def kp_iso(p: Operad, N, kp: Operad | None = None,
            cdp: CobarOperad | None = None):
     """The currying iso from the cobar of the dual pre-cooperad to the
-    dual of the bar: the signed relabel (T, ("dual", x)) -> ("dual", (T,
-    x)). Returns (kp, cdp, per-arity isos)."""
+    dual of the bar: the signed relabel (T, (("dual", x_1), ...,
+    ("dual", x_k))) -> ("dual", (T, (x_1, ..., x_k))). Returns (kp, cdp,
+    per-arity isos)."""
     field = p.field
     if kp is None:
         kp = koszul_dual(p, N)
     if cdp is None:
         cdp = cobar(dual_precooperad(p), N)
-    ul = kp.term(1).basis[0][0]
-    out = {1: ChainMap.from_rule(cdp.term(1), kp.term(1),
-                                 lambda d, l: [(ul, 1)])}
 
     def rule(d, lab):
-        T, (_, x) = lab
+        T, duals = lab
+        x = tuple(y for _, y in duals)
         V = T.num_vertices
         s = V * (V - 1) // 2 + V * sum(p._degrees(T, x))
         return [(("dual", (T, x)), _sgn(field, s))]
 
-    for n in range(2, N + 1):
-        out[n] = ChainMap.from_rule(cdp.term(n), kp.term(n), rule)
-    return kp, cdp, out
+    return kp, cdp, {n: ChainMap.from_rule(cdp.term(n), kp.term(n), rule)
+                     for n in range(1, N + 1)}
 
 
 # -- the double-dual comparison -------------------------------------------
 
-def double_dual_map(q: Cooperad, N=None):
+def double_dual_map(q: Cooperad, N=None, kq: Operad | None = None):
     """The evaluation map from a cooperad into the dual of its dual
-    operad, per tree. Returns (extended q, dual pre-cooperad, family)."""
+    operad kq (dualize(q, N) unless given), per tree. Returns (extended
+    q, dual pre-cooperad, family)."""
     N = N or q.N
-    field = q.field
     eq = extend_cooperad(q)
-    ddq = dual_precooperad(dualize(q, N))
-    fam = {}
-    for n in range(1, N + 1):
-        for t in enumerate_trees(n):
-            def rule(d, lab):
-                inner = tuple(("dual", x) for x in lab)
-                return [(("dual", inner), 1)]
+    ddq = dual_precooperad(kq or dualize(q, N))
 
-            fam[t] = ChainMap.from_rule(eq.term(t), ddq.term(t), rule)
+    def rule(d, lab):
+        return [(tuple(("dual", ("dual", x)) for x in lab), 1)]
+
+    fam = {t: ChainMap.from_rule(eq.term(t), ddq.term(t), rule)
+           for n in range(1, N + 1) for t in enumerate_trees(n)}
     return eq, ddq, fam
 
 
@@ -115,12 +78,13 @@ def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
     built on."""
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
-    _, ddq, fam = double_dual_map(cb.q.q, N)
+    kp = dualize(cb.q.q, N)
+    _, ddq, fam = double_dual_map(cb.q.q, N, kq=kp)
     ckk = cobar(ddq, N)
     cm = cobar_map(cb, ckk, fam, N)
-    kkp, _, iso = kp_iso(ddq.p, N, cdp=ckk)
+    kkp, _, iso = kp_iso(kp, N, cdp=ckk)
     out = {n: cm[n].then(iso[n]) for n in range(1, N + 1)}
-    return ddq.p, kkp, out
+    return kp, kkp, out
 
 
 # -- the verification pipeline --------------------------------------------

@@ -688,19 +688,19 @@ def test_structure_maps_built_once_per_key(monkeypatch):
         for name, built in keys.items():
             assert built, name
             assert len(built) == len(set(built)), name
-    # theta reads theta_cells on the top cells only, through its rule;
-    # theta_star builds the maps
+    # theta and theta_star read the rule of theta_cells on top cells only,
+    # each through one window of _theta_cut
     q = extend_cooperad(bar(ass(3, F2), 3))
-    for name, run in (("_theta_cell_rule", lambda: theta(ass(3, F2), 3)),
-                      ("theta_cells", lambda: theta_star(q, 3))):
+    for name, run in (("theta", lambda: theta(ass(3, F2), 3)),
+                      ("theta_star", lambda: theta_star(q, 3))):
         cells = []
 
-        def counted_cells(field, T, U, orig=getattr(barcobar, name)):
+        def counted_cells(field, T, U, orig=barcobar._theta_cut):
             cells.append((T, U))
             return orig(field, T, U)
 
         with monkeypatch.context() as m:
-            m.setattr(barcobar, name, counted_cells)
+            m.setattr(barcobar, "_theta_cut", counted_cells)
             run()
         assert cells and len(cells) == len(set(cells)), name
 

@@ -143,6 +143,10 @@ def test_input_errors(capsys, tmp_path):
     assert run(capsys, "bar", "--operad", "bogus")[0] == 2
     assert run(capsys, "bar", "--operad", "file:/does/not/exist")[0] == 2
     assert run(capsys, "bar", "--field", "f9")[0] == 2
+    # Field(0) is the rationals: a prime field needs a prime
+    for f in ("f0", "f00"):
+        code, cap = run(capsys, "bar", "--field", f)
+        assert code == 2 and cap.err.startswith("error: "), f
     listed = tmp_path / "list.json"
     listed.write_text(json.dumps([{"gens": {"2": [0]}}]))
     badgen = tmp_path / "badgen.json"
@@ -163,6 +167,11 @@ def test_input_errors(capsys, tmp_path):
     filefield4 = tmp_path / "filefield4.json"
     filefield4.write_text(json.dumps(
         {"field": {"p": 4}, "max_arity": 2, "terms": {}}))
+    field0 = tmp_path / "field0.json"
+    field0.write_text(json.dumps({"field": {"p": 0}, "gens": {"2": [0]}}))
+    filefield0 = tmp_path / "filefield0.json"
+    filefield0.write_text(json.dumps(
+        {"field": {"p": 0}, "max_arity": 2, "terms": {}}))
     highgen = tmp_path / "highgen.json"
     highgen.write_text(json.dumps({"gens": {"2": [0], "5": [1]},
                                    "max_arity": 4}))
@@ -222,10 +231,30 @@ def test_input_errors(capsys, tmp_path):
          "sigma": {"2": one, "5": one}},
         {"max_arity": 3, "terms": {"2": a, "-2": a}, "sigma": {"2": one}},
     ]
+    # a map given twice: each entry but the last was dropped without a
+    # word (zero circ entries listed before the identity ones, a sigma
+    # index given as "1" and as "s_1", an arity given as "2" and "02")
+    zero = [{"m": 2, "n": 2, "i": i, "matrix": []} for i in (1, 2)]
+    dropped += [
+        dict(COM3, circ=zero + COM3["circ"]),
+        dict(COM3, sigma=dict(COM3["sigma"], **{
+            "2": {"1": [[0, 0, -1]], "s_1": [[0, 0, 1]]}})),
+        dict(COM3, terms=dict(COM3["terms"], **{"02": a})),
+    ]
     for k, blob in enumerate(dropped):
         spec = tmp_path / f"dropped{k}.json"
         spec.write_text(json.dumps(blob))
         specs.append(("bar", "--operad", f"file:{spec}", "--max-arity", "3"))
+    # a key given twice in the JSON text itself, which json reads as its
+    # last value
+    text = json.dumps(COM3)
+    sigma2 = '"2": {"1": [[0, 0, 1]]}'
+    assert sigma2 in text
+    rawkey = tmp_path / "rawkey.json"
+    rawkey.write_text(text.replace(
+        sigma2, '"2": {"1": [[0, 0, -1]], "1": [[0, 0, 1]]}'))
+    rawgen = tmp_path / "rawgen.json"
+    rawgen.write_text('{"gens": {"2": [0], "2": [1]}}')
     strgen = tmp_path / "strgen.json"
     strgen.write_text(json.dumps({"gens": {"2": "12"}}))
     for argv in (("bar", "--operad", f"trivial:{listed}"),
@@ -239,10 +268,15 @@ def test_input_errors(capsys, tmp_path):
                  ("bar", "--operad", f"trivial:{field4}", "--max-arity", "2"),
                  ("bar", "--operad", f"file:{filefield4}",
                   "--max-arity", "2"),
+                 ("bar", "--operad", f"trivial:{field0}", "--max-arity", "2"),
+                 ("bar", "--operad", f"file:{filefield0}",
+                  "--max-arity", "2"),
                  ("bar", "--operad", f"trivial:{highgen}", "--max-arity", "3"),
                  ("bar", "--operad", f"trivial:{highdefault}",
                   "--max-arity", "3"),
                  ("bar", "--operad", f"trivial:{strgen}", "--max-arity", "3"),
+                 ("bar", "--operad", f"file:{rawkey}", "--max-arity", "3"),
+                 ("bar", "--operad", f"trivial:{rawgen}", "--max-arity", "3"),
                  ("bar", "--operad", "com", "--truncate", "-1"),
                  ("bar", "--operad", "com", "--truncate", "0"),
                  ("bar", "--operad", "com", "--max-arity", "3",
