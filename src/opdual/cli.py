@@ -98,19 +98,20 @@ def _check_degrees(what, imgs, src_degree, tgt_degree, shift):
                                f"degree {k} to degree {k2}, not {k + shift}")
 
 
-def _by_arity(blob, key: str, path: str) -> list:
+def _by_arity(blob, key: str, where: str) -> list:
     """The entries of the JSON object blob[key] as (arity, value) pairs;
-    CliError unless it is an object keyed by distinct integers."""
+    CliError, naming where (the spec), unless it is an object keyed by
+    distinct integers."""
     sec = blob.get(key, {})
     if not isinstance(sec, dict):
-        raise CliError(f"operad spec {path}: {key} must be a JSON object")
+        raise CliError(f"{where}: {key} must be a JSON object")
     try:
         pairs = [(int(k), v) for k, v in sec.items()]
     except ValueError as e:
-        raise CliError(f"operad spec {path}: {key} must be keyed by "
-                       f"integer arities ({e})")
+        raise CliError(f"{where}: {key} must be keyed by integer arities "
+                       f"({e})")
     if len({n for n, _ in pairs}) < len(pairs):
-        raise CliError(f"operad spec {path}: {key} gives an arity twice")
+        raise CliError(f"{where}: {key} gives an arity twice")
     return pairs
 
 
@@ -140,7 +141,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
     terms = {1: ChainComplex(field, {0: ["u"]}, {})}
     names = {1: ["u"]}
     degree = {1: {"u": 0}}
-    for n, tdata in _by_arity(blob, "terms", path):
+    for n, tdata in _by_arity(blob, "terms", f"operad spec {path}"):
         if not 1 <= n <= N:
             raise CliError(f"term {n} lies outside the arities 1..{N}")
         labels, degs = [], {}
@@ -171,7 +172,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
                        "degree 0")
 
     adjacents = {}
-    for n, sdata in _by_arity(blob, "sigma", path):
+    for n, sdata in _by_arity(blob, "sigma", f"operad spec {path}"):
         if n not in terms:
             raise CliError(f"sigma given for missing arity {n}")
         if not isinstance(sdata, dict):
@@ -258,12 +259,12 @@ def load_symseq_spec(path: str, field: Field, N: int):
     try:
         top = int(blob.get("max_arity", N))
         gens = {}
-        for k, v in blob.get("gens", {}).items():
+        for n, v in _by_arity(blob, "gens", f"generator spec {path}"):
             if not isinstance(v, list):
                 raise CliError(f"bad generator spec {path}: the degrees of "
-                               f"arity {k} must be a JSON list")
-            gens[int(k)] = [int(d) for d in v]
-    except (AttributeError, TypeError, ValueError) as e:
+                               f"arity {n} must be a JSON list")
+            gens[n] = [int(d) for d in v]
+    except (TypeError, ValueError) as e:
         raise CliError(f"bad generator spec {path}: {e}")
     if any(n < 2 for n in gens):
         raise CliError("generators must sit in arity >= 2")

@@ -55,20 +55,21 @@ def kp_iso(p: Operad, N, kp: Operad | None = None,
 
 # -- the double-dual comparison -------------------------------------------
 
-def double_dual_map(q: Cooperad, N=None, kq: Operad | None = None):
-    """The evaluation map from a cooperad into the dual of its dual
-    operad kq (dualize(q, N) unless given), per tree. Returns (extended
-    q, dual pre-cooperad, family)."""
+def double_dual_map(q: Cooperad, N=None):
+    """The evaluation map from a cooperad into the dual pre-cooperad of
+    its dual operad kq, per tree. Returns (extended q, kq, dual
+    pre-cooperad, family)."""
     N = N or q.N
     eq = extend_cooperad(q)
-    ddq = dual_precooperad(kq or dualize(q, N))
+    kq = dualize(q, N)
+    ddq = dual_precooperad(kq)
 
     def rule(d, lab):
         return [(tuple(("dual", ("dual", x)) for x in lab), 1)]
 
     fam = {t: ChainMap.from_rule(eq.term(t), ddq.term(t), rule)
            for n in range(1, N + 1) for t in enumerate_trees(n)}
-    return eq, ddq, fam
+    return eq, kq, ddq, fam
 
 
 def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
@@ -78,8 +79,7 @@ def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
     built on."""
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
-    kp = dualize(cb.q.q, N)
-    _, ddq, fam = double_dual_map(cb.q.q, N, kq=kp)
+    _, kp, ddq, fam = double_dual_map(cb.q.q, N)
     ckk = cobar(ddq, N)
     cm = cobar_map(cb, ckk, fam, N)
     kkp, _, iso = kp_iso(kp, N, cdp=ckk)

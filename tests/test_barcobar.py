@@ -916,7 +916,7 @@ def test_cobar_value_matches_engine_incl(name, field):
                          ids=["com-q", "ass-f2"])
 def test_cobar_map_matches_engine_reference(name, field):
     from opdual.koszul import double_dual_map
-    eq, ddq, fam = double_dual_map(bar(builtin_operad(name, field, 3), 3), 3)
+    eq, _, ddq, fam = double_dual_map(bar(builtin_operad(name, field, 3), 3), 3)
     c1, c2 = cobar(eq, 3), cobar(ddq, 3)
     cm = cobar_map(c1, c2, fam, 3)
     for n in (1, 2, 3):

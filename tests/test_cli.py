@@ -255,6 +255,8 @@ def test_input_errors(capsys, tmp_path):
         sigma2, '"2": {"1": [[0, 0, -1]], "1": [[0, 0, 1]]}'))
     rawgen = tmp_path / "rawgen.json"
     rawgen.write_text('{"gens": {"2": [0], "2": [1]}}')
+    twogen = tmp_path / "twogen.json"
+    twogen.write_text(json.dumps({"gens": {"2": [0], "02": [1]}}))
     strgen = tmp_path / "strgen.json"
     strgen.write_text(json.dumps({"gens": {"2": "12"}}))
     for argv in (("bar", "--operad", f"trivial:{listed}"),
@@ -277,6 +279,8 @@ def test_input_errors(capsys, tmp_path):
                  ("bar", "--operad", f"trivial:{strgen}", "--max-arity", "3"),
                  ("bar", "--operad", f"file:{rawkey}", "--max-arity", "3"),
                  ("bar", "--operad", f"trivial:{rawgen}", "--max-arity", "3"),
+                 ("bar", "--operad", f"trivial:{twogen}", "--max-arity", "3"),
+                 ("bar", "--operad", f"free:{twogen}", "--max-arity", "3"),
                  ("bar", "--operad", "com", "--truncate", "-1"),
                  ("bar", "--operad", "com", "--truncate", "0"),
                  ("bar", "--operad", "com", "--max-arity", "3",

@@ -142,7 +142,7 @@ def free01(N):
 
 def test_double_dual_map_iso():
     for p in (com(3), ass(3), free01(3)):
-        eq, ddq, fam = double_dual_map(bar(p, 3), 3)
+        eq, _, ddq, fam = double_dual_map(bar(p, 3), 3)
         for n in (1, 2, 3):
             for t in enumerate_trees(n):
                 assert fam[t].is_iso()
