@@ -52,8 +52,8 @@ split, family transports) live in the cubes layer.
 Sign conventions all reduce to Koszul reshuffles against the fixed
 global orders declared in the cube and chain layers. Where a map is
 classically defined through interval reversals, the reversal is folded
-into the sign tables (h, r) once and for all; no complex here carries a
-twisted differential.
+into the cube signs (_star_sign) once and for all; no complex here
+carries a twisted differential.
 """
 from __future__ import annotations
 
@@ -115,7 +115,7 @@ class TreeDiagram:
     for every cover relation t < u (one added edge): covariant flavor
     maps term(t) -> term(u), contravariant maps term(u) -> term(t)."""
 
-    def __init__(self, field, n, flavor, term_fn, cover_fn, validate=True):
+    def __init__(self, field, n, flavor, term_fn, cover_fn):
         if flavor not in ("covariant", "contravariant"):
             raise ValueError("flavor must be covariant or contravariant")
         self.field = field
@@ -137,8 +137,6 @@ class TreeDiagram:
         self._maps = _along_covers(self.term,
                                    lambda a, b, e: self.cover_map(a, b),
                                    flavor == "covariant")
-        if validate:
-            self._validate()
 
     def term(self, t) -> ChainComplex:
         return self._terms[t]
@@ -152,7 +150,9 @@ class TreeDiagram:
             raise ValueError("map needs t <= u")
         return self._maps(t, u)
 
-    def _validate(self):
+    def check_functorial(self):
+        """ValueError unless both cover composites agree across every
+        2-edge diamond t < mid < u."""
         for u in self.trees:
             for t in self.trees:
                 new = u.clusters - t.clusters
@@ -169,32 +169,28 @@ class TreeDiagram:
                         f"diagram not functorial between {t!r} and {u!r}")
 
 
-def wbar_diagram(field, n, validate=False) -> TreeDiagram:
+def wbar_diagram(field, n) -> TreeDiagram:
     return TreeDiagram(field, n, "covariant",
                        lambda t: wbar(field, t),
-                       lambda t, u, e: face_inclusion(field, "wbar", t, u),
-                       validate=validate)
+                       lambda t, u, e: face_inclusion(field, "wbar", t, u))
 
 
-def delta_diagram(field, n, validate=False) -> TreeDiagram:
+def delta_diagram(field, n) -> TreeDiagram:
     return TreeDiagram(field, n, "covariant",
                        lambda t: delta_cube(field, t),
-                       lambda t, u, e: face_inclusion(field, "delta", t, u),
-                       validate=validate)
+                       lambda t, u, e: face_inclusion(field, "delta", t, u))
 
 
-def operad_diagram(p: Operad, n, validate=False) -> TreeDiagram:
+def operad_diagram(p: Operad, n) -> TreeDiagram:
     return TreeDiagram(p.field, n, "contravariant",
                        lambda t: p.tree_complex(t),
-                       lambda t, u, e: p.contract_map(u, e),
-                       validate=validate)
+                       lambda t, u, e: p.contract_map(u, e))
 
 
-def precooperad_diagram(q: PreCooperad, n, validate=False) -> TreeDiagram:
+def precooperad_diagram(q: PreCooperad, n) -> TreeDiagram:
     return TreeDiagram(q.field, n, "covariant",
                        lambda t: q.term(t),
-                       lambda t, u, e: q.cover_map(t, u, e),
-                       validate=validate)
+                       lambda t, u, e: q.cover_map(t, u, e))
 
 
 class _Engine:
@@ -949,8 +945,7 @@ class BbarPreCooperad(PreCooperad):
         field = self.field
         w = TreeDiagram(field, t.n, "covariant",
                         lambda U: wbar_family(field, t, U),
-                        lambda U, U2, e: family_cover(field, t, U, U2, e),
-                        validate=False)
+                        lambda U, U2, e: family_cover(field, t, U, U2, e))
         return Coend(w, operad_diagram(self.p, t.n))
 
     def _term(self, t):
@@ -976,10 +971,11 @@ class BbarPreCooperad(PreCooperad):
     def _cover_map(self, t, u, e):
         field = self.field
         weights = self.coend_at(t).weights
+        incl = _window(lambda U: family_inclusion(field, t, u, U))
 
         def move(U, cells, y, d):
-            img = family_inclusion(field, t, u, U).apply(
-                weights.term(U).label_degree[cells], {cells: field.one})
+            img = incl(U).apply(weights.term(U).label_degree[cells],
+                                {cells: field.one})
             return [(U, (c2, y), cc) for c2, cc in img.items()]
 
         return self._coend_map(t, u, move)
@@ -987,15 +983,16 @@ class BbarPreCooperad(PreCooperad):
     def _relabel_map(self, t, sigma):
         field = self.field
         weights = self.coend_at(t).weights
+        cell_maps = _window(lambda U: family_relabel(field, t, U, sigma))
+        rules = _window(lambda U: self.p._relabel_rule(U, sigma))
 
         def move(U, cells, y, d):
             dc = weights.term(U).label_degree[cells]
-            imgc = family_relabel(field, t, U, sigma).apply(
-                dc, {cells: field.one})
-            imgy = self.p.tree_relabel(U, sigma).apply(d - dc, {y: field.one})
+            imgc = cell_maps(U).apply(dc, {cells: field.one})
+            imgy = rules(U)(d - dc, y)
             U2 = U.relabel(sigma)
             return [(U2, (c2, y2), field.mul(cc, cy))
-                    for c2, cc in imgc.items() for y2, cy in imgy.items()]
+                    for c2, cc in imgc.items() for y2, cy in imgy]
 
         return self._coend_map(t, t.relabel(sigma), move)
 
@@ -1112,8 +1109,7 @@ class CoWPreCooperad(PreCooperad):
                 face_inclusion(field, "i", (U, t), (U2, t)) if t.leq(U)
                 else ChainMap.zero(zero_complex(field),
                                    rel_delta(field, U2, t)
-                                   if t.leq(U2) else zero_complex(field))),
-            validate=False)
+                                   if t.leq(U2) else zero_complex(field))))
         return End(w, precooperad_diagram(self.q, t.n))
 
     def _term(self, t):

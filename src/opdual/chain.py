@@ -97,9 +97,6 @@ class ChainComplex:
                 out[k] = h
         return out
 
-    def euler_characteristic(self):
-        return sum((-1) ** (k % 2) * self.dim(k) for k in self.degrees())
-
     def __eq__(self, other):
         return (isinstance(other, ChainComplex) and self.field == other.field
                 and self.basis == other.basis and self.diff == other.diff)
@@ -114,13 +111,6 @@ def zero_complex(field) -> ChainComplex:
 
 def k_complex(field, degree=0, label="1") -> ChainComplex:
     return ChainComplex(field, {degree: [label]}, {})
-
-
-def interval(field) -> ChainComplex:
-    """The interval H: g0, g1 in degree 0, g in degree 1, d(g) = g1 - g0."""
-    return ChainComplex.from_rule(
-        field, {0: ["g0", "g1"], 1: ["g"]},
-        lambda d, l: [("g1", 1), ("g0", -1)] if l == "g" else [])
 
 
 class ChainMap:
@@ -279,7 +269,7 @@ def koszul_sign(field, degrees, positions):
     return field.one if exp % 2 == 0 else field.neg(field.one)
 
 
-def tensor_many(field, factors, label_prefix=None):
+def tensor_many(field, factors):
     """Tensor product with basis labels = tuples of factor labels.
 
     An empty factor list gives the unit k[0] with label ()."""
@@ -340,27 +330,6 @@ def tensor_map_many(field, maps, source=None, target=None):
     return ChainMap.from_rule(source, target, rule, degree=deg)
 
 
-def permute_factors_map(field, factors, perm, source=None, target=None):
-    """Chain iso reordering tensor factors: source = tensor(factors),
-    target = tensor of factors in the order given by perm, where perm[i]
-    is the target slot of source factor i. Koszul signs applied."""
-    k = len(factors)
-    if source is None:
-        source = tensor_many(field, factors)
-    ordered = [None] * k
-    for i, p in enumerate(perm):
-        ordered[p] = factors[i]
-    if target is None:
-        target = tensor_many(field, ordered)
-    fdeg = [f.label_degree for f in factors]
-
-    def rule(d, tup):
-        return [_place(field, tup, [fdeg[i][l] for i, l in enumerate(tup)],
-                       perm)]
-
-    return ChainMap.from_rule(source, target, rule)
-
-
 def _place(field, labels, degrees, slots):
     """Put labels[i], of degree degrees[i], into slot slots[i]: the
     reordered tuple and the Koszul sign of the reordering."""
@@ -396,26 +365,6 @@ def dual_map(f: ChainMap) -> ChainMap:
     tgt = linear_dual(f.source)
     mats = {-k: f.matrix(k).transpose() for k in f.mats}
     return ChainMap(src, tgt, mats)
-
-
-def dual_pairing(a: ChainComplex, b: ChainComplex) -> ChainMap:
-    """Iso dual(a) (x) dual(b) -> dual(a (x) b); sign-free under the
-    constant-sign dual convention."""
-    field = a.field
-    src = tensor_many(field, [linear_dual(a), linear_dual(b)])
-    tgt = linear_dual(tensor_many(field, [a, b]))
-
-    def rule(d, tup):
-        (_, la), (_, lb) = tup
-        return [(("dual", (la, lb)), 1)]
-
-    return ChainMap.from_rule(src, tgt, rule)
-
-
-def double_dual_iso(c: ChainComplex) -> ChainMap:
-    """Canonical iso c -> dual(dual(c)); identity matrices."""
-    tgt = linear_dual(linear_dual(c))
-    return ChainMap.from_rule(c, tgt, lambda d, l: [(("dual", ("dual", l)), 1)])
 
 
 def cone(f: ChainMap) -> ChainComplex:
@@ -475,32 +424,6 @@ def hom_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
         return out
 
     return ChainComplex.from_rule(field, basis, rule)
-
-
-def hom_elem_to_map(h: ChainComplex, vec: dict, a: ChainComplex,
-                    b: ChainComplex, degree: int, check=True) -> ChainMap:
-    """Convert a degree-`degree` element of hom_complex(a, b) (label-keyed
-    vector) into a ChainMap; valid iff the element is a cycle."""
-    field = a.field
-    table = {}
-    for lab, c in vec.items():
-        _, la, lb = lab
-        table.setdefault(la, []).append((lb, c))
-    return ChainMap.from_rule(a, b, lambda d, l: table.get(l, ()),
-                              degree=degree, check=check)
-
-
-def map_to_hom_elem(f: ChainMap) -> dict:
-    """Inverse of hom_elem_to_map on chain maps."""
-    field = f.source.field
-    vec = {}
-    for k in f.source.degrees():
-        m = f.matrix(k)
-        src_labels = f.source.basis[k]
-        tgt_labels = f.target.basis.get(k + f.degree, ())
-        for (i, j), v in m.data.items():
-            vec[("h", src_labels[j], tgt_labels[i])] = v
-    return vec
 
 
 def hom_map(homab: ChainComplex, homcd: ChainComplex, pre: ChainMap = None,

@@ -34,6 +34,14 @@ def parse_field(s: str) -> Field:
     raise CliError(f"unknown field {s!r} (expected q or f<p>)")
 
 
+def _json_int(v, what: str) -> int:
+    """v when it is a JSON integer (an int, not a bool); CliError
+    naming what otherwise, where int() would cut a float or a bool."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise CliError(f"{what} must be an integer, not {v!r}")
+
+
 def _field_from_spec(blob, fallback: Field) -> Field:
     fs = blob.get("field")
     if fs is None:
@@ -41,11 +49,12 @@ def _field_from_spec(blob, fallback: Field) -> Field:
     if fs == "Q":
         return Field(0)
     if isinstance(fs, dict) and "p" in fs:
+        p = _json_int(fs["p"], f"the p of field entry {fs!r}")
         try:
-            if int(fs["p"]) == 0:
+            if p == 0:
                 raise ValueError("p must be a prime, not 0")
-            return Field(int(fs["p"]))
-        except (TypeError, ValueError) as e:
+            return Field(p)
+        except ValueError as e:
             raise CliError(f"bad field entry {fs!r} in operad spec: {e}")
     raise CliError(f"bad field entry {fs!r} in operad spec")
 
@@ -80,6 +89,8 @@ def _sparse_to_images(triples, src_labels, tgt_labels, field):
                     and 0 <= row < len(tgt_labels)):
                 raise CliError(f"matrix entry [{row},{col}] is not an integer "
                                f"index pair in range")
+            if not isinstance(val, str):
+                val = _json_int(val, f"matrix value at [{row},{col}]")
             out[src_labels[col]][tgt_labels[row]] = field.of(val)
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise CliError(f"bad matrix: each entry is [row, col, "
@@ -131,10 +142,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
     """
     blob = _read_json_object(path, "operad spec")
     field = _field_from_spec(blob, field or Field(0))
-    try:
-        N = int(blob.get("max_arity", 0))
-    except (TypeError, ValueError) as e:
-        raise CliError(f"operad spec {path}: bad max_arity: {e}")
+    N = _json_int(blob.get("max_arity", 0), f"operad spec {path}: max_arity")
     if N < 1:
         raise CliError("operad spec needs max_arity >= 1")
 
@@ -148,8 +156,8 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
         try:
             for b in tdata["basis"]:
                 labels.append(b["name"])
-                degs[b["name"]] = int(b["degree"])
-        except (KeyError, TypeError, ValueError) as e:
+                degs[b["name"]] = _json_int(b["degree"], f"term {n}: degree")
+        except (KeyError, TypeError) as e:
             raise CliError(f"term {n}: each basis entry needs a name and an "
                            f"integer degree ({e!r})")
         imgs = _sparse_to_images(tdata.get("d", []), labels, labels, field)
@@ -203,9 +211,10 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
         raise CliError(f"operad spec {path}: circ must be a JSON list")
     for c in circs:
         try:
-            m, n, i = int(c["m"]), int(c["n"]), int(c["i"])
+            m, n, i = (_json_int(c[k], f"operad spec {path}: circ {k}")
+                       for k in "mni")
             triples = c["matrix"]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError) as e:
             raise CliError(f"operad spec {path}: each circ entry needs "
                            f"integer m, n, i and a matrix ({e!r})")
         if m not in terms or n not in terms or m + n - 1 not in terms:
@@ -256,16 +265,15 @@ def load_symseq_spec(path: str, field: Field, N: int):
     N."""
     blob = _read_json_object(path, "generator spec")
     field = _field_from_spec(blob, field)
-    try:
-        top = int(blob.get("max_arity", N))
-        gens = {}
-        for n, v in _by_arity(blob, "gens", f"generator spec {path}"):
-            if not isinstance(v, list):
-                raise CliError(f"bad generator spec {path}: the degrees of "
-                               f"arity {n} must be a JSON list")
-            gens[n] = [int(d) for d in v]
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad generator spec {path}: {e}")
+    top = _json_int(blob.get("max_arity", N),
+                    f"generator spec {path}: max_arity")
+    gens = {}
+    for n, v in _by_arity(blob, "gens", f"generator spec {path}"):
+        if not isinstance(v, list):
+            raise CliError(f"bad generator spec {path}: the degrees of "
+                           f"arity {n} must be a JSON list")
+        gens[n] = [_json_int(d, f"generator spec {path}: a degree")
+                   for d in v]
     if any(n < 2 for n in gens):
         raise CliError("generators must sit in arity >= 2")
     if top < N:
@@ -363,6 +371,8 @@ def run(argv=None) -> int:
         return 0
 
     p = select_operad(args.operad, field, N)
+    # a spec's own field replaces --field
+    report["field"] = repr(p.field).lower()
     if args.truncate is not None:
         if not 1 <= args.truncate <= p.N:
             raise CliError(f"--truncate must lie in 1..{p.N}")

@@ -17,7 +17,7 @@ Four families of complexes:
 plus the structure maps between them: face inclusions, the grafting
 maps nu and mu (extended to unit trees, and the relative split), the
 leaf relabelings, the transports of family cells along covers and
-relabelings, the interval maps h and r, and the assembly map theta.
+relabelings, and the assembly map theta.
 Every sign moving starred coordinates goes through _star_sign.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 from functools import lru_cache
 
 from .chain import (
-    ChainComplex, ChainMap, interval, koszul_sign, tensor_many, zero_complex,
+    ChainComplex, ChainMap, koszul_sign, tensor_many, zero_complex,
 )
 from .trees import (
     ROOT, Tree, _graft_place, _split_graft, _token_image, fragments, graft,
@@ -391,29 +391,6 @@ def rel_split(field, V: Tree, v: Tree, i: int, t: Tree, u: Tree) -> ChainMap:
         rel_delta(field, V, v),
         tensor_many(field, [rel_delta(field, T2, t), rel_delta(field, U2, u)]),
         rule)
-
-
-def h_map(field) -> ChainMap:
-    """The interval contraction H (x) H -> H with corner values
-    h(g1 (x) g0) = g1 and g0 at the other three corners; the degree-1
-    values are the unique ones making it a chain map."""
-    H = interval(field)
-    table = {
-        ("g0", "g0"): [("g0", 1)], ("g0", "g1"): [("g0", 1)],
-        ("g1", "g1"): [("g0", 1)], ("g1", "g0"): [("g1", 1)],
-        ("g", "g0"): [("g", 1)], ("g", "g1"): [],
-        ("g0", "g"): [], ("g1", "g"): [("g", -1)],
-        ("g", "g"): [],
-    }
-    return ChainMap.from_rule(tensor_many(field, [H, H]), H,
-                              lambda d, tup: table[tup])
-
-
-def r_map(field) -> ChainMap:
-    """The interval flip: swaps the endpoints and negates the 1-cell."""
-    H = interval(field)
-    table = {"g0": [("g1", 1)], "g1": [("g0", 1)], "g": [("g", -1)]}
-    return ChainMap.from_rule(H, H, lambda d, l: table[l])
 
 
 def theta_cells(field, t: Tree, u: Tree) -> ChainMap:

@@ -23,8 +23,7 @@ import itertools
 
 from .chain import (
     ChainComplex, ChainMap, _graded_basis, _place, dual_map, is_quasi_iso,
-    k_complex, linear_dual, permute_factors_map, tensor_many, tensor_map_many,
-    zero_complex,
+    k_complex, linear_dual, tensor_many, tensor_map_many, zero_complex,
 )
 from .cubes import _chunks
 from .trees import (
@@ -84,11 +83,11 @@ def _window(build):
         of bbar, the ends of co-W, the composites of a tree diagram) is
         a window made with the object, read through the public method
         that returns it, and lives as long as the object;
-      - a map build opens one for the structure maps of its trees
-        (relabelings, contractions, theta_cells), so each of them is
-        built and verified once per build, not once per basis label,
-        and the window is dropped after its build; theta_star opens one
-        for its whole family of maps."""
+      - a map build opens one for the structure maps of its trees or
+        their rules (relabelings, contractions, family cell maps,
+        theta_cells), so each of them is built once per build, not once
+        per basis label, and the window is dropped after its build;
+        theta_star opens one for its whole family of maps."""
     maps = {}
 
     def get(*key):
@@ -226,19 +225,35 @@ class SymSeq:
         return self._tree_complexes(t)
 
     def tree_relabel(self, t: Tree, sigma) -> ChainMap:
-        """The action tree_complex(t) -> tree_complex(sigma_* t): relabel
-        each factor through its local leaf permutation and reorder the
-        factors with Koszul signs."""
-        t2 = t.relabel(sigma)
-        moves = _vertex_relabel(t, t2, sigma)
-        step1 = tensor_map_many(
-            self.field, [self.act(len(loc), loc) for loc, _ in moves],
-            source=self.tree_complex(t), target=self.tree_complex(t))
-        step2 = permute_factors_map(
-            self.field, [self.term(a) for a in _vertex_arities(t)],
-            [pos for _, pos in moves], source=self.tree_complex(t),
-            target=self.tree_complex(t2))
-        return step1.then(step2)
+        """The action tree_complex(t) -> tree_complex(sigma_* t), built
+        from _relabel_rule."""
+        return ChainMap.from_rule(self.tree_complex(t),
+                                  self.tree_complex(t.relabel(sigma)),
+                                  self._relabel_rule(t, sigma))
+
+    def _relabel_rule(self, t: Tree, sigma):
+        """The rule of tree_relabel(t, sigma) on one label x of
+        tree_complex(t): relabel each factor through its local leaf
+        permutation, then place the factors at their vertices of
+        sigma_* t with the Koszul sign."""
+        F = self.field
+        moves = _vertex_relabel(t, t.relabel(sigma), sigma)
+        acts = [self.act(len(loc), loc) for loc, _ in moves]
+        slots = [pos for _, pos in moves]
+
+        def rule(d, x):
+            degs = self._degrees(t, x)
+            out = []
+            for combo in itertools.product(*(
+                    f.apply(dk, {l: F.one}).items()
+                    for f, dk, l in zip(acts, degs, x))):
+                lab, c = _place(F, [l for l, _ in combo], degs, slots)
+                for _, ck in combo:
+                    c = F.mul(c, ck)
+                out.append((lab, c))
+            return out
+
+        return rule
 
 
 class Operad(SymSeq):
@@ -264,27 +279,27 @@ class Operad(SymSeq):
         return self.circ(m, i, n).apply(dx.pop() + dy.pop(), vec)
 
     def contract_map(self, t: Tree, e) -> ChainMap:
-        """tree_complex(t) -> tree_complex(t/e): compose the two factors
-        meeting at e and resort the merged vertex's inputs."""
+        """tree_complex(t) -> tree_complex(t/e): place the factors in the
+        vertex order of t/e with the merged vertex split into v, e (with
+        the Koszul sign), then compose the two factors meeting at e and
+        resort the merged vertex's inputs."""
         t2 = t.contract(e)
         a, j, b, pi, order, k = _contraction(t, e, t2)
         pair = self.circ(a, j, b).then(self.act(a + b - 1, pi))
-        vs = t.vertices()
-        s1 = permute_factors_map(
-            self.field, [self.term(t.arity_of(w)) for w in vs],
-            [order.index(w) for w in vs], source=self.tree_complex(t))
-        tgt = self.tree_complex(t2)
+        slots = [order.index(w) for w in t.vertices()]
         ta, tb = self.term(a), self.term(b)
         F = self.field
 
-        def rule(d, tup):
-            x, y = tup[k], tup[k + 1]
-            img = pair.apply(ta.label_degree[x] + tb.label_degree[y],
-                             {(x, y): F.one})
-            return [(tup[:k] + (l,) + tup[k + 2:], c) for l, c in img.items()]
+        def rule(d, x):
+            y, s = _place(F, x, self._degrees(t, x), slots)
+            v, w = y[k], y[k + 1]
+            img = pair.apply(ta.label_degree[v] + tb.label_degree[w],
+                             {(v, w): F.one})
+            return [(y[:k] + (l,) + y[k + 2:], F.mul(s, c))
+                    for l, c in img.items()]
 
-        s2 = ChainMap.from_rule(s1.target, tgt, rule)
-        return s1.then(s2)
+        return ChainMap.from_rule(self.tree_complex(t), self.tree_complex(t2),
+                                  rule)
 
     def compose_along_tree(self, t: Tree) -> ChainMap:
         """tree_complex(t) -> term(arity): contract every edge (order
@@ -383,6 +398,33 @@ def _trivial_circ(p, m, i, n) -> ChainMap:
                          p.term(m + n - 1))
 
 
+def _free_relabel_rule(a: SymSeq, sigma):
+    """The action of sigma on labels (t, x), x a label of
+    a.tree_complex(t): the free operad's actions and the free
+    pre-cooperad's relabelings. It reads a._relabel_rule through one
+    window, so each tree's rule is made once per map build."""
+    rules = _window(lambda t: a._relabel_rule(t, sigma))
+
+    def rule(d, lab):
+        t, x = lab
+        t2 = t.relabel(sigma)
+        return [((t2, x2), c) for x2, c in rules(t)(d, x)]
+
+    return rule
+
+
+def _free_graft_rule(a: SymSeq, i: int):
+    """Grafting at input i on pairs of labels (t, x), (u, y) as above:
+    the free operad's composition and the free pre-cooperad's
+    multiplication."""
+    def rule(d, pair):
+        (t, x), (u, y) = pair
+        lab, sgn = a._graft_label(t, i, u, x, y)
+        return [((graft(t, i, u), lab), sgn)]
+
+    return rule
+
+
 def free_operad(a: SymSeq, N) -> Operad:
     """Free operad: term(n) = sum over trees of the tree-shaped tensors
     of a, composition by grafting, actions by relabeling."""
@@ -400,28 +442,12 @@ def free_operad(a: SymSeq, N) -> Operad:
 
         terms[n] = ChainComplex.from_rule(field, basis, rule)
 
-    def relabel_rule(n, sigma):
-        def rule(d, lab):
-            t, l = lab
-            t2 = t.relabel(sigma)
-            f = a.tree_relabel(t, sigma)
-            img = f.apply(d, {l: field.one})
-            return [((t2, l2), v) for l2, v in img.items()]
-        return rule
-
     adjacent = _adjacent_family(lambda n, s: ChainMap.from_rule(
-        terms[n], terms[n], relabel_rule(n, s)))
+        terms[n], terms[n], _free_relabel_rule(a, s)))
 
     def circ_builder(p, m, i, n):
-        src = tensor_many(field, [p.term(m), p.term(n)])
-        tgt = p.term(m + n - 1)
-
-        def rule(d, pair):
-            (t, lx), (u, ly) = pair
-            lab, sgn = a._graft_label(t, i, u, lx, ly)
-            return [((graft(t, i, u), lab), sgn)]
-
-        return ChainMap.from_rule(src, tgt, rule)
+        return ChainMap.from_rule(tensor_many(field, [p.term(m), p.term(n)]),
+                                  p.term(m + n - 1), _free_graft_rule(a, i))
 
     return Operad(field, N, terms, adjacent, circ_builder,
                   name=f"free({a.name})" if a.name else "free")
@@ -726,25 +752,29 @@ class ExtendedCooperad(PreCooperad):
         return self.q.tree_relabel(t, sigma)
 
     def _cover_map(self, t, u, e):
-        """Split the merged factor with cocirc; inverse route of the
-        operad-side edge contraction."""
+        """Split the merged factor with cocirc, then place the factors
+        in the vertex order of u with the Koszul sign: the inverse route
+        of the operad-side edge contraction."""
         q = self.q
         F = self.field
         a, j, b, pi, order, k = _contraction(u, e, t)
         pair = q.act(a + b - 1, _inverse_perm(pi)).then(q.cocirc(a, j, b))
         factors = [q.term(u.arity_of(w)) for w in order]
-        mid = tensor_many(F, factors)
+        vs = u.vertices()
+        slots = [vs.index(w) for w in order]
         tm = q.term(a + b - 1)
 
-        def rule(d, tup):
-            img = pair.apply(tm.label_degree[tup[k]], {tup[k]: F.one})
-            return [(tup[:k] + pl + tup[k + 1:], c) for pl, c in img.items()]
+        def rule(d, x):
+            out = []
+            img = pair.apply(tm.label_degree[x[k]], {x[k]: F.one})
+            for pl, c in img.items():
+                y = x[:k] + pl + x[k + 1:]
+                degs = [f.label_degree[l] for f, l in zip(factors, y)]
+                lab, s = _place(F, y, degs, slots)
+                out.append((lab, F.mul(s, c)))
+            return out
 
-        s1 = ChainMap.from_rule(self.term(t), mid, rule)
-        vs = u.vertices()
-        s2 = permute_factors_map(F, factors, [vs.index(w) for w in order],
-                                 source=mid, target=self.term(u))
-        return s1.then(s2)
+        return ChainMap.from_rule(self.term(t), self.term(u), rule)
 
     def _m_map(self, t, i, u):
         src = tensor_many(self.field, [self.term(t), self.term(u)])
@@ -832,48 +862,13 @@ class FreePreCooperad(PreCooperad):
         return ChainMap.from_rule(self.term(t), self.term(u2), rule)
 
     def _relabel_map(self, t, sigma):
-        t2 = t.relabel(sigma)
-        F = self.field
-
-        def rule(d, lab):
-            u, l = lab
-            u2 = u.relabel(sigma)
-            frs = fragments(t, u)
-            moves = _vertex_relabel(u, u2, sigma)
-            degs = [self._value(frs[v].tree).label_degree[x]
-                    for v, x in zip(u.vertices(), l)]
-            imgs = [self.a.act(len(loc), loc).apply(dk, {x: F.one}).items()
-                    for (loc, _), dk, x in zip(moves, degs, l)]
-            res = []
-            for combo in itertools.product(*imgs):
-                tup, c = _place(F, [l2 for l2, _ in combo], degs,
-                                [pos for _, pos in moves])
-                for _, c2 in combo:
-                    c = F.mul(c, c2)
-                res.append(((u2, tup), c))
-            return res
-
-        return ChainMap.from_rule(self.term(t), self.term(t2), rule)
+        return ChainMap.from_rule(self.term(t), self.term(t.relabel(sigma)),
+                                  _free_relabel_rule(self.a, sigma))
 
     def _m_map(self, t, i, u):
-        F = self.field
-        v = graft(t, i, u)
-        src = tensor_many(F, [self.term(t), self.term(u)])
-        tgt = self.term(v)
-
-        def degrees(t, ut, labels):
-            frs = fragments(t, ut)
-            return [self._value(frs[w].tree).label_degree[l]
-                    for w, l in zip(ut.vertices(), labels)]
-
-        def rule(d, pr):
-            (ut, lt), (uu, lu) = pr
-            uv, slots = _graft_slots(ut, i, uu)
-            lab, sgn = _place(F, lt + lu, degrees(t, ut, lt) +
-                              degrees(u, uu, lu), slots)
-            return [((uv, lab), sgn)]
-
-        return ChainMap.from_rule(src, tgt, rule)
+        return ChainMap.from_rule(
+            tensor_many(self.field, [self.term(t), self.term(u)]),
+            self.term(graft(t, i, u)), _free_graft_rule(self.a, i))
 
 
 def free_precooperad(a: SymSeq, N, mode="zero") -> PreCooperad:

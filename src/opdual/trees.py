@@ -212,41 +212,6 @@ def canonical_form(data) -> Tree:
     return Tree(n, clusters)
 
 
-def parse_tree(text: str) -> Tree:
-    """Parse the "(1 (2 3) 4)" encoding."""
-    text = text.strip()
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if text[pos] == "(":
-            pos += 1
-            out = []
-            while True:
-                while pos < len(text) and text[pos] == " ":
-                    pos += 1
-                if pos >= len(text):
-                    raise ValueError("unbalanced parentheses")
-                if text[pos] == ")":
-                    pos += 1
-                    return out
-                out.append(parse())
-        else:
-            j = pos
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == pos:
-                raise ValueError(f"unexpected character {text[pos]!r}")
-            val = int(text[pos:j])
-            pos = j
-            return val
-
-    node = parse()
-    if pos != len(text):
-        raise ValueError("trailing input")
-    return canonical_form(node)
-
-
 def _partitions(items):
     """All set partitions of a list, each partition a list of lists."""
     if not items:
@@ -456,10 +421,6 @@ def fragments(t: Tree, u: Tree):
     return out
 
 
-def leq(t: Tree, u: Tree) -> bool:
-    return t.leq(u)
-
-
 def adjacent_transposition(n: int, i: int):
     """The permutation (i, i+1) of {1..n} as a dict."""
     s = {j: j for j in range(1, n + 1)}
@@ -487,12 +448,3 @@ def perm_to_adjacents(perm: dict):
                 swaps.append(j + 1)
                 changed = True
     return swaps
-
-
-def compose_perms(sigma: dict, tau: dict) -> dict:
-    """(sigma o tau)(x) = sigma(tau(x))."""
-    return {x: sigma[tau[x]] for x in tau}
-
-
-def identity_perm(n: int) -> dict:
-    return {i: i for i in range(1, n + 1)}

@@ -6,8 +6,8 @@ import pytest
 from opdual import barcobar
 from opdual.fields import QQ, F2, Field
 from opdual.chain import (
-    ChainComplex, ChainMap, _place, hom_complex, hom_elem_to_map, hom_map,
-    is_quasi_iso, tensor_map_many,
+    ChainComplex, ChainMap, _place, hom_complex, hom_map, is_quasi_iso,
+    tensor_map_many,
 )
 from opdual.trees import (
     Tree, _token_image, adjacent_transposition, canonical_form, cluster_key,
@@ -31,7 +31,7 @@ from opdual.barcobar import (
     w_construction, w_engine, w_resolution, wbar_diagram,
 )
 
-from test_chain import random_complex
+from test_chain import hom_elem_to_map, random_complex
 
 BIN3 = canonical_form([[1, 2], 3])
 BIN4 = canonical_form([[[1, 2], 3], 4])
@@ -48,11 +48,11 @@ def ass(N, field=QQ):
 # -- diagrams and the coend/end engine ------------------------------------
 
 def test_diagram_factories_functorial():
-    # validate=True asserts both composites across every 2-edge diamond
-    wbar_diagram(QQ, 3, validate=True)
-    delta_diagram(QQ, 3, validate=True)
-    operad_diagram(ass(3), 3, validate=True)
-    precooperad_diagram(extend_cooperad(dualize(com(3))), 3, validate=True)
+    # both composites agree across every 2-edge diamond
+    wbar_diagram(QQ, 3).check_functorial()
+    delta_diagram(QQ, 3).check_functorial()
+    operad_diagram(ass(3), 3).check_functorial()
+    precooperad_diagram(extend_cooperad(dualize(com(3))), 3).check_functorial()
 
 
 def test_coend_single_tree_arity2():
@@ -703,6 +703,46 @@ def test_structure_maps_built_once_per_key(monkeypatch):
             m.setattr(barcobar, "_theta_cut", counted_cells)
             run()
         assert cells and len(cells) == len(set(cells)), name
+    # the actions of free_operad and the covers and relabelings of bbar
+    # read their per-tree maps through one window per map build
+    fo = free_operad(symseq_from_degrees(F2, 4, {2: [0, 1], 3: [1]}), 4)
+    bb = bbar(ass(3, F2), 3)
+    builds = [lambda n=n, i=i: fo.sigma_adj(n, i)
+              for n in range(2, 5) for i in range(1, n)]
+    for n in (2, 3):
+        for t in enumerate_trees(n):
+            builds += [lambda t=t, s=adjacent_transposition(n, i):
+                       bb.relabel_map(t, s) for i in range(1, n)]
+            builds += [lambda t=t, u=u, e=e: bb.cover_map(t, u, e)
+                       for u, e in t.expansions()]
+    keys = {"_relabel_rule": [], "family_relabel": [],
+            "family_inclusion": []}
+    seen = {name: False for name in keys}
+
+    def record(name, args):
+        keys[name].append(tuple(_perm_key(x) if isinstance(x, dict) else x
+                                for x in args))
+
+    def counted_rule(self, *args, orig=SymSeq._relabel_rule):
+        record("_relabel_rule", args)
+        return orig(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(SymSeq, "_relabel_rule", counted_rule)
+        for name in ("family_relabel", "family_inclusion"):
+            def counted(*args, orig=getattr(barcobar, name), name=name):
+                record(name, args[1:])
+                return orig(*args)
+
+            m.setattr(barcobar, name, counted)
+        for build in builds:
+            for built in keys.values():
+                built.clear()
+            build()
+            for name, built in keys.items():
+                seen[name] = seen[name] or bool(built)
+                assert len(built) == len(set(built)), name
+    assert all(seen.values()), seen
 
 
 def test_build_once_lookups_return_the_same_map():
@@ -940,7 +980,7 @@ def _random_chain_map(rng, field, a, b):
             vec[labels[i]] = field.add(vec.get(labels[i], field.zero),
                                        field.mul(c, v))
     vec = {l: v for l, v in vec.items() if v != field.zero}
-    return hom_elem_to_map(h, vec, a, b, 0)
+    return hom_elem_to_map(vec, a, b, 0)
 
 
 @pytest.mark.parametrize("field", [QQ, Field(3)], ids=["q", "f3"])

@@ -259,6 +259,28 @@ def test_input_errors(capsys, tmp_path):
     twogen.write_text(json.dumps({"gens": {"2": [0], "02": [1]}}))
     strgen = tmp_path / "strgen.json"
     strgen.write_text(json.dumps({"gens": {"2": "12"}}))
+    # a JSON float or boolean where an integer belongs: int() cut each one
+    # down (a degree 1.5 or true to 1, max_arity 3.9 to 3, p 3.7 to 3)
+    cut = [
+        ("trivial", {"gens": {"2": [1.5]}}),
+        ("trivial", {"gens": {"2": [True]}}),
+        ("trivial", {"gens": {"2": [0]}, "max_arity": 3.9}),
+        ("trivial", {"field": {"p": 3.7}, "gens": {"2": [0]}}),
+        ("file", {"max_arity": 2.5, "terms": {}}),
+        ("file", {"max_arity": 2, "terms": {"2": {
+            "basis": [{"name": "x", "degree": 0.7}]}},
+                  "sigma": {"2": {"1": [[0, 0, 1]]}}}),
+        ("file", dict(COM3, sigma=dict(COM3["sigma"], **{
+            "2": {"1": [[0, 0, 1.0]]}}))),
+        ("file", dict(COM3, sigma=dict(COM3["sigma"], **{
+            "2": {"1": [[0, 0, True]]}}))),
+        ("file", dict(COM3, circ=[dict(COM3["circ"][0], m=2.0),
+                                  COM3["circ"][1]])),
+    ]
+    for k, (kind, blob) in enumerate(cut):
+        spec = tmp_path / f"cut{k}.json"
+        spec.write_text(json.dumps(blob))
+        specs.append(("bar", "--operad", f"{kind}:{spec}", "--max-arity", "2"))
     for argv in (("bar", "--operad", f"trivial:{listed}"),
                  ("bar", "--operad", f"file:{listed}"),
                  ("bar", "--operad", f"trivial:{badgen}"),
@@ -288,6 +310,16 @@ def test_input_errors(capsys, tmp_path):
         code, cap = run(capsys, *argv)
         assert code == 2, argv
         assert cap.err.startswith("error: "), argv
+
+
+def test_report_names_the_field_of_the_operad(capsys, tmp_path):
+    # a spec's field replaces --field, and the report says so
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps({"field": {"p": 2}, "gens": {"2": [0]}}))
+    code, cap = run(capsys, "bar", "--operad", f"trivial:{spec}",
+                    "--field", "f3")
+    assert code == 0
+    assert json.loads(cap.out)["field"] == "f2"
 
 
 def test_identity_unit_entries_load(capsys, tmp_path):

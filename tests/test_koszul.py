@@ -81,7 +81,7 @@ def test_dual_precooperad_diagrams():
               free_operad(symseq_from_degrees(QQ, 3, {2: [1]}), 3)):
         dp = dual_precooperad(p)
         for n in (2, 3):
-            precooperad_diagram(dp, n, validate=True)
+            precooperad_diagram(dp, n).check_functorial()
 
 
 def test_dual_precooperad_term_dims():

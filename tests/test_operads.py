@@ -4,15 +4,22 @@ import random
 import pytest
 
 from opdual.fields import QQ, F2
-from opdual.chain import ChainMap, is_quasi_iso, k_complex
+from opdual.chain import (
+    ChainMap, is_quasi_iso, k_complex, tensor_many, tensor_map_many,
+)
 from opdual.trees import (
-    canonical_form, compose_perms, corolla, enumerate_trees, graft,
+    _vertex_arities, _vertex_relabel, adjacent_transposition, canonical_form,
+    corolla, enumerate_trees, graft,
 )
 from opdual.operads import (
-    Cooperad, Operad, builtin_operad, check_operad_axioms,
-    dualize, extend_cooperad, free_operad, free_precooperad, graft_perm,
-    is_quasi_cooperad, symseq_from_degrees, trivial_operad, truncate,
+    Cooperad, Operad, _contraction, _inverse_perm, builtin_operad,
+    check_operad_axioms, dualize, extend_cooperad, free_operad,
+    free_precooperad, graft_perm, is_quasi_cooperad, symseq_from_degrees,
+    trivial_operad, truncate,
 )
+
+from test_chain import permute_factors
+from test_trees import compose_perms
 
 BIN3 = canonical_form([[1, 2], 3])
 BIN4 = canonical_form([[[1, 2], 3], 4])
@@ -264,3 +271,102 @@ def test_free_precooperad_relabel_and_covers():
 def test_com_f2():
     p = builtin_operad("com", F2, 3)
     assert check_operad_axioms(p) == []
+
+
+# -- the one-rule tree-tensor maps against the two-step route --------------
+
+def _relabel_two_step(a, t, sigma):
+    """Relabel each factor of a.tree_complex(t), then permute the
+    factors into the vertex order of sigma_* t."""
+    t2 = t.relabel(sigma)
+    moves = _vertex_relabel(t, t2, sigma)
+    src = a.tree_complex(t)
+    step1 = tensor_map_many(
+        a.field, [a.act(len(loc), loc) for loc, _ in moves], source=src,
+        target=src)
+    step2 = permute_factors(a.field, [a.term(k) for k in _vertex_arities(t)],
+                            [pos for _, pos in moves], src, a.tree_complex(t2))
+    return step1.then(step2)
+
+
+def _contract_two_step(p, t, e):
+    """Permute the factors of p.tree_complex(t) so that the two meeting
+    at e are adjacent, then merge them."""
+    t2 = t.contract(e)
+    a, j, b, pi, order, k = _contraction(t, e, t2)
+    pair = p.circ(a, j, b).then(p.act(a + b - 1, pi))
+    vs = t.vertices()
+    ordered = tensor_many(p.field, [p.term(t.arity_of(w)) for w in order])
+    s1 = permute_factors(p.field, [p.term(t.arity_of(w)) for w in vs],
+                         [order.index(w) for w in vs], p.tree_complex(t),
+                         ordered)
+
+    def merge(d, tup):
+        img = pair.apply(sum(p.term(t.arity_of(w)).label_degree[l]
+                             for w, l in zip(order[k:k + 2], tup[k:k + 2])),
+                         {tup[k:k + 2]: 1})
+        return [(tup[:k] + (l,) + tup[k + 2:], c) for l, c in img.items()]
+
+    return s1.then(ChainMap.from_rule(ordered, p.tree_complex(t2), merge))
+
+
+def _cover_two_step(q, t, u, e):
+    """Split the merged factor of q.tree_complex(t), then permute the
+    factors into the vertex order of u."""
+    a, j, b, pi, order, k = _contraction(u, e, t)
+    pair = q.act(a + b - 1, _inverse_perm(pi)).then(q.cocirc(a, j, b))
+    factors = [q.term(u.arity_of(w)) for w in order]
+    mid = tensor_many(q.field, factors)
+    tm = q.term(a + b - 1)
+
+    def split(d, tup):
+        img = pair.apply(tm.label_degree[tup[k]], {tup[k]: 1})
+        return [(tup[:k] + pl + tup[k + 1:], c) for pl, c in img.items()]
+
+    vs = u.vertices()
+    return ChainMap.from_rule(q.tree_complex(t), mid, split).then(
+        permute_factors(q.field, factors, [vs.index(w) for w in order], mid,
+                        q.tree_complex(u)))
+
+
+def _adjacent(n):
+    return [adjacent_transposition(n, i) for i in range(1, n)]
+
+
+@pytest.mark.parametrize("p", [
+    builtin_operad("com", QQ, 4), builtin_operad("ass", F2, 4),
+    free_operad(symseq_from_degrees(QQ, 4, {2: [0, 1]}), 4),
+    trivial_operad(symseq_from_degrees(QQ, 4, {2: [0, 1], 3: [1]})),
+], ids=["com", "ass_f2", "free01", "trivial"])
+def test_one_rule_maps_match_the_two_step_route(p):
+    q = dualize(p)
+    eq = extend_cooperad(q)
+    for n in range(2, 5):
+        for t in enumerate_trees(n):
+            for sigma in _adjacent(n):
+                assert p.tree_relabel(t, sigma) == _relabel_two_step(
+                    p, t, sigma), (t, sigma)
+            for e in t.edges():
+                assert p.contract_map(t, e) == _contract_two_step(p, t, e)
+            for u, e in t.expansions():
+                assert eq.cover_map(t, u, e) == _cover_two_step(q, t, u, e)
+
+
+def test_constant_free_precooperad_relabels_by_the_two_step_route():
+    a = symseq_from_degrees(QQ, 4, {2: [0, 1], 3: [1]})
+    f = free_precooperad(a, 4, "constant")
+    for n in range(2, 5):
+        for t in enumerate_trees(n):
+            for sigma in _adjacent(n):
+                ref = {}
+
+                def rule(d, lab):
+                    u, l = lab
+                    if u not in ref:
+                        ref[u] = _relabel_two_step(a, u, sigma)
+                    u2 = u.relabel(sigma)
+                    return [((u2, l2), c)
+                            for l2, c in ref[u].apply(d, {l: 1}).items()]
+
+                assert f.relabel_map(t, sigma) == ChainMap.from_rule(
+                    f.term(t), f.term(t.relabel(sigma)), rule), (t, sigma)
