@@ -511,7 +511,7 @@ def cokernel_complex(f: ChainMap):
         for col in f.matrix(k).columns() if f.source.dim(k) else []:
             elim.add(col)
         elims[k] = elim
-        kept[k] = [i for i in range(f.target.dim(k)) if i not in elim.pivot_row_set]
+        kept[k] = [i for i in range(f.target.dim(k)) if i not in elim.pivot_at]
     basis = {k: [("cok", k, f.target.basis[k][i]) for i in rows]
              for k, rows in kept.items() if rows}
     pos = {k: {i: r for r, i in enumerate(rows)} for k, rows in kept.items()}

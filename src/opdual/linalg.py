@@ -6,6 +6,8 @@ kernel, cokernel, and solve in the package.
 """
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .fields import Field
 
 
@@ -190,6 +192,17 @@ class Eliminator:
     previously added columns (by tag), which yields kernels and solves.
     reduce() leaves a residual supported away from the pivot rows, which
     yields cokernel projections.
+
+    reduce() visits the pivots in increasing index order, but only those
+    whose pivot row the residual can reach: a heap is seeded with the
+    pivots on the column's support, and after subtracting reduced[k] the
+    pivots on reduced[k]'s support are pushed. This is exact, not an
+    approximation: reduced[k] is zero on the pivot row of every earlier
+    pivot, so an entry on pivot row j can only come from the column or
+    from some reduced[k] with k < j, and j is queued by then. Every
+    pivot left out would have found a zero entry and been skipped; the
+    subtractions, their order, and so the residual, combo and every later
+    pivot are those of a walk over all pivots.
     """
 
     def __init__(self, field: Field, nrows: int, track: bool = True):
@@ -199,7 +212,7 @@ class Eliminator:
         self.reduced = []      # reduced columns, pivot entry normalized to 1
         self.pivot_rows = []   # pivot row of each reduced column
         self.combos = []       # tag-combination realizing each reduced column
-        self.pivot_row_set = set()
+        self.pivot_at = {}     # pivot row -> index of its reduced column
 
     @property
     def rank(self):
@@ -211,11 +224,22 @@ class Eliminator:
         F = self.field
         res = dict(col)
         comb: dict = {}
-        for k, r in enumerate(self.pivot_rows):
-            c = res.get(r)
+        pivot_at = self.pivot_at
+        heap = [pivot_at[r] for r in res if r in pivot_at]
+        heapify(heap)
+        queued = set(heap)
+        while heap:
+            k = heappop(heap)
+            c = res.get(self.pivot_rows[k])
             if c is None or c == F.zero:
                 continue
-            _vec_sub(F, res, self.reduced[k], c)
+            red = self.reduced[k]
+            _vec_sub(F, res, red, c)
+            for r in red:
+                j = pivot_at.get(r)
+                if j is not None and j not in queued:
+                    queued.add(j)
+                    heappush(heap, j)
             if self.track:
                 for tag, v in self.combos[k].items():
                     u = F.add(comb.get(tag, F.zero), F.mul(c, v))
@@ -244,8 +268,8 @@ class Eliminator:
         inv = F.inv(pv)
         norm = {i: F.mul(inv, v) for i, v in res.items()}
         self.reduced.append(norm)
+        self.pivot_at[pr] = len(self.pivot_rows)
         self.pivot_rows.append(pr)
-        self.pivot_row_set.add(pr)
         if self.track:
             tcomb = {t: F.neg(F.mul(inv, v)) for t, v in comb.items()}
             if tag is not None:

@@ -27,7 +27,7 @@ def cluster_key(c):
 
 
 class Tree:
-    __slots__ = ("n", "clusters", "_edges", "_hash")
+    __slots__ = ("n", "clusters", "_edges", "_hash", "_code")
 
     def __init__(self, n: int, clusters):
         if n < 1:
@@ -53,6 +53,7 @@ class Tree:
         self.clusters = cl
         self._edges = None
         self._hash = None
+        self._code = None
 
     # -- basic structure -------------------------------------------------
 
@@ -159,16 +160,16 @@ class Tree:
         return self._hash
 
     def encode(self) -> str:
-        """Nested-parentheses encoding, children in canonical order."""
-        if self.n == 1:
-            return "1"
+        """Nested-parentheses encoding, children in canonical order.
+        Computed on the first call and kept on the tree, like the hash."""
+        if self._code is None:
+            def enc(tok):
+                if isinstance(tok, int):
+                    return str(tok)
+                return "(" + " ".join(enc(t) for t in self.children(tok)) + ")"
 
-        def enc(tok):
-            if isinstance(tok, int):
-                return str(tok)
-            return "(" + " ".join(enc(t) for t in self.children(tok)) + ")"
-
-        return enc(self.root_cluster)
+            self._code = "1" if self.n == 1 else enc(self.root_cluster)
+        return self._code
 
     def __repr__(self):
         return f"Tree[{self.encode()}]"

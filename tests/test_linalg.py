@@ -136,7 +136,7 @@ def test_eliminator_reduce_residual():
         elim.add(col, tag=j)
     for i in range(6):
         res, comb = elim.reduce({i: Fraction(1)})
-        assert not (set(res) & elim.pivot_row_set)
+        assert not (set(res) & elim.pivot_at.keys())
 
 
 @st.composite
