@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from opdual import linalg
 from opdual.barcobar import bar, cobar, theta
 from opdual.fields import Field, QQ, F2
 from opdual.koszul import cb_to_kk, verify_kk
@@ -188,6 +190,94 @@ def test_indexed_columns_match_scanned_columns(data):
         assert agree()
         m.set_column(j, {i: 1})
         assert agree()
+
+
+def _put(F, vec, i, v):
+    if v == F.zero:
+        vec.pop(i, None)
+    else:
+        vec[i] = v
+
+
+class _AllPivotsEliminator:
+    """Reference elimination: reduce() looks up every pivot found so far,
+    in order, whatever the column's support. Eliminator.reduce must make
+    exactly the same subtractions, in the same order."""
+
+    def __init__(self, field, nrows, track=True):
+        self.field, self.nrows, self.track = field, nrows, track
+        self.reduced, self.pivot_rows, self.combos = [], [], []
+
+    @property
+    def rank(self):
+        return len(self.reduced)
+
+    def reduce(self, col):
+        F = self.field
+        res, comb = dict(col), {}
+        for k, r in enumerate(self.pivot_rows):
+            c = res.get(r, F.zero)
+            if c == F.zero:
+                continue
+            for i, v in self.reduced[k].items():
+                _put(F, res, i, F.sub(res.get(i, F.zero), F.mul(c, v)))
+            if self.track:
+                for t, v in self.combos[k].items():
+                    _put(F, comb, t, F.add(comb.get(t, F.zero), F.mul(c, v)))
+        return res, comb
+
+    def add(self, col, tag=None):
+        F = self.field
+        res, comb = self.reduce(col)
+        if not res:
+            return comb
+        pr = next((i for i, v in res.items() if F.is_unit_entry(v)), None)
+        if pr is None:
+            pr = min(res)
+        inv = F.inv(res[pr])
+        self.reduced.append({i: F.mul(inv, v) for i, v in res.items()})
+        self.pivot_rows.append(pr)
+        tcomb = {}
+        if self.track:
+            tcomb = {t: F.neg(F.mul(inv, v)) for t, v in comb.items()}
+            if tag is not None:
+                tcomb[tag] = F.add(tcomb.get(tag, F.zero), inv)
+        self.combos.append(tcomb)
+        return None
+
+
+def _elim_state(e):
+    """Everything an eliminator holds, with each dict's insertion order
+    (which decides later pivot choices)."""
+    return ([list(d.items()) for d in e.reduced], list(e.pivot_rows),
+            [list(d.items()) for d in e.combos])
+
+
+@pytest.mark.parametrize("track", [True, False])
+@pytest.mark.parametrize("field", [QQ, F2, Field(3)])
+@given(data=st.data())
+def test_sparse_reduce_matches_all_pivot_reduce(field, track, data):
+    m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    a = _matrix(field, data.draw(sparse_entries(field, nrows=m, ncols=n)))
+    b = _matrix(field, data.draw(sparse_entries(field, nrows=m)))
+    elim = Eliminator(field, m, track=track)
+    ref = _AllPivotsEliminator(field, m, track=track)
+    for j, col in enumerate(a.columns()):
+        dep, ref_dep = elim.add(col, tag=j), ref.add(col, tag=j)
+        assert (dep is None) == (ref_dep is None)
+        if dep is not None:
+            assert list(dep.items()) == list(ref_dep.items())
+        assert _elim_state(elim) == _elim_state(ref)
+    for col in b.columns() + [{i: field.one} for i in range(m)]:
+        res, comb = elim.reduce(col)
+        ref_res, ref_comb = ref.reduce(col)
+        assert list(res.items()) == list(ref_res.items())
+        assert list(comb.items()) == list(ref_comb.items())
+        assert not res.keys() & elim.pivot_at.keys()
+    rhs = a @ a.transpose()
+    fast = (a.rank(), a.nullspace(), a.solve(rhs))
+    with mock.patch.object(linalg, "Eliminator", _AllPivotsEliminator):
+        assert (a.rank(), a.nullspace(), a.solve(rhs)) == fast
 
 
 @given(data=st.data())

@@ -98,6 +98,34 @@ def test_encoding_roundtrip():
     assert len({tree.encode() for tree in trees}) == len(trees)
 
 
+def test_encoding_is_kept_and_never_stale(monkeypatch):
+    for t in (t for n in range(1, 6) for t in enumerate_trees(n)):
+        fresh = Tree(t.n, t.clusters)
+        assert t.encode() == fresh.encode() and repr(t) == repr(fresh)
+    # contract and relabel build new trees, which encode themselves
+    for t in enumerate_trees(4):
+        t.encode()
+        for e in t.edges():
+            u = t.contract(e)
+            assert u.encode() == Tree(u.n, u.clusters).encode() != t.encode()
+        for i in range(1, 4):
+            u = t.relabel(adjacent_transposition(4, i))
+            assert u.encode() == Tree(u.n, u.clusters).encode()
+    calls = []
+    children = Tree.children
+
+    def counted(self, v):
+        calls.append(v)
+        return children(self, v)
+
+    monkeypatch.setattr(Tree, "children", counted)
+    t = canonical_form([[1, 2], [3, [4, 5]]])
+    first = t.encode()
+    assert calls
+    calls.clear()
+    assert t.encode() == first and not calls
+
+
 def test_relabel_action():
     t = canonical_form([[1, 2], 3])
     s23 = adjacent_transposition(3, 2)
