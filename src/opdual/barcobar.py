@@ -7,8 +7,9 @@ as an oracle for the tests.
 
 The bar, W and cobar constructions come in closed form: a basis indexed
 by trees with decorations, with the coend or end identifications
-carried out symbolically. Every pipeline runs on the closed forms; the
-engines (bar_engine, w_engine, cobar_engine) cross-check them.
+carried out symbolically. Every comparison runs on the closed forms; the
+engines (bar_engine, w_engine, cobar_engine) cross-check them, and the
+cobar verb of the command line prints cobar_engine.
 
 The mirrored constructions share one skeleton per step:
   _window            (from operads) the one memo: per map build, the
@@ -81,10 +82,6 @@ from .trees import (
     Tree, _graft_place, _split_graft, _token_image, _vertex_arities,
     cluster_key, corolla, enumerate_trees, fragments, graft, split_at_block,
 )
-
-
-def _point():
-    return Tree(1, [])
 
 
 def _sgn(field, e):
@@ -598,12 +595,13 @@ def w_construction(p: Operad, N) -> Operad:
         decorations, boundary, marked_move)
 
     def circ_builder(q, m, i, n):
+        mus = _window(lambda t, u: graft_decompose(field, t, i, u)[1])
+
         def rule(d, pair):
             (t, S, x), (u, S2, y) = pair
             v = graft(t, i, u)
-            _, mu = graft_decompose(field, t, i, u)
-            img = mu.apply(len(S) + len(S2),
-                           {(_w_cell(t, S), _w_cell(u, S2)): field.one})
+            img = mus(t, u).apply(
+                len(S) + len(S2), {(_w_cell(t, S), _w_cell(u, S2)): field.one})
             ((cv, cmu),) = img.items()
             Sv = tuple(e for e, val in zip(v.edges(), cv) if val == STAR)
             z, s1 = p._graft_label(t, i, u, x, y)
@@ -628,35 +626,28 @@ def closed_w_to_engine(p: Operad, wp: Operad, eng: Coend) -> ChainMap:
                              lambda lab: _w_cell(lab[0], lab[1]))
 
 
-def w_resolution(p: Operad, N, wp: Operad = None):
+def w_resolution(p: Operad, N):
     """The collapse eta: WP -> P (an operad map and quasi-iso) and the
     corolla inclusion zeta: P -> WP (a chain map family, not an operad
-    map); eta o zeta = id."""
-    if wp is None:
-        wp = w_construction(p, N)
+    map); eta o zeta = id. Arity 1 follows the same rules: the 1-leaf
+    tree composes to the unit and its label has no factor."""
+    wp = w_construction(p, N)
     field = p.field
+
+    def eta_rule(d, lab):
+        t, S, x = lab
+        if S:
+            return []
+        dx = p.tree_complex(t).label_degree[x]
+        return list(p.compose_along_tree(t).apply(dx, {x: field.one}).items())
+
     etas, zetas = {}, {}
-    pt = _point()
     for n in range(1, N + 1):
-        if n == 1:
-            etas[1] = ChainMap.from_rule(
-                wp.term(1), p.term(1), lambda d, l: [(p.unit_label, 1)])
-            zetas[1] = ChainMap.from_rule(
-                p.term(1), wp.term(1), lambda d, l: [((pt, (), ()), 1)])
-            continue
-
-        def eta_rule(d, lab):
-            t, S, x = lab
-            if S:
-                return []
-            dx = p.tree_complex(t).label_degree[x]
-            return list(p.compose_along_tree(t).apply(
-                dx, {x: field.one}).items())
-
         etas[n] = ChainMap.from_rule(wp.term(n), p.term(n), eta_rule)
         cor = corolla(n)
         zetas[n] = ChainMap.from_rule(
-            p.term(n), wp.term(n), lambda d, l, c=cor: [((c, (), (l,)), 1)])
+            p.term(n), wp.term(n),
+            lambda d, l, c=cor: [((c, (), (l,) * c.num_vertices), 1)])
     return wp, etas, zetas
 
 
@@ -849,7 +840,7 @@ def omega_sigma(a, N) -> Operad:
     """Hom(wbar(corolla), suspension) with the trivial operad structure;
     the standard small model the cobar of a trivial input collapses to."""
     field = a.field
-    terms = {1: hom_complex(wbar(field, _point()), a.term(1))}
+    terms = {1: hom_complex(wbar(field, corolla(1)), a.term(1))}
     sus = {}
     for n in range(2, N + 1):
         sus[n] = shift(a.term(n), 1)
@@ -865,11 +856,10 @@ def omega_sigma(a, N) -> Operad:
                   name=f"omega_sigma({a.name})" if a.name else "omega_sigma")
 
 
-def flip_sharp(a, N, om: Operad = None) -> dict:
+def flip_sharp(a, N, om: Operad) -> dict:
     """The family adjoint to the interval flip: a(n) -> Hom(wbar, Sigma
-    a(n)), coefficient -1 on the single cube generator."""
-    if om is None:
-        om = omega_sigma(a, N)
+    a(n)), coefficient -1 on the single cube generator; om is
+    omega_sigma(a, N)."""
     out = {1: ChainMap.from_rule(
         a.term(1), om.term(1),
         lambda d, l: [(("h", (), a.term(1).basis[0][0]), 1)])}
@@ -880,15 +870,12 @@ def flip_sharp(a, N, om: Operad = None) -> dict:
     return out
 
 
-def epsilon_trivial(a, N, cb: CobarOperad = None, om: Operad = None):
+def epsilon_trivial(a, N):
     """Read the cobar of the trivial operad on a on the top cell of the
     corolla, then project onto the corolla component of the bar classes.
     Returns (cb, om, per-arity maps)."""
-    p = trivial_operad(a)
-    if cb is None:
-        cb = cobar(extend_cooperad(bar(p, N)), N)
-    if om is None:
-        om = omega_sigma(a, N)
+    cb = cobar(extend_cooperad(bar(trivial_operad(a), N)), N)
+    om = omega_sigma(a, N)
     q = cb.q
     ul = a.term(1).basis[0][0]
     eps = {1: ChainMap.from_rule(cb.term(1), om.term(1),
@@ -1149,13 +1136,12 @@ def co_w(q: PreCooperad, N) -> CoWPreCooperad:
     return CoWPreCooperad(q, N)
 
 
-def co_w_resolution(q: PreCooperad, N, cw: CoWPreCooperad | None = None):
+def co_w_resolution(q: PreCooperad, N):
     """The termwise deformation retraction between q and its co-W-
     construction: eta expands against every vertex of the relative cube,
     zeta reads off the slot at the tree itself; zeta o eta = id."""
     field = q.field
-    if cw is None:
-        cw = co_w(q, N)
+    cw = co_w(q, N)
     etas, zetas = {}, {}
     for n in range(1, N + 1):
         for t in enumerate_trees(n):

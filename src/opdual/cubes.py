@@ -29,8 +29,8 @@ from .chain import (
     ChainComplex, ChainMap, koszul_sign, tensor_many, zero_complex,
 )
 from .trees import (
-    ROOT, Tree, _graft_place, _split_graft, _token_image, fragments, graft,
-    grafted_edge,
+    ROOT, Tree, _graft_place, _split_graft, _token_image, cluster_key,
+    fragments, graft, grafted_edge,
 )
 
 STAR = "*"
@@ -91,12 +91,11 @@ def rel_delta(field, u: Tree, t: Tree) -> ChainComplex:
     """The cube on the edges of u missing from t; needs t <= u."""
     if not t.leq(u):
         raise ValueError("rel_delta needs t <= u")
-    toks = tuple(sorted(u.clusters - t.clusters, key=lambda c: tuple(sorted(c))))
-    return _cube_complex(field, toks, lambda c: True)
+    return _cube_complex(field, _rel_tokens(u, t), lambda c: True)
 
 
 def _rel_tokens(u: Tree, t: Tree):
-    return tuple(sorted(u.clusters - t.clusters, key=lambda c: tuple(sorted(c))))
+    return tuple(sorted(u.clusters - t.clusters, key=cluster_key))
 
 
 @lru_cache(maxsize=None)

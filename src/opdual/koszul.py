@@ -30,15 +30,13 @@ def dual_precooperad(p: Operad) -> PreCooperad:
     return extend_cooperad(dualize(p))
 
 
-def kp_iso(p: Operad, N, kp: Operad | None = None,
-           cdp: CobarOperad | None = None):
+def kp_iso(p: Operad, N, cdp: CobarOperad | None = None):
     """The currying iso from the cobar of the dual pre-cooperad to the
     dual of the bar: the signed relabel (T, (("dual", x_1), ...,
     ("dual", x_k))) -> ("dual", (T, (x_1, ..., x_k))). Returns (kp, cdp,
     per-arity isos)."""
     field = p.field
-    if kp is None:
-        kp = koszul_dual(p, N)
+    kp = koszul_dual(p, N)
     if cdp is None:
         cdp = cobar(dual_precooperad(p), N)
 

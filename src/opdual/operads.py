@@ -25,7 +25,6 @@ from .chain import (
     ChainComplex, ChainMap, _graded_basis, _place, dual_map, is_quasi_iso,
     k_complex, linear_dual, tensor_many, tensor_map_many, zero_complex,
 )
-from .cubes import _chunks
 from .trees import (
     Tree, _graft_slots, _vertex_arities, _vertex_relabel,
     adjacent_transposition, cluster_key, enumerate_trees, fragments, graft,
@@ -97,6 +96,32 @@ def _window(build):
         return f
 
     return get
+
+
+def _merge_map(source, target, degrees, slots, k, pair) -> ChainMap:
+    """source -> target merging one edge: place the factors of a label x
+    at slots with their Koszul sign (degrees holds the label_degree of
+    each factor), then send factors k and k+1 through pair.
+    Operad.contract_map and PreCooperad.compose_fragments are built
+    from it."""
+    F = source.field
+    pdeg = pair.source.label_degree
+
+    def rule(d, x):
+        y, s = _place(F, x, [g[l] for g, l in zip(degrees, x)], slots)
+        img = pair.apply(pdeg[y[k:k + 2]], {y[k:k + 2]: F.one})
+        return [(y[:k] + (l,) + y[k + 2:], F.mul(s, c))
+                for l, c in img.items()]
+
+    return ChainMap.from_rule(source, target, rule)
+
+
+def _unwrap(source, target) -> ChainMap:
+    """source -> target sending a label (x,) of one factor to x and the
+    empty label () to the unit label of target: the composites along a
+    tree or a fragment family of at most one vertex."""
+    return ChainMap.from_rule(source, target, lambda d, l: [
+        (l[0] if l else target.basis[0][0], 1)])
 
 
 def _adjacent_family(build):
@@ -285,37 +310,26 @@ class Operad(SymSeq):
         resort the merged vertex's inputs."""
         t2 = t.contract(e)
         a, j, b, pi, order, k = _contraction(t, e, t2)
-        pair = self.circ(a, j, b).then(self.act(a + b - 1, pi))
-        slots = [order.index(w) for w in t.vertices()]
-        ta, tb = self.term(a), self.term(b)
-        F = self.field
-
-        def rule(d, x):
-            y, s = _place(F, x, self._degrees(t, x), slots)
-            v, w = y[k], y[k + 1]
-            img = pair.apply(ta.label_degree[v] + tb.label_degree[w],
-                             {(v, w): F.one})
-            return [(y[:k] + (l,) + y[k + 2:], F.mul(s, c))
-                    for l, c in img.items()]
-
-        return ChainMap.from_rule(self.tree_complex(t), self.tree_complex(t2),
-                                  rule)
+        return _merge_map(self.tree_complex(t), self.tree_complex(t2),
+                          [self.term(a).label_degree
+                           for a in _vertex_arities(t)],
+                          [order.index(w) for w in t.vertices()], k,
+                          self.circ(a, j, b).then(self.act(a + b - 1, pi)))
 
     def compose_along_tree(self, t: Tree) -> ChainMap:
-        """tree_complex(t) -> term(arity): contract every edge (order
-        independent by associativity, which the tests certify)."""
+        """tree_complex(t) -> term(arity): contract the first edge e of
+        t, then compose along t/e, read from the window (the order of the
+        edges is irrelevant by associativity, which the tests certify).
+        A tree without edges maps its one factor, or the () of the 1-leaf
+        tree, to term(arity)."""
         return self._along_trees(t)
 
     def _compose_along_tree(self, t):
-        cur = t
-        g = ChainMap.identity(self.tree_complex(t))
-        while cur.edges():
-            e = cur.edges()[0]
-            g = g.then(self.contract_map(cur, e))
-            cur = cur.contract(e)
-        flat = ChainMap.from_rule(self.tree_complex(cur), self.term(t.n),
-                                  lambda d, l: [(l[0], 1)])
-        return g.then(flat)
+        if not t.edges():
+            return _unwrap(self.tree_complex(t), self.term(t.n))
+        e = t.edges()[0]
+        return self.contract_map(t, e).then(
+            self.compose_along_tree(t.contract(e)))
 
 
 class Cooperad(SymSeq):
@@ -657,83 +671,33 @@ class PreCooperad:
         return self._m_map(t, i, u)
 
     def compose_fragments(self, T: Tree, U: Tree) -> ChainMap:
-        """(x)_{u in U.vertices()} Q(fragment of T over u) -> Q(T), composing
-        the fragment values with the grafting maps; U <= T."""
+        """(x)_{u in U.vertices()} Q(fragment of T over u) -> Q(T) for
+        U <= T, one edge at a time as contract_map merges vertices: the
+        first edge e of U with no cluster of U inside it merges into its
+        parent through m_map, then relabel_map sorts the merged inputs,
+        and the composite along U/e is read from the window. A U with at
+        most one vertex sends (x,) to x, and the 1-leaf tree () to the
+        unit label."""
         return self._composites(T, U)
 
     def _compose_fragments(self, T, U):
-        field = self.field
-        if U.n == 1:
-            ul = self.term(T).basis[0][0]
-            return ChainMap.from_rule(tensor_many(field, []), self.term(T),
-                                      lambda d, l: [(ul, 1)])
         frs = fragments(T, U)
-        uvs = U.vertices()
-        factors = [self.term(frs[v].tree) for v in uvs]
-        src = tensor_many(field, factors)
-        if U.num_vertices == 1:
-            return ChainMap.from_rule(src, self.term(T),
-                                      lambda d, l: [(l[0], 1)])
-        r = U.root_cluster
-        rch = U.children(r)
-        cls = [c for c in rch if not isinstance(c, int)]
-        groups = [[w for w in uvs if w <= c] for c in cls]
-        subs = []
-        for c in cls:
-            T_c = _local_subtree(T, c)
-            subs.append((T_c, self.compose_fragments(T_c,
-                                                     _local_subtree(U, c))))
-        # regroup the flat tensor into (root factor) x (one block per subtree)
-        grouped = [r] + [w for g in groups for w in g]
-        perm = [grouped.index(w) for w in uvs]
-        fdeg = [c.label_degree for c in factors]
-        nested = tensor_many(field, [self.term(frs[r].tree)] +
-                             [cf.source for _, cf in subs])
-
-        def regroup_rule(d, tup):
-            flat, sgn = _place(field, tup,
-                               [fdeg[k][l] for k, l in enumerate(tup)], perm)
-            return [((flat[0],) + _chunks(flat[1:], map(len, groups)), sgn)]
-
-        f = ChainMap.from_rule(src, nested, regroup_rule).then(tensor_map_many(
-            field, [ChainMap.identity(self.term(frs[r].tree))] +
-            [cf for _, cf in subs], source=nested))
-        # graft the composed subtrees into the root fragment, left to right
-        W = frs[r].tree
-        offset = 0
-        for k, c in enumerate(cls):
-            j = rch.index(c) + 1 + offset
-            T_c = subs[k][0]
-            m = self.m_map(W, j, T_c)
-            W = graft(W, j, T_c)
-            tail = [self.term(x) for x, _ in subs[k + 1:]]
-            nxt = (tensor_many(field, [self.term(W)] + tail) if tail
-                   else self.term(W))
-
-            def step_rule(d, tup, m=m, tail=bool(tail)):
-                img = m.apply(m.source.label_degree[(tup[0], tup[1])],
-                              {(tup[0], tup[1]): 1})
-                return [((l2,) + tuple(tup[2:]) if tail else l2, cc)
-                        for l2, cc in img.items()]
-
-            f = f.then(ChainMap.from_rule(f.target, nxt, step_rule))
-            offset += len(c) - 1
-        # grafting fills the child blocks contiguously; a tree whose
-        # clusters are not intervals is reached by relabeling at the end
-        leaves = []
-        for c in rch:
-            leaves.extend(sorted(c) if not isinstance(c, int) else [c])
-        lam = {k + 1: l for k, l in enumerate(leaves)}
-        assert W.relabel(lam) == T
-        if W != T:
-            f = f.then(self.relabel_map(W, lam))
-        return f
-
-
-def _local_subtree(W: Tree, c) -> Tree:
-    lam = {l: k for k, l in enumerate(sorted(c), start=1)}
-    return Tree(len(c), [frozenset(lam[l] for l in w)
-                         for w in W.clusters if w <= c])
+        factors = [self.term(frs[w].tree) for w in U.vertices()]
+        src = tensor_many(self.field, factors)
+        if U.num_vertices <= 1:
+            return _unwrap(src, self.term(T))
+        e = next(c for c in U.edges() if not any(w < c for w in U.clusters))
+        U2 = U.contract(e)
+        _, j, _, pi, order, k = _contraction(U, e, U2)
+        F_v, F_e = frs[U.parent(e)].tree, frs[e].tree
+        pair = self.m_map(F_v, j, F_e)
+        if any(x != y for x, y in pi.items()):
+            pair = pair.then(self.relabel_map(graft(F_v, j, F_e), pi))
+        rest = self.compose_fragments(T, U2)
+        return _merge_map(src, rest.source,
+                          [f.label_degree for f in factors],
+                          [order.index(w) for w in U.vertices()], k,
+                          pair).then(rest)
 
 
 class ExtendedCooperad(PreCooperad):

@@ -380,12 +380,11 @@ class Fragment:
     """The piece of a finer tree t sitting over one vertex of a coarser
     tree u <= t: a tree over the incoming edges of that vertex."""
 
-    __slots__ = ("vertex", "tree", "children", "to_global")
+    __slots__ = ("vertex", "tree", "to_global")
 
-    def __init__(self, vertex, tree, children, to_global):
+    def __init__(self, vertex, tree, to_global):
         self.vertex = vertex          # the u-cluster this fragment refines
         self.tree = tree              # tree over {1..k}, k = arity of vertex in u
-        self.children = children      # child tokens of vertex in u, sorted
         self.to_global = to_global    # fragment cluster -> t cluster
 
     def __repr__(self):
@@ -418,7 +417,7 @@ def fragments(t: Tree, u: Tree):
             frag_clusters.append(local)
             to_global[local] = c
         frag = Tree(len(ch), frag_clusters)
-        out[v] = Fragment(v, frag, ch, to_global)
+        out[v] = Fragment(v, frag, to_global)
     return out
 
 

@@ -688,6 +688,22 @@ def test_structure_maps_built_once_per_key(monkeypatch):
         for name, built in keys.items():
             assert built, name
             assert len(built) == len(set(built)), name
+    # the composition of W reads the cube map of each pair of trees
+    # through one window per circ build
+    wp = w_construction(p, 4)
+    cubes = []
+
+    def counted_decompose(field, t, i, u, orig=barcobar.graft_decompose):
+        cubes.append((t, i, u))
+        return orig(field, t, i, u)
+
+    with monkeypatch.context() as m:
+        m.setattr(barcobar, "graft_decompose", counted_decompose)
+        for a, b in ((2, 2), (2, 3), (3, 2)):
+            for i in range(1, a + 1):
+                cubes.clear()
+                wp.circ(a, i, b)
+                assert cubes and len(cubes) == len(set(cubes)), (a, i, b)
     # theta and theta_star read the rule of theta_cells on top cells only,
     # each through one window of _theta_cut
     q = extend_cooperad(bar(ass(3, F2), 3))

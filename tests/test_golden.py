@@ -56,6 +56,13 @@ GOLDEN = {
         "ae858a45c514be378b4cd661a1713d1d770d1d04fa2dcd85410510c81a696911",
     ("check theta", "trivial"):
         "2c2ac83b03ce683237e316013b13e8fa0714a3127ec951bb0c95d6e43c3ba493",
+    # recorded before the composites along a tree merged one edge at a time
+    ("check w", "com"):
+        "479c7bf1c97fd2738c194b62c8f93d22a78c0cedeebf5ecd19385060c31ec41e",
+    ("check w", "ass"):
+        "b1836f12253a9d21f8cde0b89d67e6564186145f77157063f898ebd441e2070e",
+    ("check w", "trivial"):
+        "71c61ed65a1e59cdfe3a626920ad551a3376834f830892306e579766994bf2ff",
 }
 
 

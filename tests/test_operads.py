@@ -5,11 +5,12 @@ import pytest
 
 from opdual.fields import QQ, F2
 from opdual.chain import (
-    ChainMap, is_quasi_iso, k_complex, tensor_many, tensor_map_many,
+    ChainMap, _place, is_quasi_iso, k_complex, tensor_many, tensor_map_many,
 )
+from opdual.cubes import _chunks
 from opdual.trees import (
-    _vertex_arities, _vertex_relabel, adjacent_transposition, canonical_form,
-    corolla, enumerate_trees, graft,
+    Tree, _vertex_arities, _vertex_relabel, adjacent_transposition,
+    canonical_form, corolla, enumerate_trees, fragments, graft,
 )
 from opdual.operads import (
     Cooperad, Operad, _contraction, _inverse_perm, builtin_operad,
@@ -17,6 +18,8 @@ from opdual.operads import (
     free_precooperad, graft_perm, is_quasi_cooperad, symseq_from_degrees,
     trivial_operad, truncate,
 )
+from opdual.barcobar import bar, bbar, co_w
+from opdual.koszul import dual_precooperad
 
 from test_chain import permute_factors
 from test_trees import compose_perms
@@ -370,3 +373,142 @@ def test_constant_free_precooperad_relabels_by_the_two_step_route():
 
                 assert f.relabel_map(t, sigma) == ChainMap.from_rule(
                     f.term(t), f.term(t.relabel(sigma)), rule), (t, sigma)
+
+
+# -- composites along a tree, against the all-at-once construction ---------
+
+def _ref_local_subtree(W, c):
+    """The part of W inside the cluster c, its leaves renumbered 1..|c|."""
+    lam = {l: k for k, l in enumerate(sorted(c), start=1)}
+    return Tree(len(c), [frozenset(lam[l] for l in w)
+                         for w in W.clusters if w <= c])
+
+
+def _ref_compose_fragments(q, T, U):
+    """q.compose_fragments(T, U) built all at once: regroup the factors
+    into the root fragment and one block per subtree of U, compose each
+    block by this function itself, graft the composites into the root
+    fragment left to right and relabel once at the end."""
+    field = q.field
+    if U.n == 1:
+        ul = q.term(T).basis[0][0]
+        return ChainMap.from_rule(tensor_many(field, []), q.term(T),
+                                  lambda d, l: [(ul, 1)])
+    frs = fragments(T, U)
+    uvs = U.vertices()
+    factors = [q.term(frs[v].tree) for v in uvs]
+    src = tensor_many(field, factors)
+    if U.num_vertices == 1:
+        return ChainMap.from_rule(src, q.term(T), lambda d, l: [(l[0], 1)])
+    r = U.root_cluster
+    rch = U.children(r)
+    cls = [c for c in rch if not isinstance(c, int)]
+    groups = [[w for w in uvs if w <= c] for c in cls]
+    subs = []
+    for c in cls:
+        T_c = _ref_local_subtree(T, c)
+        subs.append((T_c, _ref_compose_fragments(
+            q, T_c, _ref_local_subtree(U, c))))
+    grouped = [r] + [w for g in groups for w in g]
+    perm = [grouped.index(w) for w in uvs]
+    fdeg = [c.label_degree for c in factors]
+    nested = tensor_many(field, [q.term(frs[r].tree)] +
+                         [cf.source for _, cf in subs])
+
+    def regroup_rule(d, tup):
+        flat, sgn = _place(field, tup,
+                           [fdeg[k][l] for k, l in enumerate(tup)], perm)
+        return [((flat[0],) + _chunks(flat[1:], map(len, groups)), sgn)]
+
+    f = ChainMap.from_rule(src, nested, regroup_rule).then(tensor_map_many(
+        field, [ChainMap.identity(q.term(frs[r].tree))] +
+        [cf for _, cf in subs], source=nested))
+    W = frs[r].tree
+    offset = 0
+    for k, c in enumerate(cls):
+        j = rch.index(c) + 1 + offset
+        T_c = subs[k][0]
+        m = q.m_map(W, j, T_c)
+        W = graft(W, j, T_c)
+        tail = [q.term(x) for x, _ in subs[k + 1:]]
+        nxt = (tensor_many(field, [q.term(W)] + tail) if tail
+               else q.term(W))
+
+        def step_rule(d, tup, m=m, tail=bool(tail)):
+            img = m.apply(m.source.label_degree[(tup[0], tup[1])],
+                          {(tup[0], tup[1]): 1})
+            return [((l2,) + tuple(tup[2:]) if tail else l2, cc)
+                    for l2, cc in img.items()]
+
+        f = f.then(ChainMap.from_rule(f.target, nxt, step_rule))
+        offset += len(c) - 1
+    leaves = []
+    for c in rch:
+        leaves.extend(sorted(c) if not isinstance(c, int) else [c])
+    lam = {k + 1: l for k, l in enumerate(leaves)}
+    assert W.relabel(lam) == T
+    if W != T:
+        f = f.then(q.relabel_map(W, lam))
+    return f
+
+
+def _same_map(f, g):
+    return (f.source == g.source and f.target == g.target
+            and f.degree == g.degree and f == g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: extend_cooperad(bar(builtin_operad("com", QQ, 4), 4)),
+    lambda: extend_cooperad(bar(builtin_operad("ass", F2, 4), 4)),
+    lambda: dual_precooperad(free_operad(
+        symseq_from_degrees(QQ, 4, {2: [0, 1]}), 4)),
+    lambda: extend_cooperad(bar(trivial_operad(
+        symseq_from_degrees(QQ, 4, {2: [0, 1], 3: [1]})), 4)),
+    lambda: free_precooperad(
+        symseq_from_degrees(QQ, 4, {2: [0], 3: [1]}), 4, "constant"),
+    lambda: bbar(builtin_operad("com", QQ, 4), 4),
+    lambda: bbar(free_operad(symseq_from_degrees(QQ, 4, {2: [1]}), 4), 4),
+    lambda: co_w(extend_cooperad(bar(builtin_operad("com", QQ, 4), 4)), 4),
+], ids=["extend_bar_com", "extend_bar_ass_f2", "dual_free01",
+        "extend_bar_trivial", "free_constant", "bbar_com", "bbar_free1",
+        "co_w_com"])
+def test_compose_fragments_matches_the_all_at_once_reference(make):
+    q = make()
+    for n in range(1, 5):
+        trees = enumerate_trees(n)
+        for T, U in itertools.product(trees, trees):
+            if U.leq(T):
+                assert _same_map(q.compose_fragments(T, U),
+                                 _ref_compose_fragments(q, T, U)), (T, U)
+
+
+def test_compose_along_tree_matches_the_edge_loop():
+    p = builtin_operad("ass", F2, 4)
+    for n in range(1, 5):
+        for t in enumerate_trees(n):
+            cur, g = t, ChainMap.identity(p.tree_complex(t))
+            while cur.edges():
+                e = cur.edges()[0]
+                g = g.then(p.contract_map(cur, e))
+                cur = cur.contract(e)
+            if t.n > 1:
+                g = g.then(ChainMap.from_rule(
+                    p.tree_complex(cur), p.term(n), lambda d, l: [(l[0], 1)]))
+                assert _same_map(p.compose_along_tree(t), g), t
+    # the 1-leaf tree composes its empty label to the unit
+    f = p.compose_along_tree(corolla(1))
+    assert f.source.basis == {0: ((),)} and f.target is p.term(1)
+    assert f.apply(0, {(): 1}) == {p.unit_label: 1}
+
+
+def test_compose_fragments_merges_each_edge_into_its_parent():
+    # from arity 5 on, the parent of the merged edge can differ from the
+    # root in arity as well, here the vertex {1, 2, 3, 4} of arity 3
+    U = canonical_form([[[1, 2], 3, 4], 5])
+    for q in (extend_cooperad(bar(builtin_operad("com", QQ, 5), 5)),
+              free_precooperad(symseq_from_degrees(QQ, 5, {2: [0], 3: [1]}),
+                               5, "constant")):
+        for T in enumerate_trees(5):
+            if U.leq(T):
+                assert _same_map(q.compose_fragments(T, U),
+                                 _ref_compose_fragments(q, T, U)), (T, U)
