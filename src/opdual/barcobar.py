@@ -21,7 +21,10 @@ The mirrored constructions share one skeleton per step:
   _closed_form       the closed-form bar, W and cobar terms and the
                      builder of their actions, each action built on its
                      first sigma_adj request; _top_cell_move and _top_nu
-                     give the cube signs that bar and cobar share
+                     give the cube signs that bar and cobar share, both
+                     read off the slot tables of cubes, as W's
+                     composition reads mu on one pair of cells
+                     (_mu_cell)
   _labelwise         bar_map and cobar_map: each closed-form label (t, x)
                      sent through a per-tree map
   _Engine            the slots and relations common to Coend and End;
@@ -43,12 +46,17 @@ The mirrored constructions share one skeleton per step:
                      engine, in the tests)
   _end_graft         the composition of co-W (and of the cobar engine,
                      in the tests)
-  _coend_map         the covers and relabelings of bbar
+  _coend_map         the covers and relabelings of bbar, each slot cell
+                     moved on its own (cubes._move_family_cells)
   _evaluate          cobar elements read on family cells (the adjunction
                      transpose and theta_star), composed back into q by
                      q.compose_fragments, a window kept on q
 The cube-level maps they use (relabelings, the unit-extended grafting
-split, family transports) live in the cubes layer.
+split, family transports) live in the cubes layer. Whole cube maps are
+built only where a whole map is consumed: the face inclusions and
+family covers of the engines' weight diagrams, and the relabelings,
+face inclusions and splits that co-W feeds to hom_map. Everywhere else
+one cell is moved and no map is built.
 
 Sign conventions all reduce to Koszul reshuffles against the fixed
 global orders declared in the cube and chain layers. Where a map is
@@ -68,11 +76,10 @@ from .chain import (
 )
 # theta_cells is not called here: perfbench's tracer test reads the alias
 from .cubes import (
-    STAR, _chunks, _fam_ids, _move_cell, _move_family_cells, _rel_tokens,
-    _relabel_slots, _star_sign, _theta_cell_rule, _wbar_tokens, delta_cube, face_inclusion,
-    family_cover, family_inclusion, family_relabel, graft_decompose,
-    nu_general, rel_delta, rel_delta_relabel, rel_split, theta_cells, wbar,
-    wbar_family,
+    STAR, _chunks, _fam_ids, _id_image, _move_cell, _move_family_cells,
+    _mu_cell, _nu_slots, _rel_tokens, _relabel_slots, _slots, _star_sign,
+    _theta_cell_rule, _wbar_tokens, delta_cube, face_inclusion, family_cover,
+    rel_delta, rel_delta_relabel, rel_split, theta_cells, wbar, wbar_family,
 )
 from .operads import (
     Cooperad, Operad, PreCooperad, _adjacent_family, _along_covers,
@@ -454,11 +461,12 @@ def _top_cell_move(field, t, t2, sigma, deco):
 def _top_nu(field, t, i, u):
     """The coefficient of top(t) (x) top(u) in nu_general of the top cell
     of graft(t, i, u): the cube sign of bar's decomposition and of
-    cobar's composition."""
-    v = graft(t, i, u)
-    img = nu_general(field, t, i, u).apply(v.num_vertices,
-                                           {_wbar_top(v): field.one})
-    return img[(_wbar_top(t), _wbar_top(u))]
+    cobar's composition. Every coordinate of a top cell is a star, so it
+    is the sign of the whole nu move, and 1 when either side is the
+    1-leaf tree."""
+    if t.n == 1 or u.n == 1:
+        return field.one
+    return _star_sign(field, _nu_slots(t, i, u))
 
 
 def bar(p: Operad, N) -> Cooperad:
@@ -488,15 +496,13 @@ def bar(p: Operad, N) -> Cooperad:
         lambda t: [((), t.num_vertices)], boundary, _top_cell_move)
 
     def cocirc_builder(q, m, i, n):
-        top_nu = _window(functools.partial(_top_nu, field))
-
         def rule(d, lab):
             v, x = lab
             sp = split_at_block(v, i, n)
             if sp is None:
                 return []
             t, u = sp
-            cnu = top_nu(t, i, u)
+            cnu = _top_nu(field, t, i, u)
             (xt, xu), s1 = p._ungraft_label(t, i, u, x)
             s2 = _sgn(field, u.num_vertices * sum(p._degrees(t, xt)))
             return [(((t, xt), (u, xu)), field.mul(field.mul(cnu, s1), s2))]
@@ -595,14 +601,10 @@ def w_construction(p: Operad, N) -> Operad:
         decorations, boundary, marked_move)
 
     def circ_builder(q, m, i, n):
-        mus = _window(lambda t, u: graft_decompose(field, t, i, u)[1])
-
         def rule(d, pair):
             (t, S, x), (u, S2, y) = pair
             v = graft(t, i, u)
-            img = mus(t, u).apply(
-                len(S) + len(S2), {(_w_cell(t, S), _w_cell(u, S2)): field.one})
-            ((cv, cmu),) = img.items()
+            cv, cmu = _mu_cell(field, t, i, u, _w_cell(t, S), _w_cell(u, S2))
             Sv = tuple(e for e, val in zip(v.edges(), cv) if val == STAR)
             z, s1 = p._graft_label(t, i, u, x, y)
             s2 = _sgn(field, sum(p._degrees(t, x)) * len(S2))
@@ -693,13 +695,12 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
         lambda t: [((), -t.num_vertices)], boundary, _top_cell_move)
 
     def circ_builder(op, m, i, n):
-        top_nu = _window(functools.partial(_top_nu, field))
         mult = _window(lambda t, u: q.m_map(t, i, u))
 
         def rule(d, pair):
             (t, x), (u, y) = pair
             dy = q.term(u).label_degree[y]
-            s = field.mul(top_nu(t, i, u),
+            s = field.mul(_top_nu(field, t, i, u),
                           _sgn(field, (dy - u.num_vertices) * t.num_vertices))
             v = graft(t, i, u)
             img = mult(t, u).apply(d + t.num_vertices + u.num_vertices,
@@ -956,32 +957,31 @@ class BbarPreCooperad(PreCooperad):
         return ce.map_out(ChainMap.from_rule(ce.total, ce2.complex, rule))
 
     def _cover_map(self, t, u, e):
-        field = self.field
-        weights = self.coend_at(t).weights
-        incl = _window(lambda U: family_inclusion(field, t, u, U))
-
         def move(U, cells, y, d):
-            img = incl(U).apply(weights.term(U).label_degree[cells],
-                                {cells: field.one})
-            return [(U, (c2, y), cc) for c2, cc in img.items()]
+            c2, cc = _move_family_cells(self.field, _fam_ids(t, U), cells,
+                                        _fam_ids(u, U), lambda g: g)
+            return [(U, (c2, y), cc)]
 
         return self._coend_map(t, u, move)
 
     def _relabel_map(self, t, sigma):
         field = self.field
+        t2 = t.relabel(sigma)
         weights = self.coend_at(t).weights
-        cell_maps = _window(lambda U: family_relabel(field, t, U, sigma))
         rules = _window(lambda U: self.p._relabel_rule(U, sigma))
 
-        def move(U, cells, y, d):
-            dc = weights.term(U).label_degree[cells]
-            imgc = cell_maps(U).apply(dc, {cells: field.one})
-            imgy = rules(U)(d - dc, y)
-            U2 = U.relabel(sigma)
-            return [(U2, (c2, y2), field.mul(cc, cy))
-                    for c2, cc in imgc.items() for y2, cy in imgy]
+        def conv(g):
+            return _id_image(g, lambda c: _token_image(c, sigma))
 
-        return self._coend_map(t, t.relabel(sigma), move)
+        def move(U, cells, y, d):
+            U2 = U.relabel(sigma)
+            c2, cc = _move_family_cells(field, _fam_ids(t, U), cells,
+                                        _fam_ids(t2, U2), conv)
+            dc = weights.term(U).label_degree[cells]
+            return [(U2, (c2, y2), field.mul(cc, cy))
+                    for y2, cy in rules(U)(d - dc, y)]
+
+        return self._coend_map(t, t2, move)
 
     def _m_map(self, t, i, u):
         field = self.field
@@ -993,8 +993,8 @@ class BbarPreCooperad(PreCooperad):
         t_img, u_img = _graft_place(t, i, u)
 
         def lift(ids, img):
-            return [[("r", img[g[1]]) if isinstance(g, tuple) else img[g]
-                     for g in toks] for toks in ids]
+            return [[_id_image(g, img.__getitem__) for g in toks]
+                    for toks in ids]
 
         def rule(d, pair):
             U1, (c1, y1) = pair[0][2]
@@ -1003,11 +1003,9 @@ class BbarPreCooperad(PreCooperad):
             dy1 = p.tree_complex(U1).label_degree[y1]
             dc2 = ceu.weights.term(U2).label_degree[c2]
             s_ids = lift(_fam_ids(t, U1), t_img) + lift(_fam_ids(u, U2), u_img)
-            res = _move_family_cells(field, s_ids, tuple(c1) + tuple(c2),
-                                     _fam_ids(v, V), lambda g: g)
-            if res is None:
-                return []
-            cellsV, s_cells = res
+            cellsV, s_cells = _move_family_cells(
+                field, s_ids, tuple(c1) + tuple(c2), _fam_ids(v, V),
+                lambda g: g)
             yv, s_y = p._graft_label(U1, i, U2, y1, y2)
             coeff = field.mul(field.mul(_sgn(field, dy1 * dc2), s_cells), s_y)
             return list(cev.class_of(V, d, {(cellsV, yv): coeff}).items())
@@ -1223,8 +1221,7 @@ def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End,
             fts = [frs[t].tree for t in tvs]
             ids = [frs[t].to_global[e] for t, ft in zip(tvs, fts)
                    for e in ft.edges()]
-            at = {g: k for k, g in enumerate(ids)}
-            slots = [at[g] for g in _rel_tokens(V, T)]
+            slots = _slots(_rel_tokens(V, T), ids)
             widths = [ft.num_edges for ft in fts]
             rel = en.weights.term(V)
             for dr in rel.degrees():

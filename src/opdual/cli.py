@@ -42,12 +42,24 @@ def _json_int(v, what: str) -> int:
     raise CliError(f"{what} must be an integer, not {v!r}")
 
 
+def _known_keys(obj, keys, what: str) -> None:
+    """CliError naming a key of the JSON object obj that is not among
+    keys, where it would be ignored without a word; obj of another type
+    is left to the caller."""
+    if isinstance(obj, dict):
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise CliError(f"{what}: unknown key {unknown[0]!r} (the keys "
+                           f"are {', '.join(keys)})")
+
+
 def _field_from_spec(blob, fallback: Field) -> Field:
     fs = blob.get("field")
     if fs is None:
         return fallback
     if fs == "Q":
         return Field(0)
+    _known_keys(fs, ("p",), f"field entry {fs!r}")
     if isinstance(fs, dict) and "p" in fs:
         p = _json_int(fs["p"], f"the p of field entry {fs!r}")
         try:
@@ -138,9 +150,12 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
     term(n)). Every term lies in arity 1..N; arity 1 is the unit, one
     basis element in degree 0, and may be omitted. A circ entry with m or
     n equal to 1 is fixed by the unit law and, if given, must be the
-    identity. No term, sigma index or circ entry may be given twice.
+    identity. No term, sigma index or circ entry may be given twice, and
+    no object may hold a key that this format does not name.
     """
     blob = _read_json_object(path, "operad spec")
+    _known_keys(blob, ("field", "max_arity", "terms", "sigma", "circ"),
+                f"operad spec {path}")
     field = _field_from_spec(blob, field or Field(0))
     N = _json_int(blob.get("max_arity", 0), f"operad spec {path}: max_arity")
     if N < 1:
@@ -153,8 +168,10 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
         if not 1 <= n <= N:
             raise CliError(f"term {n} lies outside the arities 1..{N}")
         labels, degs = [], {}
+        _known_keys(tdata, ("basis", "d"), f"term {n}")
         try:
             for b in tdata["basis"]:
+                _known_keys(b, ("name", "degree"), f"term {n}: basis entry")
                 labels.append(b["name"])
                 degs[b["name"]] = _json_int(b["degree"], f"term {n}: degree")
         except (KeyError, TypeError) as e:
@@ -210,6 +227,8 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
     if not isinstance(circs, list):
         raise CliError(f"operad spec {path}: circ must be a JSON list")
     for c in circs:
+        _known_keys(c, ("m", "n", "i", "matrix"),
+                    f"operad spec {path}: circ entry")
         try:
             m, n, i = (_json_int(c[k], f"operad spec {path}: circ {k}")
                        for k in "mni")
@@ -261,9 +280,10 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
 
 def load_symseq_spec(path: str, field: Field, N: int):
     """Generator file for the trivial/free selectors: degrees per arity,
-    {"gens": {n: [degrees]}, "max_arity": M?}, M (N by default) at least
-    N."""
+    {"gens": {n: [degrees]}, "max_arity": M?, "field": ...?}, M (N by
+    default) at least N, and no other key."""
     blob = _read_json_object(path, "generator spec")
+    _known_keys(blob, ("field", "gens", "max_arity"), f"generator spec {path}")
     field = _field_from_spec(blob, field)
     top = _json_int(blob.get("max_arity", N),
                     f"generator spec {path}: max_arity")

@@ -18,7 +18,18 @@ plus the structure maps between them: face inclusions, the grafting
 maps nu and mu (extended to unit trees, and the relative split), the
 leaf relabelings, the transports of family cells along covers and
 relabelings, and the assembly map theta.
-Every sign moving starred coordinates goes through _star_sign.
+
+Each of these maps but theta moves cell coordinates: _move_cell sends
+coordinate k to a slot of the target, sets every coordinate that
+nothing moves to 0, and takes the Koszul sign of the starred ones
+(_star_sign). A map that is a pure move is one _cube_map on its slot
+table; mu also pins the grafted edge to 1 (_mu_cell). The slot tables
+of grafting (_nu_slots, _mu_slots) and the family tokens (_fam_ids)
+are lru-cached, so a caller that needs one cell (W's composition, the
+nu sign of bar and cobar, bbar's covers and relabelings) moves that
+cell and builds no map. The whole maps serve the callers that consume
+a whole map (the engines' weight diagrams, co-W's Hom maps) and the
+tests, as the references the single-cell moves are checked against.
 """
 from __future__ import annotations
 
@@ -109,57 +120,14 @@ def wbar_family(field, t: Tree, u: Tree) -> ChainComplex:
     return tensor_many(field, [wbar(field, frs[v].tree) for v in u.vertices()])
 
 
-def _subcube_inclusion(field, src, tgt, src_tokens, tgt_tokens, token_map=None):
-    """Signed inclusion of a cube face: extend cells by 0 on the new
-    coordinates. With the global token order the sign is always +1."""
-    if token_map is None:
-        token_map = {tok: tok for tok in src_tokens}
-    tgt_pos = {tok: i for i, tok in enumerate(tgt_tokens)}
-
-    def rule(d, cell):
-        out = [0] * len(tgt_tokens)
-        for tok, val in zip(src_tokens, cell):
-            out[tgt_pos[token_map[tok]]] = val
-        return [(tuple(out), 1)]
-
-    return ChainMap.from_rule(src, tgt, rule)
+def _slots(src_tokens, tgt_tokens, image=lambda tok: tok):
+    """The position among tgt_tokens of the image of each source token."""
+    pos = {tok: k for k, tok in enumerate(tgt_tokens)}
+    return [pos[image(tok)] for tok in src_tokens]
 
 
-def face_inclusion(field, kind: str, src, tgt) -> ChainMap:
-    """The signed face inclusions between cube complexes.
-
-    kind "delta": src = t, tgt = t' with t <= t', new edges pinned to 0.
-    kind "wbar":  the same on the quotient cubes.
-    kind "i":     src = (u, t), tgt = (u', t) with u <= u'.
-    kind "j":     src = (u, t), tgt = (u, t') with t' <= t.
-    """
-    if kind == "delta":
-        t, t2 = src, tgt
-        if not t.leq(t2):
-            raise ValueError("face_inclusion needs t <= t'")
-        return _subcube_inclusion(field, delta_cube(field, t),
-                                  delta_cube(field, t2), t.edges(), t2.edges())
-    if kind == "wbar":
-        t, t2 = src, tgt
-        if not t.leq(t2):
-            raise ValueError("face_inclusion needs t <= t'")
-        return _subcube_inclusion(field, wbar(field, t), wbar(field, t2),
-                                  _wbar_tokens(t), _wbar_tokens(t2))
-    if kind == "i":
-        (u, t), (u2, t2) = src, tgt
-        if t != t2 or not u.leq(u2):
-            raise ValueError("kind 'i' needs src = (u, t), tgt = (u', t), u <= u'")
-        return _subcube_inclusion(field, rel_delta(field, u, t),
-                                  rel_delta(field, u2, t),
-                                  _rel_tokens(u, t), _rel_tokens(u2, t))
-    if kind == "j":
-        (u, t), (u2, t2) = src, tgt
-        if u != u2 or not t2.leq(t):
-            raise ValueError("kind 'j' needs src = (u, t), tgt = (u, t'), t' <= t")
-        return _subcube_inclusion(field, rel_delta(field, u, t),
-                                  rel_delta(field, u, t2),
-                                  _rel_tokens(u, t), _rel_tokens(u, t2))
-    raise ValueError(f"unknown face inclusion kind {kind!r}")
+def _relabel_slots(src_tokens, tgt_tokens, sigma):
+    return _slots(src_tokens, tgt_tokens, lambda tok: _token_image(tok, sigma))
 
 
 def _star_sign(field, slots):
@@ -171,9 +139,9 @@ def _star_sign(field, slots):
 
 def _move_cell(field, cell, slots, size):
     """Move coordinate k of a cell to position slots[k] of a cell of the
-    given size: the new coordinates (a list, None where nothing moved)
-    and the sign of the star reshuffle."""
-    out = [None] * size
+    given size, every coordinate that nothing moves set to 0: the new
+    coordinates (a list) and the sign of the star reshuffle."""
+    out = [0] * size
     for s, val in zip(slots, cell):
         out[s] = val
     return out, _star_sign(field, [s for s, val in zip(slots, cell)
@@ -190,6 +158,83 @@ def _chunks(flat, widths):
     return tuple(out)
 
 
+def _cube_map(field, src, tgt, slots, size, widths=None) -> ChainMap:
+    """src -> tgt moving every cell by _move_cell, a cell of a tensor of
+    cubes read as its flat coordinate list, and cut into the cells of
+    the tensor factors of the given widths if any. An image that is no
+    cell of tgt (a root at 0 in a wbar factor) is a collapsed cell, so
+    the cell goes to zero."""
+    def rule(d, cell):
+        if cell and isinstance(cell[0], tuple):
+            cell = [v for row in cell for v in row]
+        out, sgn = _move_cell(field, cell, slots, size)
+        out = tuple(out) if widths is None else _chunks(out, widths)
+        return [(out, sgn)] if out in tgt.index(d) else []
+
+    return ChainMap.from_rule(src, tgt, rule)
+
+
+def face_inclusion(field, kind: str, src, tgt) -> ChainMap:
+    """The signed face inclusions between cube complexes: cells extended
+    by 0 on the new coordinates, with sign +1 in the global token order.
+
+    kind "delta": src = t, tgt = t' with t <= t', new edges pinned to 0.
+    kind "wbar":  the same on the quotient cubes.
+    kind "i":     src = (u, t), tgt = (u', t) with u <= u'.
+    kind "j":     src = (u, t), tgt = (u, t') with t' <= t.
+    """
+    if kind in ("delta", "wbar"):
+        if not src.leq(tgt):
+            raise ValueError("face_inclusion needs t <= t'")
+        cube = delta_cube if kind == "delta" else wbar
+        toks = Tree.edges if kind == "delta" else _wbar_tokens
+        a, b = cube(field, src), cube(field, tgt)
+        a_toks, b_toks = toks(src), toks(tgt)
+    elif kind in ("i", "j"):
+        (u, t), (u2, t2) = src, tgt
+        if kind == "i" and (t != t2 or not u.leq(u2)):
+            raise ValueError("kind 'i' needs src = (u, t), tgt = (u', t), u <= u'")
+        if kind == "j" and (u != u2 or not t2.leq(t)):
+            raise ValueError("kind 'j' needs src = (u, t), tgt = (u, t'), t' <= t")
+        a, b = rel_delta(field, u, t), rel_delta(field, u2, t2)
+        a_toks, b_toks = _rel_tokens(u, t), _rel_tokens(u2, t2)
+    else:
+        raise ValueError(f"unknown face inclusion kind {kind!r}")
+    return _cube_map(field, a, b, _slots(a_toks, b_toks), len(b_toks))
+
+
+# -- grafting, relabelings and the relative split ------------------------
+
+@lru_cache(maxsize=None)
+def _nu_slots(t: Tree, i: int, u: Tree):
+    """The move of nu for v = graft(t, i, u): the slot of each wbar token
+    of v among the wbar tokens of t then of u, the grafted edge becoming
+    the root of u."""
+    t_img, u_img = _graft_place(t, i, u)
+    reads = [ROOT] + [t_img[c] for c in t.edges()] + \
+        [grafted_edge(t, i, u)] + [u_img[c] for c in u.edges()]
+    return tuple(_slots(_wbar_tokens(graft(t, i, u)), reads))
+
+
+@lru_cache(maxsize=None)
+def _mu_slots(t: Tree, i: int, u: Tree):
+    """The move of mu for v = graft(t, i, u): the slot among the edges of
+    v of each edge of t then of u, and the slot of the grafted edge."""
+    t_img, u_img = _graft_place(t, i, u)
+    v_edges = graft(t, i, u).edges()
+    moved = [t_img[c] for c in t.edges()] + [u_img[c] for c in u.edges()]
+    return tuple(_slots(moved, v_edges)), v_edges.index(grafted_edge(t, i, u))
+
+
+def _mu_cell(field, t: Tree, i: int, u: Tree, tcell, ucell):
+    """mu on one pair of cells: the moved cell of delta(graft(t, i, u)),
+    grafted edge at 1, and its sign."""
+    slots, g = _mu_slots(t, i, u)
+    out, sgn = _move_cell(field, tcell + ucell, slots, len(slots) + 1)
+    out[g] = 1
+    return tuple(out), sgn
+
+
 def graft_decompose(field, t: Tree, i: int, u: Tree):
     """The two grafting maps for v = graft(t, i, u):
 
@@ -200,174 +245,42 @@ def graft_decompose(field, t: Tree, i: int, u: Tree):
     Signs are Koszul reshuffles of the starred coordinates."""
     if t.n < 2 or u.n < 2:
         raise ValueError("graft_decompose needs both trees of arity >= 2")
-    v = graft(t, i, u)
-    g = grafted_edge(t, i, u)
-    t_img, u_img = _graft_place(t, i, u)
-
-    # nu: each target coordinate reads the v-token listed here
-    reads = [ROOT] + [t_img[c] for c in t.edges()] + \
-        [g] + [u_img[c] for c in u.edges()]
-    where = {tok: k for k, tok in enumerate(reads)}
-    nu_slots = [where[tok] for tok in _wbar_tokens(v)]
-    g_at = _wbar_tokens(v).index(g)
-    widths = (t.num_edges + 1, u.num_edges + 1)
-
-    def nu_rule(d, cell):
-        if cell[g_at] == 0:
-            return []
-        out, sgn = _move_cell(field, cell, nu_slots, len(reads))
-        return [(_chunks(out, widths), sgn)]
-
-    nu = ChainMap.from_rule(
-        wbar(field, v), tensor_many(field, [wbar(field, t), wbar(field, u)]),
-        nu_rule)
-
-    # mu: the edges of t and u land on v-edges, the grafted edge sits at 1
-    v_pos = {e: k for k, e in enumerate(v.edges())}
-    mu_slots = [v_pos[t_img[c]] for c in t.edges()] + \
-        [v_pos[u_img[c]] for c in u.edges()]
-
-    def mu_rule(d, pair):
-        out, sgn = _move_cell(field, pair[0] + pair[1], mu_slots, len(v_pos))
-        out[v_pos[g]] = 1
-        return [(tuple(out), sgn)]
-
     mu = ChainMap.from_rule(
         tensor_many(field, [delta_cube(field, t), delta_cube(field, u)]),
-        delta_cube(field, v), mu_rule)
-    return nu, mu
-
-
-def family_inclusion(field, t: Tree, t2: Tree, u: Tree) -> ChainMap:
-    """wbar_family(t, u) -> wbar_family(t2, u) for u <= t <= t2: on each
-    fragment the face inclusion pinning the new local edges to 0. Both
-    fragments order their shared edges the same way, so the sign is +1."""
-    if not (t.leq(t2) and u.leq(t)):
-        raise ValueError("family_inclusion needs u <= t <= t2")
-    frs = fragments(t, u)
-    frs2 = fragments(t2, u)
-    u_vertices = u.vertices()
-    # position of each shared local edge inside the finer fragment
-    layout = []
-    for v in u_vertices:
-        small, big = frs[v].tree, frs2[v].tree
-        pos = {e: i for i, e in enumerate(big.edges())}
-        layout.append((len(big.edges()), [pos[e] for e in small.edges()]))
-
-    def rule(d, cells):
-        out = []
-        for cell, (width, slots) in zip(cells, layout):
-            coords = [STAR] + [0] * width
-            for val, i in zip(cell[1:], slots):
-                coords[1 + i] = val
-            out.append(tuple(coords))
-        return [(tuple(out), 1)]
-
-    return ChainMap.from_rule(wbar_family(field, t, u),
-                              wbar_family(field, t2, u), rule)
-
-
-# -- relabelings, unit-extended splittings and family transports ---------
-
-def _relabel_slots(src_tokens, tgt_tokens, sigma):
-    """The position among tgt_tokens of the image of each source token."""
-    pos = {tok: k for k, tok in enumerate(tgt_tokens)}
-    return [pos[_token_image(tok, sigma)] for tok in src_tokens]
-
-
-def _cube_relabel(field, src, tgt, src_tokens, tgt_tokens, sigma):
-    slots = _relabel_slots(src_tokens, tgt_tokens, sigma)
-
-    def rule(d, cell):
-        out, sgn = _move_cell(field, cell, slots, len(slots))
-        return [(tuple(out), sgn)]
-
-    return ChainMap.from_rule(src, tgt, rule)
-
-
-def wbar_relabel(field, t: Tree, sigma) -> ChainMap:
-    t2 = t.relabel(sigma)
-    if t.n == 1:
-        return ChainMap.identity(wbar(field, t))
-    return _cube_relabel(field, wbar(field, t), wbar(field, t2),
-                         _wbar_tokens(t), _wbar_tokens(t2), sigma)
-
-
-def rel_delta_relabel(field, u: Tree, t: Tree, sigma) -> ChainMap:
-    u2, t2 = u.relabel(sigma), t.relabel(sigma)
-    return _cube_relabel(field, rel_delta(field, u, t),
-                         rel_delta(field, u2, t2),
-                         _rel_tokens(u, t), _rel_tokens(u2, t2), sigma)
+        delta_cube(field, graft(t, i, u)),
+        lambda d, pair: [_mu_cell(field, t, i, u, *pair)])
+    return nu_general(field, t, i, u), mu
 
 
 def nu_general(field, t: Tree, i: int, u: Tree) -> ChainMap:
     """wbar(graft(t,i,u)) -> wbar(t) (x) wbar(u), extended to arity-1
     factors by the unit isomorphisms."""
-    if t.n >= 2 and u.n >= 2:
-        return graft_decompose(field, t, i, u)[0]
-    v = graft(t, i, u)
-    wv = wbar(field, v)
+    wv = wbar(field, graft(t, i, u))
     tgt = tensor_many(field, [wbar(field, t), wbar(field, u)])
     if u.n == 1:
         return ChainMap.from_rule(wv, tgt, lambda d, c: [((c, ()), 1)])
-    return ChainMap.from_rule(wv, tgt, lambda d, c: [(((), c), 1)])
+    if t.n == 1:
+        return ChainMap.from_rule(wv, tgt, lambda d, c: [(((), c), 1)])
+    slots = _nu_slots(t, i, u)
+    return _cube_map(field, wv, tgt, slots, len(slots),
+                     (t.num_edges + 1, u.num_edges + 1))
 
 
-def _fam_ids(T: Tree, U: Tree):
-    """Per U-vertex: identities of the wbar tokens of the fragment of T
-    (root marker, then the global clusters of the internal edges)."""
-    frs = fragments(T, U)
-    out = []
-    for w in U.vertices():
-        ft = frs[w].tree
-        out.append([("r", w)] + [frs[w].to_global[lc] for lc in ft.edges()])
-    return out
+def wbar_relabel(field, t: Tree, sigma) -> ChainMap:
+    if t.n == 1:
+        return ChainMap.identity(wbar(field, t))
+    t2 = t.relabel(sigma)
+    toks = _wbar_tokens(t)
+    return _cube_map(field, wbar(field, t), wbar(field, t2),
+                     _relabel_slots(toks, _wbar_tokens(t2), sigma), len(toks))
 
 
-def _move_family_cells(field, s_ids, cells, t_ids, conv):
-    """Transport a block of wbar cells along a token bijection; returns
-    (target cells, sign) or None when the image is not a valid cell."""
-    flat = {gid: k for k, gid in enumerate(g for toks in t_ids for g in toks)}
-    slots = [flat[conv(gid)] for toks in s_ids for gid in toks]
-    coords, sgn = _move_cell(field, [v for cell in cells for v in cell],
-                             slots, len(flat))
-    out = _chunks(coords, [len(toks) for toks in t_ids])
-    if any(row and row[0] != STAR for row in out):
-        return None
-    return out, sgn
-
-
-def _family_map(field, T, U, T2, U2, conv) -> ChainMap:
-    """wbar_family(T, U) -> wbar_family(T2, U2) moving each coordinate
-    along the token bijection conv."""
-    src = wbar_family(field, T, U)
-    tgt = wbar_family(field, T2, U2)
-    if src.total_dim() == 0 or tgt.total_dim() == 0:
-        return ChainMap.zero(src, tgt)
-    s_ids, t_ids = _fam_ids(T, U), _fam_ids(T2, U2)
-
-    def rule(d, cells):
-        res = _move_family_cells(field, s_ids, cells, t_ids, conv)
-        return [] if res is None else [res]
-
-    return ChainMap.from_rule(src, tgt, rule)
-
-
-def family_cover(field, T: Tree, U: Tree, U2: Tree, enew) -> ChainMap:
-    """w̄(T;U) -> w̄(T;U2) for the cover U < U2 (one new cluster enew):
-    split the fragment at the new cluster, whose coordinate becomes the
-    root of the new factor."""
-    return _family_map(field, T, U, T, U2,
-                       lambda gid: ("r", enew) if gid == enew else gid)
-
-
-def family_relabel(field, T: Tree, U: Tree, sigma) -> ChainMap:
-    def conv(gid):
-        if isinstance(gid, tuple) and gid[0] == "r":
-            return ("r", _token_image(gid[1], sigma))
-        return _token_image(gid, sigma)
-
-    return _family_map(field, T, U, T.relabel(sigma), U.relabel(sigma), conv)
+def rel_delta_relabel(field, u: Tree, t: Tree, sigma) -> ChainMap:
+    u2, t2 = u.relabel(sigma), t.relabel(sigma)
+    toks = _rel_tokens(u, t)
+    return _cube_map(field, rel_delta(field, u, t), rel_delta(field, u2, t2),
+                     _relabel_slots(toks, _rel_tokens(u2, t2), sigma),
+                     len(toks))
 
 
 def rel_split(field, V: Tree, v: Tree, i: int, t: Tree, u: Tree) -> ChainMap:
@@ -377,19 +290,76 @@ def rel_split(field, V: Tree, v: Tree, i: int, t: Tree, u: Tree) -> ChainMap:
     T2, U2 = _split_graft(V, i, t.n, u.n)
     t_toks, u_toks = _rel_tokens(T2, t), _rel_tokens(U2, u)
     t_img, u_img = _graft_place(T2, i, U2)
-    where = {t_img[c]: k for k, c in enumerate(t_toks)}
-    where.update((u_img[c], len(t_toks) + k) for k, c in enumerate(u_toks))
-    slots = [where[c] for c in _rel_tokens(V, v)]
-    widths = (len(t_toks), len(u_toks))
-
-    def rule(d, cell):
-        out, sgn = _move_cell(field, cell, slots, len(slots))
-        return [(_chunks(out, widths), sgn)]
-
-    return ChainMap.from_rule(
-        rel_delta(field, V, v),
+    slots = _slots(_rel_tokens(V, v), [t_img[c] for c in t_toks] +
+                   [u_img[c] for c in u_toks])
+    return _cube_map(
+        field, rel_delta(field, V, v),
         tensor_many(field, [rel_delta(field, T2, t), rel_delta(field, U2, u)]),
-        rule)
+        slots, len(slots), (len(t_toks), len(u_toks)))
+
+
+# -- family cells: moves along covers, relabelings and graftings ----------
+
+@lru_cache(maxsize=None)
+def _fam_ids(T: Tree, U: Tree):
+    """Per U-vertex: identities of the wbar tokens of the fragment of T
+    (root marker ("r", w), then the global clusters of the internal
+    edges)."""
+    frs = fragments(T, U)
+    return tuple((("r", w),) + tuple(frs[w].to_global[lc]
+                                     for lc in frs[w].tree.edges())
+                 for w in U.vertices())
+
+
+def _id_image(gid, image):
+    """A family token moved by a map of clusters: the root marker
+    ("r", w) goes to ("r", image(w))."""
+    return ("r", image(gid[1])) if isinstance(gid, tuple) else image(gid)
+
+
+def _family_move(s_ids, t_ids, conv):
+    """The (slots, size, widths) of the move of family cells with tokens
+    s_ids to the tokens t_ids along the token map conv."""
+    flat = [g for toks in t_ids for g in toks]
+    return (_slots([g for toks in s_ids for g in toks], flat, conv),
+            len(flat), [len(toks) for toks in t_ids])
+
+
+def _move_family_cells(field, s_ids, cells, t_ids, conv):
+    """Move a block of wbar cells along the token map conv, which sends
+    roots to roots: the target cells and the sign."""
+    slots, size, widths = _family_move(s_ids, t_ids, conv)
+    coords, sgn = _move_cell(field, [v for cell in cells for v in cell],
+                             slots, size)
+    return _chunks(coords, widths), sgn
+
+
+def _family_map(field, T, U, T2, U2, conv) -> ChainMap:
+    """wbar_family(T, U) -> wbar_family(T2, U2) moving each coordinate
+    along the token map conv."""
+    src = wbar_family(field, T, U)
+    tgt = wbar_family(field, T2, U2)
+    if src.total_dim() == 0 or tgt.total_dim() == 0:
+        return ChainMap.zero(src, tgt)
+    return _cube_map(field, src, tgt,
+                     *_family_move(_fam_ids(T, U), _fam_ids(T2, U2), conv))
+
+
+def family_inclusion(field, t: Tree, t2: Tree, u: Tree) -> ChainMap:
+    """wbar_family(t, u) -> wbar_family(t2, u) for u <= t <= t2: on each
+    fragment the face inclusion pinning the new local edges to 0. Both
+    fragments order their shared edges the same way, so the sign is +1."""
+    if not (t.leq(t2) and u.leq(t)):
+        raise ValueError("family_inclusion needs u <= t <= t2")
+    return _family_map(field, t, u, t2, u, lambda gid: gid)
+
+
+def family_cover(field, T: Tree, U: Tree, U2: Tree, enew) -> ChainMap:
+    """w̄(T;U) -> w̄(T;U2) for the cover U < U2 (one new cluster enew):
+    split the fragment at the new cluster, whose coordinate becomes the
+    root of the new factor."""
+    return _family_map(field, T, U, T, U2,
+                       lambda gid: ("r", enew) if gid == enew else gid)
 
 
 def theta_cells(field, t: Tree, u: Tree) -> ChainMap:

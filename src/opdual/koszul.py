@@ -53,20 +53,19 @@ def kp_iso(p: Operad, N, cdp: CobarOperad | None = None):
 
 # -- the double-dual comparison -------------------------------------------
 
-def double_dual_map(q: Cooperad, N=None):
+def double_dual_map(q: Cooperad):
     """The evaluation map from a cooperad into the dual pre-cooperad of
-    its dual operad kq, per tree. Returns (extended q, kq, dual
-    pre-cooperad, family)."""
-    N = N or q.N
+    its dual operad kq, per tree up to the max arity of q. Returns
+    (extended q, kq, dual pre-cooperad, family)."""
     eq = extend_cooperad(q)
-    kq = dualize(q, N)
+    kq = dualize(q)
     ddq = dual_precooperad(kq)
 
     def rule(d, lab):
         return [(tuple(("dual", ("dual", x)) for x in lab), 1)]
 
     fam = {t: ChainMap.from_rule(eq.term(t), ddq.term(t), rule)
-           for n in range(1, N + 1) for t in enumerate_trees(n)}
+           for n in range(1, q.N + 1) for t in enumerate_trees(n)}
     return eq, kq, ddq, fam
 
 
@@ -77,7 +76,7 @@ def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
     built on."""
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
-    _, kp, ddq, fam = double_dual_map(cb.q.q, N)
+    _, kp, ddq, fam = double_dual_map(cb.q.q)
     ckk = cobar(ddq, N)
     cm = cobar_map(cb, ckk, fam, N)
     kkp, _, iso = kp_iso(kp, N, cdp=ckk)

@@ -83,9 +83,11 @@ def _window(build):
         a window made with the object, read through the public method
         that returns it, and lives as long as the object;
       - a map build opens one for the structure maps of its trees or
-        their rules (relabelings, contractions, family cell maps,
-        theta_cells), so each of them is built once per build, not once
-        per basis label, and the window is dropped after its build;
+        their rules (relabelings, contractions, covers, products of
+        pre-cooperads, the cuts of theta), so each of them is built once
+        per build, not once per basis label, and the window is dropped
+        after its build; cube cells are moved one at a time and need no
+        window;
         theta_star opens one for its whole family of maps."""
     maps = {}
 
@@ -483,10 +485,10 @@ def _basis_with_degrees(c: ChainComplex):
     return [(l, d) for d, labels in sorted(c.basis.items()) for l in labels]
 
 
-def check_operad_axioms(p: Operad, N=None) -> list:
-    """All operad identities up to arity N; returns the list of failing
-    identity names (empty = pass)."""
-    N = N or p.N
+def check_operad_axioms(p: Operad) -> list:
+    """All operad identities up to the max arity of p; returns the list
+    of failing identity names (empty = pass)."""
+    N = p.N
     F = p.field
     fails = []
 
@@ -520,19 +522,6 @@ def check_operad_axioms(p: Operad, N=None) -> list:
             if p.circ_el(1, 1, m, {u: F.one}, x) != x:
                 fails.append(f"left unit circ(1,1,{m})")
 
-    def vec_circ(m, i, n, xv, yv):
-        out = {}
-        for lx, cx in xv.items():
-            for ly, cy in yv.items():
-                img = p.circ_el(m, i, n, {lx: F.one}, {ly: F.one})
-                for l, c in img.items():
-                    w = F.add(out.get(l, F.zero), F.mul(F.mul(cx, cy), c))
-                    if w == F.zero:
-                        out.pop(l, None)
-                    else:
-                        out[l] = w
-        return out
-
     for m, n, q in itertools.product(range(2, N + 1), repeat=3):
         if m + n + q - 2 > N:
             continue
@@ -543,18 +532,18 @@ def check_operad_axioms(p: Operad, N=None) -> list:
             x, y, z = {lx: F.one}, {ly: F.one}, {lz: F.one}
             for i in range(1, m + 1):
                 for j in range(1, n + 1):
-                    lhs = vec_circ(m + n - 1, i + j - 1, q,
-                                   p.circ_el(m, i, n, x, y), z)
+                    lhs = p.circ_el(m + n - 1, i + j - 1, q,
+                                    p.circ_el(m, i, n, x, y), z)
                     rhs = p.circ_el(m, i, n + q - 1, x,
                                     p.circ_el(n, j, q, y, z))
                     if lhs != rhs:
                         fails.append(f"sequential associativity ({m},{i},{n},{j},{q})")
             for i in range(1, m + 1):
                 for k in range(i + 1, m + 1):
-                    lhs = vec_circ(m + n - 1, k + n - 1, q,
-                                   p.circ_el(m, i, n, x, y), z)
-                    rhs = vec_circ(m + q - 1, i, n,
-                                   p.circ_el(m, k, q, x, z), y)
+                    lhs = p.circ_el(m + n - 1, k + n - 1, q,
+                                    p.circ_el(m, i, n, x, y), z)
+                    rhs = p.circ_el(m + q - 1, i, n,
+                                    p.circ_el(m, k, q, x, z), y)
                     if (dy * dz) % 2:
                         rhs = {l: F.neg(c) for l, c in rhs.items()}
                     if lhs != rhs:
@@ -588,11 +577,11 @@ def _inverse_perm(perm):
     return {v: k for k, v in perm.items()}
 
 
-def dualize(x, N=None):
-    """Operad -> Cooperad or Cooperad -> Operad by linear duality; the
-    structure maps are transposes routed through the (sign-free) pairing
-    dual(A) (x) dual(B) = dual(A (x) B)."""
-    N = N or x.N
+def dualize(x):
+    """Operad -> Cooperad or Cooperad -> Operad by linear duality, up to
+    the max arity of x; the structure maps are transposes routed through
+    the (sign-free) pairing dual(A) (x) dual(B) = dual(A (x) B)."""
+    N = x.N
     field = x.field
     terms = {n: linear_dual(x.term(n)) for n in range(1, N + 1)}
     adjacent = _adjacent_family(

@@ -3,18 +3,20 @@ import random
 
 import pytest
 
-from opdual import barcobar
+from opdual import barcobar, cubes
 from opdual.fields import QQ, F2, Field
 from opdual.chain import (
     ChainComplex, ChainMap, _place, hom_complex, hom_map, is_quasi_iso,
     tensor_map_many,
 )
 from opdual.trees import (
-    Tree, _token_image, adjacent_transposition, canonical_form, cluster_key,
-    corolla, enumerate_trees, fragments,
+    Tree, _graft_place, _token_image, adjacent_transposition, canonical_form,
+    cluster_key, corolla, enumerate_trees, fragments, graft, grafted_edge,
 )
 from opdual.cubes import (
-    STAR, _chunks, _relabel_slots, _star_sign, _wbar_tokens, theta_cells, wbar,
+    STAR, _chunks, _mu_cell, _relabel_slots, _star_sign, _wbar_tokens,
+    delta_cube, family_inclusion, graft_decompose, nu_general, theta_cells,
+    wbar, wbar_family,
 )
 from opdual.operads import (
     Operad, PreCooperad, SymSeq, builtin_operad, check_operad_axioms, dualize,
@@ -22,8 +24,8 @@ from opdual.operads import (
     symseq_from_degrees, trivial_operad, truncate,
 )
 from opdual.barcobar import (
-    _cobar_value, _end_map, _interleave_sign, _sgn, _tensor_vecs, _w_cell,
-    _wbar_top, Coend, End, bar, bar_engine, bar_map, bbar,
+    _cobar_value, _end_map, _interleave_sign, _sgn, _tensor_vecs, _top_nu,
+    _w_cell, _wbar_top, Coend, End, bar, bar_engine, bar_map, bbar,
     closed_bar_to_engine, closed_cobar_to_engine, closed_w_to_engine, co_w,
     co_w_resolution, cobar, cobar_engine, cobar_map, delta_diagram,
     epsilon_trivial, flip_sharp, operad_diagram, precooperad_diagram, theta,
@@ -688,22 +690,6 @@ def test_structure_maps_built_once_per_key(monkeypatch):
         for name, built in keys.items():
             assert built, name
             assert len(built) == len(set(built)), name
-    # the composition of W reads the cube map of each pair of trees
-    # through one window per circ build
-    wp = w_construction(p, 4)
-    cubes = []
-
-    def counted_decompose(field, t, i, u, orig=barcobar.graft_decompose):
-        cubes.append((t, i, u))
-        return orig(field, t, i, u)
-
-    with monkeypatch.context() as m:
-        m.setattr(barcobar, "graft_decompose", counted_decompose)
-        for a, b in ((2, 2), (2, 3), (3, 2)):
-            for i in range(1, a + 1):
-                cubes.clear()
-                wp.circ(a, i, b)
-                assert cubes and len(cubes) == len(set(cubes)), (a, i, b)
     # theta and theta_star read the rule of theta_cells on top cells only,
     # each through one window of _theta_cut
     q = extend_cooperad(bar(ass(3, F2), 3))
@@ -719,46 +705,185 @@ def test_structure_maps_built_once_per_key(monkeypatch):
             m.setattr(barcobar, "_theta_cut", counted_cells)
             run()
         assert cells and len(cells) == len(set(cells)), name
-    # the actions of free_operad and the covers and relabelings of bbar
-    # read their per-tree maps through one window per map build
+    # the actions of free_operad and the relabelings of bbar read their
+    # vertex rules through one window per map build
     fo = free_operad(symseq_from_degrees(F2, 4, {2: [0, 1], 3: [1]}), 4)
     bb = bbar(ass(3, F2), 3)
     builds = [lambda n=n, i=i: fo.sigma_adj(n, i)
               for n in range(2, 5) for i in range(1, n)]
+    # W's circ and bbar's covers and relabelings move single cells: they
+    # build no cube map (bbar's coends are built first: their weight
+    # diagrams consume whole cube maps)
+    wp = w_construction(p, 4)
+    no_cube_maps = [lambda a=a, i=i, b=b: wp.circ(a, i, b)
+                    for a, b in ((2, 2), (2, 3), (3, 2))
+                    for i in range(1, a + 1)]
     for n in (2, 3):
         for t in enumerate_trees(n):
-            builds += [lambda t=t, s=adjacent_transposition(n, i):
-                       bb.relabel_map(t, s) for i in range(1, n)]
-            builds += [lambda t=t, u=u, e=e: bb.cover_map(t, u, e)
-                       for u, e in t.expansions()]
-    keys = {"_relabel_rule": [], "family_relabel": [],
-            "family_inclusion": []}
-    seen = {name: False for name in keys}
-
-    def record(name, args):
-        keys[name].append(tuple(_perm_key(x) if isinstance(x, dict) else x
-                                for x in args))
+            bb.coend_at(t)
+            no_cube_maps += [lambda t=t, s=adjacent_transposition(n, i):
+                             bb.relabel_map(t, s) for i in range(1, n)]
+            no_cube_maps += [lambda t=t, u=u, e=e: bb.cover_map(t, u, e)
+                             for u, e in t.expansions()]
+    rules, cube_maps = [], []
 
     def counted_rule(self, *args, orig=SymSeq._relabel_rule):
-        record("_relabel_rule", args)
+        rules.append(tuple(_perm_key(x) if isinstance(x, dict) else x
+                           for x in args))
         return orig(self, *args)
+
+    class CountedMap(ChainMap):
+        def __init__(self, source, target, *args, **kwargs):
+            cube_maps.append((source, target))
+            super().__init__(source, target, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(SymSeq, "_relabel_rule", counted_rule)
-        for name in ("family_relabel", "family_inclusion"):
-            def counted(*args, orig=getattr(barcobar, name), name=name):
-                record(name, args[1:])
-                return orig(*args)
-
-            m.setattr(barcobar, name, counted)
-        for build in builds:
-            for built in keys.values():
-                built.clear()
+        m.setattr(cubes, "ChainMap", CountedMap)
+        cubes.face_inclusion(F2, "wbar", corolla(3), BIN3)
+        assert cube_maps, "the count sees the cube maps"
+        seen = False
+        for build in builds + no_cube_maps:
+            rules.clear()
+            cube_maps.clear()
             build()
-            for name, built in keys.items():
-                seen[name] = seen[name] or bool(built)
-                assert len(built) == len(set(built)), name
-    assert all(seen.values()), seen
+            seen = seen or bool(rules)
+            assert len(rules) == len(set(rules))
+            assert not cube_maps
+    assert seen
+
+
+# -- the single-cell moves against the whole cube maps -------------------
+
+def _inversions(seq):
+    return sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
+
+
+def test_top_nu_matches_nu_general():
+    # the top(t) (x) top(u) coefficient of nu on the top cell of the graft
+    trees = {n: enumerate_trees(n) for n in range(1, 6)}
+    pairs = 0
+    for m, n in itertools.product(range(1, 6), repeat=2):
+        if m + n - 1 > 5:
+            continue
+        for t, u in itertools.product(trees[m], trees[n]):
+            for i in range(1, m + 1):
+                v = graft(t, i, u)
+                img = nu_general(QQ, t, i, u).apply(
+                    v.num_vertices, {_wbar_top(v): QQ.one})
+                assert img[(_wbar_top(t), _wbar_top(u))] == \
+                    _top_nu(QQ, t, i, u), (t, i, u)
+                pairs += 1
+    assert pairs > 1000
+
+
+def _ref_mu(t, i, u, tcell, ucell):
+    """mu on one pair of cells, written coordinate by coordinate: each
+    edge of t and of u keeps its value on its image in v, the grafted
+    edge sits at 1, and the sign counts the inversions of the starred
+    edges between the order of t then u and the order of v."""
+    v = graft(t, i, u)
+    t_img, u_img = _graft_place(t, i, u)
+    val = {t_img[c]: x for c, x in zip(t.edges(), tcell)}
+    val.update((u_img[c], x) for c, x in zip(u.edges(), ucell))
+    val[grafted_edge(t, i, u)] = 1
+    starred = [e for e, x in val.items() if x == STAR]
+    order = {e: k for k, e in enumerate(v.edges())}
+    return (tuple(val[e] for e in v.edges()),
+            (-1) ** _inversions([order[e] for e in starred]))
+
+
+def test_mu_cell_matches_graft_decompose():
+    # every pair of cells, up to graft arity 5
+    cases = 0
+    for m, n in itertools.product(range(2, 5), repeat=2):
+        if m + n - 1 > 5:
+            continue
+        for t, u in itertools.product(enumerate_trees(m), enumerate_trees(n)):
+            pairs = list(itertools.product(
+                *(itertools.chain(*delta_cube(QQ, s).basis.values())
+                  for s in (t, u))))
+            for i in range(1, m + 1):
+                moved = {pair: _mu_cell(QQ, t, i, u, *pair) for pair in pairs}
+                for pair, (cell, sgn) in moved.items():
+                    assert (cell, sgn) == _ref_mu(t, i, u, *pair)
+                _, mu = graft_decompose(QQ, t, i, u)
+                for pair, (cell, sgn) in moved.items():
+                    d = sum(c.count(STAR) for c in pair)
+                    assert mu.apply(d, {pair: QQ.one}) == {cell: sgn}
+                    cases += 1
+    assert cases > 1000
+
+
+def _ref_family_relabel(field, T, U, sigma) -> ChainMap:
+    """wbar_family(T, U) -> wbar_family(sigma T, sigma U) as a whole map:
+    each family token (the root ("r", w) of the fragment over the
+    U-vertex w, or the cluster of a fragment edge) keeps its value on its
+    image, with the sign of the inversions of the starred tokens."""
+    T2, U2 = T.relabel(sigma), U.relabel(sigma)
+
+    def ids(T, U):
+        frs = fragments(T, U)
+        return [[("r", w)] + [frs[w].to_global[c]
+                              for c in frs[w].tree.edges()]
+                for w in U.vertices()]
+
+    def img(g):
+        if isinstance(g, tuple):
+            return ("r", _token_image(g[1], sigma))
+        return _token_image(g, sigma)
+
+    s_ids, t_ids = ids(T, U), ids(T2, U2)
+    order = {g: k for k, g in enumerate(g for row in t_ids for g in row)}
+
+    def rule(d, cells):
+        val = {img(g): x for row, cell in zip(s_ids, cells)
+               for g, x in zip(row, cell)}
+        stars = [order[img(g)] for row, cell in zip(s_ids, cells)
+                 for g, x in zip(row, cell) if x == STAR]
+        return [(tuple(tuple(val[g] for g in row) for row in t_ids),
+                 (-1) ** _inversions(stars))]
+
+    return ChainMap.from_rule(wbar_family(field, T, U),
+                              wbar_family(field, T2, U2), rule)
+
+
+def _ref_coend_map(bb, t, t2, sigma, cell_map):
+    """bbar's cover or relabel map through whole family maps: the slot
+    element (cells, y) at U goes through cell_map(U), and y through the
+    relabel rule of sigma (None for a cover, which keeps y)."""
+    field = bb.field
+    weights = bb.coend_at(t).weights
+
+    def move(U, cells, y, d):
+        dc = weights.term(U).label_degree[cells]
+        imgc = cell_map(U).apply(dc, {cells: field.one})
+        if sigma is None:
+            return [(U, (c2, y), cc) for c2, cc in imgc.items()]
+        imgy = bb.p._relabel_rule(U, sigma)(d - dc, y)
+        return [(U.relabel(sigma), (c2, y2), field.mul(cc, cy))
+                for c2, cc in imgc.items() for y2, cy in imgy]
+
+    return bb._coend_map(t, t2, move)
+
+
+def test_bbar_cell_moves_match_the_family_maps():
+    free1 = free_operad(symseq_from_degrees(QQ, 3, {2: [1]}), 3)
+    for bb in (bbar(ass(3, F2), 3), bbar(free1, 3)):
+        field = bb.field
+        for n in (2, 3):
+            for t in enumerate_trees(n):
+                for u, e in t.expansions():
+                    ref = _ref_coend_map(
+                        bb, t, u, None,
+                        lambda U: family_inclusion(field, t, u, U))
+                    assert bb.cover_map(t, u, e) == ref, (bb.name, t, u)
+                for perm in itertools.permutations(range(1, n + 1)):
+                    sigma = dict(zip(range(1, n + 1), perm))
+                    ref = _ref_coend_map(
+                        bb, t, t.relabel(sigma), sigma,
+                        lambda U: _ref_family_relabel(field, t, U, sigma))
+                    assert bb.relabel_map(t, sigma) == ref, (bb.name, t, perm)
 
 
 def test_build_once_lookups_return_the_same_map():
@@ -972,7 +1097,7 @@ def test_cobar_value_matches_engine_incl(name, field):
                          ids=["com-q", "ass-f2"])
 def test_cobar_map_matches_engine_reference(name, field):
     from opdual.koszul import double_dual_map
-    eq, _, ddq, fam = double_dual_map(bar(builtin_operad(name, field, 3), 3), 3)
+    eq, _, ddq, fam = double_dual_map(bar(builtin_operad(name, field, 3), 3))
     c1, c2 = cobar(eq, 3), cobar(ddq, 3)
     cm = cobar_map(c1, c2, fam, 3)
     for n in (1, 2, 3):

@@ -281,6 +281,26 @@ def test_input_errors(capsys, tmp_path):
         spec = tmp_path / f"cut{k}.json"
         spec.write_text(json.dumps(blob))
         specs.append(("bar", "--operad", f"{kind}:{spec}", "--max-arity", "2"))
+    # a key that is not in the file format: each one was ignored without
+    # a word (a misspelled circ left every composition zero)
+    unknown = [
+        ("file", {k if k != "circ" else "cric": v for k, v in COM3.items()}),
+        ("file", dict(COM3, sigmas={})),
+        ("file", dict(COM3, terms=dict(COM3["terms"], **{
+            "2": dict(COM3["terms"]["2"], dd=[])}))),
+        ("file", dict(COM3, terms=dict(COM3["terms"], **{
+            "2": {"basis": [{"name": "e2", "degree": 0, "deg": 1}]}}))),
+        ("file", dict(COM3, circ=[dict(COM3["circ"][0], j=2),
+                                  COM3["circ"][1]])),
+        ("file", dict(COM3, field={"p": 2, "q": 3})),
+        ("trivial", {"gens": {"2": [0]}, "max_arty": 3}),
+        ("trivial", {"gen": {"2": [0]}}),
+        ("free", {"field": {"p": 3, "P": 3}, "gens": {"2": [0]}}),
+    ]
+    for k, (kind, blob) in enumerate(unknown):
+        spec = tmp_path / f"unknown{k}.json"
+        spec.write_text(json.dumps(blob))
+        specs.append(("bar", "--operad", f"{kind}:{spec}", "--max-arity", "3"))
     for argv in (("bar", "--operad", f"trivial:{listed}"),
                  ("bar", "--operad", f"file:{listed}"),
                  ("bar", "--operad", f"trivial:{badgen}"),

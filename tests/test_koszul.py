@@ -142,7 +142,7 @@ def free01(N):
 
 def test_double_dual_map_iso():
     for p in (com(3), ass(3), free01(3)):
-        eq, _, ddq, fam = double_dual_map(bar(p, 3), 3)
+        eq, _, ddq, fam = double_dual_map(bar(p, 3))
         for n in (1, 2, 3):
             for t in enumerate_trees(n):
                 assert fam[t].is_iso()
@@ -208,9 +208,9 @@ def test_verify_kk_dualizes_the_bar_cooperad_once(monkeypatch):
     from opdual import koszul
     dualized = []
 
-    def counted(x, N=None, orig=koszul.dualize):
+    def counted(x, orig=koszul.dualize):
         dualized.append(x.name)
-        return orig(x, N)
+        return orig(x)
 
     monkeypatch.setattr(koszul, "dualize", counted)
     assert verify_kk(com(3), 3).passed()
