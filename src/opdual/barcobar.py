@@ -30,22 +30,28 @@ The mirrored constructions share one skeleton per step:
   _Engine            the slots and relations common to Coend and End;
                      the sum of the slots has labels (tree, label), so
                      each slot is read and written by its tag, and no
-                     inclusion or projection maps are built
-  hom_map            (from chain) f -> post f pre on Hom slots: the End
-                     legs, the co-W actions, compositions and covers,
-                     and omega_sigma
+                     inclusion or projection maps are built; a Coend
+                     relation sends (x, y) to (f x, y) - (x, g y) with
+                     the diagram maps f and g, no tensor map built
+  _hom_rule          (from chain) f -> post f pre on one label of a Hom
+                     slot: the End relations and _end_map, _end_relabel
+                     and _end_graft, so no slot map is built; hom_map,
+                     its whole map, serves omega_sigma
   cobar_engine       the end of Hom(wbar(T), Q(T)) per arity, with
   closed_cobar_to_engine  the comparison iso from the closed cobar
   _cobar_value       the evaluation rule: the closed cobar label (T, x)
                      read on a cell of wbar(U) that is 0 on the edges E
                      is expansion_map(T, U)(x) when U/E = T, else 0
                      (closed_cobar_to_engine, _evaluate, epsilon_trivial)
-  _end_map           ends mapped slot by slot, then factored (the co-W
-                     covers; the cobar engine in the tests)
+  _end_map           ends mapped slot by slot through a _hom_rule per
+                     slot, then factored by End.factor, the retraction
+                     of the kernel times the map (the co-W covers; the
+                     cobar engine in the tests)
   _end_relabel       the symmetric action on co-W (and on the cobar
                      engine, in the tests)
   _end_graft         the composition of co-W (and of the cobar engine,
-                     in the tests)
+                     in the tests): the interchange sign, then one
+                     _hom_rule per pair of slots
   _coend_map         the covers and relabelings of bbar, each slot cell
                      moved on its own (cubes._move_family_cells)
   _evaluate          cobar elements read on family cells (the adjunction
@@ -55,7 +61,7 @@ The cube-level maps they use (relabelings, the unit-extended grafting
 split, family transports) live in the cubes layer. Whole cube maps are
 built only where a whole map is consumed: the face inclusions and
 family covers of the engines' weight diagrams, and the relabelings,
-face inclusions and splits that co-W feeds to hom_map. Everywhere else
+face inclusions and splits that co-W feeds to _hom_rule. Everywhere else
 one cell is moved and no map is built.
 
 Sign conventions all reduce to Koszul reshuffles against the fixed
@@ -70,9 +76,9 @@ import functools
 import itertools
 
 from .chain import (
-    ChainComplex, ChainMap, _graded_basis, _place, cokernel_complex,
-    direct_sum, hom_complex, hom_map, hom_tensor_interchange,
-    kernel_complex, shift, tensor_many, tensor_map_many, zero_complex,
+    ChainComplex, ChainMap, _graded_basis, _hom_rule, _place,
+    cokernel_complex, direct_sum, hom_complex, hom_map, kernel_complex, shift,
+    tensor_many, tensor_map_many, zero_complex,
 )
 # theta_cells is not called here: perfbench's tracer test reads the alias
 from .cubes import (
@@ -212,13 +218,14 @@ class _Engine:
                                 [(t, slots[t]) for t in self.trees])
 
     def _relations(self, relations):
-        """(t, u, weight map, coefficient map) getters per relation: the
-        covers, or every pair t < u as a test oracle."""
+        """The relations (t, u) and the getters of the weight and
+        coefficient maps along them: the covers, or every pair t < u as a
+        test oracle."""
         w, c = self.weights, self.coeffs
         if relations == "covers":
-            return [(t, u, w.cover_map, c.cover_map) for t, u in w.covers]
-        return [(t, u, w.map, c.map) for t in self.trees for u in self.trees
-                if t != u and t.leq(u)]
+            return w.covers, w.cover_map, c.cover_map
+        return ([(t, u) for t in self.trees for u in self.trees
+                 if t != u and t.leq(u)], w.map, c.map)
 
 
 class Coend(_Engine):
@@ -233,28 +240,21 @@ class Coend(_Engine):
         self.slots = {t: tensor_many(field, [weights.term(t), coeffs.term(t)])
                       for t in weights.trees}
         super().__init__(weights, coeffs, self.slots)
+        pairs, wmap, cmap = self._relations(relations)
         summands = []
-        legs = {}   # relation -> the maps fwd (x) id and id (x) bwd
-        for t, u, wmap, cmap in self._relations(relations):
+        for t, u in pairs:
             src = tensor_many(field, [weights.term(t), coeffs.term(u)])
-            if src.total_dim() == 0:
-                continue
-            summands.append(((t, u), src))
-            legs[(t, u)] = (
-                tensor_map_many(
-                    field, [wmap(t, u), ChainMap.identity(coeffs.term(u))],
-                    source=src, target=self.slots[u]),
-                tensor_map_many(
-                    field, [ChainMap.identity(weights.term(t)), cmap(t, u)],
-                    source=src, target=self.slots[t]))
+            if src.total_dim() > 0:
+                summands.append(((t, u), src))
 
         def rule(d, lab):
-            (t, u), l = lab
-            fwd, bwd = legs[(t, u)]
-            vec = {l: field.one}
-            return ([((u, l2), c) for l2, c in fwd.apply(d, vec).items()] +
-                    [((t, l2), field.neg(c))
-                     for l2, c in bwd.apply(d, vec).items()])
+            # (x, y) -> (f x, y) in the slot at u minus (x, g y) at t
+            (t, u), (x, y) = lab
+            f, g = wmap(t, u), cmap(t, u)
+            fx = f.apply(f.source.label_degree[x], {x: field.one})
+            gy = g.apply(g.source.label_degree[y], {y: field.one})
+            return ([((u, (x2, y)), c) for x2, c in fx.items()] +
+                    [((t, (x, y2)), field.neg(c)) for y2, c in gy.items()])
 
         self.rel = ChainMap.from_rule(direct_sum(field, summands), self.total,
                                       rule)
@@ -285,26 +285,27 @@ class End(_Engine):
         self.homs = {t: hom_complex(weights.term(t), coeffs.term(t))
                      for t in weights.trees}
         super().__init__(weights, coeffs, self.homs)
+        pairs, wmap, cmap = self._relations(relations)
         summands = []
-        legs = {}   # slot tree -> [(relation, map out of its hom, negate)]
-        for t, u, wmap, cmap in self._relations(relations):
+        legs = {}   # slot tree -> [(relation, rule out of its hom, negate)]
+        for t, u in pairs:
             tgt = hom_complex(weights.term(t), coeffs.term(u))
             if tgt.total_dim() == 0:
                 continue
             summands.append(((t, u), tgt))
             legs.setdefault(t, []).append(
-                ((t, u), hom_map(self.homs[t], tgt, post=cmap(t, u)), False))
+                ((t, u), _hom_rule(field, post=cmap(t, u)), False))
             legs.setdefault(u, []).append(
-                ((t, u), hom_map(self.homs[u], tgt, pre=wmap(t, u)), True))
+                ((t, u), _hom_rule(field, pre=wmap(t, u)), True))
 
         def rule(d, lab):
             return [((key, l2), field.neg(c) if negate else c)
                     for key, f, negate in legs.get(lab[0], ())
-                    for l2, c in f.apply(d, {lab[1]: field.one}).items()]
+                    for l2, c in f(d, lab[1])]
 
         self.diff_map = ChainMap.from_rule(
             self.total, direct_sum(field, summands), rule)
-        self.complex, self.incl = kernel_complex(self.diff_map)
+        self.complex, self.incl, self.retr = kernel_complex(self.diff_map)
 
     def component(self, t) -> ChainMap:
         """The slot-t part of the kernel inclusion."""
@@ -314,12 +315,13 @@ class End(_Engine):
             if T == t])
 
     def factor(self, G: ChainMap) -> ChainMap:
-        """Factor G: X -> total through the kernel inclusion."""
+        """Factor G: X -> total landing in the end through the kernel
+        inclusion: retr @ G in each degree, the mirror of
+        Coend.map_out."""
         if not G.then(self.diff_map).is_zero():
             raise ValueError("map does not land in the end")
-        mats = {}
-        for k in G.source.degrees():
-            mats[k] = self.incl.matrix(k + G.degree).solve(G.matrix(k))
+        mats = {k: self.retr[k + G.degree] @ G.matrix(k)
+                for k in G.source.degrees() if k + G.degree in self.retr}
         return ChainMap(G.source, self.complex, mats, degree=G.degree,
                         check=True)
 
@@ -328,14 +330,13 @@ class End(_Engine):
 
 def _end_map(e1: End, e2: End, comp) -> ChainMap:
     """The map of ends e1 -> e2 given slot by slot: comp[T] = (T2, f)
-    with f: e1.homs[T] -> e2.homs[T2]; slots missing from comp go to 0."""
-    one = e1.field.one
-
+    with f a _hom_rule from e1.homs[T] to e2.homs[T2]; slots missing from
+    comp go to 0."""
     def rule(d, lab):
         T2, f = comp.get(lab[0], (None, None))
         if f is None:
             return []
-        return [((T2, h), c) for h, c in f.apply(d, {lab[1]: one}).items()]
+        return [((T2, h), c) for h, c in f(d, lab[1])]
 
     return e2.factor(e1.incl.then(ChainMap.from_rule(e1.total, e2.total,
                                                       rule)))
@@ -352,19 +353,20 @@ def _end_relabel(q: PreCooperad, e1: End, e2: End, sigma,
         if e1.homs[T].total_dim() == 0:
             continue
         T2 = T.relabel(sigma)
-        comp[T] = (T2, hom_map(e1.homs[T], e2.homs[T2],
-                               pre=weight_relabel(T2, inv),
-                               post=q.relabel_map(T, sigma)))
+        comp[T] = (T2, _hom_rule(q.field, pre=weight_relabel(T2, inv),
+                                 post=q.relabel_map(T, sigma)))
     return _end_map(e1, e2, comp)
 
 
 def _end_graft(q: PreCooperad, i, e1: End, e2: End, ev: End, split,
                weight_split) -> ChainMap:
     """The composition e1 (x) e2 -> ev at input i. A slot V of ev splits
-    as split(V) = (T, U) with graft(T, i, U) = V, or None; a pair of end
-    elements interchanges into Hom(weight(T) (x) weight(U), q(T) (x) q(U)),
-    precomposes weight_split(V, T, U): weight(V) -> weight(T) (x)
-    weight(U) and postcomposes the grafting multiplication of q."""
+    as split(V) = (T, U) with graft(T, i, U) = V, or None; a pair of slot
+    labels h1 = (a -> b), h2 = (c -> e) interchanges into the label
+    (a, c) -> (b, e) of Hom(weight(T) (x) weight(U), q(T) (x) q(U)) with
+    the sign (-1)^(|h2||a|), which then precomposes weight_split(V, T, U):
+    weight(V) -> weight(T) (x) weight(U) and postcomposes the grafting
+    multiplication of q."""
     field = q.field
     comp = {}
     for V in ev.trees:
@@ -374,14 +376,10 @@ def _end_graft(q: PreCooperad, i, e1: End, e2: End, ev: End, split,
         if TU is None:
             continue
         T, U = TU
-        homT, homU = e1.homs[T], e2.homs[U]
-        if homT.total_dim() == 0 or homU.total_dim() == 0:
+        if e1.homs[T].total_dim() == 0 or e2.homs[U].total_dim() == 0:
             continue
-        J = hom_tensor_interchange(homT, homU, e1.weights.term(T), q.term(T),
-                                   e2.weights.term(U), q.term(U))
-        comp[(T, U)] = (V, J.then(hom_map(
-            J.target, ev.homs[V], pre=weight_split(V, T, U),
-            post=q.m_map(T, i, U))))
+        comp[(T, U)] = (V, _hom_rule(field, pre=weight_split(V, T, U),
+                                     post=q.m_map(T, i, U)))
 
     def rule(d, pair):
         l1, l2 = pair
@@ -390,13 +388,16 @@ def _end_graft(q: PreCooperad, i, e1: End, e2: End, ev: End, split,
         v2 = e2.incl.apply(d2, {l2: field.one})
         out = []
         for (T, h1), c1 in e1.incl.apply(d1, {l1: field.one}).items():
+            wT = e1.weights.term(T).label_degree
             for (U, h2), c2 in v2.items():
                 V, f = comp.get((T, U), (None, None))
                 if f is None:
                     continue
-                cc = field.mul(c1, c2)
-                out.extend(((V, h3), field.mul(cc, c3)) for h3, c3 in
-                           f.apply(d1 + d2, {(h1, h2): field.one}).items())
+                cc = field.mul(field.mul(c1, c2), _sgn(
+                    field, e2.homs[U].label_degree[h2] * wT[h1[1]]))
+                h = ("h", (h1[1], h2[1]), (h1[2], h2[2]))
+                out.extend(((V, h3), field.mul(cc, c3))
+                           for h3, c3 in f(d1 + d2, h))
         return out
 
     src = tensor_many(field, [e1.complex, e2.complex])
@@ -1103,9 +1104,8 @@ class CoWPreCooperad(PreCooperad):
     def _cover_map(self, t, u, e):
         field = self.field
         et, eu = self.end_at(t), self.end_at(u)
-        comp = {U: (U, hom_map(
-                    et.homs[U], eu.homs[U],
-                    pre=face_inclusion(field, "j", (U, u), (U, t))))
+        comp = {U: (U, _hom_rule(
+                    field, pre=face_inclusion(field, "j", (U, u), (U, t))))
                 for U in et.trees if u.leq(U)}
         return _end_map(et, eu, comp)
 

@@ -16,6 +16,12 @@ from .fields import Field
 from .linalg import Eliminator, Matrix
 
 
+def _stray(what, err: KeyError, basis) -> ValueError:
+    """The error for a label outside its basis, in place of the KeyError
+    err that looking it up raised."""
+    return ValueError(f"{what}: {err.args[0]!r} is not a label of {basis}")
+
+
 class ChainComplex:
     def __init__(self, field: Field, basis: dict, diff: dict, check: bool = True):
         """basis: degree -> sequence of hashable labels (unique across all
@@ -54,9 +60,15 @@ class ChainComplex:
                 continue
             m = Matrix(field, len(basis[d - 1]), len(labels))
             low = index[d - 1]
-            for j, l in enumerate(labels):
-                for l2, c in rule(d, l):
-                    m.add_entry(low[l2], j, field.of(c))
+            try:
+                for j, l in enumerate(labels):
+                    for l2, c in rule(d, l):
+                        m.add_entry(low[l2], j, field.of(c))
+            except KeyError as e:
+                dims = {k: len(b) for k, b in basis.items()}
+                raise _stray(f"the boundary rule at {l!r} in degree {d}", e,
+                             f"degree {d - 1} of the complex of dims {dims}"
+                             ) from e
             diff[d] = m
         return cls(field, basis, diff, check=check)
 
@@ -145,9 +157,13 @@ class ChainMap:
         for k in source.degrees():
             m = Matrix(source.field, target.dim(k + degree), source.dim(k))
             tix = target.index(k + degree)
-            for j, l in enumerate(source.basis[k]):
-                for l2, c in rule(k, l):
-                    m.add_entry(tix[l2], j, source.field.of(c))
+            try:
+                for j, l in enumerate(source.basis[k]):
+                    for l2, c in rule(k, l):
+                        m.add_entry(tix[l2], j, source.field.of(c))
+            except KeyError as e:
+                raise _stray(f"the rule at {l!r} in degree {k} of {source!r}",
+                             e, f"degree {k + degree} of {target!r}") from e
             mats[k] = m
         return cls(source, target, mats, degree=degree, check=check)
 
@@ -173,14 +189,17 @@ class ChainMap:
         six = self.source.index(k)
         m = self.matrix(k)
         out = {}
-        for l, c in vec.items():
-            j = six[l]
-            for i, v in m.column(j).items():
-                w = F.add(out.get(i, F.zero), F.mul(c, v))
-                if w == F.zero:
-                    out.pop(i, None)
-                else:
-                    out[i] = w
+        try:
+            for l, c in vec.items():
+                for i, v in m.column(six[l]).items():
+                    w = F.add(out.get(i, F.zero), F.mul(c, v))
+                    if w == F.zero:
+                        out.pop(i, None)
+                    else:
+                        out[i] = w
+        except KeyError as e:
+            raise _stray(f"a vector in degree {k} applied by {self!r}", e,
+                         f"degree {k} of its source") from e
         tl = self.target.basis.get(k + self.degree, ())
         return {tl[i]: v for i, v in out.items()}
 
@@ -426,11 +445,10 @@ def hom_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     return ChainComplex.from_rule(field, basis, rule)
 
 
-def hom_map(homab: ChainComplex, homcd: ChainComplex, pre: ChainMap = None,
-            post: ChainMap = None) -> ChainMap:
-    """hom(A,B) -> hom(C,D), f -> post f pre, given pre: C -> A and
-    post: B -> D of degree 0; a missing one is the identity."""
-    field = homab.field
+def _hom_rule(field, pre: ChainMap = None, post: ChainMap = None):
+    """The rule of f -> post f pre on one label ("h", la, lb) of hom(A,B),
+    into hom(C,D), given pre: C -> A and post: B -> D of degree 0; a
+    missing one is the identity."""
     one = field.one
     # for each la in A, the C-elements pre sends onto it
     back = {}
@@ -449,50 +467,43 @@ def hom_map(homab: ChainComplex, homcd: ChainComplex, pre: ChainMap = None,
         return [(("h", la2, lb2), field.mul(ca, cb))
                 for la2, ca in las for lb2, cb in lbs]
 
-    return ChainMap.from_rule(homab, homcd, rule)
+    return rule
 
 
-def hom_tensor_interchange(homab, homcd, a, b, c, d) -> ChainMap:
-    """hom(A,B) (x) hom(C,D) -> hom(A(x)C, B(x)D), the map realizing
-    (f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y)."""
-    field = a.field
-    src = tensor_many(field, [homab, homcd])
-    target = hom_complex(tensor_many(field, [a, c]), tensor_many(field, [b, d]))
-
-    def rule(s, tup):
-        (_, la, lb), (_, lc, ld) = tup
-        g_deg = d.label_degree[ld] - c.label_degree[lc]
-        x_deg = a.label_degree[la]
-        sign = -1 if (g_deg * x_deg) % 2 == 1 else 1
-        return [(("h", (la, lc), (lb, ld)), sign)]
-
-    return ChainMap.from_rule(src, target, rule)
+def hom_map(homab: ChainComplex, homcd: ChainComplex, pre: ChainMap = None,
+            post: ChainMap = None) -> ChainMap:
+    """hom(A,B) -> hom(C,D), f -> post f pre, the map of _hom_rule."""
+    return ChainMap.from_rule(homab, homcd, _hom_rule(homab.field, pre, post))
 
 
 def kernel_complex(f: ChainMap):
-    """Kernel of a degree-0 chain map with its inclusion. Labels ("ker",k,i)."""
+    """Kernel of a degree-0 chain map.
+
+    Returns (K, incl, retr) where incl: K -> source is a chain map and
+    retr: degree -> Matrix is a degreewise retraction of incl (retr @
+    incl = 1, not a chain map in general), the mirror of the section of
+    cokernel_complex. retr reads each kernel vector at the column j_r
+    that Matrix.nullspace made it for. Kernel labels are ("ker", k, i)."""
     if f.degree != 0:
         raise ValueError("kernel needs degree 0")
     field = f.source.field
-    null = {}
-    for k in f.source.degrees():
-        null[k] = f.matrix(k).nullspace()
+    null = {k: f.matrix(k).nullspace() for k in f.source.degrees()}
     basis = {k: [("ker", k, i) for i in range(len(v))] for k, v in null.items() if v}
-    incl_mats = {}
-    for k, vecs in null.items():
-        m = Matrix.from_columns(field, f.source.dim(k), vecs)
-        incl_mats[k] = m
+    incl_mats, retr = {}, {}
+    for k in basis:
+        incl_mats[k] = Matrix.from_columns(field, f.source.dim(k), null[k])
+        retr[k] = Matrix(field, len(null[k]), f.source.dim(k),
+                         {(r, max(v)): field.one for r, v in enumerate(null[k])})
     diff = {}
     for k in basis:
-        if k - 1 not in basis:
-            if not (f.source.d_matrix(k) @ incl_mats[k]).is_zero():
-                raise AssertionError("kernel not preserved by boundary")
-            continue
         img = f.source.d_matrix(k) @ incl_mats[k]
-        diff[k] = incl_mats[k - 1].solve(img)
+        if k - 1 in basis:
+            diff[k] = retr[k - 1] @ img
+        elif not img.is_zero():
+            raise AssertionError("kernel not preserved by boundary")
     ker = ChainComplex(field, basis, diff, check=True)
-    incl = ChainMap(ker, f.source, {k: incl_mats[k] for k in basis}, check=True)
-    return ker, incl
+    incl = ChainMap(ker, f.source, incl_mats, check=True)
+    return ker, incl, retr
 
 
 def cokernel_complex(f: ChainMap):

@@ -2,7 +2,9 @@
 
 Matrices are dicts keyed by (row, col); vectors are dicts keyed by row.
 The Eliminator does incremental column reduction and backs every rank,
-kernel, cokernel, and solve in the package.
+kernel and cokernel in the package; maps are factored through a kernel
+or out of a cokernel by multiplying with a retraction or a section, with
+no further elimination.
 """
 from __future__ import annotations
 
@@ -140,7 +142,13 @@ class Matrix:
         return elim.rank
 
     def nullspace(self):
-        """Basis of the right kernel, as a list of column vectors (dicts)."""
+        """Basis of the right kernel, as a list of column vectors (dicts).
+
+        Vector r is e_{j_r} minus a combination of the pivot columns
+        before j_r, j_r being the r-th column that depends on earlier
+        ones. So j_r is the largest index of its support, and every other
+        vector of the basis is 0 there: reading each vector at its j_r
+        is a retraction of the kernel inclusion (chain.kernel_complex)."""
         elim = Eliminator(self.field, self.nrows)
         out = []
         for j, col in enumerate(self.columns()):
@@ -149,21 +157,6 @@ class Matrix:
                 v = {j: self.field.one}
                 _vec_sub(self.field, v, dep)
                 out.append(v)
-        return out
-
-    def solve(self, rhs: "Matrix") -> "Matrix":
-        """X with self @ X = rhs; raises ValueError if inconsistent."""
-        if rhs.nrows != self.nrows:
-            raise ValueError("shape mismatch in solve")
-        elim = Eliminator(self.field, self.nrows)
-        for j, col in enumerate(self.columns()):
-            elim.add(col, tag=j)
-        out = Matrix(self.field, self.ncols, rhs.ncols)
-        for j, col in enumerate(rhs.columns()):
-            res, comb = elim.reduce(col)
-            if res:
-                raise ValueError("inconsistent linear system")
-            out.set_column(j, comb)
         return out
 
     def _check_shape(self, other):
@@ -189,7 +182,7 @@ class Eliminator:
     """Incremental column reduction against an accumulating pivot set.
 
     Feed columns with add(); dependencies come back as combinations of
-    previously added columns (by tag), which yields kernels and solves.
+    previously added columns (by tag), which yields kernels.
     reduce() leaves a residual supported away from the pivot rows, which
     yields cokernel projections.
 

@@ -6,17 +6,19 @@ import pytest
 from opdual import barcobar, cubes
 from opdual.fields import QQ, F2, Field
 from opdual.chain import (
-    ChainComplex, ChainMap, _place, hom_complex, hom_map, is_quasi_iso,
-    tensor_map_many,
+    ChainComplex, ChainMap, _hom_rule, _place, direct_sum, hom_complex,
+    hom_map, is_quasi_iso, tensor_many, tensor_map_many,
 )
 from opdual.trees import (
-    Tree, _graft_place, _token_image, adjacent_transposition, canonical_form,
-    cluster_key, corolla, enumerate_trees, fragments, graft, grafted_edge,
+    Tree, _graft_place, _split_graft, _token_image, adjacent_transposition,
+    canonical_form, cluster_key, corolla, enumerate_trees, fragments, graft,
+    grafted_edge,
 )
 from opdual.cubes import (
     STAR, _chunks, _mu_cell, _relabel_slots, _star_sign, _wbar_tokens,
-    delta_cube, family_inclusion, graft_decompose, nu_general, theta_cells,
-    wbar, wbar_family,
+    delta_cube, face_inclusion, family_inclusion, graft_decompose,
+    nu_general, rel_delta_relabel, rel_split, theta_cells, wbar, wbar_family,
+    wbar_relabel,
 )
 from opdual.operads import (
     Operad, PreCooperad, SymSeq, builtin_operad, check_operad_axioms, dualize,
@@ -24,7 +26,8 @@ from opdual.operads import (
     symseq_from_degrees, trivial_operad, truncate,
 )
 from opdual.barcobar import (
-    _cobar_value, _end_map, _interleave_sign, _sgn, _tensor_vecs, _top_nu,
+    _cobar_value, _end_graft, _end_map, _end_relabel, _interleave_sign, _sgn,
+    _tensor_vecs, _top_nu,
     _w_cell, _wbar_top, Coend, End, bar, bar_engine, bar_map, bbar,
     closed_bar_to_engine, closed_cobar_to_engine, closed_w_to_engine, co_w,
     co_w_resolution, cobar, cobar_engine, cobar_map, delta_diagram,
@@ -33,7 +36,10 @@ from opdual.barcobar import (
     w_construction, w_engine, w_resolution, wbar_diagram,
 )
 
-from test_chain import hom_elem_to_map, random_complex
+from test_chain import (
+    hom_elem_to_map, hom_tensor_interchange, random_chain_map, random_complex,
+)
+from test_linalg import solve
 
 BIN3 = canonical_form([[1, 2], 3])
 BIN4 = canonical_form([[[1, 2], 3], 4])
@@ -1102,26 +1108,251 @@ def test_cobar_map_matches_engine_reference(name, field):
     cm = cobar_map(c1, c2, fam, 3)
     for n in (1, 2, 3):
         e1, e2 = cobar_engine(eq, n), cobar_engine(ddq, n)
-        slots = {T: (T, hom_map(e1.homs[T], e2.homs[T], post=fam[T]))
+        slots = {T: (T, _hom_rule(field, post=fam[T]))
                  for T in e1.trees if e1.homs[T].total_dim()}
         ref = closed_cobar_to_engine(eq, c1, e1).then(
             _end_map(e1, e2, slots)).then(_read_top_cells(e2, c2.term(n)))
         assert cm[n] == ref, n
 
 
-def _random_chain_map(rng, field, a, b):
-    """A random degree-0 chain map a -> b: a random sum of a basis of the
-    cycles of hom(a, b) in degree 0."""
-    h = hom_complex(a, b)
-    labels = h.basis.get(0, ())
-    vec = {}
-    for z in h.d_matrix(0).nullspace():
-        c = field.of(rng.randint(-2, 2))
-        for i, v in z.items():
-            vec[labels[i]] = field.add(vec.get(labels[i], field.zero),
-                                       field.mul(c, v))
-    vec = {l: v for l, v in vec.items() if v != field.zero}
-    return hom_elem_to_map(vec, a, b, 0)
+# -- the engines read one label at a time: the built-map route ------------
+
+def _factor_ref(en, G):
+    """G factored through the kernel inclusion of en by a fresh solve."""
+    mats = {k: solve(en.incl.matrix(k + G.degree), G.matrix(k))
+            for k in G.source.degrees()}
+    return ChainMap(G.source, en.complex, mats, degree=G.degree)
+
+
+def _end_map_ref(e1, e2, comp):
+    """_end_map with comp[T] = (T2, a built hom_map), factored by solve."""
+    one = e1.field.one
+
+    def rule(d, lab):
+        T2, f = comp.get(lab[0], (None, None))
+        if f is None:
+            return []
+        return [((T2, h), c) for h, c in f.apply(d, {lab[1]: one}).items()]
+
+    return _factor_ref(e2, e1.incl.then(
+        ChainMap.from_rule(e1.total, e2.total, rule)))
+
+
+def _end_relabel_ref(q, e1, e2, sigma, weight_relabel):
+    """_end_relabel through a built hom_map per slot."""
+    inv = {v: k for k, v in sigma.items()}
+    comp = {}
+    for T in e1.trees:
+        if e1.homs[T].total_dim():
+            T2 = T.relabel(sigma)
+            comp[T] = (T2, hom_map(e1.homs[T], e2.homs[T2],
+                                   pre=weight_relabel(T2, inv),
+                                   post=q.relabel_map(T, sigma)))
+    return _end_map_ref(e1, e2, comp)
+
+
+def _end_graft_ref(q, i, e1, e2, ev, split, weight_split):
+    """_end_graft through a whole interchange map and a built hom_map per
+    pair of slots."""
+    field = q.field
+    comp = {}
+    for V in ev.trees:
+        TU = split(V) if ev.homs[V].total_dim() else None
+        if TU is None:
+            continue
+        T, U = TU
+        homT, homU = e1.homs[T], e2.homs[U]
+        if homT.total_dim() == 0 or homU.total_dim() == 0:
+            continue
+        J = hom_tensor_interchange(homT, homU, e1.weights.term(T), q.term(T),
+                                   e2.weights.term(U), q.term(U))
+        comp[(T, U)] = (V, J.then(hom_map(
+            J.target, ev.homs[V], pre=weight_split(V, T, U),
+            post=q.m_map(T, i, U))))
+
+    def rule(d, pair):
+        l1, l2 = pair
+        d1 = e1.complex.label_degree[l1]
+        d2 = e2.complex.label_degree[l2]
+        v2 = e2.incl.apply(d2, {l2: field.one})
+        out = []
+        for (T, h1), c1 in e1.incl.apply(d1, {l1: field.one}).items():
+            for (U, h2), c2 in v2.items():
+                V, f = comp.get((T, U), (None, None))
+                if f is not None:
+                    out.extend(((V, h3), field.mul(field.mul(c1, c2), c3))
+                               for h3, c3 in f.apply(
+                                   d1 + d2, {(h1, h2): field.one}).items())
+        return out
+
+    src = tensor_many(field, [e1.complex, e2.complex])
+    return _factor_ref(ev, ChainMap.from_rule(src, ev.total, rule))
+
+
+def _end_checks(q, N):
+    """(name, the engine map, its built-map reference) over the cobar
+    engine of q and co_w(q, N): the actions and compositions of the
+    engine, and the covers, actions and compositions of co-W."""
+    field = q.field
+    ends = {n: cobar_engine(q, n) for n in range(1, N + 1)}
+    out = []
+    for n in range(2, N + 1):
+        for i in range(1, n):
+            args = (q, ends[n], ends[n], adjacent_transposition(n, i),
+                    lambda T2, inv: wbar_relabel(field, T2, inv))
+            out.append((f"relabel {n} {i}", _end_relabel(*args),
+                        _end_relabel_ref(*args)))
+    for m in range(1, N + 1):
+        for n in range(1, N + 2 - m):
+            for i in range(1, m + 1):
+                args = (q, i, ends[m], ends[n], ends[m + n - 1],
+                        lambda V: _split_graft(V, i, m, n),
+                        lambda V, T, U: nu_general(field, T, i, U))
+                out.append((f"graft {m} {i} {n}", _end_graft(*args),
+                            _end_graft_ref(*args)))
+    cw = co_w(q, N)
+    for n in range(2, N + 1):
+        for u in enumerate_trees(n):
+            for e in u.edges():
+                t = u.contract(e)
+                et, eu = cw.end_at(t), cw.end_at(u)
+                comp = {U: (U, hom_map(et.homs[U], eu.homs[U],
+                                       pre=face_inclusion(
+                                           field, "j", (U, u), (U, t))))
+                        for U in et.trees if u.leq(U)}
+                out.append((f"co-W cover {t} {u}", cw.cover_map(t, u, e),
+                            _end_map_ref(et, eu, comp)))
+            for i in range(1, n):
+                s, t = adjacent_transposition(n, i), u
+                t2 = t.relabel(s)
+                out.append((f"co-W relabel {t} {i}", cw.relabel_map(t, s),
+                            _end_relabel_ref(
+                                q, cw.end_at(t), cw.end_at(t2), s,
+                                lambda U2, inv: rel_delta_relabel(
+                                    field, U2, t2, inv))))
+    for t, u in itertools.product(enumerate_trees(2), repeat=2):
+        for i in (1, 2):
+            v = graft(t, i, u)
+            out.append((f"co-W graft {t} {i} {u}", cw.m_map(t, i, u),
+                        _end_graft_ref(
+                            q, i, cw.end_at(t), cw.end_at(u), cw.end_at(v),
+                            lambda V: _split_graft(V, i, t.n, u.n),
+                            lambda V, T, U: rel_split(field, V, v, i, t, u))))
+    return out
+
+
+@pytest.mark.parametrize("name, field", [("com", QQ), ("ass", F2)],
+                         ids=["com-q", "ass-f2"])
+def test_end_maps_match_the_built_map_route(name, field):
+    # the interchange sign, the rules read per label and the factoring
+    # by the retraction agree with whole hom maps and a fresh solve
+    q = extend_cooperad(bar(builtin_operad(name, field, 3), 3))
+    checks = _end_checks(q, 3)
+    assert sum(not f.is_zero() for _, f, _ in checks) > len(checks) // 2
+    for what, f, ref in checks:
+        assert f == ref, what
+
+
+def test_end_factor_matches_solve(monkeypatch):
+    seen = []
+    factor = End.factor
+
+    def recorded(en, G):
+        out = factor(en, G)
+        seen.append((en, G, out))
+        return out
+
+    monkeypatch.setattr(End, "factor", recorded)
+    for name, field in (("com", QQ), ("ass", F2)):
+        q = extend_cooperad(bar(builtin_operad(name, field, 3), 3))
+        cb = cobar(q, 3)
+        for n in (1, 2, 3):
+            closed_cobar_to_engine(q, cb, cobar_engine(q, n))
+        co_w_resolution(q, 3)
+    assert len(seen) == 18 and sum(not G.is_zero() for _, G, _ in seen) > 9
+    for en, G, out in seen:
+        assert out == _factor_ref(en, G)
+
+
+def _coend_rel_ref(eng, relations="covers"):
+    """Coend's relation map from a tensor_map_many leg per side."""
+    field = eng.field
+    w, c = eng.weights, eng.coeffs
+    if relations == "covers":
+        rels = [(t, u, w.cover_map(t, u), c.cover_map(t, u))
+                for t, u in w.covers]
+    else:
+        rels = [(t, u, w.map(t, u), c.map(t, u)) for t in eng.trees
+                for u in eng.trees if t != u and t.leq(u)]
+    summands, legs = [], {}
+    for t, u, f, g in rels:
+        src = tensor_many(field, [w.term(t), c.term(u)])
+        if src.total_dim() == 0:
+            continue
+        summands.append(((t, u), src))
+        legs[(t, u)] = (
+            tensor_map_many(field, [f, ChainMap.identity(c.term(u))],
+                            source=src, target=eng.slots[u]),
+            tensor_map_many(field, [ChainMap.identity(w.term(t)), g],
+                            source=src, target=eng.slots[t]))
+
+    def rule(d, lab):
+        fwd, bwd = legs[lab[0]]
+        vec = {lab[1]: field.one}
+        return ([((lab[0][1], l2), x) for l2, x in fwd.apply(d, vec).items()]
+                + [((lab[0][0], l2), field.neg(x))
+                   for l2, x in bwd.apply(d, vec).items()])
+
+    return ChainMap.from_rule(direct_sum(field, summands), eng.total, rule)
+
+
+@pytest.mark.parametrize("name, field", [("ass", F2), ("com", QQ)],
+                         ids=["ass-f2", "com-q"])
+def test_coend_relations_match_the_tensor_map_legs(name, field):
+    p = builtin_operad(name, field, 3)
+    coends = [(mk(p, n, relations), relations)
+              for mk in (bar_engine, w_engine) for n in (2, 3)
+              for relations in ("covers", "all")]
+    bp = bbar(p, 3)
+    coends += [(bp.coend_at(T), "covers") for T in enumerate_trees(3)]
+    for eng, relations in coends:
+        ref = _coend_rel_ref(eng, relations)
+        assert eng.rel.source == ref.source
+        assert eng.rel == ref, (eng.weights.n, relations)
+
+
+def test_engines_build_no_hom_or_tensor_maps(monkeypatch):
+    from opdual import chain
+    p = ass(3, F2)
+    q = extend_cooperad(bar(p, 3))
+    bp = bbar(p, 3)
+    builds = []
+
+    def counted(f, name):
+        def build(*args, **kwargs):
+            builds.append(name)
+            return f(*args, **kwargs)
+        return build
+
+    for mod in (chain, barcobar):
+        for name in ("hom_map", "tensor_map_many"):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name), name))
+    for n in (2, 3):
+        bar_engine(p, n)
+        w_engine(p, n)
+    for T in enumerate_trees(3):
+        bp.coend_at(T)
+    ends = {n: cobar_engine(q, n) for n in (1, 2, 3)}
+    _end_relabel(q, ends[3], ends[3], adjacent_transposition(3, 1),
+                 lambda T2, inv: wbar_relabel(F2, T2, inv))
+    _end_graft(q, 1, ends[2], ends[2], ends[3],
+               lambda V: _split_graft(V, 1, 2, 2),
+               lambda V, T, U: nu_general(F2, T, 1, U))
+    cw = co_w(q, 3)
+    cw.cover_map(corolla(3), BIN3, next(iter(BIN3.edges())))
+    cw.relabel_map(BIN3, adjacent_transposition(3, 2))
+    cw.m_map(corolla(2), 1, corolla(2))
+    assert builds == []
 
 
 @pytest.mark.parametrize("field", [QQ, Field(3)], ids=["q", "f3"])
@@ -1129,8 +1360,8 @@ def test_hom_map_matches_pre_and_post_composition(field):
     rng = random.Random(13)
     for _ in range(6):
         a, b, c, d = (random_complex(rng, field, tag=x) for x in "abcd")
-        pre = _random_chain_map(rng, field, c, a)
-        post = _random_chain_map(rng, field, b, d)
+        pre = random_chain_map(rng, field, c, a)
+        post = random_chain_map(rng, field, b, d)
         homab, homcb = hom_complex(a, b), hom_complex(c, b)
         homad, homcd = hom_complex(a, d), hom_complex(c, d)
         assert hom_map(homab, homcb, pre=pre) == _precompose(homab, pre, homcb)

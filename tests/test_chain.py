@@ -2,15 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from opdual.fields import QQ, F2
+from opdual.fields import QQ, F2, Field
 from opdual.linalg import Matrix
 from opdual import chain as ch
 from opdual.chain import (
     ChainComplex, ChainMap, k_complex, zero_complex, direct_sum,
     tensor_many, tensor_map_many, shift, linear_dual, dual_map, cone,
-    is_quasi_iso, hom_complex, hom_map, hom_tensor_interchange,
-    kernel_complex, cokernel_complex, koszul_sign,
+    is_quasi_iso, hom_complex, hom_map, kernel_complex, cokernel_complex,
+    koszul_sign,
 )
 
 
@@ -65,6 +66,21 @@ def random_complex(rng, field, degs=(-1, 0, 1, 2), maxdim=3, tag="x"):
         else:
             pieces.append((f"{tag}k{i}", k_complex(field, s, f"{tag}g{i}")))
     return direct_sum(field, pieces)
+
+
+def random_chain_map(rng, field, a, b):
+    """A random degree-0 chain map a -> b: a random sum of a basis of the
+    cycles of hom(a, b) in degree 0."""
+    h = hom_complex(a, b)
+    labels = h.basis.get(0, ())
+    vec = {}
+    for z in h.d_matrix(0).nullspace():
+        c = field.of(rng.randint(-2, 2))
+        for i, v in z.items():
+            vec[labels[i]] = field.add(vec.get(labels[i], field.zero),
+                                       field.mul(c, v))
+    vec = {l: v for l, v in vec.items() if v != field.zero}
+    return hom_elem_to_map(vec, a, b, 0)
 
 
 def test_interval():
@@ -251,6 +267,24 @@ def test_hom_pre_post_compose_are_chain_maps():
         ("h", "p", "p"): 1}
 
 
+def hom_tensor_interchange(homab, homcd, a, b, c, d) -> ChainMap:
+    """hom(A,B) (x) hom(C,D) -> hom(A(x)C, B(x)D), the map realizing
+    (f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y): the whole map that
+    the grafting of ends reads one label at a time."""
+    field = a.field
+    src = tensor_many(field, [homab, homcd])
+    target = hom_complex(tensor_many(field, [a, c]), tensor_many(field, [b, d]))
+
+    def rule(s, tup):
+        (_, la, lb), (_, lc, ld) = tup
+        g_deg = d.label_degree[ld] - c.label_degree[lc]
+        x_deg = a.label_degree[la]
+        sign = -1 if (g_deg * x_deg) % 2 == 1 else 1
+        return [(("h", (la, lc), (lb, ld)), sign)]
+
+    return ChainMap.from_rule(src, target, rule)
+
+
 def test_hom_tensor_interchange_chain_map():
     rng = random.Random(21)
     a = random_complex(rng, QQ, tag="a")
@@ -266,12 +300,12 @@ def test_kernel_cokernel():
     a = interval(QQ)
     b = shift(interval(QQ), 1)
     z = ChainMap.zero(a, b)
-    ker, _ = kernel_complex(z)
+    ker, _, _ = kernel_complex(z)
     cok, _, _ = cokernel_complex(z)
     assert ker.dims() == a.dims()
     assert cok.dims() == b.dims()
     # f = id: both vanish
-    ker, _ = kernel_complex(ChainMap.identity(a))
+    ker, _, _ = kernel_complex(ChainMap.identity(a))
     cok, _, _ = cokernel_complex(ChainMap.identity(a))
     assert ker.dims() == {}
     assert cok.dims() == {}
@@ -280,10 +314,24 @@ def test_kernel_cokernel():
     tgt = k_complex(QQ, 0, "z")
     f = ChainMap.from_rule(src, tgt,
                            lambda d, l: [("z", 1 if l == "x" else -1)])
-    ker, _ = kernel_complex(f)
+    ker, _, _ = kernel_complex(f)
     cok, _, _ = cokernel_complex(f)
     assert ker.dims() == {0: 1}
     assert cok.dims() == {}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, Field(3)], ids=["q", "f2", "f3"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_retraction_inverts_the_inclusion(field, seed):
+    # retr reads each kernel vector at the largest index of its support,
+    # where every other kernel vector is 0
+    rng = random.Random(seed)
+    a = random_complex(rng, field, tag="a")
+    b = random_complex(rng, field, tag="b")
+    ker, incl, retr = kernel_complex(random_chain_map(rng, field, a, b))
+    assert set(retr) == set(ker.degrees())
+    for k in ker.degrees():
+        assert retr[k] @ incl.matrix(k) == Matrix.identity(field, ker.dim(k))
 
 
 def test_kernel_cokernel_with_differentials():
@@ -291,10 +339,12 @@ def test_kernel_cokernel_with_differentials():
     h = interval(QQ)
     pt = k_complex(QQ, 0, "p")
     col = ChainMap.from_rule(h, pt, lambda d, l: [("p", 1)] if d == 0 else [])
-    ker, incl = kernel_complex(col)
+    ker, incl, retr = kernel_complex(col)
     assert ker.dims() == {0: 1, 1: 1}
     assert not ker.homology_table()      # acyclic: reduced chains of H
     assert incl.source is ker
+    for k in ker.degrees():
+        assert (retr[k] @ incl.matrix(k)) == Matrix.identity(QQ, ker.dim(k))
     cok, proj, sect = cokernel_complex(col)
     assert cok.dims() == {}
     # cokernel of an inclusion
@@ -304,6 +354,20 @@ def test_kernel_cokernel_with_differentials():
     assert not cok.homology_table()
     for k in cok.degrees():
         assert (proj.matrix(k) @ sect[k]) == Matrix.identity(QQ, cok.dim(k))
+
+
+def test_a_label_outside_its_basis_is_a_value_error():
+    h = interval(QQ)
+    pt = k_complex(QQ, 0, "p")
+    with pytest.raises(ValueError, match=r"degree 1.*'stray'"):
+        ChainComplex.from_rule(QQ, {0: ["g0", "g1"], 1: ["g"]},
+                               lambda d, l: [("stray", 1)])
+    with pytest.raises(ValueError, match=r"'g1' in degree 0.*'stray'"):
+        ChainMap.from_rule(h, h, lambda d, l: [
+            ("stray" if l == "g1" else l, 1)])
+    col = ChainMap.from_rule(h, pt, lambda d, l: [("p", 1)] if d == 0 else [])
+    with pytest.raises(ValueError, match=r"degree 0.*'stray'"):
+        col.apply(0, {"g0": 1, "stray": 1})
 
 
 def test_koszul_sign():

@@ -397,6 +397,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert cap.out == ""
 
 
+def test_a_stray_label_exits_3_without_a_traceback(capsys, monkeypatch):
+    # the action rule of the closed forms emits a decoration that labels
+    # no basis element; kk builds the actions of bar
+    monkeypatch.setattr("opdual.barcobar._top_cell_move",
+                        lambda field, t, t2, sigma, deco: (("stray",), 1))
+    code, cap = run(capsys, "kk", "--operad", "com", "--max-arity", "3")
+    assert code == 3
+    assert "Traceback" not in cap.err
+    assert cap.err.startswith("internal error: ")
+    assert "'stray'" in cap.err and "degree 1" in cap.err
+
+
 def test_fields_agree_on_homology(capsys):
     tables = []
     for fld in ("q", "f2"):

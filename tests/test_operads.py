@@ -276,6 +276,43 @@ def test_com_f2():
     assert check_operad_axioms(p) == []
 
 
+def _count_tensor_maps(monkeypatch):
+    """Count the tensor_map_many builds of the operads module."""
+    from opdual import operads
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tensor_map_many(*args, **kwargs)
+
+    monkeypatch.setattr(operads, "tensor_map_many", counted)
+    return calls
+
+
+def test_equivariance_skips_pairs_with_a_zero_term(tmp_path, monkeypatch):
+    # one binary generator and no other term: every pair (m, n) has a zero
+    # term among m, n, m+n-1, so no side of equivariance is built (at 7
+    # the loop over every permutation pair took about a second)
+    import json
+    from opdual.cli import load_operad_spec
+    spec = tmp_path / "gen.json"
+    spec.write_text(json.dumps({"max_arity": 7, "terms": {
+        "2": {"basis": [{"name": "e", "degree": 0}], "d": []}},
+        "sigma": {"2": {"1": [[0, 0, 1]]}}}))
+    p = load_operad_spec(str(spec))
+    calls = _count_tensor_maps(monkeypatch)
+    assert check_operad_axioms(p) == []
+    assert not calls
+
+
+def test_equivariance_builds_each_sigma_tau_map_once(monkeypatch):
+    # one build per (sigma, tau): 2*2 + 2*6 + 6*2, not one per input j too
+    p = builtin_operad("ass", QQ, 4)
+    calls = _count_tensor_maps(monkeypatch)
+    assert check_operad_axioms(p) == []
+    assert len(calls) == 28
+
+
 # -- the one-rule tree-tensor maps against the two-step route --------------
 
 def _relabel_two_step(a, t, sigma):
