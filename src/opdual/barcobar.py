@@ -421,13 +421,14 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
     """The skeleton of the closed-form bar, W and cobar constructions. In
     arity n the basis is (t, *deco, x) in degree |x| + k, for the trees
     t, each (deco, k) in decorations(t) and the labels x of term(t); the
-    rule boundary(maps, d, label) gives the differential, maps being a
-    window over structure (p.contract_map, or the covers of a tree for
-    cobar); sigma acts on the tree term through relabel(t, sigma) and on
-    the decoration by cube_move(field, t, t2, sigma, deco) -> (the new
-    decoration, its sign). Returns (terms, the builder of the adjacent
-    actions): no action is built here, each one is built when sigma_adj
-    first asks for it."""
+    rule boundary(rules, d, label) gives the differential, rules being a
+    window over structure, which returns rules on one label and builds
+    no map (_contractions(p) for bar and W, the covers of a tree with
+    their rules for cobar); sigma acts on the tree term through
+    relabel(t, sigma) and on the decoration by cube_move(field, t, t2,
+    sigma, deco) -> (the new decoration, its sign). Returns (terms, the
+    builder of the adjacent actions): no action is built here, each one
+    is built when sigma_adj first asks for it."""
     terms = {}
     for n in range(1, N + 1):
         basis = _graded_basis(
@@ -450,6 +451,12 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
         return ChainMap.from_rule(terms[n], terms[n], rule)
 
     return terms, _adjacent_family(act)
+
+
+def _contractions(p: Operad):
+    """The structure of bar's and W's differentials: (t, e) -> (t/e, the
+    contraction rule of p at e)."""
+    return lambda t, e: (t.contract(e), p.contract_rule(t, e))
 
 
 def _top_cell_move(field, t, t2, sigma, deco):
@@ -483,17 +490,16 @@ def bar(p: Operad, N) -> Cooperad:
         dx = p.tree_complex(t).label_degree[x]
         out = []
         for k, e in enumerate(t.edges()):
-            img = contract(t, e).apply(dx, {x: field.one})
             s = _sgn(field, k)
-            t2 = t.contract(e)
-            out.extend(((t2, x2), field.mul(s, c)) for x2, c in img.items())
+            t2, rule = contract(t, e)
+            out.extend(((t2, x2), field.mul(s, c)) for x2, c in rule(dx, x))
         s = _sgn(field, t.num_vertices)
         out.extend(((t, x2), field.mul(s, c))
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
         return out
 
     terms, adjacent = _closed_form(
-        field, N, p.tree_complex, p.tree_relabel, p.contract_map,
+        field, N, p.tree_complex, p.tree_relabel, _contractions(p),
         lambda t: [((), t.num_vertices)], boundary, _top_cell_move)
 
     def cocirc_builder(q, m, i, n):
@@ -508,8 +514,7 @@ def bar(p: Operad, N) -> Cooperad:
             s2 = _sgn(field, u.num_vertices * sum(p._degrees(t, xt)))
             return [(((t, xt), (u, xu)), field.mul(field.mul(cnu, s1), s2))]
 
-        return ChainMap.from_rule(q.term(m + n - 1),
-                                  tensor_many(field, [q.term(m), q.term(n)]),
+        return ChainMap.from_rule(q.term(m + n - 1), q.pair_complex(m, n),
                                   rule)
 
     return Cooperad(field, N, terms, adjacent, cocirc_builder,
@@ -582,10 +587,9 @@ def w_construction(p: Operad, N) -> Operad:
             s = _sgn(field, k)
             S2 = S[:k] + S[k + 1:]
             out.append(((t, S2, x), s))
-            t2 = t.contract(e)
-            img = contract(t, e).apply(dx, {x: field.one})
+            t2, rule = contract(t, e)
             out.extend(((t2, S2, x2), field.mul(field.neg(s), c))
-                       for x2, c in img.items())
+                       for x2, c in rule(dx, x))
         s = _sgn(field, len(S))
         out.extend(((t, S, x2), field.mul(s, c))
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
@@ -598,7 +602,7 @@ def w_construction(p: Operad, N) -> Operad:
         return (S2,), _star_sign(field, _relabel_slots(S, t2.edges(), sigma))
 
     terms, adjacent = _closed_form(
-        field, N, p.tree_complex, p.tree_relabel, p.contract_map,
+        field, N, p.tree_complex, p.tree_relabel, _contractions(p),
         decorations, boundary, marked_move)
 
     def circ_builder(q, m, i, n):
@@ -611,9 +615,8 @@ def w_construction(p: Operad, N) -> Operad:
             s2 = _sgn(field, sum(p._degrees(t, x)) * len(S2))
             return [((v, Sv, z), field.mul(field.mul(cmu, s1), s2))]
 
-        return ChainMap.from_rule(
-            tensor_many(field, [q.term(m), q.term(n)]), q.term(m + n - 1),
-            rule)
+        return ChainMap.from_rule(q.pair_complex(m, n), q.term(m + n - 1),
+                                  rule)
 
     return Operad(field, N, terms, adjacent, circ_builder,
                   name=f"w({p.name})" if p.name else "w")
@@ -670,15 +673,16 @@ class CobarOperad(Operad):
 def cobar(q: PreCooperad, N) -> CobarOperad:
     """Cobar construction, the free operad on the desuspension of q: the
     differential is the internal one plus, for each cover u of t (u
-    splits one vertex of t at the edge e), the term q.cover_map(t, u, e),
-    which is the top-cell value of the wbar face at 0; sigma acts through
+    splits one vertex of t at the edge e), the image of the label under
+    q.cover_rule(t, u, e), the rule of q.cover_map(t, u, e), which is the
+    top-cell value of the wbar face at 0; sigma acts through
     q.relabel_map with the top-cell sign and the composition is the
     grafting multiplication of q with the nu sign of the top cells."""
     field = q.field
     one = field.one
 
     def covers(t):
-        return [(u, _sgn(field, u.edges().index(e)), q.cover_map(t, u, e))
+        return [(u, _sgn(field, u.edges().index(e)), q.cover_rule(t, u, e))
                 for u, e in t.expansions()]
 
     def boundary(covers, d, lab):
@@ -688,7 +692,7 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
         s = _sgn(field, d + 1)
         for u, su, f in covers(t):
             out.extend(((u, x2), field.mul(field.mul(s, su), c))
-                       for x2, c in f.apply(dx, {x: one}).items())
+                       for x2, c in f(dx, x))
         return out
 
     terms, adjacent = _closed_form(
@@ -708,9 +712,8 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
                                    {(x, y): one})
             return [((v, z), field.mul(s, c)) for z, c in img.items()]
 
-        return ChainMap.from_rule(
-            tensor_many(field, [op.term(m), op.term(n)]), op.term(m + n - 1),
-            rule)
+        return ChainMap.from_rule(op.pair_complex(m, n), op.term(m + n - 1),
+                                  rule)
 
     return CobarOperad(q, field, N, terms, adjacent, circ_builder,
                        name=f"cobar({q.name})" if q.name else "cobar")

@@ -7,7 +7,7 @@ import json
 import random
 import sys
 
-from .chain import ChainComplex, ChainMap, is_quasi_iso, tensor_many
+from .chain import ChainComplex, ChainMap, is_quasi_iso
 from .trees import enumerate_trees
 from .operads import (
     Operad, _prebuilt, builtin_operad, check_operad_axioms, free_operad,
@@ -256,7 +256,7 @@ def load_operad_spec(path: str, field: Field | None = None) -> Operad:
         circ_imgs[(m, i, n)] = imgs
 
     def circ_builder(p, m, i, n):
-        src = tensor_many(field, [p.term(m), p.term(n)])
+        src = p.pair_complex(m, n)
         imgs = circ_imgs.get((m, i, n))
         if imgs is None:
             return ChainMap.zero(src, p.term(m + n - 1))

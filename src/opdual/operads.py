@@ -20,6 +20,7 @@ the dual tree-indexed data (expansions and grafting multiplications).
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .chain import (
     ChainComplex, ChainMap, _graded_basis, _place, dual_map, is_quasi_iso,
@@ -71,25 +72,32 @@ def _contraction(u: Tree, e, t: Tree):
     return len(ch), j, u.arity_of(e), pi, order, order.index(v)
 
 
-def _window(build):
+def _window(build, maps=None):
     """The lookup key -> build(*key), each value built on its first
-    request and kept for later ones. It is the only memo of the package
-    apart from the lru_caches of trees and cubes, and it serves two
-    lifetimes:
+    request and kept in maps (a new dict by default) for later ones. It
+    is the only memo of the package apart from the lru_caches of trees
+    and cubes, and it serves three lifetimes:
       - every value built once and kept on an object (the actions, tree
-        complexes and structure maps of a symmetric sequence, the terms,
-        expansions and fragment composites of a pre-cooperad, the coends
-        of bbar, the ends of co-W, the composites of a tree diagram) is
-        a window made with the object, read through the public method
-        that returns it, and lives as long as the object;
+        complexes, tensor pairs and structure maps of a symmetric
+        sequence, the terms, expansions and fragment composites of a
+        pre-cooperad, the coends of bbar, the ends of co-W, the
+        composites of a tree diagram) is a window made with the object,
+        read through the public method that returns it, and lives as
+        long as the object;
       - a map build opens one for the structure maps of its trees or
-        their rules (relabelings, contractions, covers, products of
-        pre-cooperads, the cuts of theta), so each of them is built once
-        per build, not once per basis label, and the window is dropped
-        after its build; cube cells are moved one at a time and need no
-        window;
-        theta_star opens one for its whole family of maps."""
-    maps = {}
+        their rules (relabelings, the contraction and cover rules of the
+        closed forms' differentials, products of pre-cooperads, the cuts
+        of theta), so each of them is made once per build, not once per
+        basis label, and the window is dropped after its build; rules
+        are kept only in such a window, never on an object; cube cells
+        are moved one at a time and need no window;
+        theta_star opens one for its whole family of maps;
+      - a window made with an object over a weakref.WeakValueDictionary
+        keeps a value only while something else holds it: the merge maps
+        of an operad and the split maps of an extended cooperad are
+        shared by the rules that read them, and dropped with the last of
+        those rules at the end of the build that made them."""
+    maps = {} if maps is None else maps
 
     def get(*key):
         f = maps.get(key)
@@ -100,13 +108,11 @@ def _window(build):
     return get
 
 
-def _merge_map(source, target, degrees, slots, k, pair) -> ChainMap:
-    """source -> target merging one edge: place the factors of a label x
-    at slots with their Koszul sign (degrees holds the label_degree of
-    each factor), then send factors k and k+1 through pair.
-    Operad.contract_map and PreCooperad.compose_fragments are built
-    from it."""
-    F = source.field
+def _merge_rule(F, degrees, slots, k, pair):
+    """The rule merging one edge on a label x: place the factors of x at
+    slots with their Koszul sign (degrees holds the label_degree of each
+    factor), then send factors k and k+1 through pair. Operad.contract_rule
+    and PreCooperad.compose_fragments read it."""
     pdeg = pair.source.label_degree
 
     def rule(d, x):
@@ -115,7 +121,7 @@ def _merge_map(source, target, degrees, slots, k, pair) -> ChainMap:
         return [(y[:k] + (l,) + y[k + 2:], F.mul(s, c))
                 for l, c in img.items()]
 
-    return ChainMap.from_rule(source, target, rule)
+    return rule
 
 
 def _unwrap(source, target) -> ChainMap:
@@ -159,6 +165,8 @@ class SymSeq:
         self._acts = _window(self._act)
         self._tree_complexes = _window(lambda t: tensor_many(
             field, [self.term(t.arity_of(v)) for v in t.vertices()]))
+        self._pairs = _window(lambda m, n: tensor_many(
+            field, [self.term(m), self.term(n)]))
 
     @property
     def unit_label(self):
@@ -169,6 +177,11 @@ class SymSeq:
             raise ValueError(f"arity {n} out of range 1..{self.N}")
         c = self._terms.get(n)
         return c if c is not None else zero_complex(self.field)
+
+    def pair_complex(self, m, n) -> ChainComplex:
+        """term(m) (x) term(n), built once: the tensor side of every
+        circ(m, i, n) or cocirc(m, i, n)."""
+        return self._pairs(m, n)
 
     def sigma_adj(self, n, i) -> ChainMap:
         """The action of s_i on term(n): the zero map on a zero term,
@@ -201,7 +214,7 @@ class SymSeq:
         otherwise builder(self, m, i, n), built once. So a builder is
         only called with m, n >= 2."""
         def build(m, i, n):
-            src = tensor_many(self.field, [self.term(m), self.term(n)])
+            src = self.pair_complex(m, n)
             tgt = self.term(m + n - 1)
             if not into_top:
                 src, tgt = tgt, src
@@ -288,6 +301,7 @@ class Operad(SymSeq):
         super().__init__(field, N, terms, adjacent, name=name)
         self._circ = self._structure("circ", circ_builder, True)
         self._along_trees = _window(self._compose_along_tree)
+        self._merges = _window(self._merge, weakref.WeakValueDictionary())
 
     def circ(self, m, i, n) -> ChainMap:
         """term(m) (x) term(n) -> term(m+n-1), grafting at input i."""
@@ -306,17 +320,28 @@ class Operad(SymSeq):
         return self.circ(m, i, n).apply(dx.pop() + dy.pop(), vec)
 
     def contract_map(self, t: Tree, e) -> ChainMap:
-        """tree_complex(t) -> tree_complex(t/e): place the factors in the
-        vertex order of t/e with the merged vertex split into v, e (with
-        the Koszul sign), then compose the two factors meeting at e and
-        resort the merged vertex's inputs."""
-        t2 = t.contract(e)
-        a, j, b, pi, order, k = _contraction(t, e, t2)
-        return _merge_map(self.tree_complex(t), self.tree_complex(t2),
-                          [self.term(a).label_degree
-                           for a in _vertex_arities(t)],
-                          [order.index(w) for w in t.vertices()], k,
-                          self.circ(a, j, b).then(self.act(a + b - 1, pi)))
+        """tree_complex(t) -> tree_complex(t/e), the map of
+        contract_rule(t, e)."""
+        return ChainMap.from_rule(self.tree_complex(t),
+                                  self.tree_complex(t.contract(e)),
+                                  self.contract_rule(t, e))
+
+    def contract_rule(self, t: Tree, e):
+        """The rule of contract_map(t, e) on one label of tree_complex(t):
+        place the factors in the vertex order of t/e with the merged
+        vertex split into v, e (with the Koszul sign), then compose the
+        two factors meeting at e and resort the merged vertex's inputs,
+        through the merge map of the window."""
+        a, j, b, pi, order, k = _contraction(t, e, t.contract(e))
+        return _merge_rule(self.field, [self.term(n).label_degree
+                                        for n in _vertex_arities(t)],
+                           [order.index(w) for w in t.vertices()], k,
+                           self._merges(a, j, b, tuple(pi.values())))
+
+    def _merge(self, a, j, b, images):
+        """circ(a, j, b) followed by the action of the permutation
+        k -> images[k-1] on term(a+b-1)."""
+        return self.circ(a, j, b).then(self._acts(a + b - 1, images))
 
     def compose_along_tree(self, t: Tree) -> ChainMap:
         """tree_complex(t) -> term(arity): contract the first edge e of
@@ -360,7 +385,7 @@ def builtin_operad(name, field, N) -> Operad:
 
         def circ_builder(p, m, i, n):
             return ChainMap.from_rule(
-                tensor_many(field, [p.term(m), p.term(n)]), p.term(m + n - 1),
+                p.pair_complex(m, n), p.term(m + n - 1),
                 lambda d, tup: [("e", 1)])
 
         return Operad(field, N, terms,
@@ -392,7 +417,7 @@ def builtin_operad(name, field, N) -> Operad:
                 return tuple(out)
 
             return ChainMap.from_rule(
-                tensor_many(field, [p.term(m), p.term(n)]), p.term(m + n - 1),
+                p.pair_complex(m, n), p.term(m + n - 1),
                 lambda d, tup: [(splice(tup), 1)])
 
         return Operad(field, N, terms, _prebuilt(adjacents), circ_builder,
@@ -410,8 +435,7 @@ def trivial_operad(a: SymSeq) -> Operad:
 
 def _trivial_circ(p, m, i, n) -> ChainMap:
     """The zero composition between arities >= 2."""
-    return ChainMap.zero(tensor_many(p.field, [p.term(m), p.term(n)]),
-                         p.term(m + n - 1))
+    return ChainMap.zero(p.pair_complex(m, n), p.term(m + n - 1))
 
 
 def _free_relabel_rule(a: SymSeq, sigma):
@@ -462,8 +486,8 @@ def free_operad(a: SymSeq, N) -> Operad:
         terms[n], terms[n], _free_relabel_rule(a, s)))
 
     def circ_builder(p, m, i, n):
-        return ChainMap.from_rule(tensor_many(field, [p.term(m), p.term(n)]),
-                                  p.term(m + n - 1), _free_graft_rule(a, i))
+        return ChainMap.from_rule(p.pair_complex(m, n), p.term(m + n - 1),
+                                  _free_graft_rule(a, i))
 
     return Operad(field, N, terms, adjacent, circ_builder,
                   name=f"free({a.name})" if a.name else "free")
@@ -592,9 +616,8 @@ def dualize(x):
         def cocirc_builder(q, m, i, n):
             f = dual_map(x.circ(m, i, n))
             # relabel dual-of-tensor as tensor-of-duals
-            tgt = tensor_many(field, [q.term(m), q.term(n)])
             unpair = ChainMap.from_rule(
-                f.target, tgt,
+                f.target, q.pair_complex(m, n),
                 lambda d, lab: [((("dual", lab[1][0]), ("dual", lab[1][1])), 1)])
             return f.then(unpair)
 
@@ -603,10 +626,9 @@ def dualize(x):
 
     if isinstance(x, Cooperad):
         def circ_builder(q, m, i, n):
-            src = tensor_many(field, [q.term(m), q.term(n)])
             f = dual_map(x.cocirc(m, i, n))
             pair = ChainMap.from_rule(
-                src, f.source,
+                q.pair_complex(m, n), f.source,
                 lambda d, lab: [(("dual", (lab[0][1], lab[1][1])), 1)])
             return pair.then(f)
 
@@ -620,8 +642,9 @@ def dualize(x):
 class PreCooperad:
     """Tree-indexed complexes with relabeling maps, expansion maps along
     covers, and grafting multiplications. Subclasses override _term,
-    _relabel_map, _cover_map and _m_map; m_map builds the unit law
-    itself, so _m_map sees only trees with at least 2 leaves."""
+    _relabel_map, _cover_map and _m_map, and may override cover_rule
+    with a rule that builds no map; m_map builds the unit law itself, so
+    _m_map sees only trees with at least 2 leaves."""
 
     def __init__(self, field, N, name=""):
         self.field = field
@@ -641,6 +664,12 @@ class PreCooperad:
         """Q(t) -> Q(u) for the single-edge expansion u with u/e = t."""
         assert u.contract(e) == t
         return self._cover_map(t, u, e)
+
+    def cover_rule(self, t: Tree, u: Tree, e):
+        """The rule of cover_map(t, u, e) on one label of term(t): here the
+        map applied to that label; ExtendedCooperad builds no map."""
+        f, one = self.cover_map(t, u, e), self.field.one
+        return lambda d, x: f.apply(d, {x: one}).items()
 
     def expansion_map(self, t: Tree, u: Tree) -> ChainMap:
         """Q(t) -> Q(u) for any t <= u, composed along a deterministic
@@ -684,10 +713,9 @@ class PreCooperad:
         if any(x != y for x, y in pi.items()):
             pair = pair.then(self.relabel_map(graft(F_v, j, F_e), pi))
         rest = self.compose_fragments(T, U2)
-        return _merge_map(src, rest.source,
-                          [f.label_degree for f in factors],
-                          [order.index(w) for w in U.vertices()], k,
-                          pair).then(rest)
+        return ChainMap.from_rule(src, rest.source, _merge_rule(
+            self.field, [f.label_degree for f in factors],
+            [order.index(w) for w in U.vertices()], k, pair)).then(rest)
 
 
 class ExtendedCooperad(PreCooperad):
@@ -698,6 +726,7 @@ class ExtendedCooperad(PreCooperad):
         super().__init__(q.field, q.N,
                          name=f"extend({q.name})" if q.name else "extend")
         self.q = q
+        self._splits = _window(self._split, weakref.WeakValueDictionary())
 
     def _term(self, t):
         return self.q.tree_complex(t)
@@ -706,13 +735,17 @@ class ExtendedCooperad(PreCooperad):
         return self.q.tree_relabel(t, sigma)
 
     def _cover_map(self, t, u, e):
-        """Split the merged factor with cocirc, then place the factors
-        in the vertex order of u with the Koszul sign: the inverse route
-        of the operad-side edge contraction."""
+        return ChainMap.from_rule(self.term(t), self.term(u),
+                                  self.cover_rule(t, u, e))
+
+    def cover_rule(self, t, u, e):
+        """Split the merged factor through the split map of the window,
+        then place the factors in the vertex order of u with the Koszul
+        sign: the inverse route of the operad-side edge contraction."""
         q = self.q
         F = self.field
         a, j, b, pi, order, k = _contraction(u, e, t)
-        pair = q.act(a + b - 1, _inverse_perm(pi)).then(q.cocirc(a, j, b))
+        pair = self._splits(a, j, b, tuple(pi.values()))
         factors = [q.term(u.arity_of(w)) for w in order]
         vs = u.vertices()
         slots = [vs.index(w) for w in order]
@@ -728,7 +761,14 @@ class ExtendedCooperad(PreCooperad):
                 out.append((lab, F.mul(s, c)))
             return out
 
-        return ChainMap.from_rule(self.term(t), self.term(u), rule)
+        return rule
+
+    def _split(self, a, j, b, images):
+        """The action of the inverse of the permutation k -> images[k-1]
+        on q(a+b-1), followed by cocirc(a, j, b)."""
+        pi = dict(enumerate(images, 1))
+        return self.q.act(a + b - 1, _inverse_perm(pi)).then(
+            self.q.cocirc(a, j, b))
 
     def _m_map(self, t, i, u):
         src = tensor_many(self.field, [self.term(t), self.term(u)])

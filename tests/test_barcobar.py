@@ -21,9 +21,10 @@ from opdual.cubes import (
     wbar_relabel,
 )
 from opdual.operads import (
-    Operad, PreCooperad, SymSeq, builtin_operad, check_operad_axioms, dualize,
-    extend_cooperad, free_operad, free_precooperad, is_quasi_cooperad,
-    symseq_from_degrees, trivial_operad, truncate,
+    ExtendedCooperad, Operad, PreCooperad, SymSeq, builtin_operad,
+    check_operad_axioms, dualize, extend_cooperad, free_operad,
+    free_precooperad, is_quasi_cooperad, symseq_from_degrees, trivial_operad,
+    truncate,
 )
 from opdual.barcobar import (
     _cobar_value, _end_graft, _end_map, _end_relabel, _interleave_sign, _sgn,
@@ -664,13 +665,16 @@ def _perm_key(sigma):
 
 def test_structure_maps_built_once_per_key(monkeypatch):
     p = ass(4, F2)
+    # the differentials read contraction and cover rules, each made once
+    # per key; no whole contract_map or cover_map is built
     operad_keyers = ((SymSeq, "tree_relabel",
                       lambda t, sigma: (t, _perm_key(sigma))),
-                     (Operad, "contract_map", lambda t, e: (t, e)))
+                     (Operad, "contract_rule", lambda t, e: (t, e)))
     precooperad_keyers = ((PreCooperad, "relabel_map",
                            lambda t, sigma: (t, _perm_key(sigma))),
-                          (PreCooperad, "cover_map",
+                          (ExtendedCooperad, "cover_rule",
                            lambda t, u, e: (t, u, e)))
+    unbuilt = ((Operad, "contract_map"), (PreCooperad, "cover_map"))
     q = extend_cooperad(bar(p, 4))
 
     def with_actions(c):
@@ -684,6 +688,7 @@ def test_structure_maps_built_once_per_key(monkeypatch):
             (lambda: with_actions(w_construction(p, 4)), operad_keyers),
             (lambda: with_actions(cobar(q, 4)), precooperad_keyers)):
         keys = {name: [] for _, name, _ in keyers}
+        maps = {name: [] for _, name in unbuilt}
         with monkeypatch.context() as m:
             for cls, name, key in keyers:
                 def counted(self, *args, orig=getattr(cls, name), name=name,
@@ -692,10 +697,18 @@ def test_structure_maps_built_once_per_key(monkeypatch):
                     return orig(self, *args)
 
                 m.setattr(cls, name, counted)
+            for cls, name in unbuilt:
+                def built(self, *args, orig=getattr(cls, name), name=name):
+                    maps[name].append(args)
+                    return orig(self, *args)
+
+                m.setattr(cls, name, built)
             construct()
         for name, built in keys.items():
             assert built, name
             assert len(built) == len(set(built)), name
+        for name, built in maps.items():
+            assert not built, name
     # theta and theta_star read the rule of theta_cells on top cells only,
     # each through one window of _theta_cut
     q = extend_cooperad(bar(ass(3, F2), 3))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -12,11 +13,12 @@ from opdual.trees import (
     Tree, _vertex_arities, _vertex_relabel, adjacent_transposition,
     canonical_form, corolla, enumerate_trees, fragments, graft,
 )
+from opdual import operads
 from opdual.operads import (
-    Cooperad, Operad, _contraction, _inverse_perm, builtin_operad,
-    check_operad_axioms, dualize, extend_cooperad, free_operad,
-    free_precooperad, graft_perm, is_quasi_cooperad, symseq_from_degrees,
-    trivial_operad, truncate,
+    Cooperad, ExtendedCooperad, Operad, _contraction, _inverse_perm,
+    builtin_operad, check_operad_axioms, dualize, extend_cooperad,
+    free_operad, free_precooperad, graft_perm, is_quasi_cooperad,
+    symseq_from_degrees, trivial_operad, truncate,
 )
 from opdual.barcobar import bar, bbar, co_w
 from opdual.koszul import dual_precooperad
@@ -390,6 +392,74 @@ def test_one_rule_maps_match_the_two_step_route(p):
                 assert p.contract_map(t, e) == _contract_two_step(p, t, e)
             for u, e in t.expansions():
                 assert eq.cover_map(t, u, e) == _cover_two_step(q, t, u, e)
+
+
+def _rule_image(field, rule, d, x):
+    out = {}
+    for l, c in rule(d, x):
+        out[l] = field.add(out.get(l, field.zero), c)
+    return {l: c for l, c in out.items() if c != field.zero}
+
+
+@pytest.mark.parametrize("p", [
+    builtin_operad("com", QQ, 4), builtin_operad("ass", F2, 4),
+    free_operad(symseq_from_degrees(QQ, 4, {2: [0, 1]}), 4),
+    trivial_operad(symseq_from_degrees(QQ, 4, {2: [0, 1], 3: [1]})),
+], ids=["com", "ass_f2", "free01", "trivial"])
+def test_rules_match_the_two_step_route_label_by_label(p, monkeypatch):
+    F = p.field
+    merges, splits, rules = {}, [], []
+
+    def merge_rule(F, degrees, slots, k, pair, orig=operads._merge_rule):
+        merges[key].append(weakref.ref(pair))
+        return orig(F, degrees, slots, k, pair)
+
+    def split(self, *key, orig=ExtendedCooperad._split):
+        f = orig(self, *key)
+        splits.append((key, weakref.ref(f)))
+        return f
+
+    monkeypatch.setattr(operads, "_merge_rule", merge_rule)
+    monkeypatch.setattr(ExtendedCooperad, "_split", split)
+    q = dualize(p)
+    eq = extend_cooperad(q)
+    for n in range(2, 5):
+        for t in enumerate_trees(n):
+            for e in t.edges():
+                a, j, b, pi, _, _ = _contraction(t, e, t.contract(e))
+                key = (a, j, b, tuple(pi.values()))
+                merges.setdefault(key, [])
+                ref, rule = _contract_two_step(p, t, e), p.contract_rule(t, e)
+                rules.append(rule)
+                for x, d in p.tree_complex(t).label_degree.items():
+                    assert _rule_image(F, rule, d, x) == ref.apply(
+                        d, {x: F.one}), (t, e, x)
+            for u, e in t.expansions():
+                ref, rule = _cover_two_step(q, t, u, e), eq.cover_rule(t, u, e)
+                rules.append(rule)
+                for x, d in q.tree_complex(t).label_degree.items():
+                    assert _rule_image(F, rule, d, x) == ref.apply(
+                        d, {x: F.one}), (t, u, x)
+    # while the rules live, as in the window of a build, edges with one key
+    # (a, j, b, pi) share one merge map and each split map is built once;
+    # the maps go with the last rule that reads them
+    assert any(len(got) > 1 for got in merges.values())
+    assert all(r() is got[0]() is not None
+               for got in merges.values() for r in got)
+    keys = [k for k, _ in splits]
+    assert keys and len(keys) == len(set(keys))
+    del rule
+    rules.clear()
+    assert all(r() is None for got in merges.values() for r in got)
+    assert all(r() is None for _, r in splits)
+
+
+def test_circ_sides_share_one_pair_complex():
+    p = builtin_operad("ass", F2, 5)
+    assert p.circ(3, 2, 3).source is p.circ(3, 1, 3).source
+    assert p.circ(2, 1, 3).source is p.pair_complex(2, 3)
+    q = dualize(p)
+    assert q.cocirc(3, 2, 3).target is q.cocirc(3, 3, 3).target
 
 
 def test_constant_free_precooperad_relabels_by_the_two_step_route():
