@@ -788,37 +788,35 @@ def _theta_cut(field, T: Tree, U: Tree):
 
 
 def _theta_rule(p: Operad):
-    """theta on a label (T, S, x) of W(p): for each tree U <= T, the cell
-    of (T, S) against the top cell of wbar(U) through the rule of
-    theta_cells, and the factors of x regrouped fragment by fragment into
-    bar labels, give the cobar labels (U, classes). The cells of W take
-    the values 1 and * only, and theta_cells kills a fragment coordinate
-    at 1, so no family cell has a zero coordinate and no fragment needs
-    contracting."""
+    """theta on a label (T, S, x) of W(p): the cell of (T, S) against the
+    top cell of wbar(U) through the rule of theta_cells, and the factors
+    of x regrouped fragment by fragment into bar labels, give the cobar
+    labels (U, classes). The cells of W take the values 1 and * only (*
+    on the edges of S), and theta_cells kills a fragment coordinate at 1
+    and a U-edge coordinate at *, so U is the one tree T with the edges
+    of S contracted, no family cell has a zero coordinate and no
+    fragment needs contracting."""
     field = p.field
     cuts = _window(functools.partial(_theta_cut, field))
-    below = _window(lambda T: [U for U in enumerate_trees(T.n) if U.leq(T)])
 
     def rule(d, lab):
         T, S, x = lab
         if T.n == 1:
             return [((T, ()), 1)]
         degs = p._degrees(T, x)
-        cellTS = _w_cell(T, S)
+        U = Tree(T.n, T.clusters - frozenset(S))
+        th, fts, slots = cuts(T, U)
+        xr, s1 = _place(field, x, degs, slots)
+        chunks = _chunks(xr, [ft.num_vertices for ft in fts])
+        dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+        classes = tuple(zip(fts, chunks))
+        s2 = field.mul(s1, _sgn(field, sum(degs) * U.num_vertices))
         out = []
-        for U in below(T):
-            th, fts, slots = cuts(T, U)
-            xr, s1 = _place(field, x, degs, slots)
-            chunks = _chunks(xr, [ft.num_vertices for ft in fts])
-            dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
-            classes = tuple(zip(fts, chunks))
-            dU = U.num_vertices
-            s2 = field.mul(s1, _sgn(field, sum(degs) * dU))
-            for famcell, cth in th(None, (cellTS, _wbar_top(U))):
-                dcs = [wbar(field, ft).label_degree[c]
-                       for ft, c in zip(fts, famcell)]
-                out.append(((U, classes), field.mul(
-                    field.mul(cth, s2), _interleave_sign(field, dxs, dcs))))
+        for famcell, cth in th(None, (_w_cell(T, S), _wbar_top(U))):
+            dcs = [wbar(field, ft).label_degree[c]
+                   for ft, c in zip(fts, famcell)]
+            out.append(((U, classes), field.mul(
+                field.mul(cth, s2), _interleave_sign(field, dxs, dcs))))
         return out
 
     return rule

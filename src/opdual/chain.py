@@ -376,12 +376,15 @@ def linear_dual(c: ChainComplex) -> ChainComplex:
     return ChainComplex(c.field, basis, diff)
 
 
-def dual_map(f: ChainMap) -> ChainMap:
-    """Dual of a degree-0 chain map: dual(target) -> dual(source)."""
+def dual_map(f: ChainMap, source=None, target=None) -> ChainMap:
+    """Dual of a degree-0 chain map: dual(target) -> dual(source). A
+    given source or target is used as that dual, which it must be, so
+    that maps between duals built once share them; the chain-map law is
+    checked against the complexes used."""
     if f.degree != 0:
         raise ValueError("dual_map needs degree 0")
-    src = linear_dual(f.target)
-    tgt = linear_dual(f.source)
+    src = linear_dual(f.target) if source is None else source
+    tgt = linear_dual(f.source) if target is None else target
     mats = {-k: f.matrix(k).transpose() for k in f.mats}
     return ChainMap(src, tgt, mats)
 

@@ -8,7 +8,8 @@ the constructions only see arities >= 2.
 
 Symmetric group actions are given through their adjacent
 transpositions, each built on its first request, and composed on
-demand as left actions (act(s)act(t) = act(st)). Operads store the
+demand as left actions (act(s)act(t) = act(st)), each permutation as
+one product on the action of its prefix. Operads store the
 partial compositions circ(m, i, n): term(m) (x) term(n) -> term(m+n-1)
 in the consecutive-block convention matching trees.graft: the grafted
 inputs become the block {i..i+n-1}.
@@ -195,14 +196,23 @@ class SymSeq:
         return f
 
     def act(self, n, perm) -> ChainMap:
-        """The action of the permutation perm of {1..n} on term(n)."""
+        """The action of the permutation perm of {1..n} on term(n), built
+        once and kept: the product of the actions of the adjacent
+        transpositions of perm_to_adjacents(perm), left to right."""
         return self._acts(n, tuple(perm[k] for k in range(1, n + 1)))
 
     def _act(self, n, images):
-        f = ChainMap.identity(self.term(n))
-        for j in perm_to_adjacents(dict(enumerate(images, 1))):
-            f = f.then(self.sigma_adj(n, j))
-        return f
+        """The identity for the identity permutation; otherwise, with j
+        the last letter of the word w of perm_to_adjacents, the action of
+        s_j o perm (whose word is w without j, as bubble-sort words are
+        prefix-closed) read from the window, then s_j: one product."""
+        word = perm_to_adjacents(dict(enumerate(images, 1)))
+        if not word:
+            return ChainMap.identity(self.term(n))
+        j = word[-1]
+        s = adjacent_transposition(n, j)
+        return self._acts(n, tuple(s[k] for k in images)).then(
+            self.sigma_adj(n, j))
 
     def _structure(self, name, builder, into_top):
         """The lookup (m, i, n) -> the structure map name(m, i, n) between
@@ -585,9 +595,18 @@ def check_operad_axioms(p: Operad) -> list:
                        for pp in itertools.permutations(range(1, n + 1))]
             circs = {j: p.circ(m, j, n) for j in range(1, m + 1)}
             src = circs[1].source
-            for sigma, tau in itertools.product(perms_m, perms_n):
-                st = tensor_map_many(F, [p.act(m, sigma), p.act(n, tau)],
+            # sigma (x) tau = (sigma (x) 1)(1 (x) tau): both factors have
+            # degree 0, so m! + n! tensor builds stand for all m! n!
+            ids = [ChainMap.identity(p.term(k)) for k in (m, n)]
+            lefts = [tensor_map_many(F, [p.act(m, sigma), ids[1]],
                                      source=src, target=src)
+                     for sigma in perms_m]
+            rights = [tensor_map_many(F, [ids[0], p.act(n, tau)],
+                                      source=src, target=src)
+                      for tau in perms_n]
+            for (sigma, left), (tau, right) in itertools.product(
+                    zip(perms_m, lefts), zip(perms_n, rights)):
+                st = left.then(right)
                 for j in range(1, m + 1):
                     rho = graft_perm(sigma, j, tau)
                     lhs = circs[j].then(p.act(m + n - 1, rho))
@@ -605,16 +624,18 @@ def _inverse_perm(perm):
 def dualize(x):
     """Operad -> Cooperad or Cooperad -> Operad by linear duality, up to
     the max arity of x; the structure maps are transposes routed through
-    the (sign-free) pairing dual(A) (x) dual(B) = dual(A (x) B)."""
+    the (sign-free) pairing dual(A) (x) dual(B) = dual(A (x) B). The
+    actions and the term side of every structure map are built on the
+    dual terms themselves, so they are shared and not copied."""
     N = x.N
     field = x.field
     terms = {n: linear_dual(x.term(n)) for n in range(1, N + 1)}
-    adjacent = _adjacent_family(
-        lambda n, s: dual_map(x.act(n, _inverse_perm(s))))
+    adjacent = _adjacent_family(lambda n, s: dual_map(
+        x.act(n, _inverse_perm(s)), source=terms[n], target=terms[n]))
 
     if isinstance(x, Operad):
         def cocirc_builder(q, m, i, n):
-            f = dual_map(x.circ(m, i, n))
+            f = dual_map(x.circ(m, i, n), source=terms[m + n - 1])
             # relabel dual-of-tensor as tensor-of-duals
             unpair = ChainMap.from_rule(
                 f.target, q.pair_complex(m, n),
@@ -626,7 +647,7 @@ def dualize(x):
 
     if isinstance(x, Cooperad):
         def circ_builder(q, m, i, n):
-            f = dual_map(x.cocirc(m, i, n))
+            f = dual_map(x.cocirc(m, i, n), target=terms[m + n - 1])
             pair = ChainMap.from_rule(
                 q.pair_complex(m, n), f.source,
                 lambda d, lab: [(("dual", (lab[0][1], lab[1][1])), 1)])

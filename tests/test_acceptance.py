@@ -117,6 +117,18 @@ def test_criterion_03_bar_homology_ass():
     _report(3, "bar homology of ass, arities 2-4", ok)
 
 
+def _signed_permutation(f):
+    """Every matrix of f has one entry +-1 in each row and each column."""
+    signs = (f.source.field.one, f.source.field.neg(f.source.field.one))
+    for k in f.source.degrees():
+        m = f.matrix(k)
+        if (sorted(i for i, _ in m.data) != list(range(m.nrows))
+                or sorted(j for _, j in m.data) != list(range(m.ncols))
+                or any(v not in signs for v in m.data.values())):
+            return False
+    return True
+
+
 def test_criterion_04_theta():
     a = symseq_from_degrees(QQ, 4, {2: [0]})
     ps = [builtin_operad("com", QQ, 4), builtin_operad("ass", QQ, 4),
@@ -124,7 +136,8 @@ def test_criterion_04_theta():
     ok = True
     for p in ps:
         wp, cb, th = theta(p, 4)
-        ok = ok and all(th[n].is_iso() for n in range(1, 5))
+        ok = ok and all(th[n].is_iso() and _signed_permutation(th[n])
+                        for n in range(1, 5))
         ok = ok and _operad_map(wp, cb, th, 4)
     wc = w_construction(builtin_operad("com", QQ, 3), 3)
     ok = ok and wc.term(3).dims() == {0: 4, 1: 3}

@@ -659,6 +659,64 @@ def test_theta_components_match_labelwise_reference(make):
                                        _labelwise_theta(p))
 
 
+def _theta_rule_by_scan(p, found):
+    """The rule of theta as it read W(p) before it took its one target
+    tree: every U <= T is scanned, and found[(T, S)] collects the trees U
+    that gave a cobar label."""
+    field = p.field
+    cuts = {}
+
+    def rule(d, lab):
+        T, S, x = lab
+        if T.n == 1:
+            return [((T, ()), 1)]
+        degs = p._degrees(T, x)
+        out = []
+        for U in enumerate_trees(T.n):
+            if not U.leq(T):
+                continue
+            if (T, U) not in cuts:
+                cuts[T, U] = barcobar._theta_cut(field, T, U)
+            th, fts, slots = cuts[T, U]
+            xr, s1 = _place(field, x, degs, slots)
+            chunks = _chunks(xr, [ft.num_vertices for ft in fts])
+            dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+            classes = tuple(zip(fts, chunks))
+            s2 = field.mul(s1, _sgn(field, sum(degs) * U.num_vertices))
+            for famcell, cth in th(None, (_w_cell(T, S), _wbar_top(U))):
+                found.setdefault((T, S), set()).add(U)
+                dcs = [wbar(field, ft).label_degree[c]
+                       for ft, c in zip(fts, famcell)]
+                out.append(((U, classes), field.mul(
+                    field.mul(cth, s2), _interleave_sign(field, dxs, dcs))))
+        return out
+
+    return rule
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: com(4), id="com-q"),
+    pytest.param(lambda: ass(4, F2), id="ass-f2"),
+    pytest.param(lambda: free_operad(
+        symseq_from_degrees(QQ, 4, {2: [0, 1]}), 4), id="free01-q"),
+])
+def test_theta_reads_the_one_tree_the_scan_finds(make):
+    # the scan over U <= T finds exactly T with the edges of S contracted,
+    # and the theta matrices agree entry by entry, in order
+    p = make()
+    wp, cb, th = theta(p, 4)
+    found = {}
+    for n in range(1, 5):
+        ref = ChainMap.from_rule(wp.term(n), cb.term(n),
+                                 _theta_rule_by_scan(p, found))
+        assert set(ref.mats) == set(th[n].mats)
+        for k, m in ref.mats.items():
+            assert list(th[n].mats[k].data.items()) == list(m.data.items())
+        for T, S, x in wp.term(n).label_degree:
+            if n > 1:
+                assert found[T, S] == {Tree(n, T.clusters - frozenset(S))}
+
+
 def _perm_key(sigma):
     return tuple(sorted(sigma.items()))
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import weakref
 
@@ -6,17 +7,19 @@ import pytest
 
 from opdual.fields import QQ, F2
 from opdual.chain import (
-    ChainMap, _place, is_quasi_iso, k_complex, tensor_many, tensor_map_many,
+    ChainComplex, ChainMap, _place, is_quasi_iso, k_complex, tensor_many,
+    tensor_map_many,
 )
 from opdual.cubes import _chunks
 from opdual.trees import (
     Tree, _vertex_arities, _vertex_relabel, adjacent_transposition,
     canonical_form, corolla, enumerate_trees, fragments, graft,
+    perm_to_adjacents,
 )
 from opdual import operads
 from opdual.operads import (
-    Cooperad, ExtendedCooperad, Operad, _contraction, _inverse_perm,
-    builtin_operad, check_operad_axioms, dualize, extend_cooperad,
+    Cooperad, ExtendedCooperad, Operad, SymSeq, _contraction, _inverse_perm,
+    _prebuilt, builtin_operad, check_operad_axioms, dualize, extend_cooperad,
     free_operad, free_precooperad, graft_perm, is_quasi_cooperad,
     symseq_from_degrees, trivial_operad, truncate,
 )
@@ -182,6 +185,22 @@ def test_dualize_graded():
     assert check_operad_axioms(dualize(q)) == []
 
 
+def test_dualize_builds_on_its_own_dual_terms():
+    # the actions and the term side of circ and cocirc are built on the
+    # dual terms themselves, not on fresh copies of them
+    q = dualize(builtin_operad("ass", QQ, 4))
+    qq = dualize(q)
+    for n in range(2, 5):
+        for x in (q, qq):
+            s = adjacent_transposition(n, 1)
+            assert x.act(n, s).source is x.term(n)
+            assert x.act(n, s).target is x.term(n)
+    for m, i, n in ((2, 1, 2), (2, 2, 3), (3, 2, 2)):
+        assert q.cocirc(m, i, n).source is q.term(m + n - 1)
+        assert qq.circ(m, i, n).target is qq.term(m + n - 1)
+    assert check_operad_axioms(qq) == []
+
+
 def test_extend_cooperad_dims_and_functorial():
     q = extend_cooperad(dualize(builtin_operad("ass", QQ, 4)))
     assert q.term(corolla(3)).dims() == {0: 6}
@@ -308,11 +327,137 @@ def test_equivariance_skips_pairs_with_a_zero_term(tmp_path, monkeypatch):
 
 
 def test_equivariance_builds_each_sigma_tau_map_once(monkeypatch):
-    # one build per (sigma, tau): 2*2 + 2*6 + 6*2, not one per input j too
+    # sigma (x) tau is (sigma (x) 1)(1 (x) tau): one build per sigma and
+    # one per tau, m! + n! per (m, n): 2+2 + 2+6 + 6+2, not 2*2 + 2*6 + 6*2
     p = builtin_operad("ass", QQ, 4)
     calls = _count_tensor_maps(monkeypatch)
     assert check_operad_axioms(p) == []
-    assert len(calls) == 28
+    assert len(calls) == 20
+
+
+def _half_blind_ass(keep):
+    """ass in arity <= 3 with circ(2, i, 2)(a (x) b) the ass composite of
+    a with the identity word (keep == 0) or of the identity word with b
+    (keep == 1): equivariant in sigma alone or in tau alone."""
+    ass = builtin_operad("ass", QQ, 3)
+    terms = {n: ass.term(n) for n in range(1, 4)}
+
+    def circ_builder(q, m, i, n):
+        f = ass.circ(m, i, n)
+        return ChainMap.from_rule(
+            q.pair_complex(m, n), q.term(m + n - 1),
+            lambda d, ab: f.apply(d, {(ab[0], (1, 2)) if keep == 0
+                                      else ((1, 2), ab[1]): 1}).items())
+
+    return Operad(QQ, 3, terms, ass.sigma_adj, circ_builder)
+
+
+@pytest.mark.parametrize("keep", [0, 1], ids=["tau-break", "sigma-break"])
+def test_equivariance_sees_a_break_in_one_factor_alone(keep):
+    # the check reads every sigma and every tau: an operad that breaks
+    # equivariance only in tau (or only in sigma) fails it
+    assert check_operad_axioms(_half_blind_ass(keep)) == [
+        "equivariance (2,1,2)", "equivariance (2,2,2)"]
+
+
+# -- each action as one product on the action of its prefix ----------------
+
+def _chained_act(p, n, perm):
+    """act(n, perm) as the chain identity, s_j1, ..., s_jk of the word of
+    perm, left to right: the route before each action was one product."""
+    f = ChainMap.identity(p.term(n))
+    for j in perm_to_adjacents(perm):
+        f = f.then(p.sigma_adj(n, j))
+    return f
+
+
+def _seeded_file_copy(p, seed, path):
+    """p written as a file: spec with the basis of every arity in a
+    seeded order, and loaded back."""
+    from opdual.cli import load_operad_spec
+    rng = random.Random(seed)
+    order = {}
+    for n in range(2, p.N + 1):
+        order[n] = list(p.term(n).label_degree)
+        rng.shuffle(order[n])
+
+    def name(lab):
+        return "-".join(map(str, lab))
+
+    def triples(f, src, tgt):
+        row = {l: i for i, l in enumerate(tgt)}
+        return [[row[l2], j, int(c)] for j, l in enumerate(src)
+                for l2, c in f.apply(0, {l: 1}).items()]
+
+    spec = {"field": {"p": p.field.char}, "max_arity": p.N,
+            "terms": {str(n): {"basis": [{"name": name(l), "degree": 0}
+                                         for l in order[n]], "d": []}
+                      for n in order},
+            "sigma": {str(n): {str(i): triples(p.sigma_adj(n, i), order[n],
+                                               order[n])
+                               for i in range(1, n)} for n in order},
+            "circ": [{"m": m, "n": n, "i": i, "matrix": triples(
+                p.circ(m, i, n), [(a, b) for a in order[m] for b in order[n]],
+                order[m + n - 1])}
+                for m in order for n in order if m + n - 1 <= p.N
+                for i in range(1, m + 1)]}
+    path.write_text(json.dumps(spec))
+    return load_operad_spec(str(path))
+
+
+def _braid_breaking():
+    """Arity 3 spanned by a, b with s_1 the swap and s_2 = diag(1, -1):
+    involutions with s_1 s_2 s_1 != s_2 s_1 s_2."""
+    terms = {1: k_complex(QQ, 0, "u"), 2: k_complex(QQ, 0, "m"),
+             3: ChainComplex(QQ, {0: ["a", "b"]}, {})}
+    adjacents = {
+        (2, 1): ChainMap.identity(terms[2]),
+        (3, 1): ChainMap.from_rule(terms[3], terms[3], lambda d, l: [
+            ("b" if l == "a" else "a", 1)]),
+        (3, 2): ChainMap.from_rule(terms[3], terms[3], lambda d, l: [
+            (l, 1 if l == "a" else -1)])}
+    return SymSeq(QQ, 3, terms, _prebuilt(adjacents))
+
+
+@pytest.mark.parametrize("make, top", [
+    (lambda tmp: builtin_operad("ass", F2, 5), 5),
+    (lambda tmp: _seeded_file_copy(builtin_operad("ass", F2, 5), 4,
+                                   tmp / "ass.json"), 5),
+    (lambda tmp: bar(builtin_operad("com", QQ, 4), 4), 4),
+    (lambda tmp: _braid_breaking(), 3),
+], ids=["ass-f2", "file-ass-f2", "bar-com", "braid-breaking"])
+def test_actions_are_the_chained_products_entry_by_entry(make, top, tmp_path):
+    p = make(tmp_path)
+    for n in range(2, top + 1):
+        for images in itertools.permutations(range(1, n + 1)):
+            perm = dict(zip(range(1, n + 1), images))
+            f, ref = p.act(n, perm), _chained_act(p, n, perm)
+            assert f.source is ref.source and f.target is ref.target
+            for k in set(f.mats) | set(ref.mats):
+                assert list(f.matrix(k).data.items()) == \
+                    list(ref.matrix(k).data.items()), (n, images, k)
+
+
+def test_the_fail_list_of_a_braid_breaking_spec_is_pinned(tmp_path):
+    # the actions of a spec whose s_1, s_2 break the braid relation depend
+    # on the word read; the fail list is the one of the chained products
+    from opdual.cli import CliError, load_operad_spec
+    spec = tmp_path / "braid.json"
+    spec.write_text(json.dumps({
+        "max_arity": 3,
+        "terms": {"2": {"basis": [{"name": "m", "degree": 0}], "d": []},
+                  "3": {"basis": [{"name": "a", "degree": 0},
+                                  {"name": "b", "degree": 0}], "d": []}},
+        "sigma": {"2": {"1": [[0, 0, 1]]},
+                  "3": {"1": [[1, 0, 1], [0, 1, 1]],
+                        "2": [[0, 0, 1], [1, 1, -1]]}},
+        "circ": [{"m": 2, "n": 2, "i": 1, "matrix": [[0, 0, 1]]},
+                 {"m": 2, "n": 2, "i": 2, "matrix": [[1, 0, 1]]}]}))
+    with pytest.raises(CliError) as err:
+        load_operad_spec(str(spec))
+    assert str(err.value).endswith(
+        "fails axioms: braid s_1 arity 3, equivariance (2,1,2), "
+        "equivariance (2,2,2)")
 
 
 # -- the one-rule tree-tensor maps against the two-step route --------------

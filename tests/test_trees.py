@@ -280,6 +280,18 @@ def test_perm_to_adjacents():
             assert built == perm
 
 
+def test_bubble_sort_words_are_prefix_closed():
+    # SymSeq._act builds each action on the action of s_j o perm, j the
+    # last letter of the word of perm: that word must be the prefix
+    for n in range(1, 8):
+        for p in itertools.permutations(range(1, n + 1)):
+            word = perm_to_adjacents(dict(zip(range(1, n + 1), p)))
+            if word:
+                s = adjacent_transposition(n, word[-1])
+                prefix = dict(zip(range(1, n + 1), (s[x] for x in p)))
+                assert perm_to_adjacents(prefix) == word[:-1], p
+
+
 def test_arity_six_census_is_fast():
     import time
     t0 = time.time()
