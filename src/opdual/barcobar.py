@@ -17,7 +17,8 @@ The mirrored constructions share one skeleton per step:
                      dropped after the build (closed forms, bar_map,
                      theta, theta_star); per object, the composites of a
                      TreeDiagram, the coends of bbar and the ends of
-                     co-W, kept as long as the object
+                     co-W and, one per arity, the coefficient diagram
+                     they share, kept as long as the object
   _closed_form       the closed-form bar, W and cobar terms and the
                      builder of their actions, each action built on its
                      first sigma_adj request; _top_cell_move and _top_nu
@@ -78,7 +79,7 @@ import itertools
 from .chain import (
     ChainComplex, ChainMap, _graded_basis, _hom_rule, _place,
     cokernel_complex, direct_sum, hom_complex, hom_map, kernel_complex, shift,
-    tensor_many, tensor_map_many, zero_complex,
+    tensor_many, tensor_map_many,
 )
 # theta_cells is not called here: perfbench's tracer test reads the alias
 from .cubes import (
@@ -121,23 +122,29 @@ def _tensor_vecs(field, a, b):
 # -- tree-indexed diagrams and their coends/ends --------------------------
 
 class TreeDiagram:
-    """A chain complex for every tree of a fixed arity and a chain map
-    for every cover relation t < u (one added edge): covariant flavor
-    maps term(t) -> term(u), contravariant maps term(u) -> term(t)."""
+    """A chain complex for every tree of trees (all of one arity) and a
+    chain map for every cover relation t < u (one added edge) between
+    them: covariant flavor maps term(t) -> term(u), contravariant maps
+    term(u) -> term(t). A cover whose lower tree is not among trees is
+    skipped; trees must hold every tree between two of its trees, so
+    that the composites along covers stay inside (all trees of an arity,
+    or the trees above one tree)."""
 
-    def __init__(self, field, n, flavor, term_fn, cover_fn):
+    def __init__(self, field, trees, flavor, term_fn, cover_fn):
         if flavor not in ("covariant", "contravariant"):
             raise ValueError("flavor must be covariant or contravariant")
         self.field = field
-        self.n = n
+        self.n = trees[0].n
         self.flavor = flavor
-        self.trees = enumerate_trees(n)
+        self.trees = trees
         self._terms = {t: term_fn(t) for t in self.trees}
         self.covers = []
         self._cover_maps = {}
         for u in self.trees:
             for e in u.edges():
                 t = u.contract(e)
+                if t not in self._terms:
+                    continue
                 f = cover_fn(t, u, e)
                 lo, hi = (t, u) if flavor == "covariant" else (u, t)
                 if f.source != self._terms[lo] or f.target != self._terms[hi]:
@@ -180,25 +187,25 @@ class TreeDiagram:
 
 
 def wbar_diagram(field, n) -> TreeDiagram:
-    return TreeDiagram(field, n, "covariant",
+    return TreeDiagram(field, enumerate_trees(n), "covariant",
                        lambda t: wbar(field, t),
                        lambda t, u, e: face_inclusion(field, "wbar", t, u))
 
 
 def delta_diagram(field, n) -> TreeDiagram:
-    return TreeDiagram(field, n, "covariant",
+    return TreeDiagram(field, enumerate_trees(n), "covariant",
                        lambda t: delta_cube(field, t),
                        lambda t, u, e: face_inclusion(field, "delta", t, u))
 
 
 def operad_diagram(p: Operad, n) -> TreeDiagram:
-    return TreeDiagram(p.field, n, "contravariant",
+    return TreeDiagram(p.field, enumerate_trees(n), "contravariant",
                        lambda t: p.tree_complex(t),
                        lambda t, u, e: p.contract_map(u, e))
 
 
 def precooperad_diagram(q: PreCooperad, n) -> TreeDiagram:
-    return TreeDiagram(q.field, n, "covariant",
+    return TreeDiagram(q.field, enumerate_trees(n), "covariant",
                        lambda t: q.term(t),
                        lambda t, u, e: q.cover_map(t, u, e))
 
@@ -926,17 +933,21 @@ class BbarPreCooperad(PreCooperad):
         super().__init__(p.field, N,
                          name=f"bbar({p.name})" if p.name else "bbar")
         self.p = p
+        self._coeffs = _window(lambda n: operad_diagram(p, n))
         self._coend = _window(self._build_coend)
 
     def coend_at(self, t: Tree) -> Coend:
         return self._coend(t)
 
     def _build_coend(self, t):
+        """The coend over every tree of t's arity, not only the trees
+        below t: a relation U < U2 with U <= t and U2 not <= t has the
+        nonzero source wbar_family(t, U) (x) p(U2)."""
         field = self.field
-        w = TreeDiagram(field, t.n, "covariant",
+        w = TreeDiagram(field, enumerate_trees(t.n), "covariant",
                         lambda U: wbar_family(field, t, U),
                         lambda U, U2, e: family_cover(field, t, U, U2, e))
-        return Coend(w, operad_diagram(self.p, t.n))
+        return Coend(w, self._coeffs(t.n))
 
     def _term(self, t):
         return self.coend_at(t).complex
@@ -1081,23 +1092,21 @@ class CoWPreCooperad(PreCooperad):
         super().__init__(q.field, N,
                          name=f"co_w({q.name})" if q.name else "co_w")
         self.q = q
+        self._coeffs = _window(lambda n: precooperad_diagram(q, n))
         self._end = _window(self._build_end)
 
     def end_at(self, t: Tree) -> End:
         return self._end(t)
 
     def _build_end(self, t):
+        """The end over the trees U >= t, which hold every cover out of
+        one of them: at any other U the slot Hom(0, q(U)) is zero."""
         field = self.field
         w = TreeDiagram(
-            field, t.n, "covariant",
-            lambda U: (rel_delta(field, U, t) if t.leq(U)
-                       else zero_complex(field)),
-            lambda U, U2, e: (
-                face_inclusion(field, "i", (U, t), (U2, t)) if t.leq(U)
-                else ChainMap.zero(zero_complex(field),
-                                   rel_delta(field, U2, t)
-                                   if t.leq(U2) else zero_complex(field))))
-        return End(w, precooperad_diagram(self.q, t.n))
+            field, [U for U in enumerate_trees(t.n) if t.leq(U)], "covariant",
+            lambda U: rel_delta(field, U, t),
+            lambda U, U2, e: face_inclusion(field, "i", (U, t), (U2, t)))
+        return End(w, self._coeffs(t.n))
 
     def _term(self, t):
         return self.end_at(t).complex
@@ -1148,9 +1157,7 @@ def co_w_resolution(q: PreCooperad, N):
 
             def rule(d, x, t=t, en=en):
                 out = []
-                for U in enumerate_trees(t.n):
-                    if not t.leq(U):
-                        continue
+                for U in en.trees:
                     exp = q.expansion_map(t, U)
                     img = exp.apply(d, {x: field.one})
                     for c in en.weights.term(U).basis.get(0, ()):
@@ -1215,8 +1222,8 @@ def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End,
         bdegs = [Ut.num_vertices + sum(cq._degrees(Ut, xt)) for Ut, xt in lab]
         upos = {g: k for k, g in enumerate(U.vertices())}
         res = {}
-        for V in enumerate_trees(T.n):
-            if not (T.leq(V) and U.leq(V)):
+        for V in en.trees:
+            if not U.leq(V):
                 continue
             frs = fragments(V, T)
             fts = [frs[t].tree for t in tvs]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 from .chain import ChainMap
 from .trees import enumerate_trees
 from .operads import (
-    Cooperad, Operad, PreCooperad, dualize, extend_cooperad,
+    ExtendedCooperad, Operad, PreCooperad, dualize, extend_cooperad,
 )
 from .barcobar import CobarOperad, _sgn, bar, cobar, cobar_map, theta
 
@@ -53,20 +53,19 @@ def kp_iso(p: Operad, N, cdp: CobarOperad | None = None):
 
 # -- the double-dual comparison -------------------------------------------
 
-def double_dual_map(q: Cooperad):
-    """The evaluation map from a cooperad into the dual pre-cooperad of
-    its dual operad kq, per tree up to the max arity of q. Returns
-    (extended q, kq, dual pre-cooperad, family)."""
-    eq = extend_cooperad(q)
-    kq = dualize(q)
+def double_dual_map(eq: ExtendedCooperad):
+    """The evaluation map from the extension eq of a cooperad q into the
+    dual pre-cooperad of its dual operad kq, per tree up to the max arity
+    of q. Returns (kq, dual pre-cooperad, family)."""
+    kq = dualize(eq.q)
     ddq = dual_precooperad(kq)
 
     def rule(d, lab):
         return [(tuple(("dual", ("dual", x)) for x in lab), 1)]
 
     fam = {t: ChainMap.from_rule(eq.term(t), ddq.term(t), rule)
-           for n in range(1, q.N + 1) for t in enumerate_trees(n)}
-    return eq, kq, ddq, fam
+           for n in range(1, eq.N + 1) for t in enumerate_trees(n)}
+    return kq, ddq, fam
 
 
 def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
@@ -76,7 +75,7 @@ def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
     built on."""
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
-    _, kp, ddq, fam = double_dual_map(cb.q.q)
+    kp, ddq, fam = double_dual_map(cb.q)
     ckk = cobar(ddq, N)
     cm = cobar_map(cb, ckk, fam, N)
     kkp, _, iso = kp_iso(kp, N, cdp=ckk)

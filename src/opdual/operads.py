@@ -84,7 +84,9 @@ def _window(build, maps=None):
         pre-cooperad, the coends of bbar, the ends of co-W, the
         composites of a tree diagram) is a window made with the object,
         read through the public method that returns it, and lives as
-        long as the object;
+        long as the object; so is the coefficient diagram of each arity
+        that all coends of bbar, or all ends of co-W, share, which only
+        their builder reads;
       - a map build opens one for the structure maps of its trees or
         their rules (relabelings, the contraction and cover rules of the
         closed forms' differentials, products of pre-cooperads, the cuts
@@ -142,7 +144,8 @@ def _adjacent_family(build):
 
 def _prebuilt(adjacents):
     """The action builder that reads a dict of prebuilt maps keyed
-    (n, i); None for an action the dict lacks."""
+    (n, i), as a `file:` spec gives them; None for an action the dict
+    lacks."""
     return lambda n, i: adjacents.get((n, i))
 
 
@@ -381,37 +384,23 @@ class Cooperad(SymSeq):
 
 # -- built-in operads -----------------------------------------------------
 
-def _identity_adjacents(terms, N):
-    out = {}
-    for n in range(2, N + 1):
-        for i in range(1, n):
-            out[(n, i)] = ChainMap.identity(terms[n])
-    return out
-
-
 def builtin_operad(name, field, N) -> Operad:
     if name == "com":
         terms = {n: k_complex(field, 0, "e") for n in range(1, N + 1)}
+        adjacent = _adjacent_family(lambda n, s: ChainMap.identity(terms[n]))
 
         def circ_builder(p, m, i, n):
             return ChainMap.from_rule(
                 p.pair_complex(m, n), p.term(m + n - 1),
                 lambda d, tup: [("e", 1)])
 
-        return Operad(field, N, terms,
-                      _prebuilt(_identity_adjacents(terms, N)), circ_builder,
-                      name="com")
+        return Operad(field, N, terms, adjacent, circ_builder, name="com")
     if name == "ass":
         terms = {n: ChainComplex(
             field, {0: sorted(itertools.permutations(range(1, n + 1)))}, {})
             for n in range(1, N + 1)}
-        adjacents = {}
-        for n in range(2, N + 1):
-            for i in range(1, n):
-                s = adjacent_transposition(n, i)
-                adjacents[(n, i)] = ChainMap.from_rule(
-                    terms[n], terms[n],
-                    lambda d, w, s=s: [(tuple(s[x] for x in w), 1)])
+        adjacent = _adjacent_family(lambda n, s: ChainMap.from_rule(
+            terms[n], terms[n], lambda d, w: [(tuple(s[x] for x in w), 1)]))
 
         def circ_builder(p, m, i, n):
             def splice(tup):
@@ -430,8 +419,7 @@ def builtin_operad(name, field, N) -> Operad:
                 p.pair_complex(m, n), p.term(m + n - 1),
                 lambda d, tup: [(splice(tup), 1)])
 
-        return Operad(field, N, terms, _prebuilt(adjacents), circ_builder,
-                      name="ass")
+        return Operad(field, N, terms, adjacent, circ_builder, name="ass")
     raise ValueError(f"unknown built-in operad {name!r}")
 
 
@@ -530,9 +518,10 @@ def check_operad_axioms(p: Operad) -> list:
         fails.append("unit term")
     u = p.unit_label
 
-    for n in range(2, N + 1):
-        if p.term(n).total_dim() == 0:
-            continue
+    # a zero term has no basis label and only zero maps, so only the
+    # nonzero arities enter the identities below
+    live = [n for n in range(2, N + 1) if p.term(n).total_dim() > 0]
+    for n in live:
         gens = [p.sigma_adj(n, i) for i in range(1, n)]
         ident = ChainMap.identity(p.term(n))
         for i, s in enumerate(gens):
@@ -556,7 +545,7 @@ def check_operad_axioms(p: Operad) -> list:
             if p.circ_el(1, 1, m, {u: F.one}, x) != x:
                 fails.append(f"left unit circ(1,1,{m})")
 
-    for m, n, q in itertools.product(range(2, N + 1), repeat=3):
+    for m, n, q in itertools.product(live, repeat=3):
         if m + n + q - 2 > N:
             continue
         tm, tn, tq = p.term(m), p.term(n), p.term(q)
@@ -583,11 +572,9 @@ def check_operad_axioms(p: Operad) -> list:
                     if lhs != rhs:
                         fails.append(f"parallel associativity ({m},{i},{k})")
 
-    for m in range(2, N + 1):
-        for n in range(2, N + 1):
-            # with a zero term among m, n, m+n-1 both sides are zero maps
-            if m + n - 1 > N or any(p.term(k).total_dim() == 0
-                                    for k in (m, n, m + n - 1)):
+    for m in live:
+        for n in live:
+            if m + n - 1 not in live:
                 continue
             perms_m = [dict(zip(range(1, m + 1), pp))
                        for pp in itertools.permutations(range(1, m + 1))]
@@ -919,6 +906,5 @@ def symseq_from_degrees(field, N, gens, name="a") -> SymSeq:
             for k, d in enumerate(degs):
                 basis.setdefault(d, []).append(f"a{n}_{k}")
             terms[n] = ChainComplex(field, basis, {})
-    adjacents = {(n, i): ChainMap.identity(terms[n])
-                 for n in terms if n >= 2 for i in range(1, n)}
-    return SymSeq(field, N, terms, _prebuilt(adjacents), name=name)
+    return SymSeq(field, N, terms, _adjacent_family(
+        lambda n, s: ChainMap.identity(terms[n])), name=name)

@@ -7,7 +7,7 @@ from opdual import barcobar, cubes
 from opdual.fields import QQ, F2, Field
 from opdual.chain import (
     ChainComplex, ChainMap, _hom_rule, _place, direct_sum, hom_complex,
-    hom_map, is_quasi_iso, tensor_many, tensor_map_many,
+    hom_map, is_quasi_iso, tensor_many, tensor_map_many, zero_complex,
 )
 from opdual.trees import (
     Tree, _graft_place, _split_graft, _token_image, adjacent_transposition,
@@ -17,8 +17,8 @@ from opdual.trees import (
 from opdual.cubes import (
     STAR, _chunks, _mu_cell, _relabel_slots, _star_sign, _wbar_tokens,
     delta_cube, face_inclusion, family_inclusion, graft_decompose,
-    nu_general, rel_delta_relabel, rel_split, theta_cells, wbar, wbar_family,
-    wbar_relabel,
+    nu_general, rel_delta, rel_delta_relabel, rel_split, theta_cells, wbar,
+    wbar_family, wbar_relabel,
 )
 from opdual.operads import (
     ExtendedCooperad, Operad, PreCooperad, SymSeq, builtin_operad,
@@ -29,7 +29,8 @@ from opdual.operads import (
 from opdual.barcobar import (
     _cobar_value, _end_graft, _end_map, _end_relabel, _interleave_sign, _sgn,
     _tensor_vecs, _top_nu,
-    _w_cell, _wbar_top, Coend, End, bar, bar_engine, bar_map, bbar,
+    _w_cell, _wbar_top, Coend, End, TreeDiagram, bar, bar_engine, bar_map,
+    bbar,
     closed_bar_to_engine, closed_cobar_to_engine, closed_w_to_engine, co_w,
     co_w_resolution, cobar, cobar_engine, cobar_map, delta_diagram,
     epsilon_trivial, flip_sharp, operad_diagram, precooperad_diagram, theta,
@@ -767,6 +768,25 @@ def test_structure_maps_built_once_per_key(monkeypatch):
             assert len(built) == len(set(built)), name
         for name, built in maps.items():
             assert not built, name
+    # bbar's coends and co-W's ends read the coefficient diagram of their
+    # arity from one window on the object: over every tree of arity <= 4,
+    # each contraction map of p and each cover map of q is built once
+    for at, cls, name in (
+            (bbar(p, 4).coend_at, Operad, "contract_map"),
+            (co_w(extend_cooperad(bar(com(4), 4)), 4).end_at,
+             ExtendedCooperad, "_cover_map")):
+        built = []
+
+        def counted(self, *args, orig=getattr(cls, name)):
+            built.append(args)
+            return orig(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cls, name, counted)
+            for n in range(1, 5):
+                for t in enumerate_trees(n):
+                    at(t)
+        assert built and len(built) == len(set(built)), name
     # theta and theta_star read the rule of theta_cells on top cells only,
     # each through one window of _theta_cut
     q = extend_cooperad(bar(ass(3, F2), 3))
@@ -1174,7 +1194,8 @@ def test_cobar_value_matches_engine_incl(name, field):
                          ids=["com-q", "ass-f2"])
 def test_cobar_map_matches_engine_reference(name, field):
     from opdual.koszul import double_dual_map
-    eq, _, ddq, fam = double_dual_map(bar(builtin_operad(name, field, 3), 3))
+    eq = extend_cooperad(bar(builtin_operad(name, field, 3), 3))
+    _, ddq, fam = double_dual_map(eq)
     c1, c2 = cobar(eq, 3), cobar(ddq, 3)
     cm = cobar_map(c1, c2, fam, 3)
     for n in (1, 2, 3):
@@ -1322,6 +1343,48 @@ def test_end_maps_match_the_built_map_route(name, field):
     assert sum(not f.is_zero() for _, f, _ in checks) > len(checks) // 2
     for what, f, ref in checks:
         assert f == ref, what
+
+
+def _end_over_all_trees(cw, t):
+    """co-W's end at t over every tree of t's arity: the relative cube at
+    the trees U >= t, and the zero complex, with zero maps out of it, at
+    the others."""
+    field = cw.field
+    zero = zero_complex(field)
+
+    def rel(U):
+        return rel_delta(field, U, t) if t.leq(U) else zero
+
+    def cover(U, U2, e):
+        if t.leq(U):
+            return face_inclusion(field, "i", (U, t), (U2, t))
+        return ChainMap.zero(zero, rel(U2))
+
+    weights = TreeDiagram(field, enumerate_trees(t.n), "covariant", rel, cover)
+    return End(weights, precooperad_diagram(cw.q, t.n))
+
+
+@pytest.mark.parametrize("make, N", [
+    pytest.param(lambda: extend_cooperad(bar(com(4), 4)), 4, id="com-q"),
+    pytest.param(lambda: extend_cooperad(bar(ass(3, F2), 3)), 3, id="ass-f2"),
+])
+def test_co_w_end_spans_the_trees_above_and_equals_the_end_over_all(make, N):
+    # the slots at the trees not above t are Hom(0, q(U)) = 0 and no
+    # relation out of them survives: the end over the trees above t is
+    # the end over all trees, matrix entry by matrix entry
+    cw = co_w(make(), N)
+    for n in range(1, N + 1):
+        trees = enumerate_trees(n)
+        for t in trees:
+            en, ref = cw.end_at(t), _end_over_all_trees(cw, t)
+            assert en.trees == [U for U in trees if t.clusters <= U.clusters]
+            assert en.complex == ref.complex, t
+            for f, g in ((en.incl, ref.incl), (en.diff_map, ref.diff_map)):
+                assert f.source == g.source and f.target == g.target, t
+                assert f.mats.keys() == g.mats.keys(), t
+                for k, m in g.mats.items():
+                    assert list(f.mats[k].data.items()) == \
+                        list(m.data.items()), (t, k)
 
 
 def test_end_factor_matches_solve(monkeypatch):

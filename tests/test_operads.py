@@ -326,6 +326,25 @@ def test_equivariance_skips_pairs_with_a_zero_term(tmp_path, monkeypatch):
     assert not calls
 
 
+def test_axioms_walk_only_the_nonzero_arities(monkeypatch):
+    # one binary generator up to arity 400: the associativity triples and
+    # the equivariance pairs read only arity 2, so the check asks for a
+    # term a bounded number of times per arity, not once per triple
+    N = 400
+    p = trivial_operad(symseq_from_degrees(QQ, N, {2: [0]}))
+    calls = []
+
+    def counted(self, n, orig=SymSeq.term):
+        calls.append(n)
+        # stop a cubic walk early instead of timing it out
+        assert len(calls) <= 4 * N, "term read more than 4 N times"
+        return orig(self, n)
+
+    monkeypatch.setattr(SymSeq, "term", counted)
+    assert check_operad_axioms(p) == []
+    assert calls
+
+
 def test_equivariance_builds_each_sigma_tau_map_once(monkeypatch):
     # sigma (x) tau is (sigma (x) 1)(1 (x) tau): one build per sigma and
     # one per tau, m! + n! per (m, n): 2+2 + 2+6 + 6+2, not 2*2 + 2*6 + 6*2
