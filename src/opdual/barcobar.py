@@ -258,8 +258,8 @@ class Coend(_Engine):
             # (x, y) -> (f x, y) in the slot at u minus (x, g y) at t
             (t, u), (x, y) = lab
             f, g = wmap(t, u), cmap(t, u)
-            fx = f.apply(f.source.label_degree[x], {x: field.one})
-            gy = g.apply(g.source.label_degree[y], {y: field.one})
+            fx = f.image(x)
+            gy = g.image(y)
             return ([((u, (x2, y)), c) for x2, c in fx.items()] +
                     [((t, (x, y2)), field.neg(c)) for y2, c in gy.items()])
 
@@ -316,9 +316,8 @@ class End(_Engine):
 
     def component(self, t) -> ChainMap:
         """The slot-t part of the kernel inclusion."""
-        one = self.field.one
         return ChainMap.from_rule(self.complex, self.homs[t], lambda d, l: [
-            (h, c) for (T, h), c in self.incl.apply(d, {l: one}).items()
+            (h, c) for (T, h), c in self.incl.image(l).items()
             if T == t])
 
     def factor(self, G: ChainMap) -> ChainMap:
@@ -392,9 +391,9 @@ def _end_graft(q: PreCooperad, i, e1: End, e2: End, ev: End, split,
         l1, l2 = pair
         d1 = e1.complex.label_degree[l1]
         d2 = e2.complex.label_degree[l2]
-        v2 = e2.incl.apply(d2, {l2: field.one})
+        v2 = e2.incl.image(l2)
         out = []
-        for (T, h1), c1 in e1.incl.apply(d1, {l1: field.one}).items():
+        for (T, h1), c1 in e1.incl.image(l1).items():
             wT = e1.weights.term(T).label_degree
             for (U, h2), c2 in v2.items():
                 V, f = comp.get((T, U), (None, None))
@@ -428,11 +427,14 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
     """The skeleton of the closed-form bar, W and cobar constructions. In
     arity n the basis is (t, *deco, x) in degree |x| + k, for the trees
     t, each (deco, k) in decorations(t) and the labels x of term(t); the
-    rule boundary(rules, d, label) gives the differential, rules being a
-    window over structure, which returns rules on one label and builds
-    no map (_contractions(p) for bar and W, the covers of a tree with
-    their rules for cobar); sigma acts on the tree term through
-    relabel(t, sigma) and on the decoration by cube_move(field, t, t2,
+    rule boundary(plans, d, label) gives the differential, plans being a
+    window over structure, which gives one plan per tree t: term(t) and
+    the rules on one label that its differential reads, with their trees
+    and signs, and builds no map (_contractions(p) for bar and W, the
+    covers of t with their rules for cobar), so a label reads its tree's
+    plan once; sigma acts on the tree term through relabel(t, sigma),
+    read with t.relabel(sigma) once per tree from the window of the
+    action's build, and on the decoration by cube_move(field, t, t2,
     sigma, deco) -> (the new decoration, its sign). Returns (terms, the
     builder of the adjacent actions): no action is built here, each one
     is built when sigma_adj first asks for it."""
@@ -446,24 +448,29 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
             field, basis, functools.partial(boundary, _window(structure)))
 
     def act(n, sigma):
-        moves = _window(lambda t: relabel(t, sigma))
+        moves = _window(lambda t: (t.relabel(sigma), relabel(t, sigma)))
 
         def rule(d, lab):
             t, x = lab[0], lab[-1]
-            t2 = t.relabel(sigma)
+            t2, f = moves(t)
             deco, ws = cube_move(field, t, t2, sigma, lab[1:-1])
-            img = moves(t).apply(term(t).label_degree[x], {x: field.one})
             return [((t2,) + deco + (x2,), field.mul(ws, c))
-                    for x2, c in img.items()]
+                    for x2, c in f.image(x).items()]
         return ChainMap.from_rule(terms[n], terms[n], rule)
 
     return terms, _adjacent_family(act)
 
 
 def _contractions(p: Operad):
-    """The structure of bar's and W's differentials: (t, e) -> (t/e, the
-    contraction rule of p at e)."""
-    return lambda t, e: (t.contract(e), p.contract_rule(t, e))
+    """The plan of bar's and W's differentials on a tree t: (the tree
+    complex of t, each edge e mapped to (the bar sign (-1)^k of the k-th
+    edge, t/e, the contraction rule of p at e), in edge order, the bar
+    sign (-1)^(vertices) of the internal differential). W reads its own
+    signs off its marked edges."""
+    field = p.field
+    return lambda t: (p.tree_complex(t), {
+        e: (_sgn(field, k), t.contract(e), p.contract_rule(t, e))
+        for k, e in enumerate(t.edges())}, _sgn(field, t.num_vertices))
 
 
 def _top_cell_move(field, t, t2, sigma, deco):
@@ -492,17 +499,15 @@ def bar(p: Operad, N) -> Cooperad:
     grafting edge."""
     field = p.field
 
-    def boundary(contract, d, lab):
+    def boundary(plans, d, lab):
         t, x = lab
-        dx = p.tree_complex(t).label_degree[x]
+        tc, edges, s = plans(t)
+        dx = tc.label_degree[x]
         out = []
-        for k, e in enumerate(t.edges()):
-            s = _sgn(field, k)
-            t2, rule = contract(t, e)
-            out.extend(((t2, x2), field.mul(s, c)) for x2, c in rule(dx, x))
-        s = _sgn(field, t.num_vertices)
+        for se, t2, rule in edges.values():
+            out.extend(((t2, x2), field.mul(se, c)) for x2, c in rule(dx, x))
         out.extend(((t, x2), field.mul(s, c))
-                   for x2, c in p.tree_complex(t).boundary_of(x).items())
+                   for x2, c in tc.boundary_of(x).items())
         return out
 
     terms, adjacent = _closed_form(
@@ -551,13 +556,9 @@ def _labelwise(c1, c2, fam, N) -> dict:
     """The per-arity maps c1.term(n) -> c2.term(n) between two closed
     forms with labels (t, x): x goes through the per-tree map fam(t),
     label by label (bar_map, cobar_map)."""
-    one = c1.field.one
-
     def rule(d, lab):
         t, x = lab
-        f = fam(t)
-        img = f.apply(f.source.label_degree[x], {x: one})
-        return [((t, x2), c) for x2, c in img.items()]
+        return [((t, x2), c) for x2, c in fam(t).image(x).items()]
 
     return {n: ChainMap.from_rule(c1.term(n), c2.term(n), rule)
             for n in range(1, N + 1)}
@@ -586,20 +587,21 @@ def w_construction(p: Operad, N) -> Operad:
         return [((S,), r) for r in range(t.num_edges + 1)
                 for S in itertools.combinations(t.edges(), r)]
 
-    def boundary(contract, d, lab):
+    def boundary(plans, d, lab):
         t, S, x = lab
-        dx = p.tree_complex(t).label_degree[x]
+        tc, edges, _ = plans(t)
+        dx = tc.label_degree[x]
         out = []
         for k, e in enumerate(S):
             s = _sgn(field, k)
             S2 = S[:k] + S[k + 1:]
             out.append(((t, S2, x), s))
-            t2, rule = contract(t, e)
+            _, t2, rule = edges[e]
             out.extend(((t2, S2, x2), field.mul(field.neg(s), c))
                        for x2, c in rule(dx, x))
         s = _sgn(field, len(S))
         out.extend(((t, S, x2), field.mul(s, c))
-                   for x2, c in p.tree_complex(t).boundary_of(x).items())
+                   for x2, c in tc.boundary_of(x).items())
         return out
 
     def marked_move(field, t, t2, sigma, deco):
@@ -645,14 +647,12 @@ def w_resolution(p: Operad, N):
     map); eta o zeta = id. Arity 1 follows the same rules: the 1-leaf
     tree composes to the unit and its label has no factor."""
     wp = w_construction(p, N)
-    field = p.field
 
     def eta_rule(d, lab):
         t, S, x = lab
         if S:
             return []
-        dx = p.tree_complex(t).label_degree[x]
-        return list(p.compose_along_tree(t).apply(dx, {x: field.one}).items())
+        return list(p.compose_along_tree(t).image(x).items())
 
     etas, zetas = {}, {}
     for n in range(1, N + 1):
@@ -686,18 +686,19 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
     q.relabel_map with the top-cell sign and the composition is the
     grafting multiplication of q with the nu sign of the top cells."""
     field = q.field
-    one = field.one
 
     def covers(t):
-        return [(u, _sgn(field, u.edges().index(e)), q.cover_rule(t, u, e))
-                for u, e in t.expansions()]
+        return q.term(t), [
+            (u, _sgn(field, u.edges().index(e)), q.cover_rule(t, u, e))
+            for u, e in t.expansions()]
 
-    def boundary(covers, d, lab):
+    def boundary(plans, d, lab):
         t, x = lab
-        dx = q.term(t).label_degree[x]
-        out = [((t, x2), c) for x2, c in q.term(t).boundary_of(x).items()]
+        tc, covers = plans(t)
+        dx = tc.label_degree[x]
+        out = [((t, x2), c) for x2, c in tc.boundary_of(x).items()]
         s = _sgn(field, d + 1)
-        for u, su, f in covers(t):
+        for u, su, f in covers:
             out.extend(((u, x2), field.mul(field.mul(s, su), c))
                        for x2, c in f(dx, x))
         return out
@@ -715,8 +716,7 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
             s = field.mul(_top_nu(field, t, i, u),
                           _sgn(field, (dy - u.num_vertices) * t.num_vertices))
             v = graft(t, i, u)
-            img = mult(t, u).apply(d + t.num_vertices + u.num_vertices,
-                                   {(x, y): one})
+            img = mult(t, u).image((x, y))
             return [((v, z), field.mul(s, c)) for z, c in img.items()]
 
         return ChainMap.from_rule(op.pair_complex(m, n), op.term(m + n - 1),
@@ -748,8 +748,7 @@ def _cobar_value(q: PreCooperad, t: Tree, x, u: Tree, cell) -> dict:
     u/E = t, and 0 otherwise."""
     if not (t.leq(u) and cell == _face_cell(t, u)):
         return {}
-    return q.expansion_map(t, u).apply(q.term(t).label_degree[x],
-                                       {x: q.field.one})
+    return q.expansion_map(t, u).image(x)
 
 
 def closed_cobar_to_engine(q: PreCooperad, cb: CobarOperad,
@@ -1049,7 +1048,7 @@ def transpose_to_precooperad(phi, bp: BbarPreCooperad, cq: CobarOperad):
                 dys = [p.term(ft.n).label_degree[l] for ft, l in zip(fts, y)]
                 vals = _evaluate(
                     cq, fts, cells,
-                    lambda j: phi[fts[j].n].apply(dys[j], {y[j]: field.one}),
+                    lambda j: phi[fts[j].n].image(y[j]),
                     dys, field.one)
                 if not vals:
                     return []
@@ -1159,7 +1158,7 @@ def co_w_resolution(q: PreCooperad, N):
                 out = []
                 for U in en.trees:
                     exp = q.expansion_map(t, U)
-                    img = exp.apply(d, {x: field.one})
+                    img = exp.image(x)
                     for c in en.weights.term(U).basis.get(0, ()):
                         out.extend(((U, ("h", c, y)), cy)
                                    for y, cy in img.items())

@@ -12,6 +12,8 @@ Sign conventions (fixed once, verified by tests):
 """
 from __future__ import annotations
 
+import functools
+
 from .fields import Field
 from .linalg import Eliminator, Matrix
 
@@ -20,6 +22,30 @@ def _stray(what, err: KeyError, basis) -> ValueError:
     """The error for a label outside its basis, in place of the KeyError
     err that looking it up raised."""
     return ValueError(f"{what}: {err.args[0]!r} is not a label of {basis}")
+
+
+def _fill(m: Matrix, labels, rule, index, stray) -> Matrix:
+    """m with column j summing the (label, coeff) pairs of rule(labels[j])
+    at the rows index gives their labels: add_entry written out, with the
+    same gets, stores and pops in the same order, so the entries come out
+    in the order it gives them. A label missing from index raises
+    stray(the label of the column, the KeyError)."""
+    data, F = m.data, m.field
+    get, pop, of, p = data.get, data.pop, F.of, F.char
+    for j, l in enumerate(labels):
+        try:
+            for l2, c in rule(l):
+                ij = (index[l2], j)
+                x = get(ij, 0) + of(c)
+                if p:
+                    x %= p
+                if x:
+                    data[ij] = x
+                else:
+                    pop(ij, None)
+        except KeyError as e:
+            raise stray(l, e) from e
+    return m
 
 
 class ChainComplex:
@@ -58,18 +84,13 @@ class ChainComplex:
         for d, labels in basis.items():
             if d - 1 not in basis:
                 continue
-            m = Matrix(field, len(basis[d - 1]), len(labels))
-            low = index[d - 1]
-            try:
-                for j, l in enumerate(labels):
-                    for l2, c in rule(d, l):
-                        m.add_entry(low[l2], j, field.of(c))
-            except KeyError as e:
-                dims = {k: len(b) for k, b in basis.items()}
-                raise _stray(f"the boundary rule at {l!r} in degree {d}", e,
-                             f"degree {d - 1} of the complex of dims {dims}"
-                             ) from e
-            diff[d] = m
+            diff[d] = _fill(
+                Matrix(field, len(basis[d - 1]), len(labels)), labels,
+                functools.partial(rule, d), index[d - 1],
+                lambda l, e, d=d: _stray(
+                    f"the boundary rule at {l!r} in degree {d}", e,
+                    f"degree {d - 1} of the complex of dims "
+                    f"{ {k: len(b) for k, b in basis.items()} }"))
         return cls(field, basis, diff, check=check)
 
     def dim(self, k) -> int:
@@ -96,9 +117,11 @@ class ChainComplex:
     def boundary_of(self, label) -> dict:
         """d of a basis element as a label-keyed vector."""
         k = self.label_degree[label]
-        col = self.d_matrix(k).column(self._index[k][label])
-        low = self.basis.get(k - 1, ())
-        return {low[i]: v for i, v in col.items()}
+        m = self.diff.get(k)
+        if m is None:
+            return {}
+        low = self.basis[k - 1]
+        return {low[i]: v for i, v in m.column(self._index[k][label]).items()}
 
     def homology_table(self) -> dict:
         out = {}
@@ -155,16 +178,13 @@ class ChainMap:
         """rule(degree, source label) -> iterable of (target label, coeff)."""
         mats = {}
         for k in source.degrees():
-            m = Matrix(source.field, target.dim(k + degree), source.dim(k))
-            tix = target.index(k + degree)
-            try:
-                for j, l in enumerate(source.basis[k]):
-                    for l2, c in rule(k, l):
-                        m.add_entry(tix[l2], j, source.field.of(c))
-            except KeyError as e:
-                raise _stray(f"the rule at {l!r} in degree {k} of {source!r}",
-                             e, f"degree {k + degree} of {target!r}") from e
-            mats[k] = m
+            mats[k] = _fill(
+                Matrix(source.field, target.dim(k + degree), source.dim(k)),
+                source.basis[k], functools.partial(rule, k),
+                target.index(k + degree),
+                lambda l, e, k=k: _stray(
+                    f"the rule at {l!r} in degree {k} of {source!r}", e,
+                    f"degree {k + degree} of {target!r}"))
         return cls(source, target, mats, degree=degree, check=check)
 
     @classmethod
@@ -184,24 +204,43 @@ class ChainMap:
         return m
 
     def apply(self, k, vec: dict) -> dict:
-        """Apply to a label-keyed vector in source degree k."""
-        F = self.source.field
+        """Apply to a label-keyed vector in source degree k. The sum is
+        written out as in _fill."""
+        p = self.source.field.char
         six = self.source.index(k)
         m = self.matrix(k)
         out = {}
+        get, pop = out.get, out.pop
         try:
             for l, c in vec.items():
                 for i, v in m.column(six[l]).items():
-                    w = F.add(out.get(i, F.zero), F.mul(c, v))
-                    if w == F.zero:
-                        out.pop(i, None)
+                    x = get(i, 0) + c * v
+                    if p:
+                        x %= p
+                    if x:
+                        out[i] = x
                     else:
-                        out[i] = w
+                        pop(i, None)
         except KeyError as e:
             raise _stray(f"a vector in degree {k} applied by {self!r}", e,
                          f"degree {k} of its source") from e
         tl = self.target.basis.get(k + self.degree, ())
         return {tl[i]: v for i, v in out.items()}
+
+    def image(self, x) -> dict:
+        """The image of the basis label x, read off its column with no
+        arithmetic: the same dict, in the same order, as
+        apply(k, {x: one}) for k the degree of x, and {} in a degree
+        where the map is zero."""
+        try:
+            k = self.source.label_degree[x]
+        except KeyError as e:
+            raise _stray(f"a label applied by {self!r}", e, "its source") from e
+        m = self.mats.get(k)
+        if m is None:
+            return {}
+        tl = self.target.basis[k + self.degree]
+        return {tl[i]: v for i, v in m.column(self.source._index[k][x]).items()}
 
     def then(self, other: "ChainMap") -> "ChainMap":
         """other compose self (self first)."""
@@ -334,7 +373,7 @@ def tensor_map_many(field, maps, source=None, target=None):
         below = 0
         for i, m in enumerate(maps):
             k = sdeg[i][tup[i]]
-            img = m.apply(k, {tup[i]: field.one})
+            img = m.image(tup[i])
             s = field.one
             if m.degree % 2 == 1 and below % 2 == 1:
                 s = field.neg(s)
@@ -356,6 +395,20 @@ def _place(field, labels, degrees, slots):
     for l, s in zip(labels, slots):
         out[s] = l
     return tuple(out), koszul_sign(field, degrees, slots)
+
+
+def _placer(field, factors, slots):
+    """_place on the labels of the tensor of the complexes factors, with
+    the inverse slot order found once: x -> (the reordered tuple, its
+    Koszul sign). The sign is 1 unless some factor has an odd degree,
+    and only then is koszul_sign called."""
+    back = sorted(range(len(slots)), key=slots.__getitem__)
+    if not any(d % 2 for f in factors for d in f.basis):
+        one = field.one
+        return lambda x: (tuple([x[i] for i in back]), one)
+    degrees = [f.label_degree for f in factors]
+    return lambda x: (tuple([x[i] for i in back]), koszul_sign(
+        field, [g[l] for g, l in zip(degrees, x)], slots))
 
 
 def shift(c: ChainComplex, s: int) -> ChainComplex:
@@ -407,9 +460,7 @@ def cone(f: ChainMap) -> ChainComplex:
             return [(("c1", l2), v) for l2, v in f.target.boundary_of(l).items()]
         out = [(("c0", l2), field.neg(v))
                for l2, v in f.source.boundary_of(l).items()]
-        k = f.source.label_degree[l]
-        out.extend((("c1", l2), v)
-                   for l2, v in f.apply(k, {l: field.one}).items())
+        out.extend((("c1", l2), v) for l2, v in f.image(l).items())
         return out
 
     return ChainComplex.from_rule(field, basis, rule)
@@ -465,8 +516,7 @@ def _hom_rule(field, pre: ChainMap = None, post: ChainMap = None):
     def rule(s, lab):
         _, la, lb = lab
         las = [(la, one)] if pre is None else back.get(la, ())
-        lbs = [(lb, one)] if post is None else post.apply(
-            post.source.label_degree[lb], {lb: one}).items()
+        lbs = [(lb, one)] if post is None else post.image(lb).items()
         return [(("h", la2, lb2), field.mul(ca, cb))
                 for la2, ca in las for lb2, cb in lbs]
 

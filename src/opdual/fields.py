@@ -4,14 +4,32 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality
+# exactly below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= p < _PRIME_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -32,6 +50,9 @@ class Field:
     """
 
     def __init__(self, characteristic: int = 0):
+        if characteristic >= _PRIME_BOUND:
+            raise ValueError(f"characteristic must be below {_PRIME_BOUND}, "
+                             f"got {characteristic}")
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         self.char = characteristic
@@ -39,7 +60,11 @@ class Field:
         self.one = 1
 
     def of(self, x):
-        """Coerce an int, Fraction, or 'a/b' string into this field."""
+        """Coerce an int, Fraction, or 'a/b' string into this field. An
+        int returns at once, with no isinstance test against Fraction,
+        whose ABC metaclass makes that test slow."""
+        if type(x) is int:
+            return x % self.char if self.char else x
         if isinstance(x, str):
             x = Fraction(x)
         if self.char == 0:

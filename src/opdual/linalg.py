@@ -79,15 +79,24 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        F = self.field
-        out = Matrix(F, self.nrows, other.ncols)
+        out = Matrix(self.field, self.nrows, other.ncols)
         # group left entries by column for sparse product
         by_col = {}
         for (i, j), v in self.data.items():
             by_col.setdefault(j, []).append((i, v))
+        # add_entry written out: the same gets, stores and pops, in the
+        # same order, so the entries come out in the order it gives them
+        data, p = out.data, self.field.char
+        get, pop = data.get, data.pop
         for (k, j), w in other.data.items():
             for i, v in by_col.get(k, ()):
-                out.add_entry(i, j, F.mul(v, w))
+                x = get((i, j), 0) + v * w
+                if p:
+                    x %= p
+                if x:
+                    data[i, j] = x
+                else:
+                    pop((i, j), None)
         return out
 
     def __eq__(self, other):

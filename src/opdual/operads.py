@@ -24,8 +24,9 @@ import itertools
 import weakref
 
 from .chain import (
-    ChainComplex, ChainMap, _graded_basis, _place, dual_map, is_quasi_iso,
-    k_complex, linear_dual, tensor_many, tensor_map_many, zero_complex,
+    ChainComplex, ChainMap, _graded_basis, _place, _placer, dual_map,
+    is_quasi_iso, k_complex, linear_dual, tensor_many, tensor_map_many,
+    zero_complex,
 )
 from .trees import (
     Tree, _graft_slots, _vertex_arities, _vertex_relabel,
@@ -88,12 +89,14 @@ def _window(build, maps=None):
         that all coends of bbar, or all ends of co-W, share, which only
         their builder reads;
       - a map build opens one for the structure maps of its trees or
-        their rules (relabelings, the contraction and cover rules of the
-        closed forms' differentials, products of pre-cooperads, the cuts
-        of theta), so each of them is made once per build, not once per
-        basis label, and the window is dropped after its build; rules
-        are kept only in such a window, never on an object; cube cells
-        are moved one at a time and need no window;
+        their rules (relabelings, each with its relabeled tree, the plan
+        of each tree in the closed forms' differentials, which holds the
+        contraction or cover rules of all its edges, products of
+        pre-cooperads, the cuts of theta), so each of them is made once
+        per build and read once per basis label, and the window is
+        dropped after its build; rules are kept only in such a window,
+        never on an object; cube cells are moved one at a time and need
+        no window;
         theta_star opens one for its whole family of maps;
       - a window made with an object over a weakref.WeakValueDictionary
         keeps a value only while something else holds it: the merge maps
@@ -111,18 +114,17 @@ def _window(build, maps=None):
     return get
 
 
-def _merge_rule(F, degrees, slots, k, pair):
+def _merge_rule(F, factors, slots, k, pair):
     """The rule merging one edge on a label x: place the factors of x at
-    slots with their Koszul sign (degrees holds the label_degree of each
+    slots with their Koszul sign (factors holds the complex of each
     factor), then send factors k and k+1 through pair. Operad.contract_rule
     and PreCooperad.compose_fragments read it."""
-    pdeg = pair.source.label_degree
+    place = _placer(F, factors, slots)
 
     def rule(d, x):
-        y, s = _place(F, x, [g[l] for g, l in zip(degrees, x)], slots)
-        img = pair.apply(pdeg[y[k:k + 2]], {y[k:k + 2]: F.one})
+        y, s = place(x)
         return [(y[:k] + (l,) + y[k + 2:], F.mul(s, c))
-                for l, c in img.items()]
+                for l, c in pair.image(y[k:k + 2]).items()]
 
     return rule
 
@@ -292,15 +294,14 @@ class SymSeq:
         F = self.field
         moves = _vertex_relabel(t, t.relabel(sigma), sigma)
         acts = [self.act(len(loc), loc) for loc, _ in moves]
-        slots = [pos for _, pos in moves]
+        place = _placer(F, [f.source for f in acts],
+                        [pos for _, pos in moves])
 
         def rule(d, x):
-            degs = self._degrees(t, x)
             out = []
             for combo in itertools.product(*(
-                    f.apply(dk, {l: F.one}).items()
-                    for f, dk, l in zip(acts, degs, x))):
-                lab, c = _place(F, [l for l, _ in combo], degs, slots)
+                    f.image(l).items() for f, l in zip(acts, x))):
+                lab, c = place([l for l, _ in combo])
                 for _, ck in combo:
                     c = F.mul(c, ck)
                 out.append((lab, c))
@@ -346,7 +347,7 @@ class Operad(SymSeq):
         two factors meeting at e and resort the merged vertex's inputs,
         through the merge map of the window."""
         a, j, b, pi, order, k = _contraction(t, e, t.contract(e))
-        return _merge_rule(self.field, [self.term(n).label_degree
+        return _merge_rule(self.field, [self.term(n)
                                         for n in _vertex_arities(t)],
                            [order.index(w) for w in t.vertices()], k,
                            self._merges(a, j, b, tuple(pi.values())))
@@ -676,8 +677,8 @@ class PreCooperad:
     def cover_rule(self, t: Tree, u: Tree, e):
         """The rule of cover_map(t, u, e) on one label of term(t): here the
         map applied to that label; ExtendedCooperad builds no map."""
-        f, one = self.cover_map(t, u, e), self.field.one
-        return lambda d, x: f.apply(d, {x: one}).items()
+        f = self.cover_map(t, u, e)
+        return lambda d, x: f.image(x).items()
 
     def expansion_map(self, t: Tree, u: Tree) -> ChainMap:
         """Q(t) -> Q(u) for any t <= u, composed along a deterministic
@@ -722,7 +723,7 @@ class PreCooperad:
             pair = pair.then(self.relabel_map(graft(F_v, j, F_e), pi))
         rest = self.compose_fragments(T, U2)
         return ChainMap.from_rule(src, rest.source, _merge_rule(
-            self.field, [f.label_degree for f in factors],
+            self.field, factors,
             [order.index(w) for w in U.vertices()], k, pair)).then(rest)
 
 
@@ -754,18 +755,14 @@ class ExtendedCooperad(PreCooperad):
         F = self.field
         a, j, b, pi, order, k = _contraction(u, e, t)
         pair = self._splits(a, j, b, tuple(pi.values()))
-        factors = [q.term(u.arity_of(w)) for w in order]
         vs = u.vertices()
-        slots = [vs.index(w) for w in order]
-        tm = q.term(a + b - 1)
+        place = _placer(F, [q.term(u.arity_of(w)) for w in order],
+                         [vs.index(w) for w in order])
 
         def rule(d, x):
             out = []
-            img = pair.apply(tm.label_degree[x[k]], {x[k]: F.one})
-            for pl, c in img.items():
-                y = x[:k] + pl + x[k + 1:]
-                degs = [f.label_degree[l] for f, l in zip(factors, y)]
-                lab, s = _place(F, y, degs, slots)
+            for pl, c in pair.image(x[k]).items():
+                lab, s = place(x[:k] + pl + x[k + 1:])
                 out.append((lab, F.mul(s, c)))
             return out
 

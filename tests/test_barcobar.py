@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,8 +10,10 @@ from opdual.chain import (
     ChainComplex, ChainMap, _hom_rule, _place, direct_sum, hom_complex,
     hom_map, is_quasi_iso, tensor_many, tensor_map_many, zero_complex,
 )
+from opdual.linalg import Matrix
 from opdual.trees import (
-    Tree, _graft_place, _split_graft, _token_image, adjacent_transposition,
+    Tree, _graft_place, _split_graft, _token_image, _vertex_arities,
+    _vertex_relabel, adjacent_transposition,
     canonical_form, cluster_key, corolla, enumerate_trees, fragments, graft,
     grafted_edge,
 )
@@ -21,7 +24,8 @@ from opdual.cubes import (
     wbar_family, wbar_relabel,
 )
 from opdual.operads import (
-    ExtendedCooperad, Operad, PreCooperad, SymSeq, builtin_operad,
+    ExtendedCooperad, Operad, PreCooperad, SymSeq, _contraction,
+    builtin_operad,
     check_operad_axioms, dualize, extend_cooperad, free_operad,
     free_precooperad, is_quasi_cooperad, symseq_from_degrees, trivial_operad,
     truncate,
@@ -658,6 +662,194 @@ def test_theta_components_match_labelwise_reference(make):
     _, _, th = theta(p, 4, wp=wp, cb=cb)
     assert th[4] == ChainMap.from_rule(wp.term(4), cb.term(4),
                                        _labelwise_theta(p))
+
+
+def _by_add_entry(field, nrows, ncols, labels, rule, index):
+    """The matrix of rule on labels, filled through add_entry column by
+    column: the fill the written-out sums must match entry by entry."""
+    m = Matrix(field, nrows, ncols)
+    for j, l in enumerate(labels):
+        for l2, c in rule(l):
+            m.add_entry(index[l2], j, field.of(c))
+    return m
+
+
+def _merge_rule_by_place(F, degrees, slots, k, pair):
+    """Merging one edge as a label step read it before plans and images:
+    _place with koszul_sign on every label, then apply on one label."""
+    pdeg = pair.source.label_degree
+
+    def rule(d, x):
+        y, s = _place(F, x, [g[l] for g, l in zip(degrees, x)], slots)
+        img = pair.apply(pdeg[y[k:k + 2]], {y[k:k + 2]: F.one})
+        return [(y[:k] + (l,) + y[k + 2:], F.mul(s, c))
+                for l, c in img.items()]
+
+    return rule
+
+
+def _contract_rule_by_place(p, t, e):
+    a, j, b, pi, order, k = _contraction(t, e, t.contract(e))
+    return _merge_rule_by_place(
+        p.field, [p.term(n).label_degree for n in _vertex_arities(t)],
+        [order.index(w) for w in t.vertices()], k,
+        p._merge(a, j, b, tuple(pi.values())))
+
+
+def _cover_rule_by_place(eq, t, u, e):
+    q, F = eq.q, eq.field
+    a, j, b, pi, order, k = _contraction(u, e, t)
+    pair = eq._split(a, j, b, tuple(pi.values()))
+    factors = [q.term(u.arity_of(w)) for w in order]
+    vs = u.vertices()
+    slots = [vs.index(w) for w in order]
+    tm = q.term(a + b - 1)
+
+    def rule(d, x):
+        out = []
+        img = pair.apply(tm.label_degree[x[k]], {x[k]: F.one})
+        for pl, c in img.items():
+            y = x[:k] + pl + x[k + 1:]
+            lab, s = _place(F, y, [f.label_degree[l]
+                                   for f, l in zip(factors, y)], slots)
+            out.append((lab, F.mul(s, c)))
+        return out
+
+    return rule
+
+
+def _relabel_map_by_place(a, t, sigma):
+    """tree_relabel(t, sigma) of the symmetric sequence a, filled through
+    add_entry from a rule that places with _place and applies."""
+    F = a.field
+    moves = _vertex_relabel(t, t.relabel(sigma), sigma)
+    acts = [a.act(len(loc), loc) for loc, _ in moves]
+    slots = [pos for _, pos in moves]
+
+    def rule(d, x):
+        degs = a._degrees(t, x)
+        out = []
+        for combo in itertools.product(*(
+                f.apply(dk, {l: F.one}).items()
+                for f, dk, l in zip(acts, degs, x))):
+            lab, c = _place(F, [l for l, _ in combo], degs, slots)
+            for _, ck in combo:
+                c = F.mul(c, ck)
+            out.append((lab, c))
+        return out
+
+    src, tgt = a.tree_complex(t), a.tree_complex(t.relabel(sigma))
+    return ChainMap(src, tgt, {k: _by_add_entry(
+        F, tgt.dim(k), src.dim(k), labels, functools.partial(rule, k),
+        tgt.index(k)) for k, labels in src.basis.items()})
+
+
+def _per_edge_boundaries(p, eq):
+    """The differentials of bar(p), W(p) and cobar(eq) as they were read
+    edge by edge (and cover by cover), each rule made once per key."""
+    field = p.field
+    contract = functools.lru_cache(None)(
+        lambda t, e: _contract_rule_by_place(p, t, e))
+    cover = functools.lru_cache(None)(
+        lambda t, u, e: _cover_rule_by_place(eq, t, u, e))
+
+    def bar_rule(d, lab):
+        t, x = lab
+        dx = p.tree_complex(t).label_degree[x]
+        out = []
+        for k, e in enumerate(t.edges()):
+            out.extend(((t.contract(e), x2), field.mul(_sgn(field, k), c))
+                       for x2, c in contract(t, e)(dx, x))
+        s = _sgn(field, t.num_vertices)
+        out.extend(((t, x2), field.mul(s, c))
+                   for x2, c in p.tree_complex(t).boundary_of(x).items())
+        return out
+
+    def w_rule(d, lab):
+        t, S, x = lab
+        dx = p.tree_complex(t).label_degree[x]
+        out = []
+        for k, e in enumerate(S):
+            s = _sgn(field, k)
+            S2 = S[:k] + S[k + 1:]
+            out.append(((t, S2, x), s))
+            out.extend(((t.contract(e), S2, x2), field.mul(field.neg(s), c))
+                       for x2, c in contract(t, e)(dx, x))
+        s = _sgn(field, len(S))
+        out.extend(((t, S, x2), field.mul(s, c))
+                   for x2, c in p.tree_complex(t).boundary_of(x).items())
+        return out
+
+    def cobar_rule(d, lab):
+        t, x = lab
+        dx = eq.term(t).label_degree[x]
+        out = [((t, x2), c) for x2, c in eq.term(t).boundary_of(x).items()]
+        s = _sgn(field, d + 1)
+        for u, e in t.expansions():
+            su = _sgn(field, u.edges().index(e))
+            out.extend(((u, x2), field.mul(field.mul(s, su), c))
+                       for x2, c in cover(t, u, e)(dx, x))
+        return out
+
+    return bar_rule, w_rule, cobar_rule
+
+
+def _action_by_place(a, term, sigma, cube_move):
+    """The action of sigma on a closed-form term over the symmetric
+    sequence a, each tree's relabel map filled by _relabel_map_by_place."""
+    field = a.field
+    relabel = functools.lru_cache(None)(
+        lambda t: _relabel_map_by_place(a, t, sigma))
+
+    def rule(d, lab):
+        t, x = lab[0], lab[-1]
+        t2 = t.relabel(sigma)
+        deco, ws = cube_move(field, t, t2, sigma, lab[1:-1])
+        img = relabel(t).apply(a.tree_complex(t).label_degree[x],
+                               {x: field.one})
+        return [((t2,) + deco + (x2,), field.mul(ws, c))
+                for x2, c in img.items()]
+
+    return {k: _by_add_entry(field, term.dim(k), term.dim(k), labels,
+                             functools.partial(rule, k), term.index(k))
+            for k, labels in term.basis.items()}
+
+
+def _same_entries(mats, ref):
+    """Every matrix of mats equals its reference entry by entry, in
+    order; a degree missing from mats holds a zero reference."""
+    for k, m in ref.items():
+        got = mats.get(k)
+        assert list(got.data.items() if got else ()) == list(m.data.items()), k
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: com(4), id="com-q"),
+    pytest.param(lambda: ass(4, F2), id="ass-f2"),
+    pytest.param(lambda: free_operad(
+        symseq_from_degrees(QQ, 4, {2: [0, 1]}), 4), id="free01-q"),
+])
+def test_closed_forms_match_the_per_edge_path_entry_by_entry(make):
+    # plans, images, placers and the written-out fills give every
+    # differential and action matrix of bar, W and cobar(bar) with the
+    # entries of the per-edge path, in its order
+    p, N = make(), 4
+    bp = bar(p, N)
+    eq = extend_cooperad(bp)
+    rules = _per_edge_boundaries(p, eq)
+    constructions = ((bp, p, _bar_move), (w_construction(p, N), p, _w_move),
+                     (cobar(eq, N), bp, _bar_move))
+    for (c, a, move), rule in zip(constructions, rules):
+        for n in range(1, N + 1):
+            term = c.term(n)
+            _same_entries(term.diff, {
+                k: _by_add_entry(p.field, term.dim(k - 1), term.dim(k),
+                                 labels, functools.partial(rule, k),
+                                 term.index(k - 1))
+                for k, labels in term.basis.items() if k - 1 in term.basis})
+            for i in range(1, n):
+                _same_entries(c.sigma_adj(n, i).mats, _action_by_place(
+                    a, term, adjacent_transposition(n, i), move))
 
 
 def _theta_rule_by_scan(p, found):

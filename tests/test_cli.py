@@ -1,10 +1,11 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from opdual.fields import QQ
+from opdual.fields import _PRIME_BOUND, QQ
 from opdual.operads import builtin_operad
 from opdual.cli import CliError, load_operad_spec, main
 
@@ -417,3 +418,25 @@ def test_fields_agree_on_homology(capsys):
         assert code == 0
         tables.append(json.loads(cap.out)["tables"])
     assert tables[0] == tables[1]
+
+
+def test_a_large_prime_field_runs_and_one_past_the_bound_exits_2(
+        capsys, tmp_path):
+    t0 = time.perf_counter()
+    code, cap = run(capsys, "trees", "--field", "f1000000000000000003",
+                    "--max-arity", "2")
+    assert code == 0 and time.perf_counter() - t0 < 1
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"field": {"p": 10 ** 18 + 3},
+                                "gens": {"2": [0]}}))
+    code, _ = run(capsys, "bar", "--operad", f"trivial:{spec}",
+                  "--max-arity", "3")
+    assert code == 0
+    for p in (_PRIME_BOUND, _PRIME_BOUND + 2, 10 ** 30 + 57):
+        code, cap = run(capsys, "trees", "--field", f"f{p}",
+                        "--max-arity", "2")
+        assert code == 2 and "below" in cap.err
+        spec.write_text(json.dumps({"field": {"p": p}, "gens": {"2": [0]}}))
+        code, cap = run(capsys, "bar", "--operad", f"trivial:{spec}",
+                        "--max-arity", "3")
+        assert code == 2 and "below" in cap.err

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from opdual import linalg
 from opdual.barcobar import bar, cobar, theta
-from opdual.fields import Field, QQ, F2
+from opdual.chain import ChainComplex, ChainMap
+from opdual.fields import _PRIME_BOUND, _is_prime, Field, QQ, F2
 from opdual.koszul import cb_to_kk, verify_kk
 from opdual.linalg import Matrix, Eliminator
 from opdual.operads import builtin_operad, extend_cooperad
@@ -364,3 +366,135 @@ def test_int_scalar_pipeline_matches_fraction_pipeline():
 
     assert all(type(v) is int for v in values(maps_q))
     assert all(type(v) is Fraction for v in values(maps_f))
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    sieve = bytearray([1]) * 10 ** 5
+    sieve[0] = sieve[1] = 0
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(sieve[d * d::d]))
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if sieve[n]]
+    assert all(_is_prime(n) == _trial_division(n)
+               for n in range(10 ** 6, 10 ** 6 + 2000))
+
+
+def test_a_large_prime_field_is_accepted_at_once():
+    t0 = time.perf_counter()
+    f = Field(10 ** 18 + 3)
+    assert time.perf_counter() - t0 < 1
+    assert f.mul(f.inv(12345), 12345) == 1
+    # strong pseudoprimes to many of the bases stay composite
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="prime"):
+            Field(n)
+    with pytest.raises(ValueError, match="below"):
+        Field(_PRIME_BOUND)
+
+
+# -- the written-out sums against add_entry, entry by entry ----------------
+
+KERNEL_FIELDS = pytest.mark.parametrize(
+    "field", [QQ, F2, Field(3), FQ], ids=["q", "f2", "f3", "fraction-q"])
+
+
+@st.composite
+def _terms(draw, field, nrows, ncols):
+    """(i, j, coeff) triples with repeats and coefficients +-1, 2 and 1/2
+    (1/2 only where it exists), so that sums cancel to zero and a key is
+    popped and later inserted again."""
+    coeffs = [1, -1, 2] + ([Fraction(1, 2)] if field.char != 2 else [])
+    return draw(st.lists(st.tuples(
+        st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+        st.sampled_from(coeffs)), max_size=3 * nrows * ncols))
+
+
+def _by_add_entry(field, nrows, ncols, terms):
+    m = Matrix(field, nrows, ncols)
+    for i, j, c in terms:
+        m.add_entry(i, j, field.of(c))
+    return m
+
+
+def _entries(data):
+    """The entries in order, with the type of each value."""
+    return [(k, v, type(v)) for k, v in data.items()]
+
+
+@KERNEL_FIELDS
+@given(data=st.data())
+def test_matmul_matches_the_add_entry_product(field, data):
+    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = _by_add_entry(field, m, k, data.draw(_terms(field, m, k)))
+    b = _by_add_entry(field, k, n, data.draw(_terms(field, k, n)))
+    ref = Matrix(field, m, n)
+    by_col = {}
+    for (i, j), v in a.data.items():
+        by_col.setdefault(j, []).append((i, v))
+    for (kk, j), w in b.data.items():
+        for i, v in by_col.get(kk, ()):
+            ref.add_entry(i, j, field.mul(v, w))
+    assert _entries((a @ b).data) == _entries(ref.data)
+
+
+def _complexes(field, nrows, ncols):
+    low = ChainComplex(field, {0: [f"r{i}" for i in range(nrows)]}, {})
+    high = ChainComplex(field, {0: [f"c{j}" for j in range(ncols)]}, {})
+    both = ChainComplex(field, {0: [f"r{i}" for i in range(nrows)],
+                                1: [f"c{j}" for j in range(ncols)]}, {})
+    return low, high, both
+
+
+@KERNEL_FIELDS
+@given(data=st.data())
+def test_rule_fills_and_apply_match_add_entry(field, data):
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    terms = data.draw(_terms(field, m, n))
+    # a rule fill goes column by column, each in the rule's order
+    ref = _by_add_entry(field, m, n, sorted(terms, key=lambda t: t[1]))
+    low, high, both = _complexes(field, m, n)
+
+    def rule(d, l):
+        return [(f"r{i}", c) for i, j, c in terms if f"c{j}" == l]
+
+    f = ChainMap.from_rule(high, low, rule, check=False)
+    assert _entries(f.matrix(0).data) == _entries(ref.data)
+    c = ChainComplex.from_rule(field, both.basis,
+                               lambda d, l: rule(d, l) if d == 1 else [],
+                               check=False)
+    assert _entries(c.d_matrix(1).data) == _entries(ref.data)
+    vec = {f"c{j}": field.of(cj) for j, cj in enumerate(
+        data.draw(st.lists(st.sampled_from([1, -1, 2]), min_size=n,
+                           max_size=n)))}
+    out = {}
+    for l, cl in vec.items():
+        for i, v in ref.column(int(l[1:])).items():
+            _put(field, out, f"r{i}",
+                 field.add(out.get(f"r{i}", field.zero), field.mul(cl, v)))
+    assert _entries(f.apply(0, vec)) == _entries(out)
+    for l in high.basis[0]:
+        assert _entries(f.image(l)) == _entries(f.apply(0, {l: field.one}))
+
+
+@KERNEL_FIELDS
+def test_a_cancelled_entry_comes_back_last(field):
+    # (0, 0) is stored, cancelled (popped) and stored again after (1, 0)
+    terms = [(0, 0, 1), (1, 0, 1), (0, 0, -1), (0, 0, 1)]
+    low, high, _ = _complexes(field, 2, 1)
+    f = ChainMap.from_rule(high, low, lambda d, l: [
+        (f"r{i}", c) for i, _, c in terms], check=False)
+    assert list(f.matrix(0).data) == [(1, 0), (0, 0)]
+    a = Matrix(field, 2, 3, {ij: field.of(v) for ij, v in {
+        (0, 0): 1, (1, 1): 1, (0, 1): -1, (0, 2): 1}.items()})
+    b = Matrix(field, 3, 1, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
+    assert list((a @ b).data) == [(1, 0), (0, 0)]
+    low3 = _complexes(field, 3, 1)[0]
+    images = {"r0": [("r0", 1), ("r1", 1)], "r1": [("r0", -1)],
+              "r2": [("r0", 1)]}
+    g = ChainMap.from_rule(low3, low3, lambda d, l: images[l], check=False)
+    assert list(g.apply(0, {"r0": 1, "r1": 1, "r2": 1})) == ["r1", "r0"]

@@ -783,3 +783,37 @@ def test_compose_fragments_merges_each_edge_into_its_parent():
             if U.leq(T):
                 assert _same_map(q.compose_fragments(T, U),
                                  _ref_compose_fragments(q, T, U)), (T, U)
+
+
+def _image_is_apply(f):
+    one = f.source.field.one
+    for k, labels in f.source.basis.items():
+        for x in labels:
+            img = f.image(x)
+            assert list(img.items()) == list(f.apply(k, {x: one}).items())
+            assert [type(c) for c in img.values()] == \
+                [type(c) for c in f.apply(k, {x: one}).values()]
+
+
+@pytest.mark.parametrize("p", [
+    builtin_operad("ass", F2, 4), builtin_operad("com", QQ, 4),
+    free_operad(symseq_from_degrees(QQ, 4, {2: [0, 1]}), 4),
+], ids=["ass_f2", "com", "free01"])
+def test_image_reads_what_apply_gives_one_label(p):
+    # every label of every action, composition, merge map and split map
+    eq = extend_cooperad(dualize(p))
+    maps = []
+    for n in range(2, 5):
+        maps += [p.act(n, dict(zip(range(1, n + 1), perm)))
+                 for perm in itertools.permutations(range(1, n + 1))]
+        for m in range(2, n):
+            maps += [p.circ(m, i, n - m + 1) for i in range(1, m + 1)]
+        for t in enumerate_trees(n):
+            for e in t.edges():
+                a, j, b, pi, _, _ = _contraction(t, e, t.contract(e))
+                key = (a, j, b, tuple(pi.values()))
+                maps += [p._merge(*key), eq._split(*key)]
+    for f in maps:
+        _image_is_apply(f)
+    zero = ChainMap.zero(p.term(2), p.term(2))
+    assert all(zero.image(x) == {} for x in p.term(2).label_degree)
