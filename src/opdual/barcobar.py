@@ -77,7 +77,7 @@ import functools
 import itertools
 
 from .chain import (
-    ChainComplex, ChainMap, _graded_basis, _hom_rule, _place,
+    ChainComplex, ChainMap, _graded_basis, _hom_rule, _place, _sgn,
     cokernel_complex, direct_sum, hom_complex, hom_map, kernel_complex, shift,
     tensor_many, tensor_map_many,
 )
@@ -98,15 +98,10 @@ from .trees import (
 )
 
 
-def _sgn(field, e):
-    """(-1)^e in the field."""
-    return field.one if e % 2 == 0 else field.neg(field.one)
-
-
-def _interleave_sign(field, xs, cs):
+def _interleave_sign(xs, cs):
     """(-1)^(sum over j < k of xs[j] * cs[k]): the Koszul sign of moving
     each element x_j past the cells c_k to its right."""
-    return _sgn(field, sum(x * sum(cs[j + 1:]) for j, x in enumerate(xs)))
+    return _sgn(sum(x * sum(cs[j + 1:]) for j, x in enumerate(xs)))
 
 
 def _tensor_vecs(field, a, b):
@@ -114,9 +109,8 @@ def _tensor_vecs(field, a, b):
     out = {}
     for x, cx in a.items():
         for y, cy in b.items():
-            out[x + y] = field.add(out.get(x + y, field.zero),
-                                   field.mul(cx, cy))
-    return {l: c for l, c in out.items() if c != field.zero}
+            out[x + y] = field.add(out.get(x + y, 0), cx * cy)
+    return {l: c for l, c in out.items() if c}
 
 
 # -- tree-indexed diagrams and their coends/ends --------------------------
@@ -261,7 +255,7 @@ class Coend(_Engine):
             fx = f.image(x)
             gy = g.image(y)
             return ([((u, (x2, y)), c) for x2, c in fx.items()] +
-                    [((t, (x, y2)), field.neg(c)) for y2, c in gy.items()])
+                    [((t, (x, y2)), -c) for y2, c in gy.items()])
 
         self.rel = ChainMap.from_rule(direct_sum(field, summands), self.total,
                                       rule)
@@ -301,12 +295,12 @@ class End(_Engine):
                 continue
             summands.append(((t, u), tgt))
             legs.setdefault(t, []).append(
-                ((t, u), _hom_rule(field, post=cmap(t, u)), False))
+                ((t, u), _hom_rule(post=cmap(t, u)), False))
             legs.setdefault(u, []).append(
-                ((t, u), _hom_rule(field, pre=wmap(t, u)), True))
+                ((t, u), _hom_rule(pre=wmap(t, u)), True))
 
         def rule(d, lab):
-            return [((key, l2), field.neg(c) if negate else c)
+            return [((key, l2), -c if negate else c)
                     for key, f, negate in legs.get(lab[0], ())
                     for l2, c in f(d, lab[1])]
 
@@ -359,7 +353,7 @@ def _end_relabel(q: PreCooperad, e1: End, e2: End, sigma,
         if e1.homs[T].total_dim() == 0:
             continue
         T2 = T.relabel(sigma)
-        comp[T] = (T2, _hom_rule(q.field, pre=weight_relabel(T2, inv),
+        comp[T] = (T2, _hom_rule(pre=weight_relabel(T2, inv),
                                  post=q.relabel_map(T, sigma)))
     return _end_map(e1, e2, comp)
 
@@ -384,7 +378,7 @@ def _end_graft(q: PreCooperad, i, e1: End, e2: End, ev: End, split,
         T, U = TU
         if e1.homs[T].total_dim() == 0 or e2.homs[U].total_dim() == 0:
             continue
-        comp[(T, U)] = (V, _hom_rule(field, pre=weight_split(V, T, U),
+        comp[(T, U)] = (V, _hom_rule(pre=weight_split(V, T, U),
                                      post=q.m_map(T, i, U)))
 
     def rule(d, pair):
@@ -399,10 +393,9 @@ def _end_graft(q: PreCooperad, i, e1: End, e2: End, ev: End, split,
                 V, f = comp.get((T, U), (None, None))
                 if f is None:
                     continue
-                cc = field.mul(field.mul(c1, c2), _sgn(
-                    field, e2.homs[U].label_degree[h2] * wT[h1[1]]))
+                cc = c1 * c2 * _sgn(e2.homs[U].label_degree[h2] * wT[h1[1]])
                 h = ("h", (h1[1], h2[1]), (h1[2], h2[2]))
-                out.extend(((V, h3), field.mul(cc, c3))
+                out.extend(((V, h3), cc * c3)
                            for h3, c3 in f(d1 + d2, h))
         return out
 
@@ -434,8 +427,8 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
     covers of t with their rules for cobar), so a label reads its tree's
     plan once; sigma acts on the tree term through relabel(t, sigma),
     read with t.relabel(sigma) once per tree from the window of the
-    action's build, and on the decoration by cube_move(field, t, t2,
-    sigma, deco) -> (the new decoration, its sign). Returns (terms, the
+    action's build, and on the decoration by cube_move(t, t2, sigma,
+    deco) -> (the new decoration, its sign). Returns (terms, the
     builder of the adjacent actions): no action is built here, each one
     is built when sigma_adj first asks for it."""
     terms = {}
@@ -453,8 +446,8 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
         def rule(d, lab):
             t, x = lab[0], lab[-1]
             t2, f = moves(t)
-            deco, ws = cube_move(field, t, t2, sigma, lab[1:-1])
-            return [((t2,) + deco + (x2,), field.mul(ws, c))
+            deco, ws = cube_move(t, t2, sigma, lab[1:-1])
+            return [((t2,) + deco + (x2,), ws * c)
                     for x2, c in f.image(x).items()]
         return ChainMap.from_rule(terms[n], terms[n], rule)
 
@@ -467,28 +460,27 @@ def _contractions(p: Operad):
     edge, t/e, the contraction rule of p at e), in edge order, the bar
     sign (-1)^(vertices) of the internal differential). W reads its own
     signs off its marked edges."""
-    field = p.field
     return lambda t: (p.tree_complex(t), {
-        e: (_sgn(field, k), t.contract(e), p.contract_rule(t, e))
-        for k, e in enumerate(t.edges())}, _sgn(field, t.num_vertices))
+        e: (_sgn(k), t.contract(e), p.contract_rule(t, e))
+        for k, e in enumerate(t.edges())}, _sgn(t.num_vertices))
 
 
-def _top_cell_move(field, t, t2, sigma, deco):
+def _top_cell_move(t, t2, sigma, deco):
     """The sign of sigma on the top cell of wbar(t): the action on the
     decoration-free closed forms, bar and cobar."""
-    return (), _star_sign(field, _relabel_slots(
-        _wbar_tokens(t), _wbar_tokens(t2), sigma))
+    return (), _star_sign(_relabel_slots(_wbar_tokens(t), _wbar_tokens(t2),
+                                         sigma))
 
 
-def _top_nu(field, t, i, u):
+def _top_nu(t, i, u):
     """The coefficient of top(t) (x) top(u) in nu_general of the top cell
     of graft(t, i, u): the cube sign of bar's decomposition and of
     cobar's composition. Every coordinate of a top cell is a star, so it
     is the sign of the whole nu move, and 1 when either side is the
     1-leaf tree."""
     if t.n == 1 or u.n == 1:
-        return field.one
-    return _star_sign(field, _nu_slots(t, i, u))
+        return 1
+    return _star_sign(_nu_slots(t, i, u))
 
 
 def bar(p: Operad, N) -> Cooperad:
@@ -505,9 +497,8 @@ def bar(p: Operad, N) -> Cooperad:
         dx = tc.label_degree[x]
         out = []
         for se, t2, rule in edges.values():
-            out.extend(((t2, x2), field.mul(se, c)) for x2, c in rule(dx, x))
-        out.extend(((t, x2), field.mul(s, c))
-                   for x2, c in tc.boundary_of(x).items())
+            out.extend(((t2, x2), se * c) for x2, c in rule(dx, x))
+        out.extend(((t, x2), s * c) for x2, c in tc.boundary_of(x).items())
         return out
 
     terms, adjacent = _closed_form(
@@ -521,10 +512,9 @@ def bar(p: Operad, N) -> Cooperad:
             if sp is None:
                 return []
             t, u = sp
-            cnu = _top_nu(field, t, i, u)
             (xt, xu), s1 = p._ungraft_label(t, i, u, x)
-            s2 = _sgn(field, u.num_vertices * sum(p._degrees(t, xt)))
-            return [(((t, xt), (u, xu)), field.mul(field.mul(cnu, s1), s2))]
+            s2 = _sgn(u.num_vertices * sum(p._degrees(t, xt)))
+            return [(((t, xt), (u, xu)), _top_nu(t, i, u) * s1 * s2)]
 
         return ChainMap.from_rule(q.term(m + n - 1), q.pair_complex(m, n),
                                   rule)
@@ -593,22 +583,20 @@ def w_construction(p: Operad, N) -> Operad:
         dx = tc.label_degree[x]
         out = []
         for k, e in enumerate(S):
-            s = _sgn(field, k)
+            s = _sgn(k)
             S2 = S[:k] + S[k + 1:]
             out.append(((t, S2, x), s))
             _, t2, rule = edges[e]
-            out.extend(((t2, S2, x2), field.mul(field.neg(s), c))
-                       for x2, c in rule(dx, x))
-        s = _sgn(field, len(S))
-        out.extend(((t, S, x2), field.mul(s, c))
-                   for x2, c in tc.boundary_of(x).items())
+            out.extend(((t2, S2, x2), -s * c) for x2, c in rule(dx, x))
+        s = _sgn(len(S))
+        out.extend(((t, S, x2), s * c) for x2, c in tc.boundary_of(x).items())
         return out
 
-    def marked_move(field, t, t2, sigma, deco):
+    def marked_move(t, t2, sigma, deco):
         (S,) = deco
         S2 = tuple(sorted((_token_image(e, sigma) for e in S),
                           key=cluster_key))
-        return (S2,), _star_sign(field, _relabel_slots(S, t2.edges(), sigma))
+        return (S2,), _star_sign(_relabel_slots(S, t2.edges(), sigma))
 
     terms, adjacent = _closed_form(
         field, N, p.tree_complex, p.tree_relabel, _contractions(p),
@@ -618,11 +606,11 @@ def w_construction(p: Operad, N) -> Operad:
         def rule(d, pair):
             (t, S, x), (u, S2, y) = pair
             v = graft(t, i, u)
-            cv, cmu = _mu_cell(field, t, i, u, _w_cell(t, S), _w_cell(u, S2))
+            cv, cmu = _mu_cell(t, i, u, _w_cell(t, S), _w_cell(u, S2))
             Sv = tuple(e for e, val in zip(v.edges(), cv) if val == STAR)
             z, s1 = p._graft_label(t, i, u, x, y)
-            s2 = _sgn(field, sum(p._degrees(t, x)) * len(S2))
-            return [((v, Sv, z), field.mul(field.mul(cmu, s1), s2))]
+            s2 = _sgn(sum(p._degrees(t, x)) * len(S2))
+            return [((v, Sv, z), cmu * s1 * s2)]
 
         return ChainMap.from_rule(q.pair_complex(m, n), q.term(m + n - 1),
                                   rule)
@@ -689,7 +677,7 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
 
     def covers(t):
         return q.term(t), [
-            (u, _sgn(field, u.edges().index(e)), q.cover_rule(t, u, e))
+            (u, _sgn(u.edges().index(e)), q.cover_rule(t, u, e))
             for u, e in t.expansions()]
 
     def boundary(plans, d, lab):
@@ -697,10 +685,9 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
         tc, covers = plans(t)
         dx = tc.label_degree[x]
         out = [((t, x2), c) for x2, c in tc.boundary_of(x).items()]
-        s = _sgn(field, d + 1)
+        s = _sgn(d + 1)
         for u, su, f in covers:
-            out.extend(((u, x2), field.mul(field.mul(s, su), c))
-                       for x2, c in f(dx, x))
+            out.extend(((u, x2), s * su * c) for x2, c in f(dx, x))
         return out
 
     terms, adjacent = _closed_form(
@@ -713,11 +700,10 @@ def cobar(q: PreCooperad, N) -> CobarOperad:
         def rule(d, pair):
             (t, x), (u, y) = pair
             dy = q.term(u).label_degree[y]
-            s = field.mul(_top_nu(field, t, i, u),
-                          _sgn(field, (dy - u.num_vertices) * t.num_vertices))
+            s = _top_nu(t, i, u) * _sgn((dy - u.num_vertices) * t.num_vertices)
             v = graft(t, i, u)
             img = mult(t, u).image((x, y))
-            return [((v, z), field.mul(s, c)) for z, c in img.items()]
+            return [((v, z), s * c) for z, c in img.items()]
 
         return ChainMap.from_rule(op.pair_complex(m, n), op.term(m + n - 1),
                                   rule)
@@ -779,7 +765,7 @@ def cobar_map(c1: CobarOperad, c2: CobarOperad, fam: dict, N) -> dict:
 
 # -- the comparison W -> cobar(bar) ---------------------------------------
 
-def _theta_cut(field, T: Tree, U: Tree):
+def _theta_cut(T: Tree, U: Tree):
     """The rule of theta_cells(T, U), the fragment trees of T over the
     vertices of U and the slot of each vertex of T in their
     concatenation; U <= T. theta and theta_star each open one window of
@@ -789,8 +775,7 @@ def _theta_cut(field, T: Tree, U: Tree):
     order = [frs[v].to_global[w] for v, ft in zip(U.vertices(), fts)
              for w in ft.vertices()]
     at = {w: k for k, w in enumerate(order)}
-    return (_theta_cell_rule(field, T, U), fts,
-            [at[w] for w in T.vertices()])
+    return _theta_cell_rule(T, U), fts, [at[w] for w in T.vertices()]
 
 
 def _theta_rule(p: Operad):
@@ -803,7 +788,7 @@ def _theta_rule(p: Operad):
     of S contracted, no family cell has a zero coordinate and no
     fragment needs contracting."""
     field = p.field
-    cuts = _window(functools.partial(_theta_cut, field))
+    cuts = _window(_theta_cut)
 
     def rule(d, lab):
         T, S, x = lab
@@ -812,17 +797,16 @@ def _theta_rule(p: Operad):
         degs = p._degrees(T, x)
         U = Tree(T.n, T.clusters - frozenset(S))
         th, fts, slots = cuts(T, U)
-        xr, s1 = _place(field, x, degs, slots)
+        xr, s1 = _place(x, degs, slots)
         chunks = _chunks(xr, [ft.num_vertices for ft in fts])
         dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
         classes = tuple(zip(fts, chunks))
-        s2 = field.mul(s1, _sgn(field, sum(degs) * U.num_vertices))
+        s2 = s1 * _sgn(sum(degs) * U.num_vertices)
         out = []
         for famcell, cth in th(None, (_w_cell(T, S), _wbar_top(U))):
             dcs = [wbar(field, ft).label_degree[c]
                    for ft, c in zip(fts, famcell)]
-            out.append(((U, classes), field.mul(
-                field.mul(cth, s2), _interleave_sign(field, dxs, dcs))))
+            out.append(((U, classes), cth * s2 * _interleave_sign(dxs, dcs)))
         return out
 
     return rule
@@ -908,14 +892,13 @@ def _evaluate(cq: CobarOperad, fts, cells, elem, dxs, coeff) -> dict:
     Koszul signs of moving the cells past the elements."""
     field = cq.field
     dcs = [wbar(field, ft).label_degree[c] for ft, c in zip(fts, cells)]
-    acc = {(): field.mul(coeff, _interleave_sign(field, dxs, dcs))}
+    acc = {(): coeff * _interleave_sign(dxs, dcs)}
     for j, ft in enumerate(fts):
-        sw = _sgn(field, dcs[j] * dxs[j])
+        sw = _sgn(dcs[j] * dxs[j])
         val = {}
         for (t, x), c in elem(j).items():
             for z, cz in _cobar_value(cq.q, t, x, ft, cells[j]).items():
-                val[(z,)] = field.add(val.get((z,), field.zero),
-                                      field.mul(field.mul(c, cz), sw))
+                val[(z,)] = field.add(val.get((z,), 0), c * cz * sw)
         acc = _tensor_vecs(field, acc, val)
         if not acc:
             break
@@ -963,21 +946,20 @@ class BbarPreCooperad(PreCooperad):
             out = {}
             for U2, key, c in move(U, cells, y, d):
                 for l2, c3 in ce2.class_of(U2, d, {key: c}).items():
-                    out[l2] = field.add(out.get(l2, field.zero), c3)
-            return [(l, c) for l, c in out.items() if c != field.zero]
+                    out[l2] = field.add(out.get(l2, 0), c3)
+            return [(l, c) for l, c in out.items() if c]
 
         return ce.map_out(ChainMap.from_rule(ce.total, ce2.complex, rule))
 
     def _cover_map(self, t, u, e):
         def move(U, cells, y, d):
-            c2, cc = _move_family_cells(self.field, _fam_ids(t, U), cells,
-                                        _fam_ids(u, U), lambda g: g)
+            c2, cc = _move_family_cells(_fam_ids(t, U), cells, _fam_ids(u, U),
+                                        lambda g: g)
             return [(U, (c2, y), cc)]
 
         return self._coend_map(t, u, move)
 
     def _relabel_map(self, t, sigma):
-        field = self.field
         t2 = t.relabel(sigma)
         weights = self.coend_at(t).weights
         rules = _window(lambda U: self.p._relabel_rule(U, sigma))
@@ -987,10 +969,10 @@ class BbarPreCooperad(PreCooperad):
 
         def move(U, cells, y, d):
             U2 = U.relabel(sigma)
-            c2, cc = _move_family_cells(field, _fam_ids(t, U), cells,
+            c2, cc = _move_family_cells(_fam_ids(t, U), cells,
                                         _fam_ids(t2, U2), conv)
             dc = weights.term(U).label_degree[cells]
-            return [(U2, (c2, y2), field.mul(cc, cy))
+            return [(U2, (c2, y2), cc * cy)
                     for y2, cy in rules(U)(d - dc, y)]
 
         return self._coend_map(t, t2, move)
@@ -1016,10 +998,9 @@ class BbarPreCooperad(PreCooperad):
             dc2 = ceu.weights.term(U2).label_degree[c2]
             s_ids = lift(_fam_ids(t, U1), t_img) + lift(_fam_ids(u, U2), u_img)
             cellsV, s_cells = _move_family_cells(
-                field, s_ids, tuple(c1) + tuple(c2), _fam_ids(v, V),
-                lambda g: g)
+                s_ids, tuple(c1) + tuple(c2), _fam_ids(v, V), lambda g: g)
             yv, s_y = p._graft_label(U1, i, U2, y1, y2)
-            coeff = field.mul(field.mul(_sgn(field, dy1 * dc2), s_cells), s_y)
+            coeff = _sgn(dy1 * dc2) * s_cells * s_y
             return list(cev.class_of(V, d, {(cellsV, yv): coeff}).items())
 
         return ChainMap.from_rule(src, cev.complex, rule)
@@ -1034,7 +1015,6 @@ def bbar(p: Operad, N) -> PreCooperad:
 def transpose_to_precooperad(phi, bp: BbarPreCooperad, cq: CobarOperad):
     """Turn an operad map phi: p -> cobar(q), given per arity, into the
     corresponding family of maps bbar(p)(T) -> q(T), one per tree."""
-    field = bp.field
     p, q = bp.p, cq.q
     out = {}
     for n in range(1, bp.N + 1):
@@ -1048,8 +1028,7 @@ def transpose_to_precooperad(phi, bp: BbarPreCooperad, cq: CobarOperad):
                 dys = [p.term(ft.n).label_degree[l] for ft, l in zip(fts, y)]
                 vals = _evaluate(
                     cq, fts, cells,
-                    lambda j: phi[fts[j].n].image(y[j]),
-                    dys, field.one)
+                    lambda j: phi[fts[j].n].image(y[j]), dys, 1)
                 if not vals:
                     return []
                 return list(q.compose_fragments(T, U).apply(d, vals).items())
@@ -1062,7 +1041,6 @@ def transpose_to_precooperad(phi, bp: BbarPreCooperad, cq: CobarOperad):
 def transpose_to_operad(psi, bp: BbarPreCooperad, cq: CobarOperad):
     """Turn a family psi: bbar(p)(T) -> q(T) of maps natural in the tree
     into the corresponding operad map p -> cobar(q), given per arity."""
-    field = bp.field
     p = bp.p
     out = {}
     for n in range(1, bp.N + 1):
@@ -1071,9 +1049,9 @@ def transpose_to_operad(psi, bp: BbarPreCooperad, cq: CobarOperad):
             for V in enumerate_trees(n):
                 c, dc = _wbar_top(V), V.num_vertices
                 key = ((c,), (x,)) if n >= 2 else ((), ())
-                vec = bp.coend_at(V).class_of(tau, dc + d, {key: field.one})
-                sw = _sgn(field, dc * d)
-                res.extend(((V, z), field.mul(cz, sw))
+                vec = bp.coend_at(V).class_of(tau, dc + d, {key: 1})
+                sw = _sgn(dc * d)
+                res.extend(((V, z), cz * sw)
                            for z, cz in psi[V].apply(dc + d, vec).items())
             return res
 
@@ -1114,7 +1092,7 @@ class CoWPreCooperad(PreCooperad):
         field = self.field
         et, eu = self.end_at(t), self.end_at(u)
         comp = {U: (U, _hom_rule(
-                    field, pre=face_inclusion(field, "j", (U, u), (U, t))))
+                    pre=face_inclusion(field, "j", (U, u), (U, t))))
                 for U in et.trees if u.leq(U)}
         return _end_map(et, eu, comp)
 
@@ -1147,7 +1125,6 @@ def co_w_resolution(q: PreCooperad, N):
     """The termwise deformation retraction between q and its co-W-
     construction: eta expands against every vertex of the relative cube,
     zeta reads off the slot at the tree itself; zeta o eta = id."""
-    field = q.field
     cw = co_w(q, N)
     etas, zetas = {}, {}
     for n in range(1, N + 1):
@@ -1170,7 +1147,7 @@ def co_w_resolution(q: PreCooperad, N):
             def zrule(d, hl, t=t):
                 if hl[1] != ():
                     return []
-                return [(hl[2], field.one)]
+                return [(hl[2], 1)]
 
             zetas[t] = en.component(t).then(ChainMap.from_rule(
                 en.homs[t], q.term(t), zrule))
@@ -1179,20 +1156,19 @@ def co_w_resolution(q: PreCooperad, N):
 
 # -- comparison of the bar-cobar composite with the co-W-construction -----
 
-def _theta_star_vertex(cq: CobarOperad, cuts, Vt: Tree, Ut: Tree, xt, rt,
-                       drt):
+def _theta_star_vertex(cq: CobarOperad, cuts, Vt: Tree, Ut: Tree, xt, rt):
     """One vertex of theta_star: the relative cell rt of the fragment Vt
     traded by the rule of theta_cells for a family cell over the bar tree
     Ut, and the cobar labels xt evaluated on it; cuts(Vt, Ut) is
-    _theta_cut(field, Vt, Ut)."""
+    _theta_cut(Vt, Ut)."""
     field = cq.field
     th, wts, _ = cuts(Vt, Ut)
     dxs = cq._degrees(Ut, xt)
     step = {}
     for fc, cf in th(None, (rt, _wbar_top(Ut))):
-        vals = _evaluate(cq, wts, fc, lambda j: {xt[j]: field.one}, dxs, cf)
+        vals = _evaluate(cq, wts, fc, lambda j: {xt[j]: 1}, dxs, cf)
         for l, c in vals.items():
-            step[l] = field.add(step.get(l, field.zero), c)
+            step[l] = field.add(step.get(l, 0), c)
     return step
 
 
@@ -1234,15 +1210,14 @@ def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End,
             for dr in rel.degrees():
                 for r in rel.basis[dr]:
                     # cut the cell into the vertex cubes
-                    coords, s_cut = _move_cell(field, r, slots, len(ids))
+                    coords, s_cut = _move_cell(r, slots, len(ids))
                     rts = _chunks(coords, widths)
                     drts = [rt.count(STAR) for rt in rts]
-                    terms = {(): field.mul(
-                        field.mul(_sgn(field, dr * d), s_cut),
-                        _interleave_sign(field, bdegs, drts))}
-                    for (Ut, xt), Vt, rt, drt in zip(lab, fts, rts, drts):
+                    terms = {(): _sgn(dr * d) * s_cut *
+                             _interleave_sign(bdegs, drts)}
+                    for (Ut, xt), Vt, rt in zip(lab, fts, rts):
                         terms = _tensor_vecs(field, terms, _theta_star_vertex(
-                            cq, cuts, Vt, Ut, xt, rt, drt))
+                            cq, cuts, Vt, Ut, xt, rt))
                         if not terms:
                             break
                     if not terms:
@@ -1257,12 +1232,11 @@ def _theta_star_rule(q: PreCooperad, cq: CobarOperad, T: Tree, en: End,
                     for l3, c3 in terms.items():
                         zd = [q.term(frsU[g].tree).label_degree[z]
                               for g, z in zip(gverts, l3)]
-                        z2, s = _place(field, l3, zd, perm)
-                        for zv, cz in cf.apply(
-                                sum(zd), {z2: field.mul(c3, s)}).items():
+                        z2, s = _place(l3, zd, perm)
+                        for zv, cz in cf.apply(sum(zd), {z2: c3 * s}).items():
                             k2 = (V, ("h", r, zv))
-                            res[k2] = field.add(res.get(k2, field.zero), cz)
-        return [(k, c) for k, c in res.items() if c != field.zero]
+                            res[k2] = field.add(res.get(k2, 0), cz)
+        return [(k, c) for k, c in res.items() if c]
 
     return rule
 
@@ -1282,7 +1256,7 @@ def theta_star(q: PreCooperad, N, cq: CobarOperad | None = None,
     # one window for the whole family: the fragment pairs (Vt, Ut) recur
     # across the trees T, and a window per T cuts 89 pairs 187 times on
     # com at arity 4
-    cuts = _window(functools.partial(_theta_cut, q.field))
+    cuts = _window(_theta_cut)
     out = {}
     for n in range(1, N + 1):
         for T in enumerate_trees(n):

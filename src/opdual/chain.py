@@ -166,7 +166,7 @@ class ChainMap:
 
     def verify(self):
         s = self.degree
-        sgn = self.source.field.of((-1) ** (s % 2))
+        sgn = _sgn(s)
         for k in set(self.source.degrees()) | {d + 1 for d in self.source.degrees()}:
             lhs = self.matrix(k - 1) @ self.source.d_matrix(k)
             rhs = (self.target.d_matrix(k + s) @ self.matrix(k)).scale(sgn)
@@ -259,10 +259,10 @@ class ChainMap:
                         check=False)
 
     def __sub__(self, other):
-        return self + other.scale(self.source.field.of(-1))
+        return self + other.scale(-1)
 
     def __neg__(self):
-        return self.scale(self.source.field.of(-1))
+        return self.scale(-1)
 
     def scale(self, c):
         mats = {k: m.scale(c) for k, m in self.mats.items()}
@@ -314,7 +314,13 @@ def _graded_basis(labeled):
     return basis
 
 
-def koszul_sign(field, degrees, positions):
+def _sgn(e):
+    """(-1)^e as the int +-1, for any int e (a cobar degree is negative,
+    and (-1) ** -3 is a float)."""
+    return -1 if e % 2 else 1
+
+
+def koszul_sign(degrees, positions):
     """Sign for reordering graded symbols: degrees[i] is the degree of the
     i-th source symbol, positions[i] its target slot. Sign is the product of
     (-1)^{d_i d_j} over inverted pairs."""
@@ -324,7 +330,7 @@ def koszul_sign(field, degrees, positions):
         for j in range(i + 1, n):
             if positions[i] > positions[j]:
                 exp += degrees[i] * degrees[j]
-    return field.one if exp % 2 == 0 else field.neg(field.one)
+    return _sgn(exp)
 
 
 def tensor_many(field, factors):
@@ -350,7 +356,7 @@ def tensor_many(field, factors):
         for i, f in enumerate(factors):
             dl = f.boundary_of(tup[i])
             for l2, c in dl.items():
-                out.append((tup[:i] + (l2,) + tup[i + 1:], c if sign > 0 else field.neg(c)))
+                out.append((tup[:i] + (l2,) + tup[i + 1:], sign * c))
             if fdeg[i][tup[i]] % 2 == 1:
                 sign = -sign
         return out
@@ -369,18 +375,16 @@ def tensor_map_many(field, maps, source=None, target=None):
     sdeg = [m.source.label_degree for m in maps]
 
     def rule(d, tup):
-        terms = [((), field.one)]
+        terms = [((), 1)]
         below = 0
         for i, m in enumerate(maps):
             k = sdeg[i][tup[i]]
             img = m.image(tup[i])
-            s = field.one
-            if m.degree % 2 == 1 and below % 2 == 1:
-                s = field.neg(s)
+            s = _sgn(m.degree * below)
             new = []
             for tup0, c0 in terms:
                 for l2, c2 in img.items():
-                    new.append((tup0 + (l2,), field.mul(c0, field.mul(s, c2))))
+                    new.append((tup0 + (l2,), c0 * s * c2))
             terms = new
             below += k
         return terms
@@ -388,33 +392,31 @@ def tensor_map_many(field, maps, source=None, target=None):
     return ChainMap.from_rule(source, target, rule, degree=deg)
 
 
-def _place(field, labels, degrees, slots):
+def _place(labels, degrees, slots):
     """Put labels[i], of degree degrees[i], into slot slots[i]: the
     reordered tuple and the Koszul sign of the reordering."""
     out = [None] * len(slots)
     for l, s in zip(labels, slots):
         out[s] = l
-    return tuple(out), koszul_sign(field, degrees, slots)
+    return tuple(out), koszul_sign(degrees, slots)
 
 
-def _placer(field, factors, slots):
+def _placer(factors, slots):
     """_place on the labels of the tensor of the complexes factors, with
     the inverse slot order found once: x -> (the reordered tuple, its
     Koszul sign). The sign is 1 unless some factor has an odd degree,
     and only then is koszul_sign called."""
     back = sorted(range(len(slots)), key=slots.__getitem__)
     if not any(d % 2 for f in factors for d in f.basis):
-        one = field.one
-        return lambda x: (tuple([x[i] for i in back]), one)
+        return lambda x: (tuple([x[i] for i in back]), 1)
     degrees = [f.label_degree for f in factors]
     return lambda x: (tuple([x[i] for i in back]), koszul_sign(
-        field, [g[l] for g, l in zip(degrees, x)], slots))
+        [g[l] for g, l in zip(degrees, x)], slots))
 
 
 def shift(c: ChainComplex, s: int) -> ChainComplex:
     basis = {d + s: labels for d, labels in c.basis.items()}
-    sgn = c.field.of((-1) ** (s % 2))
-    diff = {k + s: c.diff[k].scale(sgn) for k in c.diff}
+    diff = {k + s: c.diff[k].scale(_sgn(s)) for k in c.diff}
     return ChainComplex(c.field, basis, diff)
 
 
@@ -424,7 +426,7 @@ def linear_dual(c: ChainComplex) -> ChainComplex:
     diff = {}
     for k in c.diff:
         # boundary on duals in degree -k+1, target degree -k
-        m = c.diff[k].transpose().scale(c.field.of(-1))
+        m = c.diff[k].transpose().scale(-1)
         diff[-k + 1] = m
     return ChainComplex(c.field, basis, diff)
 
@@ -458,7 +460,7 @@ def cone(f: ChainMap) -> ChainComplex:
         side, l = lab
         if side == "c1":
             return [(("c1", l2), v) for l2, v in f.target.boundary_of(l).items()]
-        out = [(("c0", l2), field.neg(v))
+        out = [(("c0", l2), -v)
                for l2, v in f.source.boundary_of(l).items()]
         out.extend((("c1", l2), v) for l2, v in f.image(l).items())
         return out
@@ -491,19 +493,18 @@ def hom_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     def rule(s, lab):
         _, la, lb = lab
         out = [(("h", la, l2), v) for l2, v in b.boundary_of(lb).items()]
-        sgn = field.of(-((-1) ** (s % 2)))
+        sgn = -_sgn(s)
         for la2, v in up.get(la, ()):
-            out.append((("h", la2, lb), field.mul(sgn, v)))
+            out.append((("h", la2, lb), sgn * v))
         return out
 
     return ChainComplex.from_rule(field, basis, rule)
 
 
-def _hom_rule(field, pre: ChainMap = None, post: ChainMap = None):
+def _hom_rule(pre: ChainMap = None, post: ChainMap = None):
     """The rule of f -> post f pre on one label ("h", la, lb) of hom(A,B),
     into hom(C,D), given pre: C -> A and post: B -> D of degree 0; a
     missing one is the identity."""
-    one = field.one
     # for each la in A, the C-elements pre sends onto it
     back = {}
     if pre is not None:
@@ -515,9 +516,9 @@ def _hom_rule(field, pre: ChainMap = None, post: ChainMap = None):
 
     def rule(s, lab):
         _, la, lb = lab
-        las = [(la, one)] if pre is None else back.get(la, ())
-        lbs = [(lb, one)] if post is None else post.image(lb).items()
-        return [(("h", la2, lb2), field.mul(ca, cb))
+        las = [(la, 1)] if pre is None else back.get(la, ())
+        lbs = [(lb, 1)] if post is None else post.image(lb).items()
+        return [(("h", la2, lb2), ca * cb)
                 for la2, ca in las for lb2, cb in lbs]
 
     return rule
@@ -526,7 +527,7 @@ def _hom_rule(field, pre: ChainMap = None, post: ChainMap = None):
 def hom_map(homab: ChainComplex, homcd: ChainComplex, pre: ChainMap = None,
             post: ChainMap = None) -> ChainMap:
     """hom(A,B) -> hom(C,D), f -> post f pre, the map of _hom_rule."""
-    return ChainMap.from_rule(homab, homcd, _hom_rule(homab.field, pre, post))
+    return ChainMap.from_rule(homab, homcd, _hom_rule(pre, post))
 
 
 def kernel_complex(f: ChainMap):

@@ -37,7 +37,7 @@ import itertools
 from functools import lru_cache
 
 from .chain import (
-    ChainComplex, ChainMap, koszul_sign, tensor_many, zero_complex,
+    ChainComplex, ChainMap, _sgn, koszul_sign, tensor_many, zero_complex,
 )
 from .trees import (
     ROOT, Tree, _graft_place, _split_graft, _token_image, cluster_key,
@@ -63,7 +63,7 @@ def _cube_complex(field, tokens, allowed):
         for pos, val in enumerate(cell):
             if val != STAR:
                 continue
-            sgn = (-1) ** stars_before
+            sgn = _sgn(stars_before)
             for new, s2 in ((1, 1), (0, -1)):
                 face = cell[:pos] + (new,) + cell[pos + 1:]
                 if allowed(face):
@@ -130,22 +130,21 @@ def _relabel_slots(src_tokens, tgt_tokens, sigma):
     return _slots(src_tokens, tgt_tokens, lambda tok: _token_image(tok, sigma))
 
 
-def _star_sign(field, slots):
+def _star_sign(slots):
     """Sign of moving the starred (degree-1) coordinates of a cell into
     target order: slots lists, in source order, the target position of
     each starred coordinate (any order-preserving key will do)."""
-    return koszul_sign(field, [1] * len(slots), slots)
+    return koszul_sign([1] * len(slots), slots)
 
 
-def _move_cell(field, cell, slots, size):
+def _move_cell(cell, slots, size):
     """Move coordinate k of a cell to position slots[k] of a cell of the
     given size, every coordinate that nothing moves set to 0: the new
     coordinates (a list) and the sign of the star reshuffle."""
     out = [0] * size
     for s, val in zip(slots, cell):
         out[s] = val
-    return out, _star_sign(field, [s for s, val in zip(slots, cell)
-                                   if val == STAR])
+    return out, _star_sign([s for s, val in zip(slots, cell) if val == STAR])
 
 
 def _chunks(flat, widths):
@@ -158,7 +157,7 @@ def _chunks(flat, widths):
     return tuple(out)
 
 
-def _cube_map(field, src, tgt, slots, size, widths=None) -> ChainMap:
+def _cube_map(src, tgt, slots, size, widths=None) -> ChainMap:
     """src -> tgt moving every cell by _move_cell, a cell of a tensor of
     cubes read as its flat coordinate list, and cut into the cells of
     the tensor factors of the given widths if any. An image that is no
@@ -167,7 +166,7 @@ def _cube_map(field, src, tgt, slots, size, widths=None) -> ChainMap:
     def rule(d, cell):
         if cell and isinstance(cell[0], tuple):
             cell = [v for row in cell for v in row]
-        out, sgn = _move_cell(field, cell, slots, size)
+        out, sgn = _move_cell(cell, slots, size)
         out = tuple(out) if widths is None else _chunks(out, widths)
         return [(out, sgn)] if out in tgt.index(d) else []
 
@@ -200,7 +199,7 @@ def face_inclusion(field, kind: str, src, tgt) -> ChainMap:
         a_toks, b_toks = _rel_tokens(u, t), _rel_tokens(u2, t2)
     else:
         raise ValueError(f"unknown face inclusion kind {kind!r}")
-    return _cube_map(field, a, b, _slots(a_toks, b_toks), len(b_toks))
+    return _cube_map(a, b, _slots(a_toks, b_toks), len(b_toks))
 
 
 # -- grafting, relabelings and the relative split ------------------------
@@ -226,11 +225,11 @@ def _mu_slots(t: Tree, i: int, u: Tree):
     return tuple(_slots(moved, v_edges)), v_edges.index(grafted_edge(t, i, u))
 
 
-def _mu_cell(field, t: Tree, i: int, u: Tree, tcell, ucell):
+def _mu_cell(t: Tree, i: int, u: Tree, tcell, ucell):
     """mu on one pair of cells: the moved cell of delta(graft(t, i, u)),
     grafted edge at 1, and its sign."""
     slots, g = _mu_slots(t, i, u)
-    out, sgn = _move_cell(field, tcell + ucell, slots, len(slots) + 1)
+    out, sgn = _move_cell(tcell + ucell, slots, len(slots) + 1)
     out[g] = 1
     return tuple(out), sgn
 
@@ -248,7 +247,7 @@ def graft_decompose(field, t: Tree, i: int, u: Tree):
     mu = ChainMap.from_rule(
         tensor_many(field, [delta_cube(field, t), delta_cube(field, u)]),
         delta_cube(field, graft(t, i, u)),
-        lambda d, pair: [_mu_cell(field, t, i, u, *pair)])
+        lambda d, pair: [_mu_cell(t, i, u, *pair)])
     return nu_general(field, t, i, u), mu
 
 
@@ -262,7 +261,7 @@ def nu_general(field, t: Tree, i: int, u: Tree) -> ChainMap:
     if t.n == 1:
         return ChainMap.from_rule(wv, tgt, lambda d, c: [(((), c), 1)])
     slots = _nu_slots(t, i, u)
-    return _cube_map(field, wv, tgt, slots, len(slots),
+    return _cube_map(wv, tgt, slots, len(slots),
                      (t.num_edges + 1, u.num_edges + 1))
 
 
@@ -271,14 +270,14 @@ def wbar_relabel(field, t: Tree, sigma) -> ChainMap:
         return ChainMap.identity(wbar(field, t))
     t2 = t.relabel(sigma)
     toks = _wbar_tokens(t)
-    return _cube_map(field, wbar(field, t), wbar(field, t2),
+    return _cube_map(wbar(field, t), wbar(field, t2),
                      _relabel_slots(toks, _wbar_tokens(t2), sigma), len(toks))
 
 
 def rel_delta_relabel(field, u: Tree, t: Tree, sigma) -> ChainMap:
     u2, t2 = u.relabel(sigma), t.relabel(sigma)
     toks = _rel_tokens(u, t)
-    return _cube_map(field, rel_delta(field, u, t), rel_delta(field, u2, t2),
+    return _cube_map(rel_delta(field, u, t), rel_delta(field, u2, t2),
                      _relabel_slots(toks, _rel_tokens(u2, t2), sigma),
                      len(toks))
 
@@ -293,7 +292,7 @@ def rel_split(field, V: Tree, v: Tree, i: int, t: Tree, u: Tree) -> ChainMap:
     slots = _slots(_rel_tokens(V, v), [t_img[c] for c in t_toks] +
                    [u_img[c] for c in u_toks])
     return _cube_map(
-        field, rel_delta(field, V, v),
+        rel_delta(field, V, v),
         tensor_many(field, [rel_delta(field, T2, t), rel_delta(field, U2, u)]),
         slots, len(slots), (len(t_toks), len(u_toks)))
 
@@ -325,12 +324,12 @@ def _family_move(s_ids, t_ids, conv):
             len(flat), [len(toks) for toks in t_ids])
 
 
-def _move_family_cells(field, s_ids, cells, t_ids, conv):
+def _move_family_cells(s_ids, cells, t_ids, conv):
     """Move a block of wbar cells along the token map conv, which sends
     roots to roots: the target cells and the sign."""
     slots, size, widths = _family_move(s_ids, t_ids, conv)
-    coords, sgn = _move_cell(field, [v for cell in cells for v in cell],
-                             slots, size)
+    coords, sgn = _move_cell([v for cell in cells for v in cell], slots,
+                             size)
     return _chunks(coords, widths), sgn
 
 
@@ -341,8 +340,8 @@ def _family_map(field, T, U, T2, U2, conv) -> ChainMap:
     tgt = wbar_family(field, T2, U2)
     if src.total_dim() == 0 or tgt.total_dim() == 0:
         return ChainMap.zero(src, tgt)
-    return _cube_map(field, src, tgt,
-                     *_family_move(_fam_ids(T, U), _fam_ids(T2, U2), conv))
+    return _cube_map(src, tgt, *_family_move(_fam_ids(T, U), _fam_ids(T2, U2),
+                                             conv))
 
 
 def family_inclusion(field, t: Tree, t2: Tree, u: Tree) -> ChainMap:
@@ -367,13 +366,13 @@ def theta_cells(field, t: Tree, u: Tree) -> ChainMap:
     the rule _theta_cell_rule; the zero map (into the zero complex) when
     u is not a contraction of t."""
     source = tensor_many(field, [delta_cube(field, t), wbar(field, u)])
-    rule = _theta_cell_rule(field, t, u)
+    rule = _theta_cell_rule(t, u)
     if rule is None:
         return ChainMap.zero(source, zero_complex(field))
     return ChainMap.from_rule(source, wbar_family(field, t, u), rule)
 
 
-def _theta_cell_rule(field, t: Tree, u: Tree):
+def _theta_cell_rule(t: Tree, u: Tree):
     """The rule of theta_cells on a pair (delta cell, wbar cell), or None
     when u is not a contraction of t.
 
@@ -432,8 +431,7 @@ def _theta_cell_rule(field, t: Tree, u: Tree):
                    [("w", ROOT)] + \
                    [("w", e) for e in u.edges() if wval[e] == STAR]
         pos = {s: k for k, s in enumerate(consumed)}
-        sgn2 = _star_sign(field, [pos[s] for s in src_syms])
-        coef = field.one if sgn > 0 else field.neg(field.one)
-        return [(tuple(out_cells), field.mul(coef, sgn2))]
+        return [(tuple(out_cells),
+                 sgn * _star_sign([pos[s] for s in src_syms]))]
 
     return rule

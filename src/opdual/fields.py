@@ -40,13 +40,16 @@ def _integral(q: Fraction):
 class Field:
     """A field of characteristic 0 (rationals) or p (integers mod p).
 
-    Elements are plain Python numbers; this object just supplies the
-    arithmetic so matrix code stays generic. Over Q an element is an int
-    when it is integral and a Fraction otherwise, so the common +-1 and
-    small integer scalars take int arithmetic; add, sub, mul and neg
-    keep ints as ints, and inv turns an integral result back into an int.
-    Over F_p an element is an int in 0..p-1. Mixed int and Fraction values
-    compare and hash equal, so either form may reach a Matrix.
+    Elements are plain Python numbers. Rules emit +-1 signs and their
+    products with stored values as plain numbers, and this object's
+    arithmetic reduces them where they are stored or tested: of in the
+    fills of chain and in Matrix, the elimination in linalg, and add in
+    the few sums whose zero test steers control flow. Over Q an element
+    is an int when it is integral and a Fraction otherwise, so the common
+    +-1 and small integer scalars take int arithmetic; add, sub, mul and
+    neg keep ints as ints, and inv turns an integral result back into an
+    int. Over F_p an element is an int in 0..p-1. Mixed int and Fraction
+    values compare and hash equal, so either form may reach a Matrix.
     """
 
     def __init__(self, characteristic: int = 0):

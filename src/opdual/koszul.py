@@ -8,12 +8,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .chain import ChainMap
+from .chain import ChainMap, _sgn
 from .trees import enumerate_trees
 from .operads import (
     ExtendedCooperad, Operad, PreCooperad, dualize, extend_cooperad,
 )
-from .barcobar import CobarOperad, _sgn, bar, cobar, cobar_map, theta
+from .barcobar import CobarOperad, bar, cobar, cobar_map, theta
 
 
 def koszul_dual(p: Operad, N) -> Operad:
@@ -35,7 +35,6 @@ def kp_iso(p: Operad, N, cdp: CobarOperad | None = None):
     dual of the bar: the signed relabel (T, (("dual", x_1), ...,
     ("dual", x_k))) -> ("dual", (T, (x_1, ..., x_k))). Returns (kp, cdp,
     per-arity isos)."""
-    field = p.field
     kp = koszul_dual(p, N)
     if cdp is None:
         cdp = cobar(dual_precooperad(p), N)
@@ -45,7 +44,7 @@ def kp_iso(p: Operad, N, cdp: CobarOperad | None = None):
         x = tuple(y for _, y in duals)
         V = T.num_vertices
         s = V * (V - 1) // 2 + V * sum(p._degrees(T, x))
-        return [(("dual", (T, x)), _sgn(field, s))]
+        return [(("dual", (T, x)), _sgn(s))]
 
     return kp, cdp, {n: ChainMap.from_rule(cdp.term(n), kp.term(n), rule)
                      for n in range(1, N + 1)}

@@ -26,7 +26,8 @@ class Matrix:
             for (i, j), v in data.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                if v != field.zero:
+                v = field.of(v)
+                if v:
                     self.data[(i, j)] = v
 
     @classmethod
@@ -133,8 +134,10 @@ class Matrix:
 
     def set_column(self, j, vec):
         self._cols = None
-        for i, v in list(vec.items()):
-            if v != self.field.zero:
+        of = self.field.of
+        for i, v in vec.items():
+            v = of(v)
+            if v:
                 self.data[(i, j)] = v
 
     @classmethod

@@ -114,16 +114,16 @@ def _window(build, maps=None):
     return get
 
 
-def _merge_rule(F, factors, slots, k, pair):
+def _merge_rule(factors, slots, k, pair):
     """The rule merging one edge on a label x: place the factors of x at
     slots with their Koszul sign (factors holds the complex of each
     factor), then send factors k and k+1 through pair. Operad.contract_rule
     and PreCooperad.compose_fragments read it."""
-    place = _placer(F, factors, slots)
+    place = _placer(factors, slots)
 
     def rule(d, x):
         y, s = place(x)
-        return [(y[:k] + (l,) + y[k + 2:], F.mul(s, c))
+        return [(y[:k] + (l,) + y[k + 2:], s * c)
                 for l, c in pair.image(y[k:k + 2]).items()]
 
     return rule
@@ -264,14 +264,13 @@ class SymSeq:
         """Labels x of tree_complex(t) and y of tree_complex(u) as one
         label of tree_complex(graft(t, i, u)), with its Koszul sign."""
         _, slots = _graft_slots(t, i, u)
-        return _place(self.field, x + y,
-                      self._degrees(t, x) + self._degrees(u, y), slots)
+        return _place(x + y, self._degrees(t, x) + self._degrees(u, y), slots)
 
     def _ungraft_label(self, t: Tree, i: int, u: Tree, z):
         """Inverse of _graft_label: ((x, y), sign)."""
         v, slots = _graft_slots(t, i, u)
         back = sorted(range(len(slots)), key=slots.__getitem__)
-        xy, sgn = _place(self.field, z, self._degrees(v, z), back)
+        xy, sgn = _place(z, self._degrees(v, z), back)
         return (xy[:t.num_vertices], xy[t.num_vertices:]), sgn
 
     def tree_complex(self, t: Tree) -> ChainComplex:
@@ -291,11 +290,9 @@ class SymSeq:
         tree_complex(t): relabel each factor through its local leaf
         permutation, then place the factors at their vertices of
         sigma_* t with the Koszul sign."""
-        F = self.field
         moves = _vertex_relabel(t, t.relabel(sigma), sigma)
         acts = [self.act(len(loc), loc) for loc, _ in moves]
-        place = _placer(F, [f.source for f in acts],
-                        [pos for _, pos in moves])
+        place = _placer([f.source for f in acts], [pos for _, pos in moves])
 
         def rule(d, x):
             out = []
@@ -303,7 +300,7 @@ class SymSeq:
                     f.image(l).items() for f, l in zip(acts, x))):
                 lab, c = place([l for l, _ in combo])
                 for _, ck in combo:
-                    c = F.mul(c, ck)
+                    c *= ck
                 out.append((lab, c))
             return out
 
@@ -347,8 +344,7 @@ class Operad(SymSeq):
         two factors meeting at e and resort the merged vertex's inputs,
         through the merge map of the window."""
         a, j, b, pi, order, k = _contraction(t, e, t.contract(e))
-        return _merge_rule(self.field, [self.term(n)
-                                        for n in _vertex_arities(t)],
+        return _merge_rule([self.term(n) for n in _vertex_arities(t)],
                            [order.index(w) for w in t.vertices()], k,
                            self._merges(a, j, b, tuple(pi.values())))
 
@@ -723,8 +719,8 @@ class PreCooperad:
             pair = pair.then(self.relabel_map(graft(F_v, j, F_e), pi))
         rest = self.compose_fragments(T, U2)
         return ChainMap.from_rule(src, rest.source, _merge_rule(
-            self.field, factors,
-            [order.index(w) for w in U.vertices()], k, pair)).then(rest)
+            factors, [order.index(w) for w in U.vertices()], k,
+            pair)).then(rest)
 
 
 class ExtendedCooperad(PreCooperad):
@@ -752,18 +748,17 @@ class ExtendedCooperad(PreCooperad):
         then place the factors in the vertex order of u with the Koszul
         sign: the inverse route of the operad-side edge contraction."""
         q = self.q
-        F = self.field
         a, j, b, pi, order, k = _contraction(u, e, t)
         pair = self._splits(a, j, b, tuple(pi.values()))
         vs = u.vertices()
-        place = _placer(F, [q.term(u.arity_of(w)) for w in order],
-                         [vs.index(w) for w in order])
+        place = _placer([q.term(u.arity_of(w)) for w in order],
+                        [vs.index(w) for w in order])
 
         def rule(d, x):
             out = []
             for pl, c in pair.image(x[k]).items():
                 lab, s = place(x[:k] + pl + x[k + 1:])
-                out.append((lab, F.mul(s, c)))
+                out.append((lab, s * c))
             return out
 
         return rule
@@ -846,8 +841,6 @@ class FreePreCooperad(PreCooperad):
         # maps A(T_u) -> A((u2)_u); zero unless every fragment is
         # unchanged (zero mode) or always the identity transport
         # (constant mode, where A is constant along expansions)
-        F = self.field
-
         def rule(d, lab):
             u, l = lab
             if self.mode == "zero":

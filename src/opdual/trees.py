@@ -40,7 +40,6 @@ class Tree:
         else:
             if full not in cl:
                 raise ValueError("missing root cluster")
-        seen = set()
         for c in cl:
             if len(c) < 2:
                 raise ValueError("cluster of size < 2 (unary vertex)")

@@ -512,7 +512,7 @@ def _labelwise_action(p, term, sigma, cube_move):
     def rule(d, lab):
         t, x = lab[0], lab[-1]
         t2 = t.relabel(sigma)
-        deco, ws = cube_move(field, t, t2, sigma, lab[1:-1])
+        deco, ws = cube_move(t, t2, sigma, lab[1:-1])
         img = p.tree_relabel(t, sigma).apply(
             p.tree_complex(t).label_degree[x], {x: field.one})
         return [((t2,) + deco + (x2,), field.mul(ws, c))
@@ -521,15 +521,15 @@ def _labelwise_action(p, term, sigma, cube_move):
     return ChainMap.from_rule(term, term, rule)
 
 
-def _bar_move(field, t, t2, sigma, deco):
-    return (), _star_sign(field, _relabel_slots(
+def _bar_move(t, t2, sigma, deco):
+    return (), _star_sign(_relabel_slots(
         _wbar_tokens(t), _wbar_tokens(t2), sigma))
 
 
-def _w_move(field, t, t2, sigma, deco):
+def _w_move(t, t2, sigma, deco):
     (S,) = deco
     S2 = tuple(sorted((_token_image(e, sigma) for e in S), key=cluster_key))
-    return (S2,), _star_sign(field, _relabel_slots(S, t2.edges(), sigma))
+    return (S2,), _star_sign(_relabel_slots(S, t2.edges(), sigma))
 
 
 def _labelwise_bar_boundary(p):
@@ -541,9 +541,9 @@ def _labelwise_bar_boundary(p):
         out = []
         for k, e in enumerate(t.edges()):
             img = p.contract_map(t, e).apply(dx, {x: field.one})
-            out.extend(((t.contract(e), x2), field.mul(_sgn(field, k), c))
+            out.extend(((t.contract(e), x2), field.mul(_sgn(k), c))
                        for x2, c in img.items())
-        s = _sgn(field, t.num_vertices)
+        s = _sgn(t.num_vertices)
         out.extend(((t, x2), field.mul(s, c))
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
         return out
@@ -559,13 +559,13 @@ def _labelwise_w_boundary(p):
         dx = p.tree_complex(t).label_degree[x]
         out = []
         for k, e in enumerate(S):
-            s = _sgn(field, k)
+            s = _sgn(k)
             S2 = S[:k] + S[k + 1:]
             out.append(((t, S2, x), s))
             img = p.contract_map(t, e).apply(dx, {x: field.one})
             out.extend(((t.contract(e), S2, x2), field.mul(field.neg(s), c))
                        for x2, c in img.items())
-        s = _sgn(field, len(S))
+        s = _sgn(len(S))
         out.extend(((t, S, x2), field.mul(s, c))
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
         return out
@@ -606,17 +606,17 @@ def _labelwise_theta(p):
                      for w in ft.vertices()]
             at = {w: k for k, w in enumerate(order)}
             degs = p._degrees(T, x)
-            xr, s1 = _place(field, x, degs, [at[w] for w in T.vertices()])
+            xr, s1 = _place(x, degs, [at[w] for w in T.vertices()])
             chunks = _chunks(xr, [ft.num_vertices for ft in fts])
             dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
             dU = U.num_vertices
-            s2 = _sgn(field, sum(degs) * dU)
+            s2 = _sgn(sum(degs) * dU)
             img = th.apply(len(S) + dU, {(_w_cell(T, S), _wbar_top(U)): one})
             for famcell, cth in img.items():
                 dcs = [wbar(field, ft).label_degree[c]
                        for ft, c in zip(fts, famcell)]
                 vals = {(): field.mul(field.mul(cth, s1), field.mul(
-                    s2, _interleave_sign(field, dxs, dcs)))}
+                    s2, _interleave_sign(dxs, dcs)))}
                 for ft, c, chunk, dx in zip(fts, famcell, chunks, dxs):
                     Z = [tok for tok, val in zip(_wbar_tokens(ft), c)
                          if val == 0]
@@ -680,7 +680,7 @@ def _merge_rule_by_place(F, degrees, slots, k, pair):
     pdeg = pair.source.label_degree
 
     def rule(d, x):
-        y, s = _place(F, x, [g[l] for g, l in zip(degrees, x)], slots)
+        y, s = _place(x, [g[l] for g, l in zip(degrees, x)], slots)
         img = pair.apply(pdeg[y[k:k + 2]], {y[k:k + 2]: F.one})
         return [(y[:k] + (l,) + y[k + 2:], F.mul(s, c))
                 for l, c in img.items()]
@@ -710,8 +710,8 @@ def _cover_rule_by_place(eq, t, u, e):
         img = pair.apply(tm.label_degree[x[k]], {x[k]: F.one})
         for pl, c in img.items():
             y = x[:k] + pl + x[k + 1:]
-            lab, s = _place(F, y, [f.label_degree[l]
-                                   for f, l in zip(factors, y)], slots)
+            lab, s = _place(y, [f.label_degree[l]
+                                for f, l in zip(factors, y)], slots)
             out.append((lab, F.mul(s, c)))
         return out
 
@@ -732,7 +732,7 @@ def _relabel_map_by_place(a, t, sigma):
         for combo in itertools.product(*(
                 f.apply(dk, {l: F.one}).items()
                 for f, dk, l in zip(acts, degs, x))):
-            lab, c = _place(F, [l for l, _ in combo], degs, slots)
+            lab, c = _place([l for l, _ in combo], degs, slots)
             for _, ck in combo:
                 c = F.mul(c, ck)
             out.append((lab, c))
@@ -758,9 +758,9 @@ def _per_edge_boundaries(p, eq):
         dx = p.tree_complex(t).label_degree[x]
         out = []
         for k, e in enumerate(t.edges()):
-            out.extend(((t.contract(e), x2), field.mul(_sgn(field, k), c))
+            out.extend(((t.contract(e), x2), field.mul(_sgn(k), c))
                        for x2, c in contract(t, e)(dx, x))
-        s = _sgn(field, t.num_vertices)
+        s = _sgn(t.num_vertices)
         out.extend(((t, x2), field.mul(s, c))
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
         return out
@@ -770,12 +770,12 @@ def _per_edge_boundaries(p, eq):
         dx = p.tree_complex(t).label_degree[x]
         out = []
         for k, e in enumerate(S):
-            s = _sgn(field, k)
+            s = _sgn(k)
             S2 = S[:k] + S[k + 1:]
             out.append(((t, S2, x), s))
             out.extend(((t.contract(e), S2, x2), field.mul(field.neg(s), c))
                        for x2, c in contract(t, e)(dx, x))
-        s = _sgn(field, len(S))
+        s = _sgn(len(S))
         out.extend(((t, S, x2), field.mul(s, c))
                    for x2, c in p.tree_complex(t).boundary_of(x).items())
         return out
@@ -784,9 +784,9 @@ def _per_edge_boundaries(p, eq):
         t, x = lab
         dx = eq.term(t).label_degree[x]
         out = [((t, x2), c) for x2, c in eq.term(t).boundary_of(x).items()]
-        s = _sgn(field, d + 1)
+        s = _sgn(d + 1)
         for u, e in t.expansions():
-            su = _sgn(field, u.edges().index(e))
+            su = _sgn(u.edges().index(e))
             out.extend(((u, x2), field.mul(field.mul(s, su), c))
                        for x2, c in cover(t, u, e)(dx, x))
         return out
@@ -804,7 +804,7 @@ def _action_by_place(a, term, sigma, cube_move):
     def rule(d, lab):
         t, x = lab[0], lab[-1]
         t2 = t.relabel(sigma)
-        deco, ws = cube_move(field, t, t2, sigma, lab[1:-1])
+        deco, ws = cube_move(t, t2, sigma, lab[1:-1])
         img = relabel(t).apply(a.tree_complex(t).label_degree[x],
                                {x: field.one})
         return [((t2,) + deco + (x2,), field.mul(ws, c))
@@ -869,19 +869,19 @@ def _theta_rule_by_scan(p, found):
             if not U.leq(T):
                 continue
             if (T, U) not in cuts:
-                cuts[T, U] = barcobar._theta_cut(field, T, U)
+                cuts[T, U] = barcobar._theta_cut(T, U)
             th, fts, slots = cuts[T, U]
-            xr, s1 = _place(field, x, degs, slots)
+            xr, s1 = _place(x, degs, slots)
             chunks = _chunks(xr, [ft.num_vertices for ft in fts])
             dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
             classes = tuple(zip(fts, chunks))
-            s2 = field.mul(s1, _sgn(field, sum(degs) * U.num_vertices))
+            s2 = field.mul(s1, _sgn(sum(degs) * U.num_vertices))
             for famcell, cth in th(None, (_w_cell(T, S), _wbar_top(U))):
                 found.setdefault((T, S), set()).add(U)
                 dcs = [wbar(field, ft).label_degree[c]
                        for ft, c in zip(fts, famcell)]
                 out.append(((U, classes), field.mul(
-                    field.mul(cth, s2), _interleave_sign(field, dxs, dcs))))
+                    field.mul(cth, s2), _interleave_sign(dxs, dcs))))
         return out
 
     return rule
@@ -986,9 +986,9 @@ def test_structure_maps_built_once_per_key(monkeypatch):
                       ("theta_star", lambda: theta_star(q, 3))):
         cells = []
 
-        def counted_cells(field, T, U, orig=barcobar._theta_cut):
+        def counted_cells(T, U, orig=barcobar._theta_cut):
             cells.append((T, U))
-            return orig(field, T, U)
+            return orig(T, U)
 
         with monkeypatch.context() as m:
             m.setattr(barcobar, "_theta_cut", counted_cells)
@@ -1061,7 +1061,7 @@ def test_top_nu_matches_nu_general():
                 img = nu_general(QQ, t, i, u).apply(
                     v.num_vertices, {_wbar_top(v): QQ.one})
                 assert img[(_wbar_top(t), _wbar_top(u))] == \
-                    _top_nu(QQ, t, i, u), (t, i, u)
+                    _top_nu(t, i, u), (t, i, u)
                 pairs += 1
     assert pairs > 1000
 
@@ -1093,7 +1093,7 @@ def test_mu_cell_matches_graft_decompose():
                 *(itertools.chain(*delta_cube(QQ, s).basis.values())
                   for s in (t, u))))
             for i in range(1, m + 1):
-                moved = {pair: _mu_cell(QQ, t, i, u, *pair) for pair in pairs}
+                moved = {pair: _mu_cell(t, i, u, *pair) for pair in pairs}
                 for pair, (cell, sgn) in moved.items():
                     assert (cell, sgn) == _ref_mu(t, i, u, *pair)
                 _, mu = graft_decompose(QQ, t, i, u)
@@ -1392,7 +1392,7 @@ def test_cobar_map_matches_engine_reference(name, field):
     cm = cobar_map(c1, c2, fam, 3)
     for n in (1, 2, 3):
         e1, e2 = cobar_engine(eq, n), cobar_engine(ddq, n)
-        slots = {T: (T, _hom_rule(field, post=fam[T]))
+        slots = {T: (T, _hom_rule(post=fam[T]))
                  for T in e1.trees if e1.homs[T].total_dim()}
         ref = closed_cobar_to_engine(eq, c1, e1).then(
             _end_map(e1, e2, slots)).then(_read_top_cells(e2, c2.term(n)))

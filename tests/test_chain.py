@@ -27,7 +27,7 @@ def permute_factors(field, factors, perm, source, target) -> ChainMap:
     factors, perm[i] the target slot of factor i, with Koszul signs."""
     fdeg = [f.label_degree for f in factors]
     return ChainMap.from_rule(source, target, lambda d, tup: [ch._place(
-        field, tup, [fdeg[i][l] for i, l in enumerate(tup)], perm)])
+        tup, [fdeg[i][l] for i, l in enumerate(tup)], perm)])
 
 
 def hom_elem_to_map(vec: dict, a: ChainComplex, b: ChainComplex,
@@ -371,10 +371,10 @@ def test_a_label_outside_its_basis_is_a_value_error():
 
 
 def test_koszul_sign():
-    assert koszul_sign(QQ, [1, 1], [1, 0]) == -1
-    assert koszul_sign(QQ, [1, 2], [1, 0]) == 1
-    assert koszul_sign(QQ, [0, 1], [1, 0]) == 1
-    assert koszul_sign(QQ, [1, 1, 1], [2, 1, 0]) == -1
+    assert koszul_sign([1, 1], [1, 0]) == -1
+    assert koszul_sign([1, 2], [1, 0]) == 1
+    assert koszul_sign([0, 1], [1, 0]) == 1
+    assert koszul_sign([1, 1, 1], [2, 1, 0]) == -1
 
 
 def test_field_f2_parallel():

@@ -402,7 +402,7 @@ def test_a_stray_label_exits_3_without_a_traceback(capsys, monkeypatch):
     # the action rule of the closed forms emits a decoration that labels
     # no basis element; kk builds the actions of bar
     monkeypatch.setattr("opdual.barcobar._top_cell_move",
-                        lambda field, t, t2, sigma, deco: (("stray",), 1))
+                        lambda t, t2, sigma, deco: (("stray",), 1))
     code, cap = run(capsys, "kk", "--operad", "com", "--max-arity", "3")
     assert code == 3
     assert "Traceback" not in cap.err

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from opdual.fields import QQ, F2
+from opdual.fields import Field, QQ, F2
 from opdual.chain import ChainMap, dual_map
 from opdual.trees import canonical_form, corolla, enumerate_trees
 from opdual.operads import (
@@ -12,7 +12,7 @@ from opdual.operads import (
 )
 from opdual.barcobar import (
     _wbar_top, bar, bbar, closed_cobar_to_engine, co_w, cobar, cobar_engine,
-    omega_sigma, precooperad_diagram, w_construction,
+    omega_sigma, precooperad_diagram, theta, w_construction,
 )
 from opdual.koszul import (
     cb_to_kk, double_dual_map, dual_precooperad, koszul_dual, kp_iso,
@@ -317,3 +317,40 @@ def test_unit_maps_follow_one_rule(monkeypatch):
         q.m_map(corolla(2), 1, corolla(2))
     assert {c[0] for c in calls} == {"circ", "cocirc", "m_map"}
     assert [c for c in calls if 1 in c[1:]] == []
+
+
+def _structure_maps(s, structure):
+    """Every action of an adjacent transposition and every circ or cocirc
+    of the symmetric sequence s."""
+    N = s.N
+    maps = [s.sigma_adj(n, i) for n in range(2, N + 1) for i in range(1, n)]
+    maps += [getattr(s, structure)(m, i, n) for m in range(1, N + 1)
+             for n in range(1, N + 2 - m) for i in range(1, m + 1)]
+    return maps
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda F: trivial_operad(
+        symseq_from_degrees(F, 4, {2: [0, 1]})), id="trivial01"),
+    pytest.param(lambda F: free_operad(
+        symseq_from_degrees(F, 4, {2: [1]}), 4), id="free1"),
+])
+def test_stored_entries_are_reduced_mod_p(make, p):
+    # the rules emit signs -1 and products of them unreduced; every
+    # matrix they fill stores an int in 1..p-1
+    F, N = Field(p), 4
+    op = make(F)
+    wp, cb, th = theta(op, N)
+    kp, kkp, dd = cb_to_kk(op, N, cb=cb)
+    structures = ((op, "circ"), (bar(op, N), "cocirc"), (wp, "circ"),
+                  (cb, "circ"), (kp, "circ"), (kkp, "circ"))
+    maps = list(th.values()) + list(dd.values())
+    for s, structure in structures:
+        maps += _structure_maps(s, structure)
+    mats = [m for f in maps for m in f.mats.values()]
+    mats += [m for s, _ in structures for n in range(1, N + 1)
+             for m in s.term(n).diff.values()]
+    assert any(v == p - 1 for m in mats for v in m.data.values())
+    for m in mats:
+        assert all(type(v) is int and 0 < v < p for v in m.data.values())

@@ -498,3 +498,19 @@ def test_a_cancelled_entry_comes_back_last(field):
               "r2": [("r0", 1)]}
     g = ChainMap.from_rule(low3, low3, lambda d, l: images[l], check=False)
     assert list(g.apply(0, {"r0": 1, "r1": 1, "r2": 1})) == ["r1", "r0"]
+
+
+def test_a_matrix_stores_field_values_and_no_zero():
+    # a value given to the constructor or to set_column is stored as its
+    # Field.of, and one that is 0 in the field is not stored
+    f3 = Field(3)
+    assert Matrix(f3, 1, 1, {(0, 0): 3}).is_zero()
+    assert Matrix(f3, 1, 1, {(0, 0): 3}) == Matrix.zero(f3, 1, 1)
+    assert Matrix(f3, 1, 2, {(0, 0): -1, (0, 1): 7}).data == \
+        {(0, 0): 2, (0, 1): 1}
+    m = Matrix(f3, 2, 1)
+    m.set_column(0, {0: 6, 1: -4})
+    assert m.data == {(1, 0): 2}
+    assert m.column(0) == {1: 2}
+    q = Matrix(QQ, 1, 1, {(0, 0): Fraction(4, 2)})
+    assert type(q[0, 0]) is int and q[0, 0] == 2

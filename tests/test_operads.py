@@ -574,9 +574,9 @@ def test_rules_match_the_two_step_route_label_by_label(p, monkeypatch):
     F = p.field
     merges, splits, rules = {}, [], []
 
-    def merge_rule(F, degrees, slots, k, pair, orig=operads._merge_rule):
+    def merge_rule(degrees, slots, k, pair, orig=operads._merge_rule):
         merges[key].append(weakref.ref(pair))
-        return orig(F, degrees, slots, k, pair)
+        return orig(degrees, slots, k, pair)
 
     def split(self, *key, orig=ExtendedCooperad._split):
         f = orig(self, *key)
@@ -687,7 +687,7 @@ def _ref_compose_fragments(q, T, U):
                          [cf.source for _, cf in subs])
 
     def regroup_rule(d, tup):
-        flat, sgn = _place(field, tup,
+        flat, sgn = _place(tup,
                            [fdeg[k][l] for k, l in enumerate(tup)], perm)
         return [((flat[0],) + _chunks(flat[1:], map(len, groups)), sgn)]
 
