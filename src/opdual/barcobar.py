@@ -775,7 +775,7 @@ def _theta_cut(T: Tree, U: Tree):
     order = [frs[v].to_global[w] for v, ft in zip(U.vertices(), fts)
              for w in ft.vertices()]
     at = {w: k for k, w in enumerate(order)}
-    return _theta_cell_rule(T, U), fts, [at[w] for w in T.vertices()]
+    return _theta_cell_rule(T, U, frs), fts, [at[w] for w in T.vertices()]
 
 
 def _theta_rule(p: Operad):

@@ -366,15 +366,15 @@ def theta_cells(field, t: Tree, u: Tree) -> ChainMap:
     the rule _theta_cell_rule; the zero map (into the zero complex) when
     u is not a contraction of t."""
     source = tensor_many(field, [delta_cube(field, t), wbar(field, u)])
-    rule = _theta_cell_rule(t, u)
+    rule = _theta_cell_rule(t, u, fragments(t, u))
     if rule is None:
         return ChainMap.zero(source, zero_complex(field))
     return ChainMap.from_rule(source, wbar_family(field, t, u), rule)
 
 
-def _theta_cell_rule(t: Tree, u: Tree):
+def _theta_cell_rule(t: Tree, u: Tree, frs):
     """The rule of theta_cells on a pair (delta cell, wbar cell), or None
-    when u is not a contraction of t.
+    when u is not a contraction of t; frs is fragments(t, u).
 
     Built one target coordinate at a time. For the fragment above a
     vertex of u: internal fragment edges read the delta coordinate of
@@ -385,7 +385,6 @@ def _theta_cell_rule(t: Tree, u: Tree):
     to the root coordinate, contributing a minus sign. The total sign
     also reshuffles the consumed degree-1 coordinates into target order.
     """
-    frs = fragments(t, u)
     if frs is None:
         return None
     u_vertices = u.vertices()

@@ -13,6 +13,11 @@ subsets of size >= 2 that contains the full set is a valid tree, and:
 
 An internal edge is identified with its lower (child) vertex; the root
 edge is the separate token ROOT.
+
+Trees are interned: there is one Tree instance per (n, family), kept for
+the life of the process by the lru_cache `_interned`, so tree equality is
+identity and a tree hashes by its id. Only the order of a set of trees
+depends on that id, and nothing iterates one.
 """
 from __future__ import annotations
 
@@ -26,33 +31,52 @@ def cluster_key(c):
     return tuple(sorted(c))
 
 
-class Tree:
-    __slots__ = ("n", "clusters", "_edges", "_hash", "_code")
+@lru_cache(maxsize=None)
+def _interned(n: int, cl: frozenset) -> "Tree":
+    """The one Tree over {1..n} with the clusters cl, built and validated
+    on the first request. The table lives as long as the process; an
+    invalid cl raises ValueError and stores nothing."""
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+    full = frozenset(range(1, n + 1))
+    if n == 1:
+        if cl:
+            raise ValueError("the 1-leaf tree has no internal vertex")
+    else:
+        if full not in cl:
+            raise ValueError("missing root cluster")
+    for c in cl:
+        if len(c) < 2:
+            raise ValueError("cluster of size < 2 (unary vertex)")
+        if not c <= full:
+            raise ValueError("cluster outside the leaf set")
+        for d in cl:
+            if not (c <= d or d <= c or not (c & d)):
+                raise ValueError("clusters not laminar")
+    t = object.__new__(Tree)
+    t.n = n
+    t.clusters = cl
+    t._vertices = t._children = t._edges = t._code = t._repr = None
+    return t
 
-    def __init__(self, n: int, clusters):
-        if n < 1:
-            raise ValueError("arity must be >= 1")
-        cl = frozenset(frozenset(c) for c in clusters)
-        full = frozenset(range(1, n + 1))
-        if n == 1:
-            if cl:
-                raise ValueError("the 1-leaf tree has no internal vertex")
-        else:
-            if full not in cl:
-                raise ValueError("missing root cluster")
-        for c in cl:
-            if len(c) < 2:
-                raise ValueError("cluster of size < 2 (unary vertex)")
-            if not c <= full:
-                raise ValueError("cluster outside the leaf set")
-            for d in cl:
-                if not (c <= d or d <= c or not (c & d)):
-                    raise ValueError("clusters not laminar")
-        self.n = n
-        self.clusters = cl
-        self._edges = None
-        self._hash = None
-        self._code = None
+
+class Tree:
+    """One tree over {1..n}, given by its clusters. There is one instance
+    per tree: Tree(n, clusters) returns the instance that `_interned`
+    holds for (n, frozenset of clusters), so two trees are equal iff they
+    are the same object, and a tree compares and hashes by identity. A
+    tree keeps its vertices, the children of each vertex, its edge list
+    and its encoding (which repr reads), each computed on the first
+    request."""
+
+    __slots__ = ("n", "clusters", "_vertices", "_children", "_edges",
+                 "_code", "_repr")
+
+    def __new__(cls, n: int, clusters):
+        return _interned(n, frozenset(frozenset(c) for c in clusters))
+
+    def __reduce__(self):
+        return Tree, (self.n, self.clusters)
 
     # -- basic structure -------------------------------------------------
 
@@ -65,8 +89,11 @@ class Tree:
         return frozenset(range(1, self.n + 1))
 
     def vertices(self):
-        """Internal vertices as clusters, in the fixed global order."""
-        return sorted(self.clusters, key=cluster_key)
+        """Internal vertices as clusters, in the fixed global order (a new
+        list on each call)."""
+        if self._vertices is None:
+            self._vertices = tuple(sorted(self.clusters, key=cluster_key))
+        return list(self._vertices)
 
     def edges(self):
         """Internal edges (= non-root clusters), in the fixed global order."""
@@ -84,17 +111,29 @@ class Tree:
     def num_edges(self):
         return max(len(self.clusters) - 1, 0)
 
+    def _child_tokens(self, v):
+        """The children of vertex v as a tuple, kept on the tree."""
+        if self._children is None:
+            self._children = {}
+        ch = self._children.get(v)
+        if ch is None:
+            subs = [c for c in self.clusters if c < v]
+            maximal = [c for c in subs if not any(c < d for d in subs)]
+            covered = set().union(*maximal) if maximal else set()
+            toks = maximal + [l for l in v if l not in covered]
+            ch = tuple(sorted(toks, key=lambda t: t if isinstance(t, int)
+                              else min(t)))
+            if v in self.clusters:
+                self._children[v] = ch
+        return ch
+
     def children(self, v):
         """Child tokens of vertex v (clusters or leaf ints), sorted by
-        minimum leaf."""
-        subs = [c for c in self.clusters if c < v]
-        maximal = [c for c in subs if not any(c < d for d in subs)]
-        covered = set().union(*maximal) if maximal else set()
-        toks = maximal + [l for l in v if l not in covered]
-        return sorted(toks, key=lambda t: t if isinstance(t, int) else min(t))
+        minimum leaf (a new list on each call)."""
+        return list(self._child_tokens(v))
 
     def arity_of(self, v):
-        return len(self.children(v))
+        return len(self._child_tokens(v))
 
     def parent(self, e):
         """Parent vertex of the edge/cluster e."""
@@ -150,17 +189,9 @@ class Tree:
     def sort_key(self):
         return (self.num_vertices, tuple(sorted(cluster_key(c) for c in self.clusters)))
 
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.n == other.n and self.clusters == other.clusters
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.clusters))
-        return self._hash
-
     def encode(self) -> str:
         """Nested-parentheses encoding, children in canonical order.
-        Computed on the first call and kept on the tree, like the hash."""
+        Computed on the first call and kept on the tree."""
         if self._code is None:
             def enc(tok):
                 if isinstance(tok, int):
@@ -171,7 +202,9 @@ class Tree:
         return self._code
 
     def __repr__(self):
-        return f"Tree[{self.encode()}]"
+        if self._repr is None:
+            self._repr = f"Tree[{self.encode()}]"
+        return self._repr
 
 
 def corolla(n: int) -> Tree:

@@ -1,13 +1,21 @@
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from opdual.trees import (
-    Tree, corolla, canonical_form, enumerate_trees, graft,
+    Tree, _interned, corolla, canonical_form, enumerate_trees, graft,
     split_at_block, grafted_edge, fragments, adjacent_transposition,
     perm_to_adjacents,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def compose_perms(sigma: dict, tau: dict) -> dict:
@@ -119,11 +127,93 @@ def test_encoding_is_kept_and_never_stale(monkeypatch):
         return children(self, v)
 
     monkeypatch.setattr(Tree, "children", counted)
-    t = canonical_form([[1, 2], [3, [4, 5]]])
+    # trees are interned, so this needs a tree that no other test builds
+    t = canonical_form([[1, 2], [3, [4, 5]], [6, 7]])
     first = t.encode()
     assert calls
     calls.clear()
     assert t.encode() == first and not calls
+
+
+def test_equal_clusters_give_one_instance():
+    a, b, ab = frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4})
+    t = Tree(4, [a, b, ab])
+    assert Tree(4, [ab, b, a]) is t
+    assert Tree(4, [[2, 1], (4, 3), {1, 2, 3, 4}]) is t
+    assert Tree(4, {a, b, ab}) is t
+    assert Tree(4, frozenset({a, b, ab})) is t
+    assert canonical_form([[2, 1], [4, 3]]) is t
+    assert Tree(4, [a, ab]) is not t
+
+
+def test_tree_operations_return_the_enumerated_instance():
+    held = {n: set(map(id, enumerate_trees(n))) for n in range(1, 6)}
+
+    def enumerated(t):
+        return id(t) in held[t.n]
+
+    for t in enumerate_trees(4):
+        assert enumerated(canonical_form(t))
+        for e in t.edges():
+            assert enumerated(t.contract(e))
+        for i in range(1, 4):
+            assert enumerated(t.relabel(adjacent_transposition(4, i)))
+        for u, _ in t.expansions():
+            assert enumerated(u)
+        for i in t.leaves:
+            v = graft(t, i, corolla(2))
+            assert enumerated(v)
+            back = split_at_block(v, i, 2)
+            assert back[0] is t and enumerated(back[1])
+    assert enumerated(canonical_form([[3, 1], [2, 4]]))
+
+
+def test_invalid_clusters_raise_every_time_and_are_not_kept():
+    before = _interned.cache_info().currsize
+    for bad in ([[1, 2], [2, 3], [1, 2, 3]],    # not laminar
+                [[1, 2]],                        # no root cluster
+                [[1], [1, 2, 3]]):              # unary vertex
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Tree(3, bad)
+    assert _interned.cache_info().currsize == before
+
+
+def test_children_and_vertices_are_fresh_lists():
+    t = canonical_form([[1, 2], [3, [4, 5]]])
+    verts, root = t.vertices(), t.root_cluster
+    kids = t.children(root)
+    verts.clear()
+    kids.append(99)
+    assert t.vertices() and t.vertices() is not t.vertices()
+    assert 99 not in t.children(root)
+    assert t.arity_of(root) == 2
+
+
+def test_copies_and_pickles_return_the_interned_tree():
+    t = canonical_form([[1, 2], [3, [4, 5]]])
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy({t: [t]}) == {t: [t]}
+
+
+def test_stdout_does_not_depend_on_the_hash_seed():
+    # trees hash by identity, so a set of trees would iterate in an order
+    # that changes between processes; the output must not
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(ROOT / "src"),
+                                     os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-m", "opdual.cli", "check",
+                              "theta", "--operad", "com", "--max-arity", "4"],
+                             capture_output=True, cwd=ROOT, env=env,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_relabel_action():
