@@ -6,7 +6,6 @@ pipeline."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 
 from .chain import ChainMap, _sgn
 from .trees import enumerate_trees
@@ -98,20 +97,20 @@ def _first_non_bijective(maps: dict, N) -> dict | None:
     return None
 
 
-@dataclass
 class DualityReport:
     """Dimension tables and flags for the double-dual comparison, and for
-    each failing check a witness that locates the failure."""
-    operad: str
-    max_arity: int
-    dims_p: dict = dc_field(default_factory=dict)
-    dims_bar: dict = dc_field(default_factory=dict)
-    dims_k: dict = dc_field(default_factory=dict)
-    dims_kk: dict = dc_field(default_factory=dict)
-    cb_to_kk_iso: bool = False
-    composite_iso: bool = False
-    homology_match: bool = False
-    witnesses: dict = dc_field(default_factory=dict)
+    each failing check a witness that locates the failure. A plain class:
+    dataclasses would import inspect on every command-line start."""
+
+    def __init__(self, operad: str, max_arity: int):
+        self.operad = operad
+        self.max_arity = max_arity
+        self.dims_p, self.dims_bar, self.dims_k, self.dims_kk = {}, {}, {}, {}
+        self.cb_to_kk_iso = self.composite_iso = self.homology_match = False
+        self.witnesses = {}
+
+    def __eq__(self, other):
+        return type(other) is DualityReport and vars(self) == vars(other)
 
     def passed(self) -> bool:
         return self.cb_to_kk_iso and self.composite_iso and \

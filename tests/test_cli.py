@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -440,3 +443,18 @@ def test_a_large_prime_field_runs_and_one_past_the_bound_exits_2(
         code, cap = run(capsys, "bar", "--operad", f"trivial:{spec}",
                         "--max-arity", "3")
         assert code == 2 and "below" in cap.err
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # every command-line run pays for the modules its import pulls in:
+    # dataclasses imports inspect, which made importing opdual.cli take
+    # 0.028 s instead of 0.017 s (medians of 21 runs, 2-vCPU x86_64)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, opdual.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

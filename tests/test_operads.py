@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from opdual.fields import QQ, F2
+from opdual.fields import QQ, F2, Field
 from opdual.chain import (
     ChainComplex, ChainMap, _place, is_quasi_iso, k_complex, tensor_many,
     tensor_map_many,
@@ -51,6 +51,37 @@ def test_graft_perm_matches_trees():
         rho = graft_perm(sigma, j, tau)
         assert graft(t, j, u).relabel(rho) == \
             graft(t.relabel(sigma), sigma[j], u.relabel(tau))
+
+
+def _perms(n):
+    return [dict(zip(range(1, n + 1), pp))
+            for pp in itertools.permutations(range(1, n + 1))]
+
+
+def test_graft_perm_composes():
+    # rho(sigma sigma', j, tau tau') = rho(sigma, sigma'(j), tau) o
+    # rho(sigma', j, tau'): one of the two lemmas that let the equivariance
+    # check read only the generators of Sigma_m x Sigma_n
+    for m in range(1, 6):
+        for n in range(1, 7 - m):
+            for sigma, sigma2 in itertools.product(_perms(m), repeat=2):
+                for tau, tau2 in itertools.product(_perms(n), repeat=2):
+                    for j in range(1, m + 1):
+                        assert graft_perm(compose_perms(sigma, sigma2), j,
+                                          compose_perms(tau, tau2)) == \
+                            compose_perms(graft_perm(sigma, sigma2[j], tau),
+                                          graft_perm(sigma2, j, tau2))
+
+
+@pytest.mark.parametrize("name", ["com", "ass"])
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
+def test_act_is_a_homomorphism(name, field):
+    # act(n, pi o pi') = act(n, pi') then act(n, pi): the other lemma
+    p = builtin_operad(name, field, 4)
+    for n in range(2, 5):
+        for pi, pi2 in itertools.product(_perms(n), repeat=2):
+            assert p.act(n, compose_perms(pi, pi2)) == \
+                p.act(n, pi2).then(p.act(n, pi))
 
 
 def test_com_axioms():
@@ -346,12 +377,27 @@ def test_axioms_walk_only_the_nonzero_arities(monkeypatch):
 
 
 def test_equivariance_builds_each_sigma_tau_map_once(monkeypatch):
-    # sigma (x) tau is (sigma (x) 1)(1 (x) tau): one build per sigma and
-    # one per tau, m! + n! per (m, n): 2+2 + 2+6 + 6+2, not 2*2 + 2*6 + 6*2
+    # a passing operad is read on the generators (s_i, 1) and (1, s_k)
+    # alone, one build each, (m - 1) + (n - 1) per (m, n): 1+1 + 1+2 + 2+1,
+    # not the m! + n! = 2+2 + 2+6 + 6+2 of every sigma and every tau
     p = builtin_operad("ass", QQ, 4)
     calls = _count_tensor_maps(monkeypatch)
     assert check_operad_axioms(p) == []
-    assert len(calls) == 20
+    assert len(calls) == 8
+
+
+def test_axioms_of_ass_at_arity_6_build_few_arity_6_actions(monkeypatch):
+    # the generators' targets rho and their bubble-sort prefixes: reading
+    # every (sigma, tau) built 711 of the 720 actions of arity 6
+    built = []
+
+    def counted(self, n, images, orig=SymSeq._act):
+        built.append(n)
+        return orig(self, n, images)
+
+    monkeypatch.setattr(SymSeq, "_act", counted)
+    assert check_operad_axioms(builtin_operad("ass", F2, 6)) == []
+    assert 0 < built.count(6) <= 30
 
 
 def _half_blind_ass(keep):
@@ -390,10 +436,9 @@ def _chained_act(p, n, perm):
     return f
 
 
-def _seeded_file_copy(p, seed, path):
-    """p written as a file: spec with the basis of every arity in a
-    seeded order, and loaded back."""
-    from opdual.cli import load_operad_spec
+def _file_spec(p, seed):
+    """p as a file: spec, with the basis of every arity in a seeded
+    order."""
     rng = random.Random(seed)
     order = {}
     for n in range(2, p.N + 1):
@@ -408,7 +453,8 @@ def _seeded_file_copy(p, seed, path):
         return [[row[l2], j, int(c)] for j, l in enumerate(src)
                 for l2, c in f.apply(0, {l: 1}).items()]
 
-    spec = {"field": {"p": p.field.char}, "max_arity": p.N,
+    spec = {"field": {"p": p.field.char} if p.field.char else "Q",
+            "max_arity": p.N,
             "terms": {str(n): {"basis": [{"name": name(l), "degree": 0}
                                          for l in order[n]], "d": []}
                       for n in order},
@@ -420,7 +466,14 @@ def _seeded_file_copy(p, seed, path):
                 order[m + n - 1])}
                 for m in order for n in order if m + n - 1 <= p.N
                 for i in range(1, m + 1)]}
-    path.write_text(json.dumps(spec))
+    return spec
+
+
+def _seeded_file_copy(p, seed, path):
+    """p written as a file: spec with the basis of every arity in a
+    seeded order, and loaded back."""
+    from opdual.cli import load_operad_spec
+    path.write_text(json.dumps(_file_spec(p, seed)))
     return load_operad_spec(str(path))
 
 
@@ -457,26 +510,96 @@ def test_actions_are_the_chained_products_entry_by_entry(make, top, tmp_path):
                     list(ref.matrix(k).data.items()), (n, images, k)
 
 
+BRAID_SPEC = {
+    "max_arity": 3,
+    "terms": {"2": {"basis": [{"name": "m", "degree": 0}], "d": []},
+              "3": {"basis": [{"name": "a", "degree": 0},
+                              {"name": "b", "degree": 0}], "d": []}},
+    "sigma": {"2": {"1": [[0, 0, 1]]},
+              "3": {"1": [[1, 0, 1], [0, 1, 1]],
+                    "2": [[0, 0, 1], [1, 1, -1]]}},
+    "circ": [{"m": 2, "n": 2, "i": 1, "matrix": [[0, 0, 1]]},
+             {"m": 2, "n": 2, "i": 2, "matrix": [[1, 0, 1]]}]}
+
+
 def test_the_fail_list_of_a_braid_breaking_spec_is_pinned(tmp_path):
     # the actions of a spec whose s_1, s_2 break the braid relation depend
     # on the word read; the fail list is the one of the chained products
     from opdual.cli import CliError, load_operad_spec
     spec = tmp_path / "braid.json"
-    spec.write_text(json.dumps({
-        "max_arity": 3,
-        "terms": {"2": {"basis": [{"name": "m", "degree": 0}], "d": []},
-                  "3": {"basis": [{"name": "a", "degree": 0},
-                                  {"name": "b", "degree": 0}], "d": []}},
-        "sigma": {"2": {"1": [[0, 0, 1]]},
-                  "3": {"1": [[1, 0, 1], [0, 1, 1]],
-                        "2": [[0, 0, 1], [1, 1, -1]]}},
-        "circ": [{"m": 2, "n": 2, "i": 1, "matrix": [[0, 0, 1]]},
-                 {"m": 2, "n": 2, "i": 2, "matrix": [[1, 0, 1]]}]}))
+    spec.write_text(json.dumps(BRAID_SPEC))
     with pytest.raises(CliError) as err:
         load_operad_spec(str(spec))
     assert str(err.value).endswith(
         "fails axioms: braid s_1 arity 3, equivariance (2,1,2), "
         "equivariance (2,2,2)")
+
+
+# -- the fail list against the check of every (sigma, tau) pair -----------
+
+def _all_pairs_equivariance(p):
+    """The equivariance names that every (sigma, tau) pair of every
+    (m, n) gives, sigma (x) tau built as one tensor: the reference for
+    check_operad_axioms, which reads the generators when they suffice."""
+    live = [n for n in range(2, p.N + 1) if p.term(n).total_dim() > 0]
+    fails = set()
+    for m, n in itertools.product(live, repeat=2):
+        if m + n - 1 not in live:
+            continue
+        circs = {j: p.circ(m, j, n) for j in range(1, m + 1)}
+        src = circs[1].source
+        for sigma, tau in itertools.product(_perms(m), _perms(n)):
+            st = tensor_map_many(p.field, [p.act(m, sigma), p.act(n, tau)],
+                                 source=src, target=src)
+            for j in range(1, m + 1):
+                rho = graft_perm(sigma, j, tau)
+                if circs[j].then(p.act(m + n - 1, rho)) != \
+                        st.then(circs[sigma[j]]):
+                    fails.add(f"equivariance ({m},{j},{n})")
+    return fails
+
+
+def _mutant_specs():
+    """Seeded one-entry mutants of ass and com up to arity 4 over Q and
+    F3, as file: specs: one entry of one sigma or circ matrix negated
+    or doubled (both negate over F3)."""
+    for name, field in (("ass", QQ), ("ass", Field(3)), ("com", QQ),
+                        ("com", Field(3))):
+        base = builtin_operad(name, field, 4)
+        for seed in range(20):
+            rng = random.Random(seed)
+            spec = _file_spec(base, seed)
+            if rng.random() < 0.5:
+                by_i = spec["sigma"][rng.choice(sorted(spec["sigma"]))]
+                triples = by_i[rng.choice(sorted(by_i))]
+            else:
+                triples = rng.choice(spec["circ"])["matrix"]
+            entry = rng.choice(triples)
+            entry[2] *= rng.choice([-1, 2])
+            yield f"{name}-{field.char}-{seed}", spec
+
+
+def test_the_fail_list_is_the_one_of_every_pair(tmp_path, monkeypatch):
+    # the generators decide equivariance only while the relations hold,
+    # and name only the j that some generator breaks: on every mutant
+    # the list must be the one that reading every pair gives
+    from opdual import cli
+    monkeypatch.setattr(cli, "check_operad_axioms", lambda p: [])
+    cases = [(f"half-blind-{keep}", _half_blind_ass(keep))
+             for keep in (0, 1)]
+    for name, spec in [("braid", BRAID_SPEC), *_mutant_specs()]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        cases.append((name, cli.load_operad_spec(str(path))))
+    broken = 0
+    for name, p in cases:
+        got = check_operad_axioms(p)
+        ref = _all_pairs_equivariance(p)
+        assert got == sorted(
+            {f for f in got if not f.startswith("equivariance")} | ref), name
+        broken += bool(ref)
+    # most cases break equivariance, so the family tests the fallback
+    assert broken >= len(cases) // 2
 
 
 # -- the one-rule tree-tensor maps against the two-step route --------------
