@@ -318,18 +318,6 @@ class Operad(SymSeq):
         """term(m) (x) term(n) -> term(m+n-1), grafting at input i."""
         return self._circ(m, i, n)
 
-    def circ_el(self, m, i, n, xvec, yvec):
-        """Apply circ to homogeneous label vectors x, y."""
-        F = self.field
-        dx = {self.term(m).label_degree[l] for l in xvec}
-        dy = {self.term(n).label_degree[l] for l in yvec}
-        if not xvec or not yvec:
-            return {}
-        assert len(dx) == 1 and len(dy) == 1, "inputs must be homogeneous"
-        vec = {(lx, ly): F.mul(cx, cy)
-               for lx, cx in xvec.items() for ly, cy in yvec.items()}
-        return self.circ(m, i, n).apply(dx.pop() + dy.pop(), vec)
-
     def contract_map(self, t: Tree, e) -> ChainMap:
         """tree_complex(t) -> tree_complex(t/e), the map of
         contract_rule(t, e)."""
@@ -515,9 +503,72 @@ def _equivariance_fails(p: Operad, m, n, circs, triples) -> list:
             != st.then(circs[sigma[j]])]
 
 
+def _composite(f, terms, char) -> dict:
+    """The sum of c f.image(l) over the (l, c) of terms, reduced as
+    ChainMap.apply reduces it: the second composition of one side of an
+    associativity identity, whose first composition is one image."""
+    out = {}
+    get, pop = out.get, out.pop
+    for l, c in terms:
+        for t, v in f.image(l).items():
+            s = get(t, 0) + c * v
+            if char:
+                s %= char
+            if s:
+                out[t] = s
+            else:
+                pop(t, None)
+    return out
+
+
+def _associativity_fails(p: Operad, triples, every):
+    """The name of each associativity identity that some basis triple
+    (x, y, z) of term(m) (x) term(n) (x) term(q) breaks, for (m, n, q) in
+    triples: every slot (i, j) of the sequential identity
+    (x o_i y) o_{i+j-1} z = x o_i (y o_j z) and (i, k), i < k, of the
+    parallel one (x o_i y) o_{k+n-1} z = (-1)^{|y||z|} (x o_k z) o_i y
+    when every, otherwise the slots (1, 1) and (1, 2) alone. Each side is
+    one image and a _composite; the image of (x, y) under circ(m, i, n)
+    is read once and shared by every z and every slot."""
+    char = p.field.char
+    for m, n, q in triples:
+        seq = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        par = [(i, k) for i in range(1, m + 1) for k in range(i + 1, m + 1)]
+        if not every:
+            seq, par = seq[:1], par[:1]
+        lefts = {i: p.circ(m, i, n) for i, _ in seq + par}
+        slots = [(f"sequential associativity ({m},{i},{n},{j},{q})", i,
+                  p.circ(m + n - 1, i + j - 1, q), p.circ(n, j, q),
+                  p.circ(m, i, n + q - 1), False) for i, j in seq]
+        slots += [(f"parallel associativity ({m},{i},{k})", i,
+                   p.circ(m + n - 1, k + n - 1, q), p.circ(m, k, q),
+                   p.circ(m + q - 1, i, n), True) for i, k in par]
+        bn = _basis_with_degrees(p.term(n))
+        bq = _basis_with_degrees(p.term(q))
+        for x, _ in _basis_with_degrees(p.term(m)):
+            for y, dy in bn:
+                xy = {i: f.image((x, y)) for i, f in lefts.items()}
+                for z, dz in bq:
+                    for name, i, outer, inner, last, parallel in slots:
+                        if parallel:
+                            s = -1 if dy * dz % 2 else 1
+                            rhs = [((v, y), s * c)
+                                   for v, c in inner.image((x, z)).items()]
+                        else:
+                            rhs = [((x, v), c)
+                                   for v, c in inner.image((y, z)).items()]
+                        if _composite(last, rhs, char) != _composite(
+                                outer, [((w, z), c) for w, c in xy[i].items()],
+                                char):
+                            yield name
+
+
 def check_operad_axioms(p: Operad) -> list:
-    """All operad identities up to the max arity of p; returns the list
-    of failing identity names (empty = pass).
+    """All operad identities up to the max arity of p; returns the sorted
+    list of failing identity names (empty = pass). They are read in the
+    order relations of the Sigma-actions, unit, equivariance,
+    associativity, each on basis labels through ChainMap.image, and only
+    the nonzero arities enter.
 
     Equivariance is read on the generators (s_i, 1) and (1, s_k) of
     Sigma_m x Sigma_n, (m - 1) + (n - 1) tensor builds per (m, n), and
@@ -529,10 +580,30 @@ def check_operad_axioms(p: Operad) -> list:
         rho(sigma, sigma'(j), tau) o rho(sigma', j, tau');
       - so the pairs (sigma, tau) that pass at every j are closed under
         products, and the generators pass only if every pair does.
-    An (m, n) whose generators fail, and every (m, n) when a relation,
-    unit or associativity identity has failed (a broken relation voids
-    the homomorphism), is read on all m! n! pairs as well, so the list
-    names every j that some pair breaks, the same on every input."""
+    An (m, n) whose generators fail, and every (m, n) when a relation or
+    unit identity has failed (a broken relation voids the homomorphism),
+    is read on all m! n! pairs as well.
+
+    Associativity is read on every basis triple at the slots (1, 1) of
+    the sequential and (1, 2) of the parallel identity alone when no
+    identity has failed before it, and that decides every slot. Take
+    sigma in Sigma_m with sigma(1) = i (for the parallel identity also
+    sigma(2) = k) and tau in Sigma_n with tau(1) = j, and write rho for
+    graft_perm and 1_r for the identity of Sigma_r. Equivariance moves
+    sigma x, tau y through each composite, and the block identities
+      - rho(rho(sigma, 1, 1_n), j, 1_q) = rho(sigma, 1, 1_{n+q-1}) for
+        j <= n,
+      - rho(rho(sigma, 1, 1_n), n+1, 1_q) = rho(rho(sigma, 2, 1_q), 1, 1_n)
+        when sigma(1) < sigma(2),
+      - rho(rho(1_m, i, tau), i, 1_q) = rho(1_m, i, rho(tau, 1, 1_q)),
+    with act a homomorphism, make both sides of the identity at (i, j)
+    on (sigma x, tau y, z) the one action applied to the two sides at
+    (1, 1) on (x, y, z), and likewise (i, k) against (1, 2), with the
+    same sign (-1)^{|y||z|}. The actions are invertible and the
+    identities linear, so the two slots hold on every triple only if
+    every slot does. When anything failed before, or the two slots find
+    a failure, every slot of every triple is read, so the list names
+    every slot that breaks, the same on every input."""
     N = p.N
     F = p.field
     fails = []
@@ -560,40 +631,13 @@ def check_operad_axioms(p: Operad) -> list:
                     fails.append(f"commuting s_{i + 1} s_{jj + 1} arity {n}")
 
     for m in range(1, N + 1):
-        for lab, d in _basis_with_degrees(p.term(m)):
+        for lab in p.term(m).label_degree:
             x = {lab: F.one}
             for i in range(1, m + 1):
-                if p.circ_el(m, i, 1, x, {u: F.one}) != x:
+                if p.circ(m, i, 1).image((lab, u)) != x:
                     fails.append(f"right unit circ({m},{i},1)")
-            if p.circ_el(1, 1, m, {u: F.one}, x) != x:
+            if p.circ(1, 1, m).image((u, lab)) != x:
                 fails.append(f"left unit circ(1,1,{m})")
-
-    for m, n, q in itertools.product(live, repeat=3):
-        if m + n + q - 2 > N:
-            continue
-        tm, tn, tq = p.term(m), p.term(n), p.term(q)
-        for (lx, dx), (ly, dy), (lz, dz) in itertools.product(
-                _basis_with_degrees(tm), _basis_with_degrees(tn),
-                _basis_with_degrees(tq)):
-            x, y, z = {lx: F.one}, {ly: F.one}, {lz: F.one}
-            for i in range(1, m + 1):
-                for j in range(1, n + 1):
-                    lhs = p.circ_el(m + n - 1, i + j - 1, q,
-                                    p.circ_el(m, i, n, x, y), z)
-                    rhs = p.circ_el(m, i, n + q - 1, x,
-                                    p.circ_el(n, j, q, y, z))
-                    if lhs != rhs:
-                        fails.append(f"sequential associativity ({m},{i},{n},{j},{q})")
-            for i in range(1, m + 1):
-                for k in range(i + 1, m + 1):
-                    lhs = p.circ_el(m + n - 1, k + n - 1, q,
-                                    p.circ_el(m, i, n, x, y), z)
-                    rhs = p.circ_el(m + q - 1, i, n,
-                                    p.circ_el(m, k, q, x, z), y)
-                    if (dy * dz) % 2:
-                        rhs = {l: F.neg(c) for l, c in rhs.items()}
-                    if lhs != rhs:
-                        fails.append(f"parallel associativity ({m},{i},{k})")
 
     earlier = bool(fails)
     for m in live:
@@ -632,6 +676,10 @@ def check_operad_axioms(p: Operad) -> list:
                 (sigma, tau, left.then(right))
                 for (sigma, left), (tau, right) in itertools.product(
                     zip(perms_m, lefts), zip(perms_n, rights)))))
+    triples = [t for t in itertools.product(live, repeat=3)
+               if sum(t) - 2 <= N]
+    if fails or next(_associativity_fails(p, triples, False), None):
+        fails.extend(_associativity_fails(p, triples, True))
     return sorted(set(fails))
 
 

@@ -2,6 +2,7 @@
 line per criterion on stdout."""
 import random
 import time
+from fractions import Fraction
 from math import factorial
 
 from opdual.fields import QQ, F2
@@ -354,3 +355,43 @@ def test_criterion_12_homotopy_invariance():
                     target=bp.cocirc(m, i, n).target))
                 ok = ok and lhs == rhs
     _report(12, "bar sends the resolution to a quasi-isomorphism", ok)
+
+
+def _euler_series(x, N):
+    """g_X(t) = sum_n chi(X(n)) t^n / n!, up to t^N, from the dimension
+    tables alone: the coefficients of t^0..t^N as Fractions."""
+    return [Fraction(0)] + [
+        Fraction(sum(-d if k % 2 else d for k, d in x.term(n).dims().items()),
+                 factorial(n)) for n in range(1, N + 1)]
+
+
+def _compose_series(f, g):
+    """f(g(t)) truncated at the length of f, for g without constant
+    term."""
+    out = [Fraction(0)] * len(f)
+    power = [Fraction(1)] + out[1:]
+    for c in f[1:]:
+        power = [sum(power[a] * g[k - a] for a in range(k + 1))
+                 for k in range(len(f))]
+        out = [a + c * b for a, b in zip(out, power)]
+    return out
+
+
+def test_criterion_13_euler_characteristic_series():
+    # the generating series of the Euler characteristics, read off the
+    # dimension tables with no tree: bar is a sum over trees with one
+    # suspended factor per vertex, so g_B(P) is the composition inverse
+    # of g_P (Ginzburg and Kapranov, Duke Math. J. 76, 1994, section 3),
+    # W(P) resolves P and K(P) is the dual of B(P), so they keep the
+    # series of P and of B(P)
+    ok = True
+    for p in (builtin_operad("com", QQ, 5), builtin_operad("ass", QQ, 4),
+              free_operad(symseq_from_degrees(QQ, 5, {2: [1]}), 5),
+              trivial_operad(symseq_from_degrees(QQ, 5, {2: [0, 1]}))):
+        N = p.N
+        gp, gb = _euler_series(p, N), _euler_series(bar(p, N), N)
+        ok = ok and _compose_series(gp, gb) == [0, 1] + [0] * (N - 1)
+        ok = ok and _euler_series(w_construction(p, N), N) == gp
+        ok = ok and _euler_series(koszul_dual(p, N), N) == gb
+    _report(13, "Euler series: g_P(g_B(P)) = t, g_W(P) = g_P, g_K(P) = g_B(P)",
+            ok)

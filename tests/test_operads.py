@@ -100,9 +100,9 @@ def test_ass_axioms():
 def test_ass_splice_oracle():
     # composition substitutes the second word as a block; two hand cases
     p = builtin_operad("ass", QQ, 4)
-    assert p.circ_el(2, 1, 2, {(2, 1): 1}, {(2, 1): 1}) == {(3, 2, 1): 1}
-    assert p.circ_el(2, 2, 2, {(1, 2): 1}, {(2, 1): 1}) == {(1, 3, 2): 1}
-    assert p.circ_el(3, 2, 2, {(3, 1, 2): 1}, {(1, 2): 1}) == {(4, 1, 2, 3): 1}
+    assert p.circ(2, 1, 2).image(((2, 1), (2, 1))) == {(3, 2, 1): 1}
+    assert p.circ(2, 2, 2).image(((1, 2), (2, 1))) == {(1, 3, 2): 1}
+    assert p.circ(3, 2, 2).image(((3, 1, 2), (1, 2))) == {(4, 1, 2, 3): 1}
 
 
 def test_ass_action_left():
@@ -579,18 +579,26 @@ def _mutant_specs():
             yield f"{name}-{field.char}-{seed}", spec
 
 
-def test_the_fail_list_is_the_one_of_every_pair(tmp_path, monkeypatch):
-    # the generators decide equivariance only while the relations hold,
-    # and name only the j that some generator breaks: on every mutant
-    # the list must be the one that reading every pair gives
+def _loaded_mutants(tmp_path, monkeypatch):
+    """BRAID_SPEC and _mutant_specs loaded as file: operads, with the
+    axiom check of the loader turned off."""
     from opdual import cli
     monkeypatch.setattr(cli, "check_operad_axioms", lambda p: [])
-    cases = [(f"half-blind-{keep}", _half_blind_ass(keep))
-             for keep in (0, 1)]
+    cases = []
     for name, spec in [("braid", BRAID_SPEC), *_mutant_specs()]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(spec))
         cases.append((name, cli.load_operad_spec(str(path))))
+    return cases
+
+
+def test_the_fail_list_is_the_one_of_every_pair(tmp_path, monkeypatch):
+    # the generators decide equivariance only while the relations hold,
+    # and name only the j that some generator breaks: on every mutant
+    # the list must be the one that reading every pair gives
+    cases = [(f"half-blind-{keep}", _half_blind_ass(keep))
+             for keep in (0, 1)]
+    cases += _loaded_mutants(tmp_path, monkeypatch)
     broken = 0
     for name, p in cases:
         got = check_operad_axioms(p)
@@ -600,6 +608,167 @@ def test_the_fail_list_is_the_one_of_every_pair(tmp_path, monkeypatch):
         broken += bool(ref)
     # most cases break equivariance, so the family tests the fallback
     assert broken >= len(cases) // 2
+
+
+# -- associativity read on the slots (1, 1) and (1, 2) ---------------------
+
+def _one(r):
+    return {k: k for k in range(1, r + 1)}
+
+
+def test_graft_perm_block_identities():
+    # the three block identities that conjugate every associativity slot
+    # to (1, 1) or (1, 2), for every m, n, q >= 1 with m + n + q - 2 <= 6
+    counts = [0, 0, 0]
+    for m, n, q in itertools.product(range(1, 7), repeat=3):
+        if m + n + q - 2 > 6:
+            continue
+        for sigma in _perms(m):
+            for j in range(1, n + 1):
+                assert graft_perm(graft_perm(sigma, 1, _one(n)), j, _one(q)) \
+                    == graft_perm(sigma, 1, _one(n + q - 1))
+                counts[0] += 1
+            if m >= 2 and sigma[1] < sigma[2]:
+                assert graft_perm(graft_perm(sigma, 1, _one(n)), n + 1,
+                                  _one(q)) == \
+                    graft_perm(graft_perm(sigma, 2, _one(q)), 1, _one(n))
+                counts[1] += 1
+        for tau in _perms(n):
+            for i in range(1, m + 1):
+                assert graft_perm(graft_perm(_one(m), i, tau), i, _one(q)) == \
+                    graft_perm(_one(m), i, graft_perm(tau, 1, _one(q)))
+                counts[2] += 1
+    assert counts == [1686, 657, 1686]
+
+
+def _every_slot_associativity(p):
+    """The associativity names that every slot of every basis triple
+    gives, each composite applied to a label vector: the reference for
+    check_operad_axioms, which reads the slots (1, 1) and (1, 2) when
+    they suffice."""
+    F = p.field
+
+    def circ(m, i, n, xv, yv, d):
+        return p.circ(m, i, n).apply(d, {(a, b): F.mul(c, e)
+                                         for a, c in xv.items()
+                                         for b, e in yv.items()})
+
+    def basis(n):
+        return [(l, d) for d, ls in p.term(n).basis.items() for l in ls]
+
+    live = [n for n in range(2, p.N + 1) if p.term(n).total_dim() > 0]
+    fails = set()
+    for m, n, q in itertools.product(live, repeat=3):
+        if m + n + q - 2 > p.N:
+            continue
+        for (x, dx), (y, dy), (z, dz) in itertools.product(
+                basis(m), basis(n), basis(q)):
+            X, Y, Z = {x: 1}, {y: 1}, {z: 1}
+            d = dx + dy + dz
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    if circ(m + n - 1, i + j - 1, q,
+                            circ(m, i, n, X, Y, dx + dy), Z, d) != \
+                            circ(m, i, n + q - 1, X,
+                                 circ(n, j, q, Y, Z, dy + dz), d):
+                        fails.add(f"sequential associativity ({m},{i},{n},{j},{q})")
+                for k in range(i + 1, m + 1):
+                    lhs = circ(m + n - 1, k + n - 1, q,
+                               circ(m, i, n, X, Y, dx + dy), Z, d)
+                    rhs = circ(m + q - 1, i, n,
+                               circ(m, k, q, X, Z, dx + dz), Y, d)
+                    if dy * dz % 2:
+                        rhs = {l: F.neg(c) for l, c in rhs.items()}
+                    if lhs != rhs:
+                        fails.add(f"parallel associativity ({m},{i},{k})")
+    return fails
+
+
+def _scaled(name, field, N, seed, per_slot):
+    """The built-in name with circ(m, i, n) times a seeded nonzero scalar
+    c(m, n), or c(m, i, n) when per_slot: equivariant and mostly not
+    associative, or mostly not equivariant."""
+    base = builtin_operad(name, field, N)
+    rng = random.Random(seed)
+    scalars = {(m, i, n): rng.randrange(1, field.char)
+               for m in range(2, N) for n in range(2, N + 2 - m)
+               for i in range(1, m + 1)}
+    if not per_slot:
+        scalars = {(m, i, n): scalars[m, 1, n] for m, i, n in scalars}
+
+    def circ_builder(q, m, i, n):
+        f, c = base.circ(m, i, n), scalars[m, i, n]
+        return ChainMap.from_rule(
+            q.pair_complex(m, n), q.term(m + n - 1),
+            lambda d, ab: [(l, c * v) for l, v in f.image(ab).items()])
+
+    return Operad(field, N, {n: base.term(n) for n in range(1, N + 1)},
+                  base.sigma_adj, circ_builder,
+                  name=f"{name}-{field.char}-{seed}-{int(per_slot)}")
+
+
+def _unsigned_free(field, N):
+    """The free operad on one binary generator of degree 1 with the sign
+    of every action and composition dropped: equivariant and sequentially
+    associative, it breaks the parallel identity, whose Koszul sign
+    (-1)^{|y||z|} it lacks."""
+    free = free_operad(symseq_from_degrees(field, N, {2: [1]}), N)
+    terms = {n: free.term(n) for n in range(1, N + 1)}
+
+    def unsigned(f, source, target):
+        return ChainMap.from_rule(source, target,
+                                  lambda d, l: [(l2, 1) for l2 in f.image(l)])
+
+    return Operad(field, N, terms,
+                  lambda n, i: unsigned(free.sigma_adj(n, i), terms[n],
+                                        terms[n]),
+                  lambda q, m, i, n: unsigned(free.circ(m, i, n),
+                                              q.pair_complex(m, n),
+                                              q.term(m + n - 1)),
+                  name=f"unsigned-free-{field.char}-{N}")
+
+
+def _scaled_family():
+    for seed in range(60):
+        name = ("com", "ass")[seed % 2]
+        field = Field((3, 5, 7)[seed // 2 % 3])
+        yield _scaled(name, field, 5 if name == "com" or seed % 4 == 1 else 4,
+                      seed, seed >= 44)
+
+
+def test_the_fail_list_is_the_one_of_every_slot(tmp_path, monkeypatch):
+    # the slots (1, 1) and (1, 2) decide associativity only once the
+    # relations, unit and equivariance hold, and name only themselves:
+    # on every case the list must be the one that reading every slot gives
+    cases = [(p.name, p) for p in _scaled_family()]
+    cases += [(p.name, p) for p in (_unsigned_free(Field(c), N)
+                                     for c in (3, 5, 7) for N in (4, 5))]
+    cases += _loaded_mutants(tmp_path, monkeypatch)
+    reduced_then_full = 0
+    for name, p in cases:
+        got = check_operad_axioms(p)
+        ref = _every_slot_associativity(p)
+        assert got == sorted(
+            {f for f in got if "associativity" not in f} | ref), name
+        reduced_then_full += bool(ref) and all(
+            "associativity" in f for f in got)
+    # a quarter of the cases pass every earlier identity and break
+    # associativity, so the reduced read runs and falls back
+    assert reduced_then_full >= len(cases) // 4
+
+
+def test_ass_at_arity_6_reads_two_slots_per_triple(monkeypatch):
+    # 584 basis triples, each read at (1, 1) and (1, 2): 1,168 identities,
+    # where every slot gives 5,248; each identity is two composites
+    calls = []
+
+    def counted(f, terms, char, orig=operads._composite):
+        calls.append(1)
+        return orig(f, terms, char)
+
+    monkeypatch.setattr(operads, "_composite", counted)
+    assert check_operad_axioms(builtin_operad("ass", QQ, 6)) == []
+    assert len(calls) == 2 * 1168
 
 
 # -- the one-rule tree-tensor maps against the two-step route --------------
