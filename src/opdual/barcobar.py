@@ -937,17 +937,14 @@ class BbarPreCooperad(PreCooperad):
     def _coend_map(self, t, t2, move) -> ChainMap:
         """coend_at(t) -> coend_at(t2) induced slot by slot: the slot
         element (cells, y) at U goes to the sum of the classes of the
-        terms move(U, cells, y, d) = [(U2, (cells2, y2), coefficient)]."""
-        field = self.field
+        terms move(U, cells, y, d) = [(U2, (cells2, y2), coefficient)],
+        each slot label at most once."""
         ce, ce2 = self.coend_at(t), self.coend_at(t2)
 
         def rule(d, lab):
             U, (cells, y) = lab
-            out = {}
-            for U2, key, c in move(U, cells, y, d):
-                for l2, c3 in ce2.class_of(U2, d, {key: c}).items():
-                    out[l2] = field.add(out.get(l2, 0), c3)
-            return [(l, c) for l, c in out.items() if c]
+            return ce2.proj.apply(d, {(U2, key): c for U2, key, c
+                                      in move(U, cells, y, d)}).items()
 
         return ce.map_out(ChainMap.from_rule(ce.total, ce2.complex, rule))
 

@@ -458,3 +458,29 @@ def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
         capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", ["trivial", "file"])
+def test_a_declared_max_arity_costs_nothing_above_the_terms(kind, tmp_path):
+    # only the arities that hold a term are walked, so a spec declaring
+    # max_arity 10**30 runs as fast, and prints the same, as one declaring 3
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    sel = {}
+    for top in (3, 10 ** 30):
+        spec = tmp_path / f"{kind}-{top}.json"
+        blob = ({"gens": {"2": [0, 1]}, "max_arity": top} if kind == "trivial"
+                else dict(COM3, max_arity=top))
+        spec.write_text(json.dumps(blob))
+        sel[top] = f"{kind}:{spec}"
+    for verb in (["bar"], ["cobar"], ["kk"], ["check", "axioms"]):
+        outs = []
+        for top in (3, 10 ** 30):
+            res = subprocess.run(
+                [sys.executable, "-m", "opdual.cli", *verb, "--operad",
+                 sel[top], "--max-arity", "3"],
+                capture_output=True, text=True, env=env, timeout=30)
+            assert res.returncode == 0, (verb, top, res.stderr)
+            outs.append(res.stdout)
+        assert outs[0] == outs[1], verb

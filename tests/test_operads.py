@@ -759,16 +759,35 @@ def test_the_fail_list_is_the_one_of_every_slot(tmp_path, monkeypatch):
 
 def test_ass_at_arity_6_reads_two_slots_per_triple(monkeypatch):
     # 584 basis triples, each read at (1, 1) and (1, 2): 1,168 identities,
-    # where every slot gives 5,248; each identity is two composites
+    # where every slot gives 5,248; each identity applies two maps
     calls = []
 
-    def counted(f, terms, char, orig=operads._composite):
+    def counted(f, k, vec, orig=ChainMap.apply):
         calls.append(1)
-        return orig(f, terms, char)
+        return orig(f, k, vec)
 
-    monkeypatch.setattr(operads, "_composite", counted)
+    monkeypatch.setattr(ChainMap, "apply", counted)
     assert check_operad_axioms(builtin_operad("ass", QQ, 6)) == []
     assert len(calls) == 2 * 1168
+
+
+def test_the_axiom_check_never_asks_for_a_unit_map(monkeypatch, tmp_path):
+    # SymSeq builds every circ with an arity-1 side as the unit law, so
+    # the check reads no identity with a unit map in it
+    cases = [builtin_operad("ass", QQ, 5),
+             _seeded_file_copy(builtin_operad("ass", F2, 5), 4,
+                               tmp_path / "ass.json")]
+    asked = []
+
+    def recording(p, m, i, n, orig=Operad.circ):
+        asked.append((m, i, n))
+        return orig(p, m, i, n)
+
+    monkeypatch.setattr(Operad, "circ", recording)
+    for p in cases:
+        asked.clear()
+        assert check_operad_axioms(p) == []
+        assert asked and all(m > 1 and n > 1 for m, _, n in asked), p.name
 
 
 # -- the one-rule tree-tensor maps against the two-step route --------------
