@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .fields import Field
-from .linalg import Eliminator, Matrix
+from .linalg import Matrix
 
 
 def _stray(what, err: KeyError, basis) -> ValueError:
@@ -251,23 +251,6 @@ class ChainMap:
             mats[k] = other.matrix(k + self.degree) @ self.matrix(k)
         return ChainMap(self.source, other.target, mats,
                         degree=self.degree + other.degree, check=False)
-
-    def __add__(self, other):
-        mats = {k: self.matrix(k) + other.matrix(k)
-                for k in set(self.mats) | set(other.mats)}
-        return ChainMap(self.source, self.target, mats, degree=self.degree,
-                        check=False)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        mats = {k: m.scale(c) for k, m in self.mats.items()}
-        return ChainMap(self.source, self.target, mats, degree=self.degree,
-                        check=False)
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap) or self.degree != other.degree:
@@ -535,8 +518,8 @@ def kernel_complex(f: ChainMap):
 
     Returns (K, incl, retr) where incl: K -> source is a chain map and
     retr: degree -> Matrix is a degreewise retraction of incl (retr @
-    incl = 1, not a chain map in general), the mirror of the section of
-    cokernel_complex. retr reads each kernel vector at the column j_r
+    incl = 1, not a chain map in general), whose transpose is the section
+    of cokernel_complex. retr reads each kernel vector at the column j_r
     that Matrix.nullspace made it for. Kernel labels are ("ker", k, i)."""
     if f.degree != 0:
         raise ValueError("kernel needs degree 0")
@@ -561,43 +544,22 @@ def kernel_complex(f: ChainMap):
 
 
 def cokernel_complex(f: ChainMap):
-    """Cokernel of a degree-0 chain map.
+    """Cokernel of a degree-0 chain map, the dual of the kernel of its
+    dual: over a field coker(f) = ker(f*)*.
 
     Returns (C, proj, sect) where proj: target -> C is a chain map and
     sect: degree -> Matrix is a degreewise section of proj (not a chain
-    map in general). Cokernel labels are ("cok", k, target label)."""
+    map in general), the transpose of the kernel's retraction. The r-th
+    class in degree k is labelled ("cok", k, l), l the target label at
+    which that retraction reads the r-th kernel vector; l represents the
+    class, proj sending l to it alone."""
     if f.degree != 0:
         raise ValueError("cokernel needs degree 0")
-    field = f.source.field
-    elims = {}
-    kept = {}
-    for k in f.target.degrees():
-        elim = Eliminator(field, f.target.dim(k), track=False)
-        for col in f.matrix(k).columns() if f.source.dim(k) else []:
-            elim.add(col)
-        elims[k] = elim
-        kept[k] = [i for i in range(f.target.dim(k)) if i not in elim.pivot_at]
-    basis = {k: [("cok", k, f.target.basis[k][i]) for i in rows]
-             for k, rows in kept.items() if rows}
-    pos = {k: {i: r for r, i in enumerate(rows)} for k, rows in kept.items()}
-    proj_mats = {}
-    for k in f.target.degrees():
-        m = Matrix(field, len(kept.get(k, ())), f.target.dim(k))
-        for j in range(f.target.dim(k)):
-            res, _ = elims[k].reduce({j: field.one})
-            for i, v in res.items():
-                m.add_entry(pos[k][i], j, v)
-        proj_mats[k] = m
-    sect = {}
-    for k, rows in kept.items():
-        m = Matrix(field, f.target.dim(k), len(rows))
-        for r, i in enumerate(rows):
-            m.add_entry(i, r, field.one)
-        sect[k] = m
-    diff = {}
-    for k in basis:
-        if k - 1 in basis:
-            diff[k] = proj_mats[k - 1] @ (f.target.d_matrix(k) @ sect[k])
-    cok = ChainComplex(field, basis, diff, check=True)
-    proj = ChainMap(f.target, cok, proj_mats, check=True)
+    ker, incl, retr = kernel_complex(dual_map(f))
+    dual = linear_dual(ker)
+    basis = {k: [("cok", k, f.target.basis[k][j])
+                 for _, j in sorted(retr[-k].data)] for k in dual.basis}
+    cok = ChainComplex(f.source.field, basis, dual.diff)
+    proj = dual_map(incl, source=f.target, target=cok)
+    sect = {k: retr[-k].transpose() for k in basis}
     return cok, proj, sect

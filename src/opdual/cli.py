@@ -84,7 +84,8 @@ def _read_json_object(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             blob = json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
+        # json.load recurses once per level of nesting
         raise CliError(f"cannot read {what} {path}: {e}")
     if not isinstance(blob, dict):
         raise CliError(f"{what} {path} must hold a JSON object")
@@ -498,6 +499,9 @@ def main(argv=None) -> int:
         # an invariant check (d^2 = 0, the chain-map law) failed
         print(f"internal error: {e}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Sparse exact matrices and Gaussian elimination over a Field.
 
 Matrices are dicts keyed by (row, col); vectors are dicts keyed by row.
-The Eliminator does incremental column reduction and backs every rank,
-kernel and cokernel in the package; maps are factored through a kernel
+The Eliminator does incremental column reduction and backs every rank
+and kernel in the package; a cokernel is the dual of the kernel of the
+dual map (chain.cokernel_complex). Maps are factored through a kernel
 or out of a cokernel by multiplying with a retraction or a section, with
 no further elimination.
 """
@@ -31,17 +32,8 @@ class Matrix:
                     self.data[(i, j)] = v
 
     @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls(field, nrows, ncols)
-
-    @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, {(i, i): field.one for i in range(n)})
-
-    def copy(self):
-        m = Matrix(self.field, self.nrows, self.ncols)
-        m.data = dict(self.data)
-        return m
 
     def add_entry(self, i, j, v):
         self._cols = None
@@ -51,24 +43,6 @@ class Matrix:
             self.data.pop((i, j), None)
         else:
             self.data[(i, j)] = w
-
-    def __getitem__(self, ij):
-        return self.data.get(ij, self.field.zero)
-
-    def __add__(self, other):
-        self._check_shape(other)
-        m = self.copy()
-        for ij, v in other.data.items():
-            m.add_entry(ij[0], ij[1], v)
-        return m
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        m = Matrix(self.field, self.nrows, self.ncols)
-        m.data = {ij: self.field.neg(v) for ij, v in self.data.items()}
-        return m
 
     def scale(self, c):
         F = self.field
@@ -103,9 +77,6 @@ class Matrix:
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.data == other.data)
-
-    def __hash__(self):
-        raise TypeError("matrices are mutable")
 
     def is_zero(self):
         return not self.data
@@ -171,10 +142,6 @@ class Matrix:
                 out.append(v)
         return out
 
-    def _check_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}, nnz={len(self.data)})"
 
@@ -195,8 +162,7 @@ class Eliminator:
 
     Feed columns with add(); dependencies come back as combinations of
     previously added columns (by tag), which yields kernels.
-    reduce() leaves a residual supported away from the pivot rows, which
-    yields cokernel projections.
+    reduce() leaves a residual supported away from the pivot rows.
 
     reduce() visits the pivots in increasing index order, but only those
     whose pivot row the residual can reach: a heap is seeded with the

@@ -264,6 +264,17 @@ def test_epsilon_arity2_iso():
     assert eps[2].is_iso()
 
 
+@pytest.mark.parametrize("field", [QQ, F2], ids=["q", "f2"])
+def test_epsilon_commutes_with_the_sigma_actions(field):
+    # the only test that asks omega_sigma for its action: check_operad_axioms
+    # passes an omega_sigma that acts by the identity
+    cb, om, eps = epsilon_trivial(builtin_operad("ass", field, 4), 4)
+    for n in range(2, 5):
+        for j in range(1, n):
+            s = adjacent_transposition(n, j)
+            assert cb.act(n, s).then(eps[n]) == eps[n].then(om.act(n, s))
+
+
 # -- homotopy invariance of bar and cobar ---------------------------------
 
 def test_bar_cobar_preserve_quasi_iso():

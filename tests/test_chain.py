@@ -334,6 +334,29 @@ def test_kernel_retraction_inverts_the_inclusion(field, seed):
         assert retr[k] @ incl.matrix(k) == Matrix.identity(field, ker.dim(k))
 
 
+@pytest.mark.parametrize("field", [QQ, F2, Field(3)], ids=["q", "f2", "f3"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_cokernel_section_and_representatives(field, seed):
+    # the label ("cok", k, l) of a class names a target label l of degree
+    # k that proj sends to that class alone: bbar reads representatives
+    # off these labels
+    rng = random.Random(seed)
+    a = random_complex(rng, field, tag="a")
+    b = random_complex(rng, field, tag="b")
+    f = random_chain_map(rng, field, a, b)
+    cok, proj, sect = cokernel_complex(f)
+    assert f.then(proj).is_zero()
+    assert set(sect) == set(cok.degrees())
+    for k in b.degrees():
+        assert cok.dim(k) == b.dim(k) - f.matrix(k).rank()
+    for k in cok.degrees():
+        assert proj.matrix(k) @ sect[k] == Matrix.identity(field, cok.dim(k))
+        for label in cok.basis[k]:
+            tag, k2, l = label
+            assert (tag, k2) == ("cok", k) and b.label_degree[l] == k
+            assert proj.image(l) == {label: field.one}
+
+
 def test_kernel_cokernel_with_differentials():
     # kernel/cokernel of the collapse H -> k[0] carry induced boundaries
     h = interval(QQ)

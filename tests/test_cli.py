@@ -259,6 +259,9 @@ def test_input_errors(capsys, tmp_path):
         sigma2, '"2": {"1": [[0, 0, -1]], "1": [[0, 0, 1]]}'))
     rawgen = tmp_path / "rawgen.json"
     rawgen.write_text('{"gens": {"2": [0], "2": [1]}}')
+    # an array nested too deep for json.load, which recursed out
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
     twogen = tmp_path / "twogen.json"
     twogen.write_text(json.dumps({"gens": {"2": [0], "02": [1]}}))
     strgen = tmp_path / "strgen.json"
@@ -327,6 +330,8 @@ def test_input_errors(capsys, tmp_path):
                  ("bar", "--operad", f"trivial:{rawgen}", "--max-arity", "3"),
                  ("bar", "--operad", f"trivial:{twogen}", "--max-arity", "3"),
                  ("bar", "--operad", f"free:{twogen}", "--max-arity", "3"),
+                 ("bar", "--operad", f"file:{deep}"),
+                 ("bar", "--operad", f"trivial:{deep}"),
                  ("bar", "--operad", "com", "--truncate", "-1"),
                  ("bar", "--operad", "com", "--truncate", "0"),
                  ("bar", "--operad", "com", "--max-arity", "3",
@@ -398,6 +403,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "Traceback" not in cap.err
     assert cap.err.startswith("internal error: ")
     assert "degree 2" in cap.err
+    assert cap.out == ""
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    def exhausted(p, N):
+        raise MemoryError
+
+    monkeypatch.setattr("opdual.cli.bar", exhausted)
+    code, cap = run(capsys, "bar", "--operad", "com", "--max-arity", "2")
+    assert code == 4
+    assert "Traceback" not in cap.err
+    assert cap.err.startswith("out of memory")
     assert cap.out == ""
 
 

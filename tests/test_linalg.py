@@ -143,10 +143,9 @@ def test_solve():
 def test_matrix_algebra():
     a = Matrix(QQ, 2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2)})
     b = Matrix(QQ, 2, 2, {(1, 0): Fraction(3)})
-    assert (a + b) - b == a
+    assert (a @ b).data == {(0, 0): 6}
     assert (a @ Matrix.identity(QQ, 2)) == a
     assert a.transpose().transpose() == a
-    assert (-a) + a == Matrix.zero(QQ, 2, 2)
     assert a.scale(Fraction(0)).is_zero()
 
 
@@ -505,7 +504,7 @@ def test_a_matrix_stores_field_values_and_no_zero():
     # Field.of, and one that is 0 in the field is not stored
     f3 = Field(3)
     assert Matrix(f3, 1, 1, {(0, 0): 3}).is_zero()
-    assert Matrix(f3, 1, 1, {(0, 0): 3}) == Matrix.zero(f3, 1, 1)
+    assert Matrix(f3, 1, 1, {(0, 0): 3}) == Matrix(f3, 1, 1)
     assert Matrix(f3, 1, 2, {(0, 0): -1, (0, 1): 7}).data == \
         {(0, 0): 2, (0, 1): 1}
     m = Matrix(f3, 2, 1)
@@ -513,4 +512,4 @@ def test_a_matrix_stores_field_values_and_no_zero():
     assert m.data == {(1, 0): 2}
     assert m.column(0) == {1: 2}
     q = Matrix(QQ, 1, 1, {(0, 0): Fraction(4, 2)})
-    assert type(q[0, 0]) is int and q[0, 0] == 2
+    assert type(q.data[(0, 0)]) is int and q.data[(0, 0)] == 2
