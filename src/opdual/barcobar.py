@@ -25,7 +25,10 @@ The mirrored constructions share one skeleton per step:
                      give the cube signs that bar and cobar share, both
                      read off the slot tables of cubes, as W's
                      composition reads mu on one pair of cells
-                     (_mu_cell)
+                     (_mu_cell); with a filter on the labels of each
+                     tree, the planar part R of bar that the command
+                     line builds on a Sigma-free operad (planar_bar),
+                     with no action
   _labelwise         bar_map and cobar_map: each closed-form label (t, x)
                      sent through a per-tree map
   _Engine            the slots and relations common to Coend and End;
@@ -75,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import factorial
 
 from .chain import (
     ChainComplex, ChainMap, _graded_basis, _hom_rule, _place, _sgn,
@@ -93,8 +97,9 @@ from .operads import (
     _trivial_circ, _window, extend_cooperad, trivial_operad,
 )
 from .trees import (
-    Tree, _graft_place, _split_graft, _token_image, _vertex_arities,
-    cluster_key, corolla, enumerate_trees, fragments, graft, split_at_block,
+    Tree, _graft_place, _partitions, _split_graft, _token_image,
+    _vertex_arities, cluster_key, corolla, enumerate_trees, fragments, graft,
+    split_at_block,
 )
 
 
@@ -416,7 +421,7 @@ def _wbar_top(t: Tree) -> tuple:
 
 
 def _closed_form(field, N, term, relabel, structure, decorations, boundary,
-                 cube_move):
+                 cube_move, labels=None):
     """The skeleton of the closed-form bar, W and cobar constructions. In
     arity n the basis is (t, *deco, x) in degree |x| + k, for the trees
     t, each (deco, k) in decorations(t) and the labels x of term(t); the
@@ -430,13 +435,20 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
     action's build, and on the decoration by cube_move(t, t2, sigma,
     deco) -> (the new decoration, its sign). Returns (terms, the
     builder of the adjacent actions): no action is built here, each one
-    is built when sigma_adj first asks for it."""
+    is built when sigma_adj first asks for it.
+
+    A filter labels(t), the pairs (x, |x|) kept of the labels of term(t),
+    by default all of them, builds a sub-basis instead; its terms are
+    complexes only if the boundary stays inside, which from_rule checks
+    (planar_bar), and they carry no action."""
+    if labels is None:
+        def labels(t):
+            return term(t).label_degree.items()
     terms = {}
     for n in range(1, N + 1):
         basis = _graded_basis(
             ((t,) + deco + (x,), dx + k) for t in enumerate_trees(n)
-            for deco, k in decorations(t)
-            for x, dx in term(t).label_degree.items())
+            for deco, k in decorations(t) for x, dx in labels(t))
         terms[n] = ChainComplex.from_rule(
             field, basis, functools.partial(boundary, _window(structure)))
 
@@ -483,6 +495,27 @@ def _top_nu(t, i, u):
     return _star_sign(_nu_slots(t, i, u))
 
 
+def _bar_boundary(plans, d, lab):
+    """The differential of bar on a label (t, x): the edge contractions
+    and the internal differential, each with its bar sign."""
+    t, x = lab
+    tc, edges, s = plans(t)
+    dx = tc.label_degree[x]
+    out = []
+    for se, t2, rule in edges.values():
+        out.extend(((t2, x2), se * c) for x2, c in rule(dx, x))
+    out.extend(((t, x2), s * c) for x2, c in tc.boundary_of(x).items())
+    return out
+
+
+def _bar_terms(p: Operad, N, labels=None):
+    """The closed-form terms of bar, on the labels kept by the filter
+    labels (all by default), and the builder of their actions."""
+    return _closed_form(p.field, N, p.tree_complex, p.tree_relabel,
+                        _contractions(p), lambda t: [((), t.num_vertices)],
+                        _bar_boundary, _top_cell_move, labels)
+
+
 def bar(p: Operad, N) -> Cooperad:
     """Bar construction: per arity a complex with basis (tree, label of
     the tree-shaped tensor of p), in degree = internal degree + number
@@ -490,20 +523,7 @@ def bar(p: Operad, N) -> Cooperad:
     internal differential; the cooperad structure splits trees at a
     grafting edge."""
     field = p.field
-
-    def boundary(plans, d, lab):
-        t, x = lab
-        tc, edges, s = plans(t)
-        dx = tc.label_degree[x]
-        out = []
-        for se, t2, rule in edges.values():
-            out.extend(((t2, x2), se * c) for x2, c in rule(dx, x))
-        out.extend(((t, x2), s * c) for x2, c in tc.boundary_of(x).items())
-        return out
-
-    terms, adjacent = _closed_form(
-        field, N, p.tree_complex, p.tree_relabel, _contractions(p),
-        lambda t: [((), t.num_vertices)], boundary, _top_cell_move)
+    terms, adjacent = _bar_terms(p, N)
 
     def cocirc_builder(q, m, i, n):
         def rule(d, lab):
@@ -521,6 +541,67 @@ def bar(p: Operad, N) -> Cooperad:
 
     return Cooperad(field, N, terms, adjacent, cocirc_builder,
                     name=f"bar({p.name})" if p.name else "bar")
+
+
+def bar_dims(p: Operad, N) -> dict:
+    """The graded dims of bar(p, N).term(n) for n <= N, read off the
+    graded dims of the terms of p with no basis built: the sum over every
+    tree with n leaves of the dims of its tree complex, shifted by its
+    number of vertices. A tree is the partition of its leaves among the
+    children of the root, of at least two blocks, and a tree on each
+    block of two leaves or more, so the sum over the trees with n leaves
+    is the sum over those partitions of term(number of blocks), shifted
+    by one, times the sums over the trees on the blocks."""
+    def times(a, b):
+        out = {}
+        for i, u in a.items():
+            for j, v in b.items():
+                out[i + j] = out.get(i + j, 0) + u * v
+        return out
+
+    dims = {1: {0: 1}}
+    for n in range(2, N + 1):
+        total = {}
+        for blocks in _partitions(list(range(1, n + 1))):
+            if len(blocks) < 2:
+                continue
+            part = {d + 1: v for d, v in p.term(len(blocks)).dims().items()}
+            for b in blocks:
+                part = times(part, dims[len(b)])
+            for d, v in part.items():
+                total[d] = total.get(d, 0) + v
+        dims[n] = total
+    return dims
+
+
+def planar_bar(p: Operad, N, section) -> dict:
+    """The complexes R(n), n <= N, of bar(p, N) on a planar section S of
+    p (operads.planar_section): the labels (t, x) of bar(p, N).term(n)
+    whose tree t has only intervals as clusters and whose every factor
+    lies in S, with the differential of bar. On such a tree the children
+    of a vertex sorted by their least leaf are in planar order, so
+    contracting an edge composes two factors with no permutation after,
+    and R(n) is closed under the differential because S is; from_rule
+    checks it, raising ValueError on a label that leaves R(n), and checks
+    d^2 = 0. bar(p, N).term(n) is the sum of the n! translates of R(n),
+    so its dims and homology are n! times those of R(n): ValueError
+    unless its dims, from bar_dims, are n! times those of R(n). R(n)
+    has no action and no cocirc."""
+    def labels(t):
+        if any(max(c) - min(c) >= len(c) for c in t.clusters):
+            return ()
+        deg = p.tree_complex(t).label_degree
+        return [(x, deg[x]) for x in itertools.product(
+            *(section[a] for a in _vertex_arities(t)))]
+
+    terms, _ = _bar_terms(p, N, labels)
+    for n, full in bar_dims(p, N).items():
+        copies = {d: factorial(n) * v for d, v in terms[n].dims().items()}
+        if copies != full:
+            raise ValueError(f"arity {n}: the bar complex has the dims "
+                             f"{full}, not {factorial(n)} times the dims "
+                             f"{terms[n].dims()} of its planar part")
+    return terms
 
 
 def bar_engine(p: Operad, n, relations="covers") -> Coend:

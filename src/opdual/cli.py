@@ -6,14 +6,17 @@ import argparse
 import json
 import random
 import sys
+from math import factorial
 
-from .chain import ChainComplex, ChainMap, is_quasi_iso
+from .chain import ChainComplex, ChainMap, is_quasi_iso, linear_dual
 from .trees import enumerate_trees
 from .operads import (
     Operad, _prebuilt, builtin_operad, check_operad_axioms, free_operad,
-    symseq_from_degrees, trivial_operad, truncate,
+    planar_section, symseq_from_degrees, trivial_operad, truncate,
 )
-from .barcobar import bar, cobar_engine, w_construction, w_resolution, theta
+from .barcobar import (
+    bar, cobar_engine, planar_bar, w_construction, w_resolution, theta,
+)
 from .fields import Field
 from .koszul import dual_precooperad, koszul_dual, verify_kk
 
@@ -399,14 +402,26 @@ def run(argv=None) -> int:
             raise CliError(f"--truncate must lie in 1..{p.N}")
         p = truncate(p, args.truncate)
 
-    def fill_tables(term_of):
+    def fill_tables(term_of, copies=lambda n: 1):
         for n in range(1, N + 1):
             c = term_of(n)
-            report["tables"][str(n)] = _str_keys(table_of(c, args.homology))
+            report["tables"][str(n)] = {
+                str(k): copies(n) * v
+                for k, v in table_of(c, args.homology).items()}
             if args.verbose and args.out == "json":
                 report["tables"][str(n)]["d"] = _matrix_triples(c)
 
-    if args.verb == "bar":
+    # on a Sigma-free operad, bar and koszul build only the planar part
+    # R(n) of each term, whose n! translates sum to the term; --verbose
+    # prints whole matrices, so it builds whole terms
+    section = None
+    if args.verb in ("bar", "koszul") and not args.verbose:
+        section = planar_section(p, N)
+    if section is not None:
+        rs = planar_bar(p, N, section)
+        fill_tables(rs.get if args.verb == "bar"
+                    else lambda n: linear_dual(rs[n]), factorial)
+    elif args.verb == "bar":
         fill_tables(bar(p, N).term)
     elif args.verb == "cobar":
         q = dual_precooperad(p)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from math import factorial
 
 from .chain import (
     ChainComplex, ChainMap, _graded_basis, _place, _placer, dual_map,
@@ -482,6 +483,79 @@ def truncate(p: Operad, n: int) -> Operad:
     terms = {k: c for k, c in p._terms.items() if k <= n}
     return Operad(p.field, p.N, terms, p.sigma_adj,
                   lambda q, m, i, k: p.circ(m, i, k), name=f"{p.name}|<={n}")
+
+
+# -- planar sections ------------------------------------------------------
+
+def _free_orbits(p: Operad, k):
+    """Each basis label of term(k) mapped to the first label, in basis
+    order, of its Sigma_k-orbit; None unless every sigma_adj(k, i) sends
+    each label to one label times a nonzero scalar and every orbit has k!
+    labels."""
+    c = p.term(k)
+    gens = [p.sigma_adj(k, i) for i in range(1, k)]
+    first = {}
+    for x in (x for d in c.degrees() for x in c.basis[d]):
+        if x in first:
+            continue
+        first[x] = x
+        orbit = [x]
+        for y in orbit:     # the loop reads the labels it appends
+            for g in gens:
+                img = g.image(y)
+                if len(img) != 1:
+                    return None
+                (z,) = img
+                if z not in first:
+                    first[z] = x
+                    orbit.append(z)
+        if len(orbit) != factorial(k):
+            return None
+    return first
+
+
+def planar_section(p: Operad, N):
+    """A planar section of p up to arity N, or None: for each arity k,
+    the list S(k) of basis labels of term(k) holding one label of each
+    Sigma_k-orbit, closed under the compositions of its members and
+    under the differential. It needs p Sigma-free: every sigma_adj(k, i)
+    sends each basis label to one label times a nonzero scalar, and
+    every orbit has k! labels (_free_orbits); otherwise it is None.
+
+    S(1) is the unit. S(k) first takes every label in the support of
+    circ(a, j, b)(s (x) s') for s in S(a), s' in S(b), a + b - 1 = k and
+    j in 1..a, then the first label, in basis order, of each orbit not
+    yet hit. Two labels of S(k) in one orbit, or a differential leaving
+    the span of S(k), give None.
+
+    On a section, the labels of bar(p, N).term(n) whose tree has only
+    intervals as clusters and whose every factor lies in S span a
+    subcomplex R(n) (barcobar.planar_bar) that meets each Sigma_n-orbit
+    of labels once, so bar(p, N).term(n) is the direct sum of the n!
+    complexes sigma R(n): Loday and Vallette, Algebraic Operads, ch. 5,
+    P = P_ns (x) k[Sigma] with P_ns spanned by S."""
+    S = {1: [p.unit_label]}
+    for k in range(2, N + 1):
+        first = _free_orbits(p, k)
+        if first is None:
+            return None
+        hit = {}    # the first label of an orbit -> its label in S(k)
+        for a in range(2, k):
+            b = k + 1 - a
+            for j in range(1, a + 1):
+                f = p.circ(a, j, b)
+                for s in S[a]:
+                    for s2 in S[b]:
+                        for x in f.image((s, s2)):
+                            if hit.setdefault(first[x], x) != x:
+                                return None
+        for x in first.values():
+            hit.setdefault(x, x)
+        S[k] = list(hit.values())
+        span, c = set(S[k]), p.term(k)
+        if any(y not in span for x in S[k] for y in c.boundary_of(x)):
+            return None
+    return S
 
 
 # -- axiom checking -------------------------------------------------------
