@@ -18,7 +18,7 @@ from .barcobar import (
     bar, cobar_engine, planar_bar, w_construction, w_resolution, theta,
 )
 from .fields import Field
-from .koszul import dual_precooperad, koszul_dual, verify_kk
+from .koszul import _str_keys, dual_precooperad, verify_kk
 
 
 class CliError(Exception):
@@ -341,10 +341,6 @@ def emit(report: dict, out: str) -> str:
     return "\n".join(lines)
 
 
-def _str_keys(tab: dict) -> dict:
-    return {str(k): v for k, v in tab.items()}
-
-
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="opdual",
@@ -411,27 +407,24 @@ def run(argv=None) -> int:
             if args.verbose and args.out == "json":
                 report["tables"][str(n)]["d"] = _matrix_triples(c)
 
-    # on a Sigma-free operad, bar and koszul build only the planar part
-    # R(n) of each term, whose n! translates sum to the term; --verbose
-    # prints whole matrices, so it builds whole terms
-    section = None
-    if args.verb in ("bar", "koszul") and not args.verbose:
-        section = planar_section(p, N)
-    if section is not None:
-        rs = planar_bar(p, N, section)
-        fill_tables(rs.get if args.verb == "bar"
-                    else lambda n: linear_dual(rs[n]), factorial)
-    elif args.verb == "bar":
-        fill_tables(bar(p, N).term)
+    if args.verb in ("bar", "koszul"):
+        # on a Sigma-free operad, bar and koszul build only the planar
+        # part R(n) of each term, whose n! translates sum to the term;
+        # --verbose prints whole matrices, so it builds whole terms
+        section = None if args.verbose else planar_section(p, N)
+        if section is None:
+            term, copies = bar(p, N).term, lambda n: 1
+        else:
+            term, copies = planar_bar(p, N, section).get, factorial
+        fill_tables(term if args.verb == "bar"
+                    else lambda n: linear_dual(term(n)), copies)
     elif args.verb == "cobar":
         q = dual_precooperad(p)
         fill_tables(lambda n: cobar_engine(q, n).complex)
     elif args.verb == "w":
         fill_tables(w_construction(p, N).term)
-    elif args.verb == "koszul":
-        fill_tables(koszul_dual(p, N).term)
     elif args.verb == "kk":
-        _kk_report(p, N, report)
+        report.update(verify_kk(p, N))
     elif args.verb == "check":
         _run_check(args, p, N, report)
 
@@ -490,18 +483,7 @@ def _run_check(args, p: Operad, N: int, report: dict) -> None:
                 {"name": f"equivariance sample arity {n}", "pass": ok,
                  "witness": f"permutation {vals}"})
         return
-    _kk_report(p, N, report)
-
-
-def _kk_report(p: Operad, N: int, report: dict) -> None:
-    """The double-dual tables and checks, for both `kk` and `check kk`."""
-    blob = verify_kk(p, N).to_dict()
-    report["tables"] = blob["dims"]["kk"]
-    where = blob.get("witnesses", {})
-    for name, ok in sorted(blob["checks"].items()):
-        report["checks"].append({
-            "name": name, "pass": ok,
-            "witness": where.get(name, blob["dims"]["p"])})
+    report.update(verify_kk(p, N))
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,10 @@
 """Linear-dual Koszul duality: K = dual of the bar construction, the
 dual of an operad as a pre-cooperad (the extension of its dual
 cooperad, labelled (("dual", x_1), ..., ("dual", x_k)) on a tree with k
-vertices), the double-dual comparison, and the full verification
-pipeline."""
+vertices), the double-dual comparison, and `verify_kk`, which runs
+the comparison's checks and returns the tables and checks that the
+command line prints."""
 from __future__ import annotations
-
-import json
 
 from .chain import ChainMap, _sgn
 from .trees import enumerate_trees
@@ -97,72 +96,37 @@ def _first_non_bijective(maps: dict, N) -> dict | None:
     return None
 
 
-class DualityReport:
-    """Dimension tables and flags for the double-dual comparison, and for
-    each failing check a witness that locates the failure. A plain class:
-    dataclasses would import inspect on every command-line start."""
-
-    def __init__(self, operad: str, max_arity: int):
-        self.operad = operad
-        self.max_arity = max_arity
-        self.dims_p, self.dims_bar, self.dims_k, self.dims_kk = {}, {}, {}, {}
-        self.cb_to_kk_iso = self.composite_iso = self.homology_match = False
-        self.witnesses = {}
-
-    def __eq__(self, other):
-        return type(other) is DualityReport and vars(self) == vars(other)
-
-    def passed(self) -> bool:
-        return self.cb_to_kk_iso and self.composite_iso and \
-            self.homology_match
-
-    def to_dict(self) -> dict:
-        def tab(d):
-            return {str(n): {str(k): v for k, v in sorted(t.items())}
-                    for n, t in sorted(d.items())}
-
-        out = {
-            "operad": self.operad,
-            "max_arity": self.max_arity,
-            "dims": {"p": tab(self.dims_p), "bar": tab(self.dims_bar),
-                     "k": tab(self.dims_k), "kk": tab(self.dims_kk)},
-            "checks": {"cb_to_kk_iso": self.cb_to_kk_iso,
-                       "composite_iso": self.composite_iso,
-                       "homology_match": self.homology_match},
-        }
-        if self.witnesses:
-            out["witnesses"] = self.witnesses
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+def _str_keys(tab: dict) -> dict:
+    return {str(k): v for k, v in tab.items()}
 
 
-def verify_kk(p: Operad, N) -> DualityReport:
+def verify_kk(p: Operad, N) -> dict:
     """Check that the double dual of the bar construction recovers the
-    operad: the comparison maps are bijective and homology agrees. A
-    failing check records where it fails: the arity and degree of the
-    first rank deficit, or the first arity whose homology differs."""
-    rep = DualityReport(operad=p.name or "operad", max_arity=N)
-    bq = bar(p, N)
-    cb = cobar(extend_cooperad(bq), N)
+    operad: the comparison maps are bijective and homology agrees.
+    Returns the report the command line prints: "tables", the dims of
+    K(K(p)) as {str(n): {str(k): dim}}, and "checks", one {"name",
+    "pass", "witness"} per check in name order: cb_to_kk_iso,
+    composite_iso, homology_match. A failing iso check's witness is the
+    first rank deficit, {"arity", "degree", "rank", "dim"}; a failing
+    homology_match's is the first arity whose homology differs, {"arity",
+    "kk", "p"} with the two homology tables; a passing check's is the
+    dims table of p, keyed as "tables"."""
+    cb = cobar(extend_cooperad(bar(p, N)), N)
     _, _, th = theta(p, N, cb=cb)
-    kp, kkp, dd = cb_to_kk(p, N, cb=cb)
+    _, kkp, dd = cb_to_kk(p, N, cb=cb)
     comp = {n: th[n].then(dd[n]) for n in range(1, N + 1)}
-    for name, maps in (("cb_to_kk_iso", dd), ("composite_iso", comp)):
-        where = _first_non_bijective(maps, N)
-        setattr(rep, name, where is None)
-        if where is not None:
-            rep.witnesses[name] = where
+    where = {name: _first_non_bijective(maps, N) for name, maps in
+             (("cb_to_kk_iso", dd), ("composite_iso", comp))}
+    where["homology_match"] = None
+    dims_p, tables = {}, {}
     for n in range(1, N + 1):
-        rep.dims_p[n] = p.term(n).dims()
-        rep.dims_bar[n] = bq.term(n).dims()
-        rep.dims_k[n] = kp.term(n).dims()
-        rep.dims_kk[n] = kkp.term(n).dims()
+        dims_p[str(n)] = _str_keys(p.term(n).dims())
+        tables[str(n)] = _str_keys(kkp.term(n).dims())
         hk, hp = kkp.term(n).homology_table(), p.term(n).homology_table()
-        if hk != hp and "homology_match" not in rep.witnesses:
-            rep.witnesses["homology_match"] = {
-                "arity": n, "kk": {str(k): v for k, v in sorted(hk.items())},
-                "p": {str(k): v for k, v in sorted(hp.items())}}
-    rep.homology_match = "homology_match" not in rep.witnesses
-    return rep
+        if hk != hp and where["homology_match"] is None:
+            where["homology_match"] = {"arity": n, "kk": _str_keys(hk),
+                                       "p": _str_keys(hp)}
+    return {"tables": tables,
+            "checks": [{"name": name, "pass": w is None,
+                        "witness": dims_p if w is None else w}
+                       for name, w in sorted(where.items())]}

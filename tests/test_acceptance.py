@@ -194,9 +194,9 @@ def test_criterion_07_double_dual():
     for name in ("com", "ass"):
         p = builtin_operad(name, QQ, 4)
         rep = verify_kk(p, 4)
-        ok = ok and rep.passed()
+        ok = ok and all(c["pass"] for c in rep["checks"])
         if name == "com":
-            ok = ok and rep.dims_kk[3] == {0: 4, 1: 3}
+            ok = ok and rep["tables"]["3"] == {"0": 4, "1": 3}
     _report(7, "double dual recovers the operad, arity <= 4", ok)
 
 

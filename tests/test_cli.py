@@ -10,7 +10,11 @@ import pytest
 
 from opdual.fields import _PRIME_BOUND, QQ
 from opdual.operads import builtin_operad
-from opdual.cli import CliError, load_operad_spec, main
+from opdual.cli import (
+    CliError, emit, load_operad_spec, main, parse_field, select_operad,
+)
+from opdual.koszul import verify_kk
+from specs import anti_associative_spec
 
 COM3 = {
     "field": "Q", "max_arity": 3,
@@ -69,6 +73,23 @@ def test_check_w_and_kk(capsys):
         code, cap = run(capsys, *argv)
         assert code == 0
         assert all(c["pass"] for c in json.loads(cap.out)["checks"])
+
+
+def test_kk_prints_the_library_report_and_nothing_else(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"gens": {"2": [0, 1]}}))
+    anti = tmp_path / "anti.json"
+    anti.write_text(json.dumps(anti_associative_spec(QQ)))
+    for sel, field in (("com", "q"), ("ass", "f3"), (f"trivial:{gens}", "q"),
+                       (f"file:{anti}", "q")):
+        p = select_operad(sel, parse_field(field), 4)
+        rep = verify_kk(p, 4)
+        for argv in (("kk",), ("check", "kk")):
+            code, cap = run(capsys, *argv, "--operad", sel, "--field", field,
+                            "--max-arity", "4")
+            head = {"command": argv[0], "field": repr(p.field).lower(),
+                    "max_arity": 4}
+            assert (code, cap.out) == (0, emit({**head, **rep}, "json") + "\n")
 
 
 def test_determinism(capsys):

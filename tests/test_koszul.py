@@ -170,14 +170,21 @@ def test_cb_to_kk_graded():
         assert kkp.term(n).homology_table() == p.term(n).homology_table()
 
 
+def _checks(rep):
+    return {c["name"]: c for c in rep["checks"]}
+
+
 def test_verify_kk_reports():
     for p, dim3 in ((com(3), 1), (ass(3), 6)):
         rep = verify_kk(p, 3)
-        assert rep.passed()
-        assert rep.cb_to_kk_iso and rep.composite_iso and rep.homology_match
-        blob = json.loads(rep.to_json())
-        assert blob["checks"]["homology_match"] is True
-        assert blob["dims"]["p"]["3"] == {"0": dim3}
+        assert set(rep) == {"tables", "checks"}
+        assert [c["name"] for c in rep["checks"]] == [
+            "cb_to_kk_iso", "composite_iso", "homology_match"]
+        assert all(c["pass"] for c in rep["checks"])
+        blob = json.loads(json.dumps(rep))
+        assert _checks(blob)["homology_match"]["pass"] is True
+        assert _checks(blob)["homology_match"]["witness"]["3"] == {
+            "0": dim3}
 
 
 def test_truncation_tower():
@@ -213,7 +220,7 @@ def test_verify_kk_dualizes_the_bar_cooperad_once(monkeypatch):
         return orig(x)
 
     monkeypatch.setattr(koszul, "dualize", counted)
-    assert verify_kk(com(3), 3).passed()
+    assert all(c["pass"] for c in verify_kk(com(3), 3)["checks"])
     assert dualized.count("bar(com)") == 1
 
 
@@ -231,18 +238,45 @@ def test_kk_witness_names_failing_arity_and_degree(monkeypatch, capsys):
         return kp, kkp, out
 
     monkeypatch.setattr(koszul, "cb_to_kk", broken)
-    rep = verify_kk(com(3), 3)
-    assert not rep.cb_to_kk_iso and not rep.composite_iso
-    assert rep.homology_match
+    rep = _checks(verify_kk(com(3), 3))
+    assert not rep["cb_to_kk_iso"]["pass"]
+    assert not rep["composite_iso"]["pass"]
+    assert rep["homology_match"]["pass"]
     where = {"arity": 3, "degree": 1, "rank": 0, "dim": 3}
-    assert rep.witnesses == {"cb_to_kk_iso": where, "composite_iso": where}
+    assert {name: c["witness"] for name, c in rep.items()
+            if not c["pass"]} == {"cb_to_kk_iso": where,
+                                  "composite_iso": where}
+    dims_p = {str(n): {"0": 1} for n in (1, 2, 3)}
+    assert rep["homology_match"]["witness"] == dims_p
     assert main(["kk", "--operad", "com", "--max-arity", "3"]) == 1
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)[
-        "checks"]}
+    checks = _checks(json.loads(capsys.readouterr().out))
     assert checks["cb_to_kk_iso"]["witness"] == where
     assert checks["composite_iso"]["witness"] == where
     assert checks["homology_match"]["pass"]
-    assert checks["homology_match"]["witness"] == rep.to_dict()["dims"]["p"]
+    assert checks["homology_match"]["witness"] == dims_p
+
+
+def test_kk_homology_witness_names_the_first_differing_arity(
+        monkeypatch, capsys):
+    # the comparison maps stay as built, so both iso checks pass; K(K(p))
+    # cut to arity <= 2 has homology unlike com's from arity 3 on
+    from opdual import koszul
+    from opdual.cli import main
+
+    def cut(p, N, cb=None, orig=koszul.cb_to_kk):
+        kp, kkp, out = orig(p, N, cb=cb)
+        return kp, truncate(kkp, 2), out
+
+    monkeypatch.setattr(koszul, "cb_to_kk", cut)
+    rep = _checks(verify_kk(com(4), 4))
+    assert rep["cb_to_kk_iso"]["pass"] and rep["composite_iso"]["pass"]
+    where = {"arity": 3, "kk": {}, "p": {"0": 1}}
+    assert not rep["homology_match"]["pass"]
+    assert rep["homology_match"]["witness"] == where
+    assert main(["kk", "--operad", "com", "--max-arity", "4"]) == 1
+    checks = _checks(json.loads(capsys.readouterr().out))
+    assert not checks["homology_match"]["pass"]
+    assert checks["homology_match"]["witness"] == where
 
 
 def _unit_law_failures(x, N):

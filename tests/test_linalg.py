@@ -355,7 +355,7 @@ def test_int_scalar_pipeline_matches_fraction_pipeline():
     assert len(maps_q) == len(maps_f)
     for mq, mf in zip(maps_q, maps_f):
         assert mq == mf
-    assert rep_q == rep_f and rep_q.passed()
+    assert rep_q == rep_f and all(c["pass"] for c in rep_q["checks"])
 
     def values(maps):
         for c in maps:
