@@ -80,15 +80,15 @@ def _window(build, maps=None):
     request and kept in maps (a new dict by default) for later ones. It
     is the only memo of the package apart from the lru_caches of trees
     and cubes, and it serves three lifetimes:
-      - every value built once and kept on an object (the actions, tree
-        complexes, tensor pairs and structure maps of a symmetric
-        sequence, the terms, expansions and fragment composites of a
-        pre-cooperad, the coends of bbar, the ends of co-W, the
-        composites of a tree diagram) is a window made with the object,
-        read through the public method that returns it, and lives as
-        long as the object; so is the coefficient diagram of each arity
-        that all coends of bbar, or all ends of co-W, share, which only
-        their builder reads;
+      - every value built once and kept on an object (the actions, the
+        tensor of each vertex-arity sequence and the structure maps of a
+        symmetric sequence, the terms, expansions and fragment
+        composites of a pre-cooperad, the coends of bbar, the ends of
+        co-W, the composites of a tree diagram) is a window made with
+        the object, read through the public method that returns it, and
+        lives as long as the object; so is the coefficient diagram of
+        each arity that all coends of bbar, or all ends of co-W, share,
+        which only their builder reads;
       - a map build opens one for the structure maps of its trees or
         their rules (relabelings, each with its relabeled tree, the plan
         of each tree in the closed forms' differentials, which holds the
@@ -170,10 +170,8 @@ class SymSeq:
         if one is None or one.dims() != {0: 1}:
             raise ValueError("reduced: the arity-1 term must be the unit")
         self._acts = _window(self._act)
-        self._tree_complexes = _window(lambda t: tensor_many(
-            field, [self.term(t.arity_of(v)) for v in t.vertices()]))
-        self._pairs = _window(lambda m, n: tensor_many(
-            field, [self.term(m), self.term(n)]))
+        self._tensors = _window(lambda *arities: tensor_many(
+            field, [self.term(a) for a in arities]))
 
     @property
     def unit_label(self):
@@ -186,9 +184,10 @@ class SymSeq:
         return c if c is not None else zero_complex(self.field)
 
     def pair_complex(self, m, n) -> ChainComplex:
-        """term(m) (x) term(n), built once: the tensor side of every
-        circ(m, i, n) or cocirc(m, i, n)."""
-        return self._pairs(m, n)
+        """term(m) (x) term(n): the tensor side of every circ(m, i, n) or
+        cocirc(m, i, n), and the tree_complex of every two-vertex tree
+        with vertex arities (m, n), the same object."""
+        return self._tensors(m, n)
 
     def sigma_adj(self, n, i) -> ChainMap:
         """The action of s_i on term(n): the zero map on a zero term,
@@ -276,8 +275,10 @@ class SymSeq:
 
     def tree_complex(self, t: Tree) -> ChainComplex:
         """(x)_{vertices of t} term(arity), factors in global vertex order,
-        basis labels = tuples aligned with t.vertices()."""
-        return self._tree_complexes(t)
+        basis labels = tuples aligned with t.vertices(). It depends only
+        on the vertex arities of t, so it is built once per arity
+        sequence and shared by every tree with that sequence."""
+        return self._tensors(*_vertex_arities(t))
 
     def tree_relabel(self, t: Tree, sigma) -> ChainMap:
         """The action tree_complex(t) -> tree_complex(sigma_* t), built
@@ -926,7 +927,8 @@ def extend_cooperad(q: Cooperad) -> PreCooperad:
 class FreePreCooperad(PreCooperad):
     """The free pre-cooperad on a tree-indexed family supported either on
     corollas only ("zero" mode) or constant along expansions ("constant"
-    mode, value a(n) on every n-leaf tree)."""
+    mode, value a(n) on every n-leaf tree). Its components are the tree
+    complexes of a, so they share a's tensor of each arity sequence."""
 
     def __init__(self, a: SymSeq, N, mode="zero"):
         if mode not in ("zero", "constant"):
@@ -935,17 +937,14 @@ class FreePreCooperad(PreCooperad):
         self.a = a
         self.mode = mode
 
-    def _value(self, t: Tree) -> ChainComplex:
-        """The input family A(T)."""
-        if self.mode == "zero" and not t.is_corolla():
-            return zero_complex(self.field)
-        return self.a.term(t.n)
-
     def _component(self, t, u):
-        """(x)_{u-vertices} A(T_u) for u <= t, local fragment trees."""
-        frs = fragments(t, u)
-        return tensor_many(self.field,
-                           [self._value(frs[v].tree) for v in u.vertices()])
+        """(x)_{u-vertices} A(T_u) for u <= t, T_u the fragment of t at
+        each vertex of u: a.tree_complex(u), as the fragment at a vertex
+        of arity k has k leaves; in zero mode A vanishes off corollas,
+        so the component is zero unless u is t."""
+        if self.mode == "zero" and u != t:
+            return zero_complex(self.field)
+        return self.a.tree_complex(u)
 
     def _term(self, t):
         comps = {u: self._component(t, u) for u in enumerate_trees(t.n)

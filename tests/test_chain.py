@@ -163,6 +163,27 @@ def test_shift():
     assert shift(h, 1).d_matrix(2) == h.d_matrix(1).scale(Fraction(-1))
 
 
+def test_verify_scales_only_for_an_odd_degree(monkeypatch):
+    # f d = (-1)^s d f: a degree-0 map compares the two products as they
+    # are; a degree-1 map negates d f, so one off by that sign fails
+    h = interval(QQ)
+    sh = shift(h, 1)
+    real, scales = Matrix.scale, []
+
+    def counted(m, c):
+        scales.append(c)
+        return real(m, c)
+
+    monkeypatch.setattr(Matrix, "scale", counted)
+    ChainMap.from_rule(h, h, lambda d, l: [(l, 1)])
+    assert scales == []
+    ChainMap.from_rule(h, sh, lambda d, l: [(l, 1)], degree=1)
+    assert scales
+    with pytest.raises(ValueError, match="chain-map law"):
+        ChainMap.from_rule(h, sh, lambda d, l: [(l, -1 if l == "g" else 1)],
+                           degree=1)
+
+
 def test_dual():
     assert linear_dual(k_complex(QQ, 2)).dims() == {-2: 1}
     h = interval(QQ)

@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from opdual.fields import _PRIME_BOUND, QQ
+from opdual.fields import _PRIME_BOUND, F2, QQ
 from opdual.operads import builtin_operad
 from opdual.cli import (
     CliError, emit, load_operad_spec, main, parse_field, select_operad,
 )
 from opdual.koszul import verify_kk
-from specs import anti_associative_spec
+from specs import anti_associative_spec, spec_of
 
 COM3 = {
     "field": "Q", "max_arity": 3,
@@ -119,6 +119,34 @@ def test_load_operad_spec_broken_axiom(tmp_path, capsys):
     code, cap = run(capsys, "bar", "--operad", f"file:{f}")
     assert code == 2
     assert "equivariance (2," in cap.err
+
+
+@pytest.mark.parametrize("truncate", [(), ("--truncate", "3")])
+def test_check_axioms_reads_the_identities_once(tmp_path, capsys, monkeypatch,
+                                                truncate):
+    # a file: operad is checked at load, and check axioms prints that
+    # verdict: the report of the built-in operad it spells out
+    from opdual import cli
+    spec = tmp_path / "ass.json"
+    spec.write_text(json.dumps(spec_of(builtin_operad("ass", F2, 4), 4)))
+    real, calls = cli.check_operad_axioms, []
+
+    def counted(p):
+        calls.append(p.name)
+        return real(p)
+
+    monkeypatch.setattr(cli, "check_operad_axioms", counted)
+    outs = []
+    for sel in (f"file:{spec}", "ass"):
+        calls.clear()
+        code, cap = run(capsys, "check", "axioms", "--operad", sel,
+                        "--field", "f2", "--max-arity", "4", *truncate)
+        assert (code, len(calls)) == (0, 1), sel
+        outs.append(cap.out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["checks"] == [
+        {"name": "operad axioms", "pass": True,
+         "witness": "all identities hold"}]
 
 
 def test_load_operad_spec_differential(tmp_path):

@@ -16,7 +16,7 @@ from opdual.trees import (
     canonical_form, corolla, enumerate_trees, fragments, graft,
     perm_to_adjacents,
 )
-from opdual import operads
+from opdual import cli, operads
 from opdual.operads import (
     Cooperad, ExtendedCooperad, Operad, SymSeq, _contraction, _inverse_perm,
     _prebuilt, builtin_operad, check_operad_axioms, dualize, extend_cooperad,
@@ -935,6 +935,34 @@ def test_circ_sides_share_one_pair_complex():
     assert p.circ(2, 1, 3).source is p.pair_complex(2, 3)
     q = dualize(p)
     assert q.cocirc(3, 2, 3).target is q.cocirc(3, 3, 3).target
+
+
+def test_trees_with_equal_vertex_arities_share_one_tree_complex():
+    p = builtin_operad("ass", F2, 5)
+    t = canonical_form([[1, 2], 3, [4, 5]])
+    u = next(v for v in enumerate_trees(5)
+             if v != t and _vertex_arities(v) == _vertex_arities(t))
+    assert p.tree_complex(t) is p.tree_complex(u)
+    for m, n in ((2, 3), (3, 2), (2, 2)):
+        for v in enumerate_trees(m + n - 1):
+            if _vertex_arities(v) == (m, n):
+                assert p.tree_complex(v) is p.pair_complex(m, n), v
+
+
+def test_one_tensor_per_arity_sequence(monkeypatch, capsys):
+    # com up to arity 6 has 32 vertex-arity sequences (2^(n-2) of arity
+    # n >= 2, and the empty one), one tensor each
+    real, built = operads.tensor_many, []
+
+    def counted(field, factors):
+        built.append(len(factors))
+        return real(field, factors)
+
+    monkeypatch.setattr(operads, "tensor_many", counted)
+    assert cli.main(["bar", "--operad", "com", "--max-arity", "6",
+                     "--homology"]) == 0
+    capsys.readouterr()
+    assert len(built) == 32
 
 
 def test_constant_free_precooperad_relabels_by_the_two_step_route():

@@ -135,6 +135,22 @@ def test_bar_dims_are_the_dims_of_the_full_bar():
                                     for n in range(1, p.N + 1)}
 
 
+def test_planar_bar_builds_one_tensor_per_arity_sequence(monkeypatch):
+    # the 903 planar trees of arity 7 and the smaller ones have 64 vertex
+    # arity sequences; the tensor of each is built once and shared
+    real, built = operads.tensor_many, []
+
+    def counted(field, factors):
+        built.append(len(factors))
+        return real(field, factors)
+
+    monkeypatch.setattr(operads, "tensor_many", counted)
+    p = builtin_operad("ass", QQ, 7)
+    r = planar_bar(p, 7, planar_section(p, 7))
+    assert r[7].total_dim() == 903
+    assert len(built) == 64
+
+
 def test_inputs_with_no_planar_section(tmp_path):
     gens = symseq_from_degrees(QQ, 4, {2: [0], 3: [1]})
     for p in (builtin_operad("com", QQ, 4), trivial_operad(gens),

@@ -128,7 +128,8 @@ def test_encoding_is_kept_and_never_stale(monkeypatch):
 
     monkeypatch.setattr(Tree, "children", counted)
     # trees are interned, so this needs a tree that no other test builds
-    t = canonical_form([[1, 2], [3, [4, 5]], [6, 7]])
+    # (test_planar enumerates every tree of arity 7)
+    t = canonical_form([[1, 2], [3, [4, 5]], [6, [7, 8]]])
     first = t.encode()
     assert calls
     calls.clear()
