@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from opdual.fields import _PRIME_BOUND, F2, QQ
+from opdual import cli
 from opdual.operads import builtin_operad
 from opdual.cli import (
     CliError, emit, load_operad_spec, main, parse_field, select_operad,
@@ -126,7 +127,6 @@ def test_check_axioms_reads_the_identities_once(tmp_path, capsys, monkeypatch,
                                                 truncate):
     # a file: operad is checked at load, and check axioms prints that
     # verdict: the report of the built-in operad it spells out
-    from opdual import cli
     spec = tmp_path / "ass.json"
     spec.write_text(json.dumps(spec_of(builtin_operad("ass", F2, 4), 4)))
     real, calls = cli.check_operad_axioms, []
