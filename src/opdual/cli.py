@@ -100,7 +100,8 @@ def _sparse_to_images(triples, src_labels, tgt_labels, field):
     out = {l: {} for l in src_labels}
     try:
         for row, col, val in triples:
-            if not (isinstance(row, int) and isinstance(col, int)
+            # type, not isinstance: a JSON true or false is a bool, no index
+            if not (type(row) is int and type(col) is int
                     and 0 <= col < len(src_labels)
                     and 0 <= row < len(tgt_labels)):
                 raise CliError(f"matrix entry [{row},{col}] is not an integer "

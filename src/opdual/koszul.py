@@ -1,17 +1,15 @@
 """Linear-dual Koszul duality: K = dual of the bar construction, the
 dual of an operad as a pre-cooperad (the extension of its dual
 cooperad, labelled (("dual", x_1), ..., ("dual", x_k)) on a tree with k
-vertices), the double-dual comparison, and `verify_kk`, which runs
-the comparison's checks and returns the tables and checks that the
-command line prints."""
+vertices), the currying iso C(dual p) -> K(p), the double-dual
+comparison C(B(p)) -> K(K(p)), a signed relabel by the same currying
+rule, and `verify_kk`, which runs the comparison's checks and returns
+the tables and checks that the command line prints."""
 from __future__ import annotations
 
 from .chain import ChainMap, _sgn
-from .trees import enumerate_trees
-from .operads import (
-    ExtendedCooperad, Operad, PreCooperad, dualize, extend_cooperad,
-)
-from .barcobar import CobarOperad, bar, cobar, cobar_map, theta
+from .operads import Operad, PreCooperad, dualize, extend_cooperad
+from .barcobar import CobarOperad, bar, cobar, theta
 
 
 def koszul_dual(p: Operad, N) -> Operad:
@@ -28,21 +26,26 @@ def dual_precooperad(p: Operad) -> PreCooperad:
     return extend_cooperad(dualize(p))
 
 
-def kp_iso(p: Operad, N, cdp: CobarOperad | None = None):
+def _curry(p: Operad, T, x):
+    """The currying relabel of a label x of p.tree_complex(T), as a rule's
+    image: [(("dual", (T, x)), (-1)^(V(V-1)/2 + V |x|))], V the number of
+    vertices of T."""
+    V = T.num_vertices
+    s = V * (V - 1) // 2 + V * sum(p._degrees(T, x))
+    return [(("dual", (T, x)), _sgn(s))]
+
+
+def kp_iso(p: Operad, N):
     """The currying iso from the cobar of the dual pre-cooperad to the
-    dual of the bar: the signed relabel (T, (("dual", x_1), ...,
-    ("dual", x_k))) -> ("dual", (T, (x_1, ..., x_k))). Returns (kp, cdp,
-    per-arity isos)."""
+    dual of the bar: (T, (("dual", x_1), ..., ("dual", x_k))) goes to
+    ("dual", (T, (x_1, ..., x_k))) with the sign of `_curry`. Returns
+    (kp, cdp, per-arity isos)."""
     kp = koszul_dual(p, N)
-    if cdp is None:
-        cdp = cobar(dual_precooperad(p), N)
+    cdp = cobar(dual_precooperad(p), N)
 
     def rule(d, lab):
         T, duals = lab
-        x = tuple(y for _, y in duals)
-        V = T.num_vertices
-        s = V * (V - 1) // 2 + V * sum(p._degrees(T, x))
-        return [(("dual", (T, x)), _sgn(s))]
+        return _curry(p, T, tuple(y for _, y in duals))
 
     return kp, cdp, {n: ChainMap.from_rule(cdp.term(n), kp.term(n), rule)
                      for n in range(1, N + 1)}
@@ -50,34 +53,24 @@ def kp_iso(p: Operad, N, cdp: CobarOperad | None = None):
 
 # -- the double-dual comparison -------------------------------------------
 
-def double_dual_map(eq: ExtendedCooperad):
-    """The evaluation map from the extension eq of a cooperad q into the
-    dual pre-cooperad of its dual operad kq, per tree up to the max arity
-    of q. Returns (kq, dual pre-cooperad, family)."""
-    kq = dualize(eq.q)
-    ddq = dual_precooperad(kq)
-
-    def rule(d, lab):
-        return [(tuple(("dual", ("dual", x)) for x in lab), 1)]
-
-    fam = {t: ChainMap.from_rule(eq.term(t), ddq.term(t), rule)
-           for n in range(1, eq.N + 1) for t in enumerate_trees(n)}
-    return kq, ddq, fam
-
-
 def cb_to_kk(p: Operad, N, cb: CobarOperad | None = None):
-    """Cobar applied to the double-dual comparison of the bar cooperad,
-    composed with the currying iso. Returns (kp, kkp, per-arity maps),
-    kp = K(p) being the dual of the bar cooperad that the double dual is
-    built on."""
+    """The comparison C(B(p)) -> K(K(p)): the cobar of the evaluation
+    iso B(p) -> B(p)^vv composed with the currying iso, built as the one
+    signed relabel (T, (x_1, ..., x_k)) -> ("dual", (T, (("dual", x_1),
+    ..., ("dual", x_k)))) with the sign of `_curry`. Returns (kp,
+    kkp, per-arity maps), kp = K(p) the dual of the bar cooperad that cb
+    holds."""
     if cb is None:
         cb = cobar(extend_cooperad(bar(p, N)), N)
-    kp, ddq, fam = double_dual_map(cb.q)
-    ckk = cobar(ddq, N)
-    cm = cobar_map(cb, ckk, fam, N)
-    kkp, _, iso = kp_iso(kp, N, cdp=ckk)
-    out = {n: cm[n].then(iso[n]) for n in range(1, N + 1)}
-    return kp, kkp, out
+    kp = dualize(cb.q.q)
+    kkp = koszul_dual(kp, N)
+
+    def rule(d, lab):
+        T, x = lab
+        return _curry(kp, T, tuple(("dual", y) for y in x))
+
+    return kp, kkp, {n: ChainMap.from_rule(cb.term(n), kkp.term(n), rule)
+                     for n in range(1, N + 1)}
 
 
 # -- the verification pipeline --------------------------------------------

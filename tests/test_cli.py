@@ -332,6 +332,10 @@ def test_input_errors(capsys, tmp_path):
             "2": {"1": [[0, 0, True]]}}))),
         ("file", dict(COM3, circ=[dict(COM3["circ"][0], m=2.0),
                                   COM3["circ"][1]])),
+        # true read as row 1: this "swap" was the identity
+        ("file", {"max_arity": 2, "terms": {"2": {"basis": [
+            {"name": "x", "degree": 0}, {"name": "y", "degree": 0}]}},
+                  "sigma": {"2": {"1": [[True, 0, 1], [0, 1, 1]]}}}),
     ]
     for k, (kind, blob) in enumerate(cut):
         spec = tmp_path / f"cut{k}.json"

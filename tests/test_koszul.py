@@ -12,12 +12,12 @@ from opdual.operads import (
 )
 from opdual.barcobar import (
     _wbar_top, bar, bbar, closed_cobar_to_engine, co_w, cobar, cobar_engine,
-    omega_sigma, precooperad_diagram, theta, w_construction,
+    cobar_map, omega_sigma, precooperad_diagram, theta, w_construction,
 )
 from opdual.koszul import (
-    cb_to_kk, double_dual_map, dual_precooperad, koszul_dual, kp_iso,
-    verify_kk,
+    cb_to_kk, dual_precooperad, koszul_dual, kp_iso, verify_kk,
 )
+from reference import double_dual_map
 
 BIN3 = canonical_form([[1, 2], 3])
 
@@ -140,12 +140,24 @@ def free01(N):
     return free_operad(symseq_from_degrees(QQ, N, {2: [0, 1]}), N)
 
 
-def test_double_dual_map_iso():
-    for p in (com(3), ass(3), free01(3)):
-        _, _, fam = double_dual_map(extend_cooperad(bar(p, 3)))
-        for n in (1, 2, 3):
-            for t in enumerate_trees(n):
-                assert fam[t].is_iso()
+@pytest.mark.parametrize("make, N", [
+    (com, 4), (lambda N: builtin_operad("ass", F2, N), 3), (free01, 3)],
+    ids=["com4-q", "ass3-f2", "free01-3-q"])
+def test_cb_to_kk_matches_double_dual_route(make, N):
+    # the one relabel equals the cobar of the evaluation iso B(p) ->
+    # B(p)^vv, each of whose per-tree maps is an iso, followed by kp_iso
+    p = make(N)
+    cb = cobar(extend_cooperad(bar(p, N)), N)
+    kp, kkp, dd = cb_to_kk(p, N, cb=cb)
+    ddq, fam = double_dual_map(cb.q)
+    assert len(fam) == sum(1 for n in range(1, N + 1)
+                           for _ in enumerate_trees(n))
+    assert all(f.is_iso() for f in fam.values())
+    cm = cobar_map(cb, cobar(ddq, N), fam, N)
+    _, _, iso = kp_iso(kp, N)
+    for n in range(1, N + 1):
+        assert dd[n].target == kkp.term(n)
+        assert dd[n] == cm[n].then(iso[n]), n
 
 
 def test_cb_to_kk_com():
@@ -222,6 +234,21 @@ def test_verify_kk_dualizes_the_bar_cooperad_once(monkeypatch):
     monkeypatch.setattr(koszul, "dualize", counted)
     assert all(c["pass"] for c in verify_kk(com(3), 3)["checks"])
     assert dualized.count("bar(com)") == 1
+
+
+def test_verify_kk_builds_one_cobar(monkeypatch):
+    # cb_to_kk relabels the cobar that verify_kk built: no second cobar,
+    # no dual pre-cooperad of K(p)
+    from opdual import koszul
+    calls = {"cobar": 0, "dual_precooperad": 0}
+    for name in calls:
+        def counted(*args, name=name, orig=getattr(koszul, name)):
+            calls[name] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(koszul, name, counted)
+    assert all(c["pass"] for c in verify_kk(com(3), 3)["checks"])
+    assert calls == {"cobar": 1, "dual_precooperad": 0}
 
 
 def test_kk_witness_names_failing_arity_and_degree(monkeypatch, capsys):

@@ -126,10 +126,12 @@ def test_encoding_is_kept_and_never_stale(monkeypatch):
         calls.append(v)
         return children(self, v)
 
-    monkeypatch.setattr(Tree, "children", counted)
-    # trees are interned, so this needs a tree that no other test builds
-    # (test_planar enumerates every tree of arity 7)
     t = canonical_form([[1, 2], [3, [4, 5]], [6, [7, 8]]])
+    # trees are interned, so another test may have encoded this one:
+    # drop what it kept, then count the first encode
+    monkeypatch.setattr(t, "_code", None)
+    monkeypatch.setattr(t, "_repr", None)
+    monkeypatch.setattr(Tree, "children", counted)
     first = t.encode()
     assert calls
     calls.clear()
