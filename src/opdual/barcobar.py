@@ -13,7 +13,9 @@ cobar verb of the command line prints cobar_engine.
 
 The mirrored constructions share one skeleton per step:
   _window            (from operads) the one memo: per map build, the
-                     structure maps of its trees, each built once and
+                     structure maps of its trees or a plan per key (the
+                     moves of an action per tree and decoration, the
+                     plan of theta per marked tree), each built once and
                      dropped after the build (closed forms, bar_map,
                      theta, theta_star); per object, the composites of a
                      TreeDiagram, the coends of bbar and the ends of
@@ -78,10 +80,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from math import factorial
 
 from .chain import (
-    ChainComplex, ChainMap, _graded_basis, _hom_rule, _place, _sgn,
+    ChainComplex, ChainMap, _graded_basis, _hom_rule, _place, _placer, _sgn,
     cokernel_complex, direct_sum, hom_complex, hom_map, kernel_complex, shift,
     tensor_many, tensor_map_many,
 )
@@ -431,9 +434,12 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
     and signs, and builds no map (_contractions(p) for bar and W, the
     covers of t with their rules for cobar), so a label reads its tree's
     plan once; sigma acts on the tree term through relabel(t, sigma),
-    read with t.relabel(sigma) once per tree from the window of the
+    read with t.relabel(sigma) once per tree from a window of the
     action's build, and on the decoration by cube_move(t, t2, sigma,
-    deco) -> (the new decoration, its sign). Returns (terms, the
+    deco) -> (the new decoration, its sign); a second window of the
+    build keeps, per (tree, decoration), the relabeled head (t2, *deco2),
+    the cube sign and the relabel map, so a label reads one tuple and
+    applies one map. Returns (terms, the
     builder of the adjacent actions): no action is built here, each one
     is built when sigma_adj first asks for it.
 
@@ -453,14 +459,19 @@ def _closed_form(field, N, term, relabel, structure, decorations, boundary,
             field, basis, functools.partial(boundary, _window(structure)))
 
     def act(n, sigma):
-        moves = _window(lambda t: (t.relabel(sigma), relabel(t, sigma)))
+        trees = _window(lambda t: (t.relabel(sigma), relabel(t, sigma)))
+
+        def move(t, *deco):
+            t2, f = trees(t)
+            deco2, ws = cube_move(t, t2, sigma, deco)
+            return (t2,) + deco2, ws, f
+
+        moves = _window(move)
 
         def rule(d, lab):
-            t, x = lab[0], lab[-1]
-            t2, f = moves(t)
-            deco, ws = cube_move(t, t2, sigma, lab[1:-1])
-            return [((t2,) + deco + (x2,), ws * c)
-                    for x2, c in f.image(x).items()]
+            head, ws, f = moves(*lab[:-1])
+            return [(head + (x2,), ws * c)
+                    for x2, c in f.image(lab[-1]).items()]
         return ChainMap.from_rule(terms[n], terms[n], rule)
 
     return terms, _adjacent_family(act)
@@ -849,8 +860,8 @@ def cobar_map(c1: CobarOperad, c2: CobarOperad, fam: dict, N) -> dict:
 def _theta_cut(T: Tree, U: Tree):
     """The rule of theta_cells(T, U), the fragment trees of T over the
     vertices of U and the slot of each vertex of T in their
-    concatenation; U <= T. theta and theta_star each open one window of
-    it."""
+    concatenation; U <= T. theta reads it once per plan of (T, S)
+    (_theta_plan), and theta_star opens one window of it."""
     frs = fragments(T, U)
     fts = [frs[v].tree for v in U.vertices()]
     order = [frs[v].to_global[w] for v, ft in zip(U.vertices(), fts)
@@ -859,36 +870,51 @@ def _theta_cut(T: Tree, U: Tree):
     return _theta_cell_rule(T, U, frs), fts, [at[w] for w in T.vertices()]
 
 
+def _theta_plan(p: Operad, T: Tree, S):
+    """What theta reads on every label (T, S, x) of W(p), T.n > 1: the
+    target tree U, the fragment trees with the label degrees of their
+    tree complexes and their widths, the placer of the factors of x at
+    their fragment slots, and
+    the cells of theta_cells on (the cell of (T, S), the top cell of
+    wbar(U)), each as its coefficient and, per fragment, the sum of the
+    cube degrees of the fragments after it. The cells of W take the
+    values 1 and * only (* on the edges of S), and theta_cells kills a
+    fragment coordinate at 1 and a U-edge coordinate at *, so U is the
+    one tree T with the edges of S contracted, no family cell has a zero
+    coordinate and no fragment needs contracting."""
+    U = Tree(T.n, T.clusters - frozenset(S))
+    th, fts, slots = _theta_cut(T, U)
+    cells = []
+    for famcell, cth in th(None, (_w_cell(T, S), _wbar_top(U))):
+        dcs = [wbar(p.field, ft).label_degree[c]
+               for ft, c in zip(fts, famcell)]
+        cells.append((cth, [sum(dcs[k + 1:]) for k in range(len(dcs))]))
+    return (U, fts, [p.tree_complex(ft).label_degree for ft in fts],
+            [ft.num_vertices for ft in fts],
+            _placer([p.term(a) for a in _vertex_arities(T)], slots), cells)
+
+
 def _theta_rule(p: Operad):
-    """theta on a label (T, S, x) of W(p): the cell of (T, S) against the
-    top cell of wbar(U) through the rule of theta_cells, and the factors
-    of x regrouped fragment by fragment into bar labels, give the cobar
-    labels (U, classes). The cells of W take the values 1 and * only (*
-    on the edges of S), and theta_cells kills a fragment coordinate at 1
-    and a U-edge coordinate at *, so U is the one tree T with the edges
-    of S contracted, no family cell has a zero coordinate and no
-    fragment needs contracting."""
-    field = p.field
-    cuts = _window(_theta_cut)
+    """theta on a label (T, S, x) of W(p): the plan of (T, S), read from
+    a window opened for the build, regroups the factors of x fragment by
+    fragment into bar labels, which give the cobar label (U, classes),
+    once per cell of the plan; per label only the Koszul sign of the
+    regrouping and the interleave sign of each cell are computed."""
+    plans = _window(functools.partial(_theta_plan, p))
 
     def rule(d, lab):
         T, S, x = lab
         if T.n == 1:
             return [((T, ()), 1)]
-        degs = p._degrees(T, x)
-        U = Tree(T.n, T.clusters - frozenset(S))
-        th, fts, slots = cuts(T, U)
-        xr, s1 = _place(x, degs, slots)
-        chunks = _chunks(xr, [ft.num_vertices for ft in fts])
-        dxs = [sum(p._degrees(ft, c)) for ft, c in zip(fts, chunks)]
+        U, fts, fdegs, widths, place, cells = plans(T, S)
+        xr, s1 = place(x)
+        chunks = _chunks(xr, widths)
+        dxs = [g[c] for g, c in zip(fdegs, chunks)]
         classes = tuple(zip(fts, chunks))
-        s2 = s1 * _sgn(sum(degs) * U.num_vertices)
-        out = []
-        for famcell, cth in th(None, (_w_cell(T, S), _wbar_top(U))):
-            dcs = [wbar(field, ft).label_degree[c]
-                   for ft, c in zip(fts, famcell)]
-            out.append(((U, classes), cth * s2 * _interleave_sign(dxs, dcs)))
-        return out
+        s2 = s1 * _sgn((d - len(S)) * U.num_vertices)
+        return [((U, classes), cth * s2 * _sgn(sum(map(operator.mul, dxs,
+                                                          after))))
+                for cth, after in cells]
 
     return rule
 

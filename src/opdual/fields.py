@@ -1,8 +1,6 @@
 """Exact coefficient fields: the rationals and prime fields F_p."""
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 # the first 13 primes: as Miller-Rabin bases they decide primality
 # exactly below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
@@ -33,7 +31,8 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _integral(q: Fraction):
+def _integral(q):
+    """A Fraction q as an int when it is integral."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -65,9 +64,12 @@ class Field:
     def of(self, x):
         """Coerce an int, Fraction, or 'a/b' string into this field. An
         int returns at once, with no isinstance test against Fraction,
-        whose ABC metaclass makes that test slow."""
+        whose ABC metaclass makes that test slow, and the fractions
+        module is imported only past that return, so a run whose scalars
+        are all ints never loads it."""
         if type(x) is int:
             return x % self.char if self.char else x
+        from fractions import Fraction
         if isinstance(x, str):
             x = Fraction(x)
         if self.char == 0:
@@ -97,6 +99,7 @@ class Field:
             return pow(a, -1, self.char)
         if a == 1 or a == -1:
             return int(a)
+        from fractions import Fraction
         return _integral(Fraction(1) / a)
 
     def is_unit_entry(self, a):

@@ -75,14 +75,24 @@ def _contraction(u: Tree, e, t: Tree):
     return len(ch), j, u.arity_of(e), pi, order, order.index(v)
 
 
+def _vertex_move(t: Tree, sigma):
+    """The vertex move of sigma on t, the key of SymSeq.tree_relabel:
+    per vertex of t, in order, the images of its inputs under its local
+    leaf permutation and the slot of its image among the vertices of
+    sigma_* t (trees._vertex_relabel)."""
+    return tuple((tuple(loc.values()), pos)
+                 for loc, pos in _vertex_relabel(t, t.relabel(sigma), sigma))
+
+
 def _window(build, maps=None):
     """The lookup key -> build(*key), each value built on its first
     request and kept in maps (a new dict by default) for later ones. It
     is the only memo of the package apart from the lru_caches of trees
     and cubes, and it serves three lifetimes:
       - every value built once and kept on an object (the actions, the
-        tensor of each vertex-arity sequence and the structure maps of a
-        symmetric sequence, the terms, expansions and fragment
+        tensor of each vertex-arity sequence, the relabel map of each
+        vertex move and the structure maps of a symmetric sequence, the
+        terms, expansions and fragment
         composites of a pre-cooperad, the coends of bbar, the ends of
         co-W, the composites of a tree diagram) is a window made with
         the object, read through the public method that returns it, and
@@ -90,14 +100,16 @@ def _window(build, maps=None):
         each arity that all coends of bbar, or all ends of co-W, share,
         which only their builder reads;
       - a map build opens one for the structure maps of its trees or
-        their rules (relabelings, each with its relabeled tree, the plan
-        of each tree in the closed forms' differentials, which holds the
-        contraction or cover rules of all its edges, products of
-        pre-cooperads, the cuts of theta), so each of them is made once
-        per build and read once per basis label, and the window is
-        dropped after its build; rules are kept only in such a window,
-        never on an object; cube cells are moved one at a time and need
-        no window;
+        their rules, or for a plan per key (the relabeled tree and
+        relabel map of each tree in an action, and per tree and
+        decoration the relabeled head and cube sign beside that map;
+        the plan of each tree in the closed forms' differentials, which
+        holds the contraction or cover rules of all its edges; products
+        of pre-cooperads; the plan of each marked tree (T, S) in theta),
+        so each of them is made once per build and read once per basis
+        label, and the window is dropped after its build; rules are
+        kept only in such a window, never on an object; cube cells are
+        moved one at a time and need no window;
         theta_star opens one for its whole family of maps;
       - a window made with an object over a weakref.WeakValueDictionary
         keeps a value only while something else holds it: the merge maps
@@ -172,6 +184,7 @@ class SymSeq:
         self._acts = _window(self._act)
         self._tensors = _window(lambda *arities: tensor_many(
             field, [self.term(a) for a in arities]))
+        self._relabels = _window(self._relabel_by_move)
 
     @property
     def unit_label(self):
@@ -281,20 +294,34 @@ class SymSeq:
         return self._tensors(*_vertex_arities(t))
 
     def tree_relabel(self, t: Tree, sigma) -> ChainMap:
-        """The action tree_complex(t) -> tree_complex(sigma_* t), built
-        from _relabel_rule."""
-        return ChainMap.from_rule(self.tree_complex(t),
-                                  self.tree_complex(t.relabel(sigma)),
-                                  self._relabel_rule(t, sigma))
+        """The action tree_complex(t) -> tree_complex(sigma_* t), read
+        from the window of the vertex move of (t, sigma): the map depends
+        only on that move, which fixes its source and target tensors, so
+        every (t, sigma) with the same move shares one verified map."""
+        return self._relabels(*_vertex_move(t, sigma))
+
+    def _relabel_by_move(self, *move):
+        """The verified map of _move_rule(move), from the tensor of the
+        vertex arities in source order to the tensor of the same arities
+        placed at their target slots."""
+        arities = [0] * len(move)
+        for images, pos in move:
+            arities[pos] = len(images)
+        return ChainMap.from_rule(
+            self._tensors(*(len(images) for images, _ in move)),
+            self._tensors(*arities), self._move_rule(move))
 
     def _relabel_rule(self, t: Tree, sigma):
         """The rule of tree_relabel(t, sigma) on one label x of
-        tree_complex(t): relabel each factor through its local leaf
-        permutation, then place the factors at their vertices of
-        sigma_* t with the Koszul sign."""
-        moves = _vertex_relabel(t, t.relabel(sigma), sigma)
-        acts = [self.act(len(loc), loc) for loc, _ in moves]
-        place = _placer([f.source for f in acts], [pos for _, pos in moves])
+        tree_complex(t), built with no map."""
+        return self._move_rule(_vertex_move(t, sigma))
+
+    def _move_rule(self, move):
+        """The rule of a vertex move on one label x: relabel each factor
+        through its local leaf permutation, then place the factors at
+        their target slots with the Koszul sign."""
+        acts = [self._acts(len(images), images) for images, _ in move]
+        place = _placer([f.source for f in acts], [pos for _, pos in move])
 
         def rule(d, x):
             out = []

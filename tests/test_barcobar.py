@@ -25,7 +25,7 @@ from opdual.cubes import (
 )
 from opdual.operads import (
     ExtendedCooperad, Operad, PreCooperad, SymSeq, _contraction,
-    builtin_operad,
+    _vertex_move, builtin_operad,
     check_operad_axioms, dualize, extend_cooperad, free_operad,
     free_precooperad, is_quasi_cooperad, symseq_from_degrees, trivial_operad,
     truncate,
@@ -920,6 +920,56 @@ def test_theta_reads_the_one_tree_the_scan_finds(make):
         for T, S, x in wp.term(n).label_degree:
             if n > 1:
                 assert found[T, S] == {Tree(n, T.clusters - frozenset(S))}
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: com(4), id="com-q"),
+    pytest.param(lambda: ass(4, F2), id="ass-f2"),
+])
+def test_theta_cuts_once_per_marked_tree(make, monkeypatch):
+    # theta reads one plan per marked tree (T, S) of W(p), T.n > 1, and
+    # each plan cuts its one target tree once
+    p = make()
+    wp = w_construction(p, 4)
+    cb = cobar(extend_cooperad(bar(p, 4)), 4)
+    cuts = []
+
+    def counted(T, U, orig=barcobar._theta_cut):
+        cuts.append((T, U))
+        return orig(T, U)
+
+    monkeypatch.setattr(barcobar, "_theta_cut", counted)
+    theta(p, 4, wp=wp, cb=cb)
+    marked = {lab[:2] for n in range(2, 5) for lab in wp.term(n).label_degree}
+    assert len(cuts) == len(marked)
+    assert set(cuts) == {(T, Tree(T.n, T.clusters - frozenset(S)))
+                         for T, S in marked}
+
+
+def test_extended_cooperad_relabels_once_per_vertex_move(monkeypatch):
+    # co_w_resolution and then theta_star on one extended cooperad ask
+    # for the same relabel maps many times (compose_fragments meets the
+    # same fragment tree and permutation across pairs (T, U)); each map
+    # of the bar cooperad is built once per vertex move
+    moves, builds = [], []
+
+    def by_move(self, *move, orig=SymSeq._relabel_by_move):
+        builds.append((self, move))
+        return orig(self, *move)
+
+    def relabel_map(self, t, sigma, orig=PreCooperad.relabel_map):
+        if self is q:
+            moves.append(_vertex_move(t, sigma))
+        return orig(self, t, sigma)
+
+    monkeypatch.setattr(SymSeq, "_relabel_by_move", by_move)
+    monkeypatch.setattr(PreCooperad, "relabel_map", relabel_map)
+    q = extend_cooperad(bar(com(4), 4))
+    co_w_resolution(q, 4)
+    theta_star(q, 4)
+    ours = [move for c, move in builds if c is q.q]
+    assert ours and len(ours) == len(set(ours)) == len(set(moves))
+    assert len(moves) > len(ours)
 
 
 def _perm_key(sigma):

@@ -23,7 +23,7 @@ from opdual.operads import (
     free_operad, free_precooperad, graft_perm, is_quasi_cooperad,
     symseq_from_degrees, trivial_operad, truncate,
 )
-from opdual.barcobar import bar, bbar, co_w
+from opdual.barcobar import bar, bbar, co_w, w_construction
 from opdual.koszul import dual_precooperad
 
 from test_chain import permute_factors
@@ -867,6 +867,77 @@ def test_one_rule_maps_match_the_two_step_route(p):
                 assert p.contract_map(t, e) == _contract_two_step(p, t, e)
             for u, e in t.expansions():
                 assert eq.cover_map(t, u, e) == _cover_two_step(q, t, u, e)
+
+
+# -- one relabel map per vertex move -----------------------------------------
+
+RELABEL_CASES = [
+    pytest.param(lambda: builtin_operad("ass", F2, 4), id="ass_f2"),
+    pytest.param(lambda: trivial_operad(
+        symseq_from_degrees(QQ, 4, {2: [0, 1]})), id="trivial01"),
+    pytest.param(lambda: dualize(bar(builtin_operad("com", QQ, 4), 4)),
+                 id="dual_bar_com"),
+]
+
+
+@pytest.mark.parametrize("make", RELABEL_CASES)
+def test_shared_tree_relabel_matches_a_fresh_build(make):
+    # the map every (t, sigma) of one vertex move shares equals, matrix by
+    # matrix, the map built afresh from the rule of (t, sigma) itself
+    p = make()
+    shared, pairs = {}, 0
+    for n in range(2, 5):
+        for t in enumerate_trees(n):
+            for sigma in _adjacent(n):
+                f = p.tree_relabel(t, sigma)
+                src, tgt = p.tree_complex(t), p.tree_complex(t.relabel(sigma))
+                ref = ChainMap.from_rule(src, tgt,
+                                         p._relabel_rule(t, sigma))
+                assert f.source is src and f.target is tgt
+                assert set(f.mats) == set(ref.mats), (t, sigma)
+                for k, m in ref.mats.items():
+                    assert list(f.mats[k].data.items()) == \
+                        list(m.data.items()), (t, sigma, k)
+                shared.setdefault(operads._vertex_move(t, sigma),
+                                  set()).add(id(f))
+                pairs += 1
+    assert all(len(maps) == 1 for maps in shared.values())
+    assert len(shared) < pairs
+
+
+@pytest.mark.parametrize("make", RELABEL_CASES[:2])
+def test_actions_build_one_relabel_map_per_vertex_move(make, monkeypatch):
+    # bar and W read tree_relabel for every action; the maps it builds,
+    # counted as the from_rule calls made inside it, are one per distinct
+    # vertex move of the (t, sigma) it is asked for; the actions of p are
+    # built first, so every from_rule inside tree_relabel is a relabel map
+    p = make()
+    for n in range(2, 5):
+        for i in range(1, n):
+            p.sigma_adj(n, i)
+    moves, builds, depth = [], [], [0]
+
+    def from_rule(cls, *args, orig=ChainMap.from_rule.__func__, **kwargs):
+        if depth[0]:
+            builds.append(args[:2])
+        return orig(cls, *args, **kwargs)
+
+    def tree_relabel(self, t, sigma, orig=SymSeq.tree_relabel):
+        moves.append(operads._vertex_move(t, sigma))
+        depth[0] += 1
+        try:
+            return orig(self, t, sigma)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ChainMap, "from_rule", classmethod(from_rule))
+    monkeypatch.setattr(SymSeq, "tree_relabel", tree_relabel)
+    for c in (bar(p, 4), w_construction(p, 4)):
+        for n in range(2, 5):
+            for i in range(1, n):
+                c.sigma_adj(n, i)
+    assert builds and len(builds) == len(set(moves))
+    assert len(moves) > len(builds)
 
 
 def _rule_image(field, rule, d, x):
